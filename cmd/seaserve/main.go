@@ -90,7 +90,7 @@
 //	GET  /healthz     liveness (also used by failover probing)
 //
 // Single-node adds POST /v1/explain and GET /v1/stats; cluster mode adds
-// POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partial, /v1/join,
+// POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partials, /v1/join,
 // /v1/leave, /v1/digest, GET /v1/snapshot, /v1/cluster, /v1/membership,
 // /v1/status and /v1/debug/cluster.
 //

@@ -68,29 +68,35 @@ type AntiEntropyCounters struct {
 // digestPartition computes partition p's content digest. The second
 // return is false when the node does not hold p live.
 func (n *Node) digestPartition(p int) (PartDigest, bool) {
-	n.mu.RLock()
-	rows, held := n.parts[p]
-	lastSeq := n.lastSeq[p]
-	n.mu.RUnlock()
-	if !held {
+	pt := n.livePart(p)
+	if pt == nil {
 		return PartDigest{}, false
 	}
-	d := PartDigest{Part: p, LastSeq: lastSeq, Rows: len(rows), Epoch: n.epoch()}
+	d := pt.digest()
+	d.Epoch = n.epoch()
+	return d, true
+}
+
+// digest hashes the copy straight from its columns, in the documented
+// byte order: per row the key, then each column value's raw bits.
+func (pt *partition) digest() PartDigest {
+	view, _, lastSeq := pt.snapshot()
+	d := PartDigest{Part: pt.id, LastSeq: lastSeq, Rows: view.Len()}
 	var buf [8]byte
 	h := fnv.New64a()
-	for i, r := range rows {
+	for i, key := range view.Keys {
 		if i > 0 && i%aeChunkRows == 0 {
 			d.Chunks = append(d.Chunks, h.Sum64())
 			h.Reset()
 		}
-		binary.LittleEndian.PutUint64(buf[:], r.Key)
+		binary.LittleEndian.PutUint64(buf[:], key)
 		h.Write(buf[:])
-		for _, v := range r.Vec {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		for _, c := range view.Cols {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c[i]))
 			h.Write(buf[:])
 		}
 	}
-	if len(rows) > 0 {
+	if view.Len() > 0 {
 		d.Chunks = append(d.Chunks, h.Sum64())
 	}
 	root := fnv.New64a()
@@ -98,12 +104,12 @@ func (n *Node) digestPartition(p int) (PartDigest, bool) {
 		binary.LittleEndian.PutUint64(buf[:], c)
 		root.Write(buf[:])
 	}
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(rows)))
+	binary.LittleEndian.PutUint64(buf[:], uint64(view.Len()))
 	root.Write(buf[:])
 	binary.LittleEndian.PutUint64(buf[:], lastSeq)
 	root.Write(buf[:])
 	d.Root = fmt.Sprintf("%016x", root.Sum64())
-	return d, true
+	return d
 }
 
 func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
@@ -116,9 +122,7 @@ func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 	n.noteEpoch(req.Epoch)
 	d, ok := n.digestPartition(req.Part)
 	if !ok {
-		serve.WriteJSON(w, http.StatusNotFound, map[string]string{
-			"error": fmt.Sprintf("dist: node %s does not hold partition %d", n.id, req.Part),
-		})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": n.notHeld(req.Part)})
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, d)
@@ -159,13 +163,8 @@ func (n *Node) AntiEntropyTick() int {
 	n.aeTicks.Add(1)
 	ms := n.members()
 	repaired := 0
-	n.mu.RLock()
-	held := make([]int, 0, len(n.parts))
-	for p := range n.parts {
-		held = append(held, p)
-	}
-	n.mu.RUnlock()
-	for _, p := range held {
+	for _, pt := range n.liveParts() {
+		p := pt.id
 		owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
 		if len(owners) == 0 || owners[0] == n.id {
 			continue // primary is ground truth; nothing to compare against
@@ -219,30 +218,25 @@ func (n *Node) AntiEntropyTick() int {
 }
 
 // repairPartition replaces partition p wholesale with the primary's
-// snapshot. Safe against the ingest path: it holds p's partition lock
-// for the whole replace, and the donor's partsnap handler reads under
-// its own state lock only (no partition lock), so mutual repair cannot
+// snapshot. Safe against the ingest path: it holds p's ingest lock for
+// the whole replace, and the donor's partsnap handler reads under the
+// copy's state lock only (no ingest lock), so mutual repair cannot
 // deadlock.
 func (n *Node) repairPartition(p int, primaryURL string) error {
 	if !n.ingestGate() {
 		return errNodeClosing
 	}
 	defer n.closeDone()
-	mu := n.partLock(p)
-	if mu == nil {
+	pt := n.lockLive(p)
+	if pt == nil {
 		return fmt.Errorf("dist: partition %d not held", p)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	snap, err := n.fetchPartSnap(primaryURL, p)
+	defer pt.ingest.Unlock()
+	fresh, err := n.fetchPart(primaryURL, p)
 	if err != nil {
 		return err
 	}
-	return n.installPartitionLocked(p, &stagedPart{
-		rows:    wireToRows(snap.Rows),
-		baseLen: snap.BaseLen,
-		lastSeq: snap.LastSeq,
-	})
+	return n.replaceLocked(pt, fresh)
 }
 
 // AntiEntropyRepairs returns the lifetime count of successful repairs.
@@ -280,36 +274,20 @@ func (n *Node) antiEntropyLoop(every time.Duration) {
 // anti-entropy loop exists to catch. Test/experiment hook (E22).
 // Returns false if the node does not hold p or p is empty.
 func (n *Node) CorruptPartition(p int) bool {
-	mu := n.partLock(p)
-	if mu == nil {
+	pt := n.lockLive(p)
+	if pt == nil {
 		return false
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	n.mu.Lock()
-	rows, held := n.parts[p]
-	if !held || len(rows) == 0 {
-		n.mu.Unlock()
+	defer pt.ingest.Unlock()
+	view, baseLen, lastSeq := pt.snapshot()
+	rows := view.Rows(0)
+	if len(rows) == 0 || view.Width() == 0 {
 		return false
 	}
-	// Copy-on-write the whole slice: concurrent readers hold the old
-	// backing array, so an in-place element write would race.
-	nr := append([]storage.Row(nil), rows...)
-	i := len(nr) / 2
-	vec := append([]float64(nil), nr[i].Vec...)
-	if len(vec) == 0 {
-		n.mu.Unlock()
-		return false
-	}
+	// Edit the private materialised rows and swap in a fresh store:
+	// concurrent readers still scan the shared arrays through their views.
+	vec := rows[len(rows)/2].Vec
 	vec[len(vec)-1] += 1e6
-	nr[i].Vec = vec
-	n.parts[p] = nr
-	cs := storage.NewColStore(-1)
-	cs.Append(nr...)
-	n.cols[p] = cs
-	n.version++
-	ver := n.version
-	n.mu.Unlock()
-	n.publishAbsorbed(ver)
+	n.publishAbsorbed(pt.swap(storage.BuildColStore(-1, rows), baseLen, lastSeq, &n.version))
 	return true
 }

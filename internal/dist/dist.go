@@ -36,7 +36,8 @@
 //	                   acked, WAL-durable live write path)
 //	POST /v1/replicate primary-to-replica sequenced batch shipping
 //	POST /v1/walfetch  log-tail fetch for recovering replicas
-//	POST /v1/partial   per-partition aggregate state for scatter-gather
+//	POST /v1/partials  batched per-partition aggregate states for
+//	                   scatter-gather (one round trip per holder)
 //	GET  /v1/snapshot  agent snapshots for model shipping
 //	GET  /v1/cluster   membership, partitions held, serving health
 //	GET  /v1/membership  the node's current membership view (epoch +
@@ -481,31 +482,8 @@ func (r QueryResponse) Answer() core.Answer {
 	}
 }
 
-// PartialRequest asks a node for its local aggregate state of one data
-// partition.
-type PartialRequest struct {
-	Part  int                `json:"part"`
-	Query serve.QueryRequest `json:"query"`
-	// Trace asks the holder to record a span tree for its side of the
-	// work and return it in PartialResponse.Spans, so a traced query's
-	// tree stitches across node boundaries.
-	Trace bool `json:"trace,omitempty"`
-}
-
-// PartialResponse carries one partition's mergeable aggregate state (see
-// query.PartialEval).
-type PartialResponse struct {
-	Partial []float64 `json:"partial"`
-	// Rows is how many base rows the partition scan touched.
-	Rows int64 `json:"rows"`
-	// Spans is the holder's span tree for this request (only when the
-	// request asked for a trace).
-	Spans []trace.WireSpan `json:"spans,omitempty"`
-}
-
-// PartialsRequest asks a holder for its local aggregate states of many
-// data partitions in one round trip — the batched successor of
-// PartialRequest (POST /v1/partial stays mounted for wire back-compat).
+// PartialsRequest asks a holder for its local aggregate states (see
+// query.PartialEval) of many data partitions in one round trip.
 // Grouping a query's missing partitions per holder turns the exact
 // fallback's fan-out from one RPC per partition into one RPC per
 // holder.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,4 +349,204 @@ func TestElasticCloseDrainUnderIngest(t *testing.T) {
 		t.Fatalf("count %v after churn, want %v (%d acked rows)", got, want, acked.Load())
 	}
 	assertHoldersAgree(t, lc)
+}
+
+// TestAntiEntropyDigestGolden pins the digest wire format: the root and
+// chunk list of a fixed 2,500-row partition (2,400 loaded + 4 ingested
+// batches of 25) at sequence 4. The values were computed by the last
+// commit that hashed []storage.Row copies, so hashing straight from the
+// columns is proven bit-identical to it.
+func TestAntiEntropyDigestGolden(t *testing.T) {
+	cfg := core.DefaultConfig(2)
+	cfg.TrainingQueries = 1 << 30
+	lc, err := StartLocal(1, Config{Agent: cfg, Replicas: 1, Partitions: 1}, testRows(2_400, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	for b := 0; b < 4; b++ {
+		if _, err := lc.Client().Ingest(ingestRows(25, 1_000_000+uint64(b)*1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var d PartDigest
+	if code := postJSON(t, lc.URL("n0")+"/v1/digest", DigestRequest{Part: 0}, &d); code != http.StatusOK {
+		t.Fatalf("digest: HTTP %d", code)
+	}
+	wantChunks := []uint64{0xd7ad394016c50873, 0x5a3dfd5dfc6e3b51, 0xcca066508cd599a3}
+	if d.Rows != 2_500 || d.LastSeq != 4 || d.Root != "827f8447ecc2a5f5" || !reflect.DeepEqual(d.Chunks, wantChunks) {
+		t.Fatalf("digest drifted from the golden values: rows=%d seq=%d root=%s chunks=%#x",
+			d.Rows, d.LastSeq, d.Root, d.Chunks)
+	}
+}
+
+// assertConserved checks the invariants every lifecycle step must
+// keep: each member's /v1/status rows_held equals the sum of its
+// per-partition rows; every partition has exactly two live holders and
+// they report the same last_seq and digest root; and the rows across
+// partitions add up to wantRows.
+func assertConserved(t *testing.T, lc *LocalCluster, step string, wantRows int) {
+	t.Helper()
+	type copyState struct {
+		node string
+		rows int
+		seq  uint64
+		root string
+	}
+	first := make(map[int]copyState)
+	holders := make(map[int]int)
+	for _, id := range lc.IDs() {
+		node := lc.Node(id)
+		if node == nil {
+			continue
+		}
+		resp, err := http.Get(lc.URL(id) + "/v1/status")
+		if err != nil {
+			t.Fatalf("%s: status of %s: %v", step, id, err)
+		}
+		var st NodeStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		drainClose(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: status of %s: %v", step, id, err)
+		}
+		var sum int64
+		for _, ps := range st.Partitions {
+			sum += int64(ps.Rows)
+			d, ok := node.digestPartition(ps.Part)
+			if !ok {
+				t.Fatalf("%s: %s lists partition %d but cannot digest it", step, id, ps.Part)
+			}
+			cur := copyState{node: id, rows: ps.Rows, seq: ps.LastSeq, root: d.Root}
+			holders[ps.Part]++
+			if ref, seen := first[ps.Part]; !seen {
+				first[ps.Part] = cur
+			} else if ref.seq != cur.seq || ref.root != cur.root || ref.rows != cur.rows {
+				t.Fatalf("%s: partition %d diverged: %+v vs %+v", step, ps.Part, ref, cur)
+			}
+		}
+		if st.RowsHeld != sum {
+			t.Fatalf("%s: %s rows_held %d != sum of partition rows %d", step, id, st.RowsHeld, sum)
+		}
+	}
+	total := 0
+	for p := 0; p < lc.Node(lc.IDs()[0]).Partitions(); p++ {
+		if holders[p] != 2 {
+			t.Fatalf("%s: partition %d has %d live holders, want 2", step, p, holders[p])
+		}
+		total += first[p].rows
+	}
+	if total != wantRows {
+		t.Fatalf("%s: %d rows across partitions, want %d", step, total, wantRows)
+	}
+}
+
+// TestElasticLifecycleConservation walks partition copies through every
+// state move — load, ingest, stage → install on a joiner (retire on the
+// losers), re-gain from a staged copy that supersedes a retired one,
+// kill → WAL replay, re-gain that promotes a retired copy (a view
+// pushed without the migrate RPC), corrupt → repair — and checks the
+// conservation invariants after each.
+func TestElasticLifecycleConservation(t *testing.T) {
+	rows := testRows(2_000, 11)
+	cfg := core.DefaultConfig(2)
+	cfg.TrainingQueries = 1 << 30
+	lc, err := StartLocal(3, Config{Agent: cfg, Replicas: 2, WriteQuorum: 2,
+		DataDir: t.TempDir(), AntiEntropy: -1}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	client := lc.Client()
+	want, key := len(rows), uint64(30_000_000)
+	ingest := func(step string) {
+		t.Helper()
+		resp, err := client.Ingest(ingestRows(120, key))
+		if err != nil || resp.FailedRows != 0 {
+			t.Fatalf("%s: ingest: %v %+v", step, err, resp)
+		}
+		key += 120
+		want += 120
+		assertConserved(t, lc, step, want)
+	}
+	retiredOn := func(ids ...string) (retired, staged int) {
+		for _, id := range ids {
+			rs := lc.Node(id).RebalanceStatus()
+			retired, staged = retired+rs.Retired, staged+rs.Staged
+		}
+		return retired, staged
+	}
+	founders := lc.IDs()
+
+	assertConserved(t, lc, "load", want)
+	ingest("ingest")
+
+	if err := lc.Join("n3"); err != nil {
+		t.Fatal(err)
+	}
+	if retired, _ := retiredOn(founders...); retired == 0 {
+		t.Fatal("join retired nothing on the founders")
+	}
+	ingest("join")
+
+	if err := lc.Leave("n3"); err != nil {
+		t.Fatal(err)
+	}
+	if retired, staged := retiredOn(founders...); retired != 0 || staged != 0 {
+		t.Fatalf("leave: founders keep %d retired and %d staged copies after re-gaining from staged ones", retired, staged)
+	}
+	ingest("leave")
+
+	lc.Kill("n1")
+	if _, err := lc.Revive("n1", ""); err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, lc, "kill+replay", want)
+	ingest("after replay")
+
+	// A member joins and the founders retire copies to it; then a view
+	// without it is pushed straight to every member, with no migrate
+	// RPC: the founders have nothing staged and must promote their
+	// retired copies, draining what they missed from the old holders.
+	if err := lc.Join("n4"); err != nil {
+		t.Fatal(err)
+	}
+	ingest("second join")
+	if retired, _ := retiredOn(founders...); retired == 0 {
+		t.Fatal("second join retired nothing on the founders")
+	}
+	cur := lc.Node("n0").members().view
+	next := View{Epoch: cur.Epoch + 1}
+	for _, m := range cur.Members {
+		if m.ID != "n4" {
+			next.Members = append(next.Members, m)
+		}
+	}
+	for _, id := range append(founders, "n4") {
+		if code := postJSON(t, lc.URL(id)+"/v1/membership", next, nil); code != http.StatusOK {
+			t.Fatalf("push view to %s: HTTP %d", id, code)
+		}
+	}
+	if retired, staged := retiredOn(founders...); retired != 0 || staged != 0 {
+		t.Fatalf("promotion: founders keep %d retired and %d staged copies", retired, staged)
+	}
+	lc.Kill("n4")
+	assertConserved(t, lc, "promote retired", want)
+	ingest("after promotion")
+
+	// Corrupt a replica; one armed anti-entropy tick must heal it.
+	n0 := lc.Node("n0")
+	for p := 0; p < n0.Partitions(); p++ {
+		owners := n0.PartitionOwners(p)
+		replica := lc.Node(owners[1])
+		if !replica.CorruptPartition(p) {
+			t.Fatalf("could not corrupt partition %d on %s", p, owners[1])
+		}
+		if repaired := replica.AntiEntropyTick(); repaired != 1 {
+			t.Fatalf("tick repaired %d partitions, want 1", repaired)
+		}
+		break
+	}
+	assertConserved(t, lc, "corrupt+repair", want)
+	ingest("after repair")
 }

@@ -7,9 +7,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
-	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/storage"
@@ -59,52 +58,22 @@ func (n *Node) partitionForKey(key uint64) int {
 	return int(storage.MixKey(key) % uint64(n.cfg.Partitions))
 }
 
-// partLock returns partition p's ingest mutex (nil when this node does
-// not own p).
-func (n *Node) partLock(p int) *sync.Mutex {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.partMu[p]
-}
-
-// wal returns partition p's write-ahead log (nil without DataDir).
-func (n *Node) wal(p int) *ingest.Log {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.wals[p]
-}
-
-// applyBatch makes one sequenced partition batch visible: WAL append
-// first (durability before visibility; skipped during replay, which
-// reads from the WAL), then the in-memory partition, the node data
-// version, and the agents' incremental-maintenance state. Callers
-// serialise per partition via partLock; replay runs before serving.
-// A non-nil parent span gets wal_append/absorb children (traced ingest).
-func (n *Node) applyBatch(p int, seq uint64, rows []storage.Row, writeWAL bool, sp *trace.Span) error {
-	if writeWAL {
-		wsp := sp.Child("wal_append")
-		if l := n.wal(p); l != nil {
-			if err := l.Append(seq, rows); err != nil {
-				return fmt.Errorf("dist: partition %d: %w", p, err)
-			}
-		}
-		wsp.End()
+// applyBatch makes one sequenced batch part of copy pt via
+// partition.append (the caller holds its ingest lock; replay runs before
+// serving). On a live copy the node data version advances with
+// visibility and the agents' incremental-maintenance state follows; a
+// staged or retired copy only keeps rows and sequence current — models
+// absorb a batch where it is live. A non-nil parent span gets
+// wal_append/absorb children (traced ingest).
+func (n *Node) applyBatch(pt *partition, live bool, seq uint64, rows []storage.Row, sp *trace.Span) error {
+	var counter *atomic.Int64
+	if live {
+		counter = &n.version
 	}
-	n.mu.Lock()
-	if _, ok := n.parts[p]; !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("dist: node %s does not hold partition %d", n.id, p)
+	ver, err := pt.append(seq, rows, counter, sp)
+	if err != nil || !live {
+		return err
 	}
-	n.parts[p] = append(n.parts[p], rows...)
-	if cs, ok := n.cols[p]; ok {
-		cs.Append(rows...)
-	}
-	n.rowsHeld += int64(len(rows))
-	n.lastSeq[p] = seq
-	n.version++
-	ver := n.version
-	n.mu.Unlock()
-
 	asp := sp.Child("absorb")
 	vecs := make([][]float64, len(rows))
 	for i, r := range rows {
@@ -121,6 +90,37 @@ func (n *Node) applyBatch(p int, seq uint64, rows []storage.Row, writeWAL bool, 
 	asp.End()
 	asp.SetAttrInt("rows", int64(len(rows)))
 	return nil
+}
+
+// offer is the replica-side sequencing rule, stated once (the caller
+// holds pt's ingest lock): at or below the last applied sequence is a
+// duplicate delivery, the next in sequence applies, anything later is a
+// gap to heal or refuse — never buffered, so every copy stays a prefix
+// of one log. It returns the last applied sequence afterwards: seq <=
+// last means the batch is covered, seq > last that it is still gapped.
+func (n *Node) offer(pt *partition, live bool, seq uint64, rows []storage.Row) (uint64, error) {
+	last := pt.seq()
+	if seq != last+1 {
+		return last, nil
+	}
+	if err := n.applyBatch(pt, live, seq, rows, nil); err != nil {
+		return last, err
+	}
+	return seq, nil
+}
+
+// applyTail offers a fetched log tail to live copy pt in order (the
+// caller holds its ingest lock), skipping what is already applied and
+// stopping at the first gap — another holder may fill it. It returns
+// how many batches were applied.
+func (n *Node) applyTail(pt *partition, entries []WALFetchEntry) (int, error) {
+	start := pt.seq()
+	for _, e := range entries {
+		if last, err := n.offer(pt, true, e.Seq, wireToRows(e.Rows)); err != nil || e.Seq > last {
+			return int(pt.seq() - start), err
+		}
+	}
+	return int(pt.seq() - start), nil
 }
 
 // idemCacheCap bounds the primary-side ingest idempotency cache: FIFO
@@ -198,16 +198,23 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	for i, row := range req.Rows {
+	batch := wireToRows(req.Rows)
+	for i, row := range batch {
 		if len(row.Vec) == 0 {
 			serve.WriteError(w, fmt.Errorf("%w: ingest row %d has an empty vector", query.ErrBadQuery, i))
 			return
 		}
 	}
+	// One width per batch, and the schema's when this node knows it: a
+	// stray row must be refused here, whole, not logged and replicated.
+	if err := checkWidth(batch, n.schemaWidth()); err != nil {
+		serve.WriteError(w, fmt.Errorf("ingest: %w", err))
+		return
+	}
 	groups := make(map[int][]storage.Row)
-	for _, row := range req.Rows {
+	for _, row := range batch {
 		p := n.partitionForKey(row.Key)
-		groups[p] = append(groups[p], storage.Row{Key: row.Key, Vec: row.Vec})
+		groups[p] = append(groups[p], row)
 	}
 	parts := make([]int, 0, len(groups))
 	for p := range groups {
@@ -277,15 +284,15 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 // outcome instead of re-applying the rows, so a client retrying a
 // broken connection cannot double-ingest.
 //
-// Primaryship is re-resolved UNDER the partition lock: a view change
-// can move it while the request waits, and sequencing a batch on the
-// old primary after cutover would fork the partition's log. A batch
+// Primaryship is re-resolved UNDER the partition's ingest lock: a view
+// change can move it while the request waits, and sequencing a batch on
+// the old primary after cutover would fork the partition's log. A batch
 // that lost the race re-forwards (with the lock RELEASED first — the
 // new primary's cutover sync may be fetching our WAL tail, which needs
 // this very lock).
 func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int, sp *trace.Span) PartIngestResult {
-	mu := n.partLock(p)
-	if mu == nil {
+	pt := n.lockLive(p)
+	if pt == nil {
 		// Routed here as primary, but the partition is gone — a view
 		// change retired it between the routing decision and this call.
 		// Re-resolve under the current membership and forward to the
@@ -297,28 +304,25 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 		return PartIngestResult{Part: p, Rows: len(rows),
 			Error: fmt.Sprintf("dist: primary %s does not hold partition %d", n.id, p)}
 	}
-	mu.Lock()
 	ms := n.members()
 	owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
 	if len(owners) == 0 || owners[0] != n.id {
-		mu.Unlock()
+		pt.ingest.Unlock()
 		if hops >= maxIngestHops {
 			return PartIngestResult{Part: p, Rows: len(rows),
 				Error: fmt.Sprintf("dist: node %s is no longer the primary of partition %d", n.id, p)}
 		}
 		return n.forwardIngest(owners, p, rows, idemKey, hops, sp)
 	}
-	defer mu.Unlock()
-	// Under the partition lock, so a concurrent retry of the same batch
+	defer pt.ingest.Unlock()
+	// Under the ingest lock, so a concurrent retry of the same batch
 	// serialises behind the original apply and sees its outcome.
 	if pr, ok := n.idemGet(idemKey, p); ok {
 		n.logger.Debug("idempotent ingest replay", "part", p, "seq", pr.Seq, "key", idemKey)
 		return pr
 	}
-	n.mu.RLock()
-	seq := n.lastSeq[p] + 1
-	n.mu.RUnlock()
-	if err := n.applyBatch(p, seq, rows, true, sp); err != nil {
+	seq := pt.seq() + 1
+	if err := n.applyBatch(pt, true, seq, rows, sp); err != nil {
 		return PartIngestResult{Part: p, Rows: len(rows), Error: err.Error()}
 	}
 	rsp := sp.Child("replicate")
@@ -520,119 +524,40 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.noteEpoch(req.Epoch)
-	ok := func(last uint64) {
-		serve.WriteJSON(w, http.StatusOK, ReplicateResponse{LastSeq: last, Epoch: n.epoch()})
-	}
-	conflict := func(last uint64) {
-		serve.WriteJSON(w, http.StatusConflict, ReplicateResponse{LastSeq: last, Epoch: n.epoch()})
-	}
-	if mu := n.partLock(req.Part); mu != nil {
-		mu.Lock()
-		// Re-check under the lock: a view change may have retired the
-		// partition while we waited; fall through to the staged/retired
-		// paths below if so.
-		if n.holdsPart(req.Part) {
-			last := n.partSeqLocked(req.Part)
-			if req.Seq > last+1 {
-				// Sequence gap: this replica missed a batch. Heal inline
-				// by fetching the missing tail from the peer holders (the
-				// primary already has every earlier batch — including
-				// this one — in its WAL), then re-check. Refusing to
-				// buffer out-of-order batches keeps every holder's
-				// partition a prefix of one log.
-				n.logger.Warn("replication gap, healing inline",
-					"part", req.Part, "applied", last, "incoming", req.Seq)
-				mu.Unlock()
-				_, _ = n.catchUpPartition(req.Part)
-				mu.Lock()
-				last = n.partSeqLocked(req.Part)
-			}
-			defer mu.Unlock()
-			if req.Seq <= last {
-				// Duplicate delivery (or healed by catch-up): idempotent
-				// ack.
-				ok(last)
-				return
-			}
-			if req.Seq != last+1 {
-				// Still gapped after the heal attempt: reject so the
-				// primary counts no ack.
-				conflict(last)
-				return
-			}
-			if err := n.applyBatch(req.Part, req.Seq, wireToRows(req.Rows), true, nil); err != nil {
-				serve.WriteError(w, err)
-				return
-			}
-			ok(req.Seq)
-			return
-		}
-		mu.Unlock()
-	}
-	// Staged copy (this node gains the partition in a pending view):
-	// keep absorbing the primary's stream so the cutover delta stays
-	// small.
-	n.stageMu.Lock()
-	if st := n.staged[req.Part]; st != nil {
-		defer n.stageMu.Unlock()
-		switch {
-		case req.Seq <= st.lastSeq:
-			ok(st.lastSeq)
-		case req.Seq == st.lastSeq+1:
-			st.rows = append(st.rows, wireToRows(req.Rows)...)
-			st.lastSeq = req.Seq
-			ok(st.lastSeq)
-		default:
-			conflict(st.lastSeq)
-		}
+	// Whichever copy the node has takes the stream. A staged copy (this
+	// node gains the partition in a pending view) keeps its cutover
+	// delta small that way. A retired copy (this node just lost it)
+	// keeps applying in sequence too: the old primary may not have
+	// adopted the view yet, and failing its replicate would cost a
+	// client its ack in the cutover window — the retained WAL keeps the
+	// batch durable and the gainer's final sync can still fetch it.
+	pt, live := n.lockPart(req.Part)
+	if pt == nil {
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": n.notHeld(req.Part)})
 		return
 	}
-	n.stageMu.Unlock()
-	// Retired copy (this node just lost the partition): the old primary
-	// may not have adopted the view yet, and failing its replicate
-	// would cost a client its ack in the cutover window. Keep applying
-	// in sequence — the retained WAL keeps the batch durable and the
-	// gainer's final sync can still fetch it from us.
-	if rp := n.retiredPartOf(req.Part); rp != nil {
-		rp.mu.Lock()
-		defer rp.mu.Unlock()
-		switch {
-		case req.Seq <= rp.lastSeq:
-			ok(rp.lastSeq)
-		case req.Seq == rp.lastSeq+1:
-			if rp.wal != nil {
-				if err := rp.wal.Append(req.Seq, wireToRows(req.Rows)); err != nil {
-					serve.WriteError(w, err)
-					return
-				}
-			}
-			rp.rows = append(rp.rows, wireToRows(req.Rows)...)
-			rp.lastSeq = req.Seq
-			ok(rp.lastSeq)
-		default:
-			conflict(rp.lastSeq)
-		}
+	defer pt.ingest.Unlock()
+	if last := pt.seq(); live && req.Seq > last+1 {
+		// Sequence gap: this replica missed a batch. Heal inline by
+		// fetching the missing tail from the peer holders (the primary
+		// already has every earlier batch — including this one — in its
+		// WAL), then offer the batch against the healed sequence.
+		n.logger.Warn("replication gap, healing inline",
+			"part", req.Part, "applied", last, "incoming", req.Seq)
+		_, _ = n.catchUpLocked(pt)
+	}
+	last, err := n.offer(pt, live, req.Seq, wireToRows(req.Rows))
+	if err != nil {
+		serve.WriteError(w, err)
 		return
 	}
-	serve.WriteJSON(w, http.StatusNotFound, map[string]string{
-		"error": fmt.Sprintf("dist: node %s does not hold partition %d", n.id, req.Part),
-	})
-}
-
-// holdsPart reports whether p is in the live partition map.
-func (n *Node) holdsPart(p int) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, ok := n.parts[p]
-	return ok
-}
-
-// partSeqLocked reads a partition's last applied sequence (callers hold
-// the partition ingest lock; n.mu still guards the map itself).
-func (n *Node) partSeqLocked(p int) uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.lastSeq[p]
+	// 200: the batch is applied — now, by an earlier delivery, or by the
+	// heal. 409: still gapped, so the primary counts no ack.
+	status := http.StatusOK
+	if req.Seq > last {
+		status = http.StatusConflict
+	}
+	serve.WriteJSON(w, status, ReplicateResponse{LastSeq: last, Epoch: n.epoch()})
 }
 
 func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
@@ -647,60 +572,25 @@ func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = walFetchMaxDefault
 	}
-	if mu := n.partLock(req.Part); mu != nil {
-		// TryLock, never Lock: two replicas healing each other (or a
-		// gainer syncing from a donor that is itself mid-ingest) must
-		// not deadlock across the wire. An unfenced response is still
-		// useful — the tail is valid, LastSeq just may advance.
-		fenced := mu.TryLock()
-		n.mu.RLock()
-		_, held := n.parts[req.Part]
-		lastSeq := n.lastSeq[req.Part]
-		l := n.wals[req.Part]
-		n.mu.RUnlock()
-		if held {
-			resp := WALFetchResponse{Part: req.Part, LastSeq: lastSeq,
-				Fenced: fenced, Epoch: n.epoch()}
-			if l == nil {
-				resp.NoWAL = true
-			} else {
-				entries, truncated, err := l.EntriesAfterN(req.After, max)
-				if err != nil {
-					if fenced {
-						mu.Unlock()
-					}
-					serve.WriteError(w, err)
-					return
-				}
-				resp.Truncated = truncated
-				for _, e := range entries {
-					resp.Entries = append(resp.Entries, WALFetchEntry{Seq: e.Seq, Rows: rowsToWire(e.Rows)})
-				}
-			}
-			if fenced {
-				mu.Unlock()
-			}
-			serve.WriteJSON(w, http.StatusOK, resp)
-			return
-		}
-		if fenced {
-			mu.Unlock()
-		}
+	pt, _ := n.find(req.Part)
+	if pt == nil {
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": n.notHeld(req.Part)})
+		return
 	}
-	// Retired copy: always fenced — replicateRetired appends under
-	// rp.mu, which we hold for the whole read.
-	if rp := n.retiredPartOf(req.Part); rp != nil {
-		rp.mu.Lock()
-		resp := WALFetchResponse{Part: req.Part, LastSeq: rp.lastSeq,
-			Fenced: true, Epoch: n.epoch()}
-		if rp.wal == nil {
-			rp.mu.Unlock()
-			resp.NoWAL = true
-			serve.WriteJSON(w, http.StatusOK, resp)
-			return
-		}
-		entries, truncated, err := rp.wal.EntriesAfterN(req.After, max)
-		rp.mu.Unlock()
+	// TryLock, never Lock: two replicas healing each other (or a gainer
+	// syncing from a donor that is itself mid-ingest) must not deadlock
+	// across the wire. An unfenced response is still useful — the tail
+	// is valid, LastSeq just may advance.
+	fenced := pt.ingest.TryLock()
+	if fenced {
+		defer pt.ingest.Unlock()
+	}
+	resp := WALFetchResponse{Part: req.Part, LastSeq: pt.seq(),
+		Fenced: fenced, Epoch: n.epoch()}
+	if l := pt.wal.Load(); l == nil {
+		resp.NoWAL = true
+	} else {
+		entries, truncated, err := l.EntriesAfterN(req.After, max)
 		if err != nil {
 			serve.WriteError(w, err)
 			return
@@ -709,12 +599,8 @@ func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 		for _, e := range entries {
 			resp.Entries = append(resp.Entries, WALFetchEntry{Seq: e.Seq, Rows: rowsToWire(e.Rows)})
 		}
-		serve.WriteJSON(w, http.StatusOK, resp)
-		return
 	}
-	serve.WriteJSON(w, http.StatusNotFound, map[string]string{
-		"error": fmt.Sprintf("dist: node %s has no WAL for partition %d", n.id, req.Part),
-	})
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // CatchUp fetches every owned partition's missed log tail from peer
@@ -726,17 +612,11 @@ func (n *Node) CatchUp() (int, error) {
 		return 0, errNodeClosing
 	}
 	defer n.closeDone()
-	n.mu.RLock()
-	owned := make([]int, 0, len(n.parts))
-	for p := range n.parts {
-		owned = append(owned, p)
-	}
-	n.mu.RUnlock()
-	sort.Ints(owned)
+	owned := n.liveParts()
 	var fetched int
 	var lastErr error
-	for _, p := range owned {
-		np, err := n.catchUpPartition(p)
+	for _, pt := range owned {
+		np, err := n.catchUpPartition(pt.id)
 		fetched += np
 		if err != nil {
 			lastErr = err
@@ -749,13 +629,20 @@ func (n *Node) CatchUp() (int, error) {
 	return fetched, lastErr
 }
 
+// catchUpPartition drains live partition p's missed log tail from its
+// peer holders (a no-op when the node does not hold p live).
 func (n *Node) catchUpPartition(p int) (int, error) {
-	mu := n.partLock(p)
-	if mu == nil {
+	pt := n.lockLive(p)
+	if pt == nil {
 		return 0, nil
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	defer pt.ingest.Unlock()
+	return n.catchUpLocked(pt)
+}
+
+// catchUpLocked is catchUpPartition for a caller that already holds the
+// live copy's ingest lock.
+func (n *Node) catchUpLocked(pt *partition) (int, error) {
 	var applied int
 	var lastErr error
 	ms := n.members()
@@ -763,7 +650,7 @@ func (n *Node) catchUpPartition(p int) (int, error) {
 	// itself be behind (it missed a replication too), so stopping at
 	// one donor could silently strand acked batches that another
 	// holder still has.
-	for _, holder := range ms.ring.Owners(partKey(p), n.cfg.Replicas) {
+	for _, holder := range ms.ring.Owners(partKey(pt.id), n.cfg.Replicas) {
 		if holder == n.id {
 			continue
 		}
@@ -781,7 +668,7 @@ func (n *Node) catchUpPartition(p int) (int, error) {
 			// starting, and quarantining peers here would poison the
 			// first cooldown window of serving (ingest has no local
 			// fallback).
-			resp, err := n.fetchTail(url, p, n.partSeqLocked(p), 0)
+			resp, err := n.fetchTail(url, pt.id, pt.seq(), 0)
 			if err != nil {
 				lastErr = err
 				break
@@ -789,21 +676,11 @@ func (n *Node) catchUpPartition(p int) (int, error) {
 			if resp == nil || resp.NoWAL {
 				break // holder keeps no WAL; nothing to fetch
 			}
-			roundApplied := 0
-			for _, e := range resp.Entries {
-				cur := n.partSeqLocked(p)
-				if e.Seq <= cur {
-					continue
-				}
-				if e.Seq != cur+1 {
-					break // gap in this donor's tail; the next holder may fill it
-				}
-				if err := n.applyBatch(p, e.Seq, wireToRows(e.Rows), true, nil); err != nil {
-					return applied, err
-				}
-				roundApplied++
-			}
+			roundApplied, err := n.applyTail(pt, resp.Entries)
 			applied += roundApplied
+			if err != nil {
+				return applied, err
+			}
 			if !resp.Truncated || roundApplied == 0 {
 				break
 			}

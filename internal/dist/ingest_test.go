@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -364,7 +366,7 @@ func TestReplicateGapHealsInline(t *testing.T) {
 	// if the replica's connection dropped mid-replication).
 	seq := node0.PartLastSeq(part) + 1
 	gapRows := []storage.Row{{Key: 42_000_000, Vec: []float64{1, 2, 3}}}
-	if err := node0.applyBatch(part, seq, gapRows, true, nil); err != nil {
+	if err := node0.applyBatch(node0.livePart(part), true, seq, gapRows, nil); err != nil {
 		t.Fatal(err)
 	}
 	if replica.PartLastSeq(part) != seq-1 {
@@ -396,6 +398,146 @@ func TestReplicateGapHealsInline(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("healed replica diverges at %d: %v != %v", i, a[i], b[i])
+		}
+	}
+}
+
+// heldState maps "node/partition" to that live copy's row count and last
+// applied sequence, plus "node" to the node's rows_held.
+func heldState(lc *LocalCluster) map[string][2]uint64 {
+	out := make(map[string][2]uint64)
+	for _, id := range lc.IDs() {
+		st := lc.Node(id).NodeStatus()
+		out[id] = [2]uint64{uint64(st.RowsHeld), 0}
+		for _, ps := range st.Partitions {
+			out[id+"/"+strconv.Itoa(ps.Part)] = [2]uint64{uint64(ps.Rows), ps.LastSeq}
+		}
+	}
+	return out
+}
+
+// TestIngestRejectsWidthMismatch: a batch whose rows disagree with each
+// other, or with the table's width, is refused whole with 400 — nothing
+// is logged, replicated or applied on any holder — and the cluster keeps
+// acking well-formed batches at quorum afterwards.
+func TestIngestRejectsWidthMismatch(t *testing.T) {
+	lc, _ := liveCluster(t, 3, t.TempDir())
+	before := heldState(lc)
+	for name, rows := range map[string][]WireRow{
+		"mixed":      {{Key: 9_000_001, Vec: []float64{1, 2, 3}}, {Key: 9_000_002, Vec: []float64{1, 2}}},
+		"all narrow": {{Key: 9_000_003, Vec: []float64{1, 2}}, {Key: 9_000_004, Vec: []float64{3, 4}}},
+	} {
+		for _, id := range lc.IDs() {
+			if code := postJSON(t, lc.URL(id)+"/v1/ingest", IngestRequest{Rows: rows}, nil); code != http.StatusBadRequest {
+				t.Fatalf("%s batch via %s: HTTP %d, want 400", name, id, code)
+			}
+		}
+	}
+	if after := heldState(lc); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused batches changed holder state:\n before %v\n after  %v", before, after)
+	}
+
+	// The same refusal below the front door: a replica is offered the
+	// next sequence with a stray row and must neither log nor apply it.
+	node0 := lc.Node(lc.IDs()[0])
+	part := node0.Status().PartitionsHeld[0]
+	seq := node0.PartLastSeq(part) + 1
+	code := postJSON(t, lc.URL(node0.ID())+"/v1/replicate", ReplicateRequest{Part: part, Seq: seq,
+		Rows: []WireRow{{Key: 9_000_005, Vec: []float64{1, 2, 3, 4}}}}, nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("ragged replicate: HTTP %d, want 400", code)
+	}
+	if after := heldState(lc); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused replicate changed holder state:\n before %v\n after  %v", before, after)
+	}
+
+	resp, err := lc.Client().Ingest(ingestRows(60, 9_100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.AckedRows != 60 || resp.FailedRows != 0 {
+		t.Fatalf("well-formed batch after the refusals not acked at quorum: %+v", resp)
+	}
+	assertHoldersAgree(t, lc)
+}
+
+// TestElasticPartSnapRoundTrip: /v1/partsnap materialises rows from the
+// columns; they must equal the loaded-then-ingested rows in insertion
+// order with base_len and last_seq intact, and a gainer installed from
+// such a snapshot must answer bit-identically to its donor and ship the
+// same snapshot onwards.
+func TestElasticPartSnapRoundTrip(t *testing.T) {
+	lc, base := liveCluster(t, 3, t.TempDir())
+	client := lc.Client()
+	node0 := lc.Node(lc.IDs()[0])
+	parts := node0.Partitions()
+	want := make(map[int][]storage.Row)
+	for i, r := range base {
+		want[i%parts] = append(want[i%parts], r)
+	}
+	baseLen := make(map[int]int)
+	for p, rs := range want {
+		baseLen[p] = len(rs)
+	}
+	for b := 0; b < 3; b++ {
+		batch := ingestRows(80, 4_000_000+uint64(b)*1000)
+		if resp, err := client.Ingest(batch); err != nil || resp.FailedRows != 0 {
+			t.Fatalf("ingest: %v %+v", err, resp)
+		}
+		for _, r := range batch {
+			p := node0.partitionForKey(r.Key)
+			want[p] = append(want[p], r)
+		}
+	}
+	snapOf := func(id string, p int) PartSnapResponse {
+		t.Helper()
+		var snap PartSnapResponse
+		if code := postJSON(t, lc.URL(id)+"/v1/partsnap", PartSnapRequest{Part: p}, &snap); code != http.StatusOK {
+			t.Fatalf("partsnap %d from %s: HTTP %d", p, id, code)
+		}
+		return snap
+	}
+	for p := 0; p < parts; p++ {
+		for _, id := range node0.PartitionOwners(p) {
+			snap := snapOf(id, p)
+			if snap.BaseLen != baseLen[p] || snap.LastSeq != lc.Node(id).PartLastSeq(p) || snap.LastSeq == 0 {
+				t.Fatalf("partition %d on %s: base_len %d last_seq %d, want %d and %d (> 0)",
+					p, id, snap.BaseLen, snap.LastSeq, baseLen[p], lc.Node(id).PartLastSeq(p))
+			}
+			if got := wireToRows(snap.Rows); !reflect.DeepEqual(got, want[p]) {
+				t.Fatalf("partition %d on %s: snapshot rows differ from the loaded-then-ingested rows", p, id)
+			}
+		}
+	}
+
+	if err := lc.Join("n3"); err != nil {
+		t.Fatal(err)
+	}
+	gained := lc.Node("n3").Status().PartitionsHeld
+	if len(gained) == 0 {
+		t.Fatal("joiner gained nothing")
+	}
+	for _, p := range gained {
+		if got := snapOf("n3", p); !reflect.DeepEqual(wireToRows(got.Rows), want[p]) ||
+			got.BaseLen != baseLen[p] || got.LastSeq != lc.Node("n3").PartLastSeq(p) {
+			t.Fatalf("partition %d: gainer's snapshot differs from what its donor held", p)
+		}
+	}
+	for _, agg := range []query.Agg{query.Count, query.Sum, query.Var, query.Corr} {
+		probe := wholeSpace(agg, 2)
+		for _, p := range gained {
+			var ref []float64
+			for _, id := range lc.Node("n3").PartitionOwners(p) {
+				st, ok := lc.Node(id).PartialState(p, probe)
+				if !ok {
+					t.Fatalf("owner %s does not hold partition %d", id, p)
+				}
+				if ref == nil {
+					ref = st
+				} else if !equalFloats(st, ref) {
+					t.Fatalf("partition %d %v: holders differ: %v != %v", p, agg, st, ref)
+				}
+			}
 		}
 	}
 }

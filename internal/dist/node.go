@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,14 +77,6 @@ type Node struct {
 	closed  bool
 	closing atomic.Bool
 
-	// staged holds partition snapshots shipped ahead of a view change
-	// (rebalance.go); retired holds partitions this node no longer owns
-	// but keeps serving as a donor/ack sink until Close.
-	stageMu  sync.Mutex
-	staged   map[int]*stagedPart
-	retireMu sync.Mutex
-	retired  map[int]*retiredPart
-
 	// Anti-entropy state: armed flag (one atomic load on the disarmed
 	// tick), stop channel for the background loop, lifetime counters.
 	aeArmed     atomic.Bool
@@ -149,31 +141,20 @@ type Node struct {
 	flight *flight.Recorder
 	repLag atomic.Int64
 
-	// mu guards the partition map and the live-ingest bookkeeping.
-	// Base rows are laid down once by Load; the ingest path appends
-	// under the write lock (serialised per partition by partMu).
-	// cols mirrors each held partition as a columnar projection with a
-	// zone map, so node-local exact partials run through the vectorized
-	// batch kernels; a partition whose projection goes ragged (width-
-	// mismatched ingested row) falls back to the row path.
-	mu       sync.RWMutex
-	parts    map[int][]storage.Row
-	cols     map[int]*storage.ColStore
-	rowsHeld int64
-	version  int64
-	lastSeq  map[int]uint64
-	wals     map[int]*ingest.Log
-	partMu   map[int]*sync.Mutex
-	// baseLen counts each partition's base (bulk-loaded) row prefix:
-	// rows[:baseLen] are re-laid deterministically by Load on restart
-	// and never belong in the WAL; rows[baseLen:] arrived via ingest.
-	// Migration snapshots ship it so a gainer re-seeds its WAL with
-	// only the ingested tail.
-	baseLen map[int]int
+	// mu guards the three lookups from partition id to the node's copy
+	// of that fragment, one per lifecycle state (partition.go). Load
+	// lays the base rows down once; afterwards a copy changes state by
+	// moving between the lookups, and synchronises its own content.
+	mu      sync.RWMutex
+	live    map[int]*partition
+	staged  map[int]staging
+	retired map[int]*partition
+	// version advances with every change to what the live copies hold.
+	version atomic.Int64
 
-	// partialsServed counts incoming partial-state RPCs (batched and
-	// legacy); partialsSent counts outgoing batched rounds. E17 and the
-	// dist tests use them to assert the message-minimal fan-out shape.
+	// partialsServed counts incoming batched partial-state RPCs;
+	// partialsSent counts outgoing batched rounds. E17 and the dist
+	// tests use them to assert the message-minimal fan-out shape.
 	partialsServed atomic.Int64
 	partialsSent   atomic.Int64
 
@@ -221,17 +202,12 @@ func NewNode(cfg Config) (*Node, error) {
 		fault:   fault,
 		started: time.Now(),
 		logger:  cfg.Logger.With("node", cfg.ID),
-		parts:   make(map[int][]storage.Row),
-		cols:    make(map[int]*storage.ColStore),
-		version: 1, // bulk-loaded base data is version 1; ingest advances it
-		lastSeq: make(map[int]uint64),
-		wals:    make(map[int]*ingest.Log),
-		partMu:  make(map[int]*sync.Mutex),
-		baseLen: make(map[int]int),
-		staged:  make(map[int]*stagedPart),
-		retired: make(map[int]*retiredPart),
+		live:    make(map[int]*partition),
+		staged:  make(map[int]staging),
+		retired: make(map[int]*partition),
 		idem:    make(map[string]PartIngestResult),
 	}
+	n.version.Store(1) // bulk-loaded base data is version 1; ingest advances it
 	n.member.Store(newMemberState(view, cfg.VNodes))
 	// AntiEntropy != 0 arms the tick; only > 0 runs the background
 	// loop (< 0 lets tests/experiments drive AntiEntropyTick manually;
@@ -280,11 +256,11 @@ func NewNode(cfg Config) (*Node, error) {
 	rec.RegisterGauge("sea_wal_segments",
 		"WAL segment files across this node's owned partitions.",
 		func() float64 {
-			n.mu.RLock()
-			defer n.mu.RUnlock()
 			total := 0
-			for _, l := range n.wals {
-				total += l.Segments()
+			for _, pt := range n.liveParts() {
+				if l := pt.wal.Load(); l != nil {
+					total += l.Segments()
+				}
 			}
 			return float64(total)
 		})
@@ -391,7 +367,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.mux = http.NewServeMux()
 	n.mux.HandleFunc("POST /v1/query", n.handleQuery)
-	n.mux.HandleFunc("POST /v1/partial", n.handlePartial)
 	n.mux.HandleFunc("POST /v1/partials", n.handlePartials)
 	n.mux.HandleFunc("POST /v1/ingest", n.handleIngest)
 	n.mux.HandleFunc("POST /v1/replicate", n.handleReplicate)
@@ -449,7 +424,7 @@ func (n *Node) SLO() *metrics.SLOEngine { return n.slo }
 func (n *Node) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/v1/query", "/v1/partial", "/v1/partials",
+		case "/v1/query", "/v1/partials",
 			"/v1/ingest", "/v1/replicate", "/v1/walfetch":
 			n.dataRPCs.Add(1)
 		}
@@ -533,24 +508,13 @@ func (n *Node) Close() {
 	n.closeMu.Lock()
 	n.closed = true
 	n.closeMu.Unlock()
-	n.mu.Lock()
-	wals := n.wals
-	n.wals = make(map[int]*ingest.Log)
-	n.mu.Unlock()
-	for _, l := range wals {
-		_ = l.Close()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, pt := range n.live {
+		pt.closeLog()
 	}
-	n.retireMu.Lock()
-	retired := n.retired
-	n.retired = make(map[int]*retiredPart)
-	n.retireMu.Unlock()
-	for _, rp := range retired {
-		rp.mu.Lock()
-		if rp.wal != nil {
-			_ = rp.wal.Close()
-			rp.wal = nil
-		}
-		rp.mu.Unlock()
+	for _, pt := range n.retired {
+		pt.closeLog()
 	}
 }
 
@@ -579,124 +543,148 @@ func (n *Node) closeDone() { n.closeMu.RUnlock() }
 // live write path. Call once, before serving traffic; afterwards only
 // the ingest path mutates the partition map.
 func (n *Node) Load(rows []storage.Row) error {
-	n.mu.Lock()
-	n.parts = make(map[int][]storage.Row)
-	n.cols = make(map[int]*storage.ColStore)
-	n.rowsHeld = 0
-	n.lastSeq = make(map[int]uint64)
-	n.partMu = make(map[int]*sync.Mutex)
-	n.baseLen = make(map[int]int)
-	n.absorbedVer.Store(n.version) // bulk load needs no model absorb
+	if err := checkWidth(rows, -1); err != nil {
+		return fmt.Errorf("dist: node %s: load: %w", n.id, err)
+	}
+	live := make(map[int]*partition)
 	ring := n.members().ring
 	for p := 0; p < n.cfg.Partitions; p++ {
-		owners := ring.Owners(partKey(p), n.cfg.Replicas)
-		for _, o := range owners {
-			if o == n.id {
-				n.parts[p] = nil
-				// Width is adopted from the first row to land.
-				n.cols[p] = storage.NewColStore(-1)
-				n.partMu[p] = &sync.Mutex{}
-				break
-			}
+		if containsStr(ring.Owners(partKey(p), n.cfg.Replicas), n.id) {
+			live[p] = newPartition(p)
 		}
 	}
 	for i, r := range rows {
-		p := i % n.cfg.Partitions
-		if _, ok := n.parts[p]; ok {
-			n.parts[p] = append(n.parts[p], r)
-			n.cols[p].Append(r)
-			n.rowsHeld++
+		if pt := live[i%n.cfg.Partitions]; pt != nil {
+			pt.cols.Append(r)
 		}
 	}
-	for p, rs := range n.parts {
-		n.baseLen[p] = len(rs)
+	for _, pt := range live {
+		pt.baseLen = pt.cols.Len()
 	}
-	owned := make([]int, 0, len(n.parts))
-	for p := range n.parts {
-		owned = append(owned, p)
-	}
+	n.mu.Lock()
+	n.live = live
+	n.absorbedVer.Store(n.version.Load()) // bulk load needs no model absorb
 	n.mu.Unlock()
 
-	if n.cfg.DataDir == "" {
-		return nil
-	}
-	sort.Ints(owned)
-	for _, p := range owned {
-		l, err := ingest.Open(filepath.Join(n.cfg.DataDir, fmt.Sprintf("part-%d", p)),
-			ingest.Options{SyncEvery: n.cfg.WALSyncEvery})
-		if err != nil {
-			return fmt.Errorf("dist: node %s: %w", n.id, err)
+	owned, rowsHeld := n.liveParts(), 0
+	for _, pt := range owned {
+		if n.cfg.DataDir != "" {
+			l, err := n.openLog(pt.id)
+			if err != nil {
+				return fmt.Errorf("dist: node %s: %w", n.id, err)
+			}
+			replayErr := l.Replay(func(e ingest.Entry) error {
+				return n.applyBatch(pt, true, e.Seq, e.Rows, nil)
+			})
+			// Attached only now: replay reads the log, so its batches
+			// must not be appended to it again.
+			pt.wal.Store(l)
+			if replayErr != nil {
+				return fmt.Errorf("dist: node %s: replay partition %d: %w", n.id, pt.id, replayErr)
+			}
 		}
-		replayErr := l.Replay(func(e ingest.Entry) error {
-			return n.applyBatch(p, e.Seq, e.Rows, false, nil)
-		})
-		n.mu.Lock()
-		n.wals[p] = l
-		n.mu.Unlock()
-		if replayErr != nil {
-			return fmt.Errorf("dist: node %s: replay partition %d: %w", n.id, p, replayErr)
-		}
+		view, _, _ := pt.snapshot()
+		rowsHeld += view.Len()
 	}
-	n.mu.RLock()
-	held, rowsHeld := len(n.parts), n.rowsHeld
-	n.mu.RUnlock()
-	n.logger.Info("loaded", "partitions", held, "rows", rowsHeld, "wal", n.cfg.DataDir != "")
+	n.logger.Info("loaded", "partitions", len(owned), "rows", rowsHeld, "wal", n.cfg.DataDir != "")
 	return nil
 }
 
-// partition returns partition p's local rows and whether this node holds
-// it.
-func (n *Node) partition(p int) ([]storage.Row, bool) {
+// openLog opens partition p's write-ahead log under the node's DataDir.
+func (n *Node) openLog(p int) (*ingest.Log, error) {
+	return ingest.Open(filepath.Join(n.cfg.DataDir, fmt.Sprintf("part-%d", p)),
+		ingest.Options{SyncEvery: n.cfg.WALSyncEvery})
+}
+
+// notHeld is the error text for a partition this node has no copy of.
+func (n *Node) notHeld(p int) string {
+	return fmt.Sprintf("dist: node %s does not hold partition %d", n.id, p)
+}
+
+// livePart returns the node's live copy of partition p (nil when it
+// holds none).
+func (n *Node) livePart(p int) *partition {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	rows, ok := n.parts[p]
-	return rows[:len(rows):len(rows)], ok
+	return n.live[p]
+}
+
+// find returns whichever copy of partition p the node has — live first,
+// then staged, then retired — and whether it is the live one.
+func (n *Node) find(p int) (*partition, bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if pt := n.live[p]; pt != nil {
+		return pt, true
+	}
+	if st, ok := n.staged[p]; ok {
+		return st.pt, false
+	}
+	return n.retired[p], false
+}
+
+// lockPart is find with the copy's ingest lock held on return. State
+// moves happen only under that lock, so the reported state holds until
+// the caller unlocks; a copy replaced while we waited is looked up again.
+func (n *Node) lockPart(p int) (*partition, bool) {
+	for {
+		pt, _ := n.find(p)
+		if pt == nil {
+			return nil, false
+		}
+		pt.ingest.Lock()
+		if cur, live := n.find(p); cur == pt {
+			return pt, live
+		}
+		pt.ingest.Unlock()
+	}
+}
+
+// lockLive returns the live copy of partition p with its ingest lock
+// held, or nil (nothing locked) when the node does not hold p live.
+func (n *Node) lockLive(p int) *partition {
+	pt, live := n.lockPart(p)
+	if pt != nil && !live {
+		pt.ingest.Unlock()
+		return nil
+	}
+	return pt
+}
+
+// liveParts returns the live copies in ascending partition order.
+func (n *Node) liveParts() []*partition {
+	n.mu.RLock()
+	parts := make([]*partition, 0, len(n.live))
+	for _, pt := range n.live {
+		parts = append(parts, pt)
+	}
+	n.mu.RUnlock()
+	slices.SortFunc(parts, func(a, b *partition) int { return a.id - b.id })
+	return parts
 }
 
 // schemaWidth returns the row width this node has observed (adopted by
-// its columnar mirrors from the data), or -1 when unknown.
+// its partitions from the data), or -1 when unknown.
 func (n *Node) schemaWidth() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, cs := range n.cols {
-		if w := cs.Width(); w >= 0 {
+	for _, pt := range n.live {
+		if w := pt.width(); w >= 0 {
 			return w
 		}
 	}
 	return -1
 }
 
-// localPartial evaluates q's mergeable aggregate state over the node's
-// local copy of partition p, preferring the vectorized columnar path:
-// the zone map first (a partition that cannot intersect the selection
-// contributes a zero state without touching a row), then the batch
-// kernels over the columnar view. Partitions without a usable
-// projection fall back to the retained row-at-a-time kernel. The
-// second return is the number of rows actually read, the third whether
-// this node holds p.
+// localPartial is partition.partial over the node's live copy of p; the
+// third return reports whether this node holds p.
 func (n *Node) localPartial(p int, q query.Query) ([]float64, int64, bool) {
-	n.mu.RLock()
-	rows, ok := n.parts[p]
-	if !ok {
-		n.mu.RUnlock()
+	pt := n.livePart(p)
+	if pt == nil {
 		return nil, 0, false
 	}
-	rows = rows[:len(rows):len(rows)]
-	view, vecOK := n.cols[p].View()
-	canMatch := true
-	if vecOK {
-		// Zone test against the live bounds while still holding the
-		// read lock: no per-query zone-map copies on the scatter path.
-		canMatch = query.ZoneCanMatch(q.Select, n.cols[p].ZoneView())
-	}
-	n.mu.RUnlock()
-	if vecOK && view.Len() == len(rows) {
-		if !canMatch {
-			return query.ZeroPartial(), 0, true
-		}
-		return query.PartialEvalView(q, view), int64(view.Len()), true
-	}
-	return query.PartialEval(q, rows), int64(len(rows)), true
+	partial, rowsRead := pt.partial(q)
+	return partial, rowsRead, true
 }
 
 // Answer serves one query through the node's own pool (local API used by
@@ -874,43 +862,6 @@ func (n *Node) forward(w http.ResponseWriter, owners []string, req serve.QueryRe
 	return false
 }
 
-func (n *Node) handlePartial(w http.ResponseWriter, r *http.Request) {
-	n.partialsServed.Add(1)
-	var req PartialRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
-		return
-	}
-	q, err := req.Query.Query()
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	var root *trace.Span
-	if req.Trace {
-		root = trace.NewSpan("partial", n.id)
-	}
-	partial, rowsRead, ok := n.localPartial(req.Part, q)
-	root.End()
-	root.SetAttrInt("part", int64(req.Part))
-	root.SetAttrInt("rows", rowsRead)
-	if !ok {
-		serve.WriteJSON(w, http.StatusNotFound, map[string]string{
-			"error": fmt.Sprintf("dist: node %s does not hold partition %d", n.id, req.Part),
-		})
-		return
-	}
-	resp := PartialResponse{
-		Partial: partial,
-		Rows:    rowsRead,
-	}
-	if root != nil {
-		resp.Spans = []trace.WireSpan{root.Wire()}
-	}
-	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
 // handlePartials is the batched partial-state endpoint: one round trip
 // carries every partition the caller needs from this holder. Partitions
 // this node does not hold come back as per-entry errors, never as a
@@ -952,7 +903,7 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 			e.Partial, e.Rows = partial, rowsRead
 			rowsScanned += rowsRead
 		} else {
-			e.Error = fmt.Sprintf("dist: node %s does not hold partition %d", n.id, p)
+			e.Error = n.notHeld(p)
 		}
 		resp.Partials = append(resp.Partials, e)
 	}
@@ -966,8 +917,8 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
-// PartialRPCsServed returns how many partial-state RPCs (batched and
-// legacy) this node has answered.
+// PartialRPCsServed returns how many batched partial-state RPCs this
+// node has answered.
 func (n *Node) PartialRPCsServed() int64 { return n.partialsServed.Load() }
 
 // PartialRPCsSent returns how many batched partials round trips this
@@ -993,11 +944,7 @@ func (n *Node) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // DataVersion returns the node's live data version: 1 after the bulk
 // load, advanced by every applied ingest batch (including WAL replay).
-func (n *Node) DataVersion() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.version
-}
+func (n *Node) DataVersion() int64 { return n.version.Load() }
 
 // cacheVersion is the answer cache's freshness stamp: the highest
 // fully-absorbed local data version (advanced once a batch this node
@@ -1033,9 +980,10 @@ func (n *Node) PartitionOwners(p int) []string {
 // PartLastSeq returns partition p's last applied ingest sequence (0 if
 // nothing was ingested or the node does not hold p).
 func (n *Node) PartLastSeq(p int) uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.lastSeq[p]
+	if pt := n.livePart(p); pt != nil {
+		return pt.seq()
+	}
+	return 0
 }
 
 // PartialState evaluates q's mergeable aggregate state over the node's
@@ -1069,13 +1017,11 @@ func (n *Node) Status() ClusterStatus {
 		}
 		st.Members = append(st.Members, m)
 	}
-	n.mu.RLock()
-	for p := range n.parts {
-		st.PartitionsHeld = append(st.PartitionsHeld, p)
+	for _, pt := range n.liveParts() {
+		view, _, _ := pt.snapshot()
+		st.PartitionsHeld = append(st.PartitionsHeld, pt.id)
+		st.RowsHeld += int64(view.Len())
 	}
-	st.RowsHeld = n.rowsHeld
-	n.mu.RUnlock()
-	sort.Ints(st.PartitionsHeld)
 	return st
 }
 

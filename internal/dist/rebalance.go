@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/ingest"
@@ -20,23 +18,26 @@ import (
 // minimal key movement, partition migration by snapshot-ship plus
 // WAL-tail catch-up, and the atomic ownership cutover.
 //
-// Migration state machine, per moving partition:
+// Migration state machine, per moving partition — each step moves one
+// *partition (partition.go) between the node's staged, live and retired
+// lookups; the copy itself is never rebuilt:
 //
-//	staged    the gainer fetched a donor's consistent snapshot (rows +
-//	          base-row count + last ingest sequence) ahead of the view
-//	          change; ingest keeps flowing to the old owners
-//	installed the gainer applied the new view: the staged rows became a
-//	          live partition (WAL reset + re-seeded with the ingested
+//	staged    the gainer built a copy from a donor's consistent snapshot
+//	          (rows + base-row count + last ingest sequence) ahead of
+//	          the view change; ingest keeps flowing to the old owners
+//	installed the gainer applied the new view: the staged copy went
+//	          live (WAL opened, reset and re-seeded with the ingested
 //	          tail), the member pointer swapped — new requests route to
 //	          the new owners
 //	synced    the gainer drained the cutover delta: it fetched the WAL
 //	          tail the donors accepted between staging and cutover,
 //	          finishing when a donor serves a FENCED tail at the new
 //	          epoch with nothing missing
-//	retired   a losing owner moved the partition out of its serving
-//	          maps; the retired copy keeps answering /v1/replicate,
-//	          /v1/walfetch, /v1/partsnap and /v1/digest until the node
-//	          closes, so in-flight acks and late catch-ups never dangle
+//	retired   a losing owner moved its copy out of the live lookup; it
+//	          keeps answering /v1/replicate, /v1/walfetch and
+//	          /v1/partsnap (/v1/digest reads live copies only) until the
+//	          node closes or a re-gain moves it back, so in-flight acks
+//	          and late catch-ups never dangle
 //
 // The coordinator (whichever member received /v1/join or /v1/leave)
 // serialises concurrent membership changes behind rebalanceMu; view
@@ -112,25 +113,11 @@ type RebalanceStatus struct {
 	LastChangeMS int64 `json:"last_change_ms"`
 }
 
-// stagedPart is a partition snapshot shipped ahead of a view change.
-type stagedPart struct {
-	rows    []storage.Row
-	baseLen int
-	lastSeq uint64
-	donors  []string
-	epoch   int64
-}
-
-// retiredPart is a partition this node no longer owns but retains as a
-// donor and ack sink until the node closes: late replicate deliveries
-// from a primary that has not yet adopted the view still land (and
-// ack), and gainers can still fetch snapshots, tails and digests.
-type retiredPart struct {
-	mu      sync.Mutex
-	rows    []storage.Row
-	baseLen int
-	lastSeq uint64
-	wal     *ingest.Log
+// staging is a copy shipped ahead of a view change, with the one extra
+// fact staging needs: the donor URLs its cutover sync will drain.
+type staging struct {
+	pt     *partition
+	donors []string
 }
 
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -202,12 +189,9 @@ func (n *Node) handleRebalance(w http.ResponseWriter, _ *http.Request) {
 
 // RebalanceStatus snapshots the node's elastic-plane progress.
 func (n *Node) RebalanceStatus() RebalanceStatus {
-	n.stageMu.Lock()
-	staged := len(n.staged)
-	n.stageMu.Unlock()
-	n.retireMu.Lock()
-	retired := len(n.retired)
-	n.retireMu.Unlock()
+	n.mu.RLock()
+	staged, retired := len(n.staged), len(n.retired)
+	n.mu.RUnlock()
 	return RebalanceStatus{
 		Epoch:        n.epoch(),
 		Staged:       staged,
@@ -271,7 +255,7 @@ func (n *Node) orchestrate(next func(View) (View, error)) (JoinResponse, error) 
 		go func(node string, parts []MigratePart) {
 			var err error
 			if node == n.id {
-				err = n.stageParts(nv, parts)
+				err = n.stageParts(parts)
 			} else {
 				err = n.sendMigrate(nms.urls[node], nv, parts)
 			}
@@ -356,7 +340,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
 		return
 	}
-	if err := n.stageParts(req.View, req.Parts); err != nil {
+	if err := n.stageParts(req.Parts); err != nil {
 		serve.WriteError(w, err)
 		return
 	}
@@ -364,43 +348,37 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // stageParts fetches each listed partition's snapshot from the first
-// reachable donor and parks it for the coming view. Staging never
-// touches the serving maps: until the view lands, the old owners keep
+// reachable donor and parks the copy for the coming view. Staging never
+// touches the live lookup: until the view lands, the old owners keep
 // serving and ingesting.
-func (n *Node) stageParts(v View, parts []MigratePart) error {
+func (n *Node) stageParts(parts []MigratePart) error {
 	for _, mp := range parts {
-		st, err := n.stageOne(v, mp)
+		pt, err := n.stageOne(mp)
 		if err != nil {
 			return err
 		}
-		n.stageMu.Lock()
-		n.staged[mp.Part] = st
-		n.stageMu.Unlock()
+		n.mu.Lock()
+		n.staged[mp.Part] = staging{pt: pt, donors: mp.Donors}
+		n.mu.Unlock()
 	}
 	return nil
 }
 
-func (n *Node) stageOne(v View, mp MigratePart) (*stagedPart, error) {
+func (n *Node) stageOne(mp MigratePart) (*partition, error) {
 	var lastErr error
 	for _, durl := range mp.Donors {
-		snap, err := n.fetchPartSnap(durl, mp.Part)
-		if err != nil {
-			lastErr = err
-			continue
+		pt, err := n.fetchPart(durl, mp.Part)
+		if err == nil {
+			return pt, nil
 		}
-		return &stagedPart{
-			rows:    wireToRows(snap.Rows),
-			baseLen: snap.BaseLen,
-			lastSeq: snap.LastSeq,
-			donors:  mp.Donors,
-			epoch:   v.Epoch,
-		}, nil
+		lastErr = err
 	}
 	return nil, fmt.Errorf("dist: stage partition %d: no donor reachable: %w", mp.Part, lastErr)
 }
 
-// fetchPartSnap fetches one partition's snapshot from a donor.
-func (n *Node) fetchPartSnap(url string, p int) (*PartSnapResponse, error) {
+// fetchPart fetches partition p's snapshot from a donor and builds a
+// copy from it.
+func (n *Node) fetchPart(url string, p int) (*partition, error) {
 	body, err := json.Marshal(PartSnapRequest{Part: p, Epoch: n.epoch()})
 	if err != nil {
 		return nil, err
@@ -419,7 +397,12 @@ func (n *Node) fetchPartSnap(url string, p int) (*PartSnapResponse, error) {
 		return nil, err
 	}
 	n.noteEpoch(out.Epoch)
-	return &out, nil
+	rows := wireToRows(out.Rows)
+	if err := checkWidth(rows, -1); err != nil {
+		return nil, fmt.Errorf("dist: partsnap %d from %s: %w", p, url, err)
+	}
+	return &partition{id: p, cols: storage.BuildColStore(-1, rows),
+		baseLen: out.BaseLen, lastSeq: out.LastSeq}, nil
 }
 
 func (n *Node) handlePartSnap(w http.ResponseWriter, r *http.Request) {
@@ -430,48 +413,24 @@ func (n *Node) handlePartSnap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.noteEpoch(req.Epoch)
-	// Live partition: rows, baseLen and lastSeq are mutated together
-	// under n.mu, so one read lock yields a consistent snapshot.
-	n.mu.RLock()
-	rows, held := n.parts[req.Part]
-	baseLen, lastSeq := n.baseLen[req.Part], n.lastSeq[req.Part]
-	if held {
-		rows = rows[:len(rows):len(rows)]
-	}
-	n.mu.RUnlock()
-	if !held {
-		if rp := n.retiredPartOf(req.Part); rp != nil {
-			rp.mu.Lock()
-			rows = rp.rows[:len(rp.rows):len(rp.rows)]
-			baseLen, lastSeq = rp.baseLen, rp.lastSeq
-			rp.mu.Unlock()
-			held = true
-		}
-	}
-	if !held {
-		serve.WriteJSON(w, http.StatusNotFound, map[string]string{
-			"error": fmt.Sprintf("dist: node %s does not hold partition %d", n.id, req.Part),
-		})
+	pt, _ := n.find(req.Part)
+	if pt == nil {
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": n.notHeld(req.Part)})
 		return
 	}
+	// Reads under the copy's state lock only (never its ingest lock), so
+	// two nodes repairing from each other cannot deadlock.
+	view, baseLen, lastSeq := pt.snapshot()
 	serve.WriteJSON(w, http.StatusOK, PartSnapResponse{
 		Part: req.Part, LastSeq: lastSeq, BaseLen: baseLen,
-		Rows: rowsToWire(rows), Epoch: n.epoch(),
+		Rows: rowsToWire(view.Rows(0)), Epoch: n.epoch(),
 	})
 }
 
-// retiredPartOf returns the retired copy of p, if any.
-func (n *Node) retiredPartOf(p int) *retiredPart {
-	n.retireMu.Lock()
-	defer n.retireMu.Unlock()
-	return n.retired[p]
-}
-
-// applyView installs a newer membership view: stage-installed gains
-// become live partitions, the member pointer swaps (new requests route
-// on the new ring), lost partitions retire, and each gain drains its
-// cutover delta from the donors. Serialised behind viewMu; an equal or
-// older epoch is a no-op.
+// applyView installs a newer membership view: staged gains go live, the
+// member pointer swaps (new requests route on the new ring), lost
+// partitions retire, and each gain drains its cutover delta from the
+// donors. Serialised behind viewMu; an equal or older epoch is a no-op.
 func (n *Node) applyView(nv View) error {
 	if !n.ingestGate() {
 		return errNodeClosing
@@ -492,9 +451,7 @@ func (n *Node) applyView(nv View) error {
 	selfIn := nv.has(n.id)
 	for p := 0; p < n.cfg.Partitions; p++ {
 		owned := selfIn && containsStr(nms.ring.Owners(partKey(p), n.cfg.Replicas), n.id)
-		n.mu.RLock()
-		_, held := n.parts[p]
-		n.mu.RUnlock()
+		held := n.livePart(p) != nil
 		if owned && !held {
 			gains = append(gains, p)
 		}
@@ -505,31 +462,19 @@ func (n *Node) applyView(nv View) error {
 	sort.Ints(gains)
 	sort.Ints(losses)
 
-	// Install every gain while holding its (new) partition lock: a
-	// replicate or ingest racing the cutover blocks on the lock and
-	// lands after the install, in sequence.
-	type pendingSync struct {
-		part   int
-		mu     *sync.Mutex
-		donors []string
-	}
-	var pending []pendingSync
+	// Install every gain while holding its ingest lock: a replicate or
+	// ingest racing the cutover blocks on the lock and lands after the
+	// install, in sequence.
+	var pending []staging
 	for _, p := range gains {
 		st := n.takeStaged(p, cur)
-		mu := &sync.Mutex{}
-		mu.Lock()
-		n.mu.Lock()
-		n.partMu[p] = mu
-		n.mu.Unlock()
-		if err := n.installPartitionLocked(p, st); err != nil {
-			n.mu.Lock()
-			delete(n.partMu, p)
-			n.mu.Unlock()
-			mu.Unlock()
+		st.pt.ingest.Lock()
+		if err := n.goLive(st.pt); err != nil {
+			st.pt.ingest.Unlock()
 			n.logger.Warn("partition install failed", "part", p, "err", err)
 			continue
 		}
-		pending = append(pending, pendingSync{part: p, mu: mu, donors: st.donors})
+		pending = append(pending, st)
 	}
 
 	// The atomic cutover: requests arriving after this line route,
@@ -537,7 +482,7 @@ func (n *Node) applyView(nv View) error {
 	n.member.Store(nms)
 	n.lastChange.Store(time.Now().UnixMilli())
 
-	// Retire losses: out of the serving maps (gatherLocal and the ring
+	// Retire losses: out of the live lookup (gatherLocal and the ring
 	// agree the partition lives elsewhere) but retained as a donor and
 	// ack sink until Close.
 	for _, p := range losses {
@@ -545,40 +490,33 @@ func (n *Node) applyView(nv View) error {
 	}
 
 	// Drain each gain's cutover delta, releasing its lock as it syncs.
-	for _, ps := range pending {
-		n.finalSyncLocked(ps.part, ps.donors, nv.Epoch)
-		ps.mu.Unlock()
+	for _, st := range pending {
+		n.finalSyncLocked(st.pt, st.donors, nv.Epoch)
+		st.pt.ingest.Unlock()
 	}
 	n.logger.Info("view applied", "epoch", nv.Epoch, "members", len(nv.Members),
 		"gained", len(gains), "retired", len(losses))
 	return nil
 }
 
-// takeStaged claims partition p's staged snapshot for installation,
-// falling back to a retired copy (a re-gain promotes it) and, as the
-// self-heal of last resort for a member that never saw the migrate
-// RPC, an inline stage from the old view's holders.
-func (n *Node) takeStaged(p int, old *memberState) *stagedPart {
-	n.stageMu.Lock()
-	st := n.staged[p]
-	delete(n.staged, p)
-	n.stageMu.Unlock()
-	if st != nil {
-		return st
-	}
-	n.retireMu.Lock()
-	rp := n.retired[p]
-	delete(n.retired, p)
-	n.retireMu.Unlock()
-	if rp != nil {
-		rp.mu.Lock()
-		st = &stagedPart{rows: rp.rows, baseLen: rp.baseLen, lastSeq: rp.lastSeq}
-		if rp.wal != nil {
-			// installPartitionLocked reopens the same WAL directory;
-			// release this handle first.
-			_ = rp.wal.Close()
+// takeStaged picks the copy of partition p to install: the staged one,
+// else the retired one (a re-gain moves it back as it is, WAL and all)
+// and, as the self-heal of last resort for a member that never saw the
+// migrate RPC, an inline stage from the old view's holders. The copy
+// stays in its lookup until goLive, so a racing replicate always finds it.
+func (n *Node) takeStaged(p int, old *memberState) staging {
+	n.mu.RLock()
+	st, rp := n.staged[p], n.retired[p]
+	n.mu.RUnlock()
+	if st.pt != nil {
+		if rp != nil {
+			// A fresher snapshot supersedes the retired copy. goLive
+			// reopens the same WAL directory for the staged one;
+			// release the retired handle first.
+			rp.ingest.Lock()
+			rp.closeLog()
+			rp.ingest.Unlock()
 		}
-		rp.mu.Unlock()
 		return st
 	}
 	var donors []string
@@ -590,122 +528,98 @@ func (n *Node) takeStaged(p int, old *memberState) *stagedPart {
 			donors = append(donors, u)
 		}
 	}
+	if rp != nil {
+		// The old view's holders carry whatever was sequenced since this
+		// copy retired; the cutover sync drains it from them.
+		return staging{pt: rp, donors: donors}
+	}
+	pt := newPartition(p)
 	if len(donors) > 0 {
-		if st, err := n.stageOne(View{Epoch: n.epoch() + 1}, MigratePart{Part: p, Donors: donors}); err == nil {
-			return st
+		if staged, err := n.stageOne(MigratePart{Part: p, Donors: donors}); err == nil {
+			pt = staged
 		} else {
 			n.logger.Warn("inline stage failed; installing empty partition",
 				"part", p, "err", err)
 		}
 	}
-	return &stagedPart{donors: donors}
+	return staging{pt: pt, donors: donors}
 }
 
-// installPartitionLocked makes a staged snapshot the live partition
-// (the caller holds the partition's lock). Mirrors Load: rows land in
-// the partition map and the columnar mirror WITHOUT AbsorbRows — the
-// cluster's models already absorbed these rows when they were first
-// ingested on the old owners; absorbing again would double-count.
-// With durability on, the WAL is reset and re-seeded with only the
-// ingested tail (rows[baseLen:]) at lastSeq: a restart re-lays base
-// rows deterministically from the bulk dataset, so storing them in the
-// log would replay them twice.
-func (n *Node) installPartitionLocked(p int, st *stagedPart) error {
-	var l *ingest.Log
-	if n.cfg.DataDir != "" {
-		n.mu.RLock()
-		l = n.wals[p]
-		n.mu.RUnlock()
-		if l == nil {
-			var err error
-			l, err = ingest.Open(filepath.Join(n.cfg.DataDir, fmt.Sprintf("part-%d", p)),
-				ingest.Options{SyncEvery: n.cfg.WALSyncEvery})
-			if err != nil {
-				return fmt.Errorf("dist: install partition %d: %w", p, err)
-			}
-		}
-		if err := l.Reset(); err != nil {
-			return fmt.Errorf("dist: install partition %d: %w", p, err)
-		}
-		if st.lastSeq > 0 {
-			tail := st.rows
-			if st.baseLen < len(tail) {
-				tail = tail[st.baseLen:]
+// goLive moves copy pt into the live lookup, out of whichever held it
+// (the caller holds its ingest lock). Like Load it does NOT AbsorbRows —
+// the cluster's models already absorbed these rows when they were first
+// ingested on the old owners; absorbing again would double-count. With
+// durability on, a copy that arrives without a WAL (it was staged)
+// first gets one, seeded with only its ingested tail (seedLog).
+func (n *Node) goLive(pt *partition) error {
+	var err error
+	if n.cfg.DataDir != "" && pt.wal.Load() == nil {
+		var l *ingest.Log
+		if l, err = n.openLog(pt.id); err == nil {
+			if err = seedLog(l, pt); err != nil {
+				_ = l.Close()
 			} else {
-				tail = nil
-			}
-			if err := l.Append(st.lastSeq, tail); err != nil {
-				return fmt.Errorf("dist: install partition %d: %w", p, err)
+				pt.wal.Store(l)
 			}
 		}
 	}
-	rows := st.rows[:len(st.rows):len(st.rows)]
-	cs := storage.NewColStore(-1)
-	cs.Append(rows...)
 	n.mu.Lock()
-	prev := int64(len(n.parts[p]))
-	n.parts[p] = rows
-	n.cols[p] = cs
-	n.baseLen[p] = st.baseLen
-	n.lastSeq[p] = st.lastSeq
-	n.rowsHeld += int64(len(rows)) - prev
-	if l != nil {
-		n.wals[p] = l
+	delete(n.staged, pt.id)
+	if err != nil {
+		n.mu.Unlock()
+		return fmt.Errorf("dist: install partition %d: %w", pt.id, err)
 	}
-	n.version++
-	ver := n.version
+	delete(n.retired, pt.id)
+	n.live[pt.id] = pt
+	ver := n.version.Add(1)
 	n.mu.Unlock()
 	n.publishAbsorbed(ver)
 	return nil
 }
 
-// retirePartition moves p out of the serving maps into the retired
-// set. The retired copy is documented as retained-until-Close: it is
+// replaceLocked overwrites live copy pt with a shipped snapshot (the
+// caller holds its ingest lock): WAL re-seeded first, then the fresh
+// columns swap in. Nothing is re-absorbed, for goLive's reason.
+func (n *Node) replaceLocked(pt, fresh *partition) error {
+	if l := pt.wal.Load(); l != nil {
+		if err := seedLog(l, fresh); err != nil {
+			return fmt.Errorf("dist: install partition %d: %w", pt.id, err)
+		}
+	}
+	n.publishAbsorbed(pt.swap(fresh.cols, fresh.baseLen, fresh.lastSeq, &n.version))
+	return nil
+}
+
+// retirePartition moves p's copy from the live lookup to the retired
+// one. The retired copy is documented as retained-until-Close: it is
 // small (one partition's rows), keeps late replicate acks and catch-up
 // fetches working while the old primary converges, and the whole node
 // is usually shut down shortly after a graceful leave anyway.
 func (n *Node) retirePartition(p int) {
-	mu := n.partLock(p)
-	if mu == nil {
+	pt := n.lockLive(p)
+	if pt == nil {
 		return
 	}
-	mu.Lock()
 	n.mu.Lock()
-	rows := n.parts[p]
-	rp := &retiredPart{
-		rows:    rows,
-		baseLen: n.baseLen[p],
-		lastSeq: n.lastSeq[p],
-		wal:     n.wals[p],
-	}
-	delete(n.parts, p)
-	delete(n.cols, p)
-	delete(n.lastSeq, p)
-	delete(n.baseLen, p)
-	delete(n.wals, p)
-	delete(n.partMu, p)
-	n.rowsHeld -= int64(len(rows))
-	n.version++
-	ver := n.version
+	delete(n.live, p)
+	n.retired[p] = pt
+	ver := n.version.Add(1)
 	n.mu.Unlock()
-	mu.Unlock()
-	n.retireMu.Lock()
-	n.retired[p] = rp
-	n.retireMu.Unlock()
+	pt.ingest.Unlock()
 	// Cached answers may cover the departed rows: expire them.
 	n.publishAbsorbed(ver)
 }
 
-// finalSyncLocked drains partition p's cutover delta (the caller holds
-// p's partition lock): every batch the donors sequenced between the
+// finalSyncLocked drains live copy pt's cutover delta (the caller holds
+// its ingest lock): every batch the donors sequenced between the
 // staging snapshot and the donors adopting the new view. It finishes
 // when a donor serves a FENCED tail at (or past) the new epoch showing
-// nothing missing — fenced means the donor held its partition lock, so
+// nothing missing — fenced means the donor held its ingest lock, so
 // its LastSeq cannot advance behind our back; at the new epoch the
-// donor also no longer sequences fresh batches for p. On timeout it
-// logs and returns: anti-entropy and gap-healing replication converge
-// the remainder.
-func (n *Node) finalSyncLocked(p int, donors []string, newEpoch int64) {
+// donor also no longer sequences fresh batches for the partition. On
+// timeout it logs and returns: anti-entropy and gap-healing replication
+// converge the remainder.
+func (n *Node) finalSyncLocked(pt *partition, donors []string, newEpoch int64) {
 	deadline := time.Now().Add(3 * n.cfg.Timeout)
 	self := n.members().urls[n.id]
 	for time.Now().Before(deadline) {
@@ -714,7 +628,7 @@ func (n *Node) finalSyncLocked(p int, donors []string, newEpoch int64) {
 			if durl == "" || durl == self {
 				continue
 			}
-			resp, err := n.fetchTail(durl, p, n.partSeqLocked(p), 0)
+			resp, err := n.fetchTail(durl, pt.id, pt.seq(), 0)
 			if err != nil || resp == nil {
 				continue
 			}
@@ -722,32 +636,21 @@ func (n *Node) finalSyncLocked(p int, donors []string, newEpoch int64) {
 			if resp.NoWAL {
 				// Memory-only donor: no tail to fetch. If it is ahead,
 				// re-stage wholesale from its snapshot.
-				if resp.LastSeq > n.partSeqLocked(p) {
-					if snap, err := n.fetchPartSnap(durl, p); err == nil && snap.LastSeq > n.partSeqLocked(p) {
-						st := &stagedPart{rows: wireToRows(snap.Rows),
-							baseLen: snap.BaseLen, lastSeq: snap.LastSeq}
-						if err := n.installPartitionLocked(p, st); err == nil {
+				if resp.LastSeq > pt.seq() {
+					if fresh, err := n.fetchPart(durl, pt.id); err == nil && fresh.lastSeq > pt.seq() {
+						if err := n.replaceLocked(pt, fresh); err == nil {
 							progress = true
 						}
 					}
 				}
 			} else {
-				for _, e := range resp.Entries {
-					cur := n.partSeqLocked(p)
-					if e.Seq <= cur {
-						continue
-					}
-					if e.Seq != cur+1 {
-						break
-					}
-					if err := n.applyBatch(p, e.Seq, wireToRows(e.Rows), true, nil); err != nil {
-						n.logger.Warn("final sync apply failed", "part", p, "seq", e.Seq, "err", err)
-						break
-					}
-					progress = true
+				applied, err := n.applyTail(pt, resp.Entries)
+				if err != nil {
+					n.logger.Warn("final sync apply failed", "part", pt.id, "err", err)
 				}
+				progress = progress || applied > 0
 			}
-			if resp.Fenced && resp.Epoch >= newEpoch && resp.LastSeq <= n.partSeqLocked(p) && !resp.Truncated {
+			if resp.Fenced && resp.Epoch >= newEpoch && resp.LastSeq <= pt.seq() && !resp.Truncated {
 				return
 			}
 		}
@@ -756,7 +659,7 @@ func (n *Node) finalSyncLocked(p int, donors []string, newEpoch int64) {
 		}
 	}
 	n.logger.Warn("final sync timed out; anti-entropy will converge the remainder",
-		"part", p, "epoch", newEpoch)
+		"part", pt.id, "epoch", newEpoch)
 }
 
 // containsStr reports whether s contains v.

@@ -158,27 +158,18 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 // gatherLocal evaluates every locally-held partition on the bounded
 // worker pool and returns the partitions this node does not hold.
 func (n *Node) gatherLocal(q query.Query, results []partialResult) []int {
-	n.mu.RLock()
-	held := make([]int, 0, len(n.parts))
-	for p := range n.parts {
-		held = append(held, p)
-	}
-	n.mu.RUnlock()
-	isHeld := make(map[int]bool, len(held))
-	for _, p := range held {
-		isHeld[p] = true
-	}
+	held := n.liveParts()
 	var missing []int
-	for p := 0; p < n.cfg.Partitions; p++ {
-		if !isHeld[p] {
+	for p, i := 0, 0; p < n.cfg.Partitions; p++ {
+		if i < len(held) && held[i].id == p {
+			i++
+		} else {
 			missing = append(missing, p)
 		}
 	}
 	runBounded(n.cfg.GatherFanout, len(held), func(i int) {
-		p := held[i]
-		if partial, rows, ok := n.localPartial(p, q); ok {
-			results[p] = partialResult{partial: partial, rows: rows, holder: n.id}
-		}
+		partial, rows := held[i].partial(q)
+		results[held[i].id] = partialResult{partial: partial, rows: rows, holder: n.id}
 	})
 	return missing
 }

@@ -154,31 +154,25 @@ func (n *Node) NodeStatus() NodeStatus {
 		st.Ring.Members = append(st.Ring.Members, m)
 	}
 
-	n.mu.RLock()
-	st.RowsHeld = n.rowsHeld
-	parts := make([]int, 0, len(n.parts))
-	for p := range n.parts {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	for _, p := range parts {
-		owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
+	for _, pt := range n.liveParts() {
+		view, _, lastSeq := pt.snapshot()
+		owners := ms.ring.Owners(partKey(pt.id), n.cfg.Replicas)
 		ps := PartitionStatus{
-			Part:    p,
+			Part:    pt.id,
 			Role:    "replica",
 			Owners:  owners,
-			Rows:    len(n.parts[p]),
-			LastSeq: n.lastSeq[p],
+			Rows:    view.Len(),
+			LastSeq: lastSeq,
 		}
 		if len(owners) > 0 && owners[0] == n.id {
 			ps.Role = "primary"
 		}
-		if l := n.wals[p]; l != nil {
+		if l := pt.wal.Load(); l != nil {
 			ps.WALSegments = l.Segments()
 		}
+		st.RowsHeld += int64(ps.Rows)
 		st.Partitions = append(st.Partitions, ps)
 	}
-	n.mu.RUnlock()
 
 	probation := 0
 	for _, ag := range n.pool.Agents() {

@@ -136,7 +136,7 @@ func TestTracedIngestSpans(t *testing.T) {
 	lc := traceTestCluster(t, Config{})
 	rows := make([]WireRow, 32)
 	for i := range rows {
-		rows[i] = WireRow{Key: uint64(1000 + i), Vec: []float64{1, 2}}
+		rows[i] = WireRow{Key: uint64(1000 + i), Vec: []float64{1, 2, 3}}
 	}
 	body, err := json.Marshal(IngestRequest{Rows: rows})
 	if err != nil {

@@ -221,8 +221,3 @@ func (ex *Executor) EstimateSelectivity(s query.Selection) float64 {
 	est := ex.grid.EstimateRange(los, his)
 	return est / float64(ex.table.Rows())
 }
-
-// RefreshBounds is retained for API compatibility: partition pruning
-// metadata now lives in the storage layer's zone maps, which every
-// mutation keeps current, so there is nothing to rebuild.
-func (ex *Executor) RefreshBounds() error { return nil }

@@ -160,7 +160,10 @@ func TestGridSelectivity(t *testing.T) {
 	}
 }
 
-func TestRefreshBoundsAfterUpdate(t *testing.T) {
+// TestPruningFollowsUpdateWhere: the storage zone maps every mutation
+// keeps current are the only pruning metadata, so a selection over the
+// moved data must still find its partitions with nothing rebuilt.
+func TestPruningFollowsUpdateWhere(t *testing.T) {
 	ex := buildExec(t, 1000, 2, 4)
 	// Shift all data +1000 in x; stale bounds would prune wrongly.
 	_, _, err := ex.Table().UpdateWhere(
@@ -170,12 +173,9 @@ func TestRefreshBoundsAfterUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.RefreshBounds(); err != nil {
-		t.Fatal(err)
-	}
 	sel := query.Selection{Los: []float64{1000, 0}, His: []float64{1100, 100}}
 	if parts := ex.CandidatePartitions(sel); len(parts) == 0 {
-		t.Error("no candidates after refresh; bounds stale")
+		t.Error("no candidates after UpdateWhere; bounds stale")
 	}
 }
 

@@ -43,6 +43,26 @@ func (v ColumnView) Row(i int) []float64 {
 	return out
 }
 
+// Rows materialises rows [from:] in insertion order, their vectors
+// carved from one freshly allocated backing array.
+func (v ColumnView) Rows(from int) []Row {
+	n, w := v.Len(), len(v.Cols)
+	if from >= n {
+		return nil
+	}
+	out := make([]Row, 0, n-from)
+	flat := make([]float64, (n-from)*w)
+	for i := from; i < n; i++ {
+		vec := flat[:w:w]
+		flat = flat[w:]
+		for j, c := range v.Cols {
+			vec[j] = c[i]
+		}
+		out = append(out, Row{Key: v.Keys[i], Vec: vec})
+	}
+	return out
+}
+
 // ZoneMap summarises one partition for pruning: per-column minima and
 // maxima plus the row count. Mins/Maxs are nil either when the
 // partition is empty (Rows == 0: always prunable) or when the columnar

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -275,5 +276,32 @@ func TestRaggedPartitionFallsBack(t *testing.T) {
 	}
 	if !raggedSeen {
 		t.Fatal("no non-empty partition exercised the ragged path")
+	}
+}
+
+// TestColumnViewRows: Rows materialises the suffix [from:] in insertion
+// order as private copies — editing them must not reach the store.
+func TestColumnViewRows(t *testing.T) {
+	rows := randRows(50, 3)
+	cs := BuildColStore(-1, rows)
+	view, ok := cs.View()
+	if !ok {
+		t.Fatal("no view")
+	}
+	for _, from := range []int{0, 17, 49, 50, 80} {
+		got := view.Rows(from)
+		var want []Row
+		if from < len(rows) {
+			want = rows[from:]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Rows(%d) = %d rows, want %d equal to the appended ones", from, len(got), len(want))
+		}
+	}
+	got := view.Rows(0)
+	got[3].Vec[0] += 1
+	got[3].Vec = append(got[3].Vec, 9) // must not spill into row 4's vector
+	if again := view.Rows(0); !reflect.DeepEqual(again, rows) {
+		t.Fatal("editing materialised rows changed the store")
 	}
 }
