@@ -583,6 +583,10 @@ type IngestRequest struct {
 	// DeadlineMS propagates the client's absolute deadline (Unix
 	// milliseconds; 0 = none).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// Epoch is the membership epoch a forwarding member routed the batch
+	// by (0 from clients). A receiver still on an older view catches up
+	// before it judges whose partition this is.
+	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // PartIngestResult is one partition's outcome within an ingest batch.

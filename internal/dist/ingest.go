@@ -223,6 +223,13 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sort.Ints(parts)
 
 	hops := parseHops(r.Header.Get(forwardHeader))
+	// A forwarder routed this batch by a view this node has not adopted
+	// yet (the cutover push is still on its way): by the old view the
+	// node would forward the batch back, and the two would bounce it
+	// until the hop budget refused it. Catch up first, synchronously.
+	if req.Epoch > n.epoch() {
+		n.refreshMembership()
+	}
 	ms := n.members()
 	// ?trace=1 (or a forwarded request's Trace flag) records the write
 	// path as a span tree: wal_append/absorb per applied partition,
@@ -435,7 +442,7 @@ func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey
 	}
 	// The idempotency key rides along: a client retry entering through a
 	// different member still dedups at the same primary.
-	body, err := json.Marshal(IngestRequest{Rows: rowsToWire(rows), Trace: sp != nil, IdemKey: idemKey})
+	body, err := json.Marshal(IngestRequest{Rows: rowsToWire(rows), Trace: sp != nil, IdemKey: idemKey, Epoch: n.epoch()})
 	if err != nil {
 		return fail(err.Error())
 	}

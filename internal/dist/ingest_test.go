@@ -462,10 +462,11 @@ func TestIngestRejectsWidthMismatch(t *testing.T) {
 }
 
 // TestElasticPartSnapRoundTrip: /v1/partsnap materialises rows from the
-// columns; they must equal the loaded-then-ingested rows in insertion
-// order with base_len and last_seq intact, and a gainer installed from
-// such a snapshot must answer bit-identically to its donor and ship the
-// same snapshot onwards.
+// columns; they must equal the resident order — the loaded rows in
+// clustered order, then the ingested rows in arrival order — with
+// base_len and last_seq intact, and a gainer installed from such a
+// snapshot must answer bit-identically to its donor and ship the same
+// snapshot onwards.
 func TestElasticPartSnapRoundTrip(t *testing.T) {
 	lc, base := liveCluster(t, 3, t.TempDir())
 	client := lc.Client()
@@ -477,6 +478,7 @@ func TestElasticPartSnapRoundTrip(t *testing.T) {
 	}
 	baseLen := make(map[int]int)
 	for p, rs := range want {
+		want[p] = clusteredRef(rs)
 		baseLen[p] = len(rs)
 	}
 	for b := 0; b < 3; b++ {
@@ -505,7 +507,7 @@ func TestElasticPartSnapRoundTrip(t *testing.T) {
 					p, id, snap.BaseLen, snap.LastSeq, baseLen[p], lc.Node(id).PartLastSeq(p))
 			}
 			if got := wireToRows(snap.Rows); !reflect.DeepEqual(got, want[p]) {
-				t.Fatalf("partition %d on %s: snapshot rows differ from the loaded-then-ingested rows", p, id)
+				t.Fatalf("partition %d on %s: snapshot rows differ from clustered base ++ arrival-order tail", p, id)
 			}
 		}
 	}

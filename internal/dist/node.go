@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -537,36 +538,38 @@ func (n *Node) closeDone() { n.closeMu.RUnlock() }
 
 // Load partitions rows round-robin into cfg.Partitions data partitions
 // and keeps the ones whose ring owners include this node (each partition
-// lives on Replicas members). With a configured DataDir it then opens
-// each owned partition's write-ahead log and replays the surviving
-// segments on top of the base rows — the crash-recovery half of the
-// live write path. Call once, before serving traffic; afterwards only
-// the ingest path mutates the partition map.
+// lives on Replicas members), each laid down in clustered order
+// (storage.ColStore.AppendClustered) — a function of the dealt rows
+// alone, so every holder of a partition ends up with the same layout.
+// With a configured DataDir it then opens each owned partition's
+// write-ahead log and replays the surviving segments on top of the base
+// rows — the crash-recovery half of the live write path. Call once,
+// before serving traffic; afterwards only the ingest path mutates the
+// partition map.
 func (n *Node) Load(rows []storage.Row) error {
 	if err := checkWidth(rows, -1); err != nil {
 		return fmt.Errorf("dist: node %s: load: %w", n.id, err)
 	}
 	live := make(map[int]*partition)
+	var owned []*partition
 	ring := n.members().ring
 	for p := 0; p < n.cfg.Partitions; p++ {
 		if containsStr(ring.Owners(partKey(p), n.cfg.Replicas), n.id) {
 			live[p] = newPartition(p)
+			owned = append(owned, live[p])
 		}
 	}
-	for i, r := range rows {
-		if pt := live[i%n.cfg.Partitions]; pt != nil {
-			pt.cols.Append(r)
-		}
-	}
-	for _, pt := range live {
+	runBounded(runtime.GOMAXPROCS(0), len(owned), func(i int) {
+		pt := owned[i]
+		pt.cols.AppendClustered(rows, pt.id, n.cfg.Partitions)
 		pt.baseLen = pt.cols.Len()
-	}
+	})
 	n.mu.Lock()
 	n.live = live
 	n.absorbedVer.Store(n.version.Load()) // bulk load needs no model absorb
 	n.mu.Unlock()
 
-	owned, rowsHeld := n.liveParts(), 0
+	rowsHeld := 0
 	for _, pt := range owned {
 		if n.cfg.DataDir != "" {
 			l, err := n.openLog(pt.id)

@@ -113,20 +113,12 @@ func (pt *partition) closeLog() {
 }
 
 // partial evaluates q's mergeable aggregate state over the copy: the
-// zone map first (a partition that cannot intersect the selection
-// contributes a zero state without touching a row), then the batch
-// kernels over the columnar view. It also returns the rows read.
+// batch kernels stream the chunks of the columnar view whose zone entry
+// can meet the selection and skip the rest. It also returns the rows
+// read, which are the rows of the chunks scanned, not the rows held.
 func (pt *partition) partial(q query.Query) ([]float64, int64) {
-	pt.mu.RLock()
-	view, _ := pt.cols.View()
-	// Zone test against the live bounds while still holding the read
-	// lock: no per-query zone-map copies on the scatter path.
-	canMatch := query.ZoneCanMatch(q.Select, pt.cols.ZoneView())
-	pt.mu.RUnlock()
-	if !canMatch {
-		return query.ZeroPartial(), 0
-	}
-	return query.PartialEvalView(q, view), int64(view.Len())
+	view, _, _ := pt.snapshot()
+	return query.PartialEvalPruned(q, view)
 }
 
 // append makes one sequenced batch part of the copy (the caller holds

@@ -61,8 +61,8 @@ type partialResult struct {
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ScatterGather computes q's exact answer across every data partition:
-// local partitions are evaluated in place, remote ones are fetched from
-// their ring holders, and the per-partition aggregate states merge
+// local partitions are evaluated in place while remote ones are fetched
+// from their ring holders, and the per-partition aggregate states merge
 // exactly (COUNT/SUM) or from per-shard moments (AVG/VAR/CORR) via
 // query.MergeEval.
 //
@@ -88,10 +88,11 @@ func (n *Node) ScatterGather(q query.Query) (query.Result, metrics.Cost, error) 
 }
 
 // ScatterGatherSpan is ScatterGather under a (possibly nil) parent span:
-// the local vectorized scan, each per-holder batched partial RPC, and
-// the final merge get child spans, and holders asked under a trace
-// return their own span trees, which are grafted under the matching
-// partial_rpc span — one stitched tree across node boundaries.
+// the local vectorized scan and each per-holder batched partial RPC
+// (siblings that overlap in time), then the final merge, get child
+// spans, and holders asked under a trace return their own span trees,
+// which are grafted under the matching partial_rpc span — one stitched
+// tree across node boundaries.
 func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, metrics.Cost, error) {
 	start := time.Now()
 	if !q.Deadline.IsZero() && !start.Before(q.Deadline) {
@@ -106,18 +107,40 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 		}
 	}
 	results := make([]partialResult, n.cfg.Partitions)
-	lsp := sp.Child("local_scan")
-	missing := n.gatherLocal(q, results)
-	lsp.End()
-	lsp.SetAttrInt("parts", int64(n.cfg.Partitions-len(missing)))
+	held := n.liveParts()
+	var missing []int
+	for p, i := 0, 0; p < n.cfg.Partitions; p++ {
+		if i < len(held) && held[i].id == p {
+			i++
+		} else {
+			missing = append(missing, p)
+		}
+	}
+	// The peers scan while this node does: the remote gather runs on its
+	// own goroutine beside the local scan (sibling spans that overlap in
+	// time). The two fill disjoint entries of results; remoteErr and the
+	// RPC cost belong to the gather goroutine until the join.
 	cost := metrics.Cost{}
 	var remoteErr error
+	var remote sync.WaitGroup
 	if len(missing) > 0 {
-		rpcBytes, rpcs, err := n.gatherRemote(q, missing, results, sp)
-		remoteErr = err
-		cost.Messages += 2 * int64(rpcs) // one request + one response per holder round trip
-		cost.BytesLAN += rpcBytes
+		remote.Add(1)
+		go func() {
+			defer remote.Done()
+			rpcBytes, rpcs, err := n.gatherRemote(q, missing, results, sp)
+			remoteErr = err
+			cost.Messages += 2 * int64(rpcs) // one request + one response per holder round trip
+			cost.BytesLAN += rpcBytes
+		}()
 	}
+	lsp := sp.Child("local_scan")
+	runBounded(n.cfg.GatherFanout, len(held), func(i int) {
+		partial, rows := held[i].partial(q)
+		results[held[i].id] = partialResult{partial: partial, rows: rows, holder: n.id}
+	})
+	lsp.End()
+	lsp.SetAttrInt("parts", int64(len(held)))
+	remote.Wait()
 
 	msp := sp.Child("merge")
 	partials := make([][]float64, 0, len(results))
@@ -153,25 +176,6 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 	cost.NodesTouched = len(holders)
 	sp.SetAttrInt("nodes", int64(len(holders)))
 	return res, cost, nil
-}
-
-// gatherLocal evaluates every locally-held partition on the bounded
-// worker pool and returns the partitions this node does not hold.
-func (n *Node) gatherLocal(q query.Query, results []partialResult) []int {
-	held := n.liveParts()
-	var missing []int
-	for p, i := 0, 0; p < n.cfg.Partitions; p++ {
-		if i < len(held) && held[i].id == p {
-			i++
-		} else {
-			missing = append(missing, p)
-		}
-	}
-	runBounded(n.cfg.GatherFanout, len(held), func(i int) {
-		partial, rows := held[i].partial(q)
-		results[held[i].id] = partialResult{partial: partial, rows: rows, holder: n.id}
-	})
-	return missing
 }
 
 // gatherRemote resolves the missing partitions: each round groups the

@@ -289,9 +289,8 @@ func (st *vecState) maskedFold2(colX, colY []float64, start int, mask []uint64) 
 
 // evalAll handles the degenerate zero-dimension rectangle (it matches
 // every row, per the reference Contains semantics).
-func evalAll(q Query, cols [][]float64, nRows int, st *vecState) {
-	colX, colY := aggCols(q, cols)
-	for i := 0; i < nRows; i++ {
+func evalAll(q Query, colX, colY []float64, lo, hi int, st *vecState) {
+	for i := lo; i < hi; i++ {
 		switch q.Aggregate {
 		case Sum, Avg, Var:
 			st.n++
@@ -585,18 +584,15 @@ func (st *vecState) rectFold2(c0, c1, colX, colY []float64, los, his []float64) 
 	st.sx, st.sy, st.sxx, st.syy, st.sxy = sx, sy, sxx, syy, sxy
 }
 
-// evalSphereFused folds the sphere kernel per block: the distance
-// accumulator is thresholded and consumed in the same pass.
-func evalSphereFused(q Query, cols [][]float64, nRows int, colX, colY []float64, st *vecState) {
+// evalSphereFused folds the sphere kernel per block over rows [lo, hi):
+// the distance accumulator is thresholded and consumed in the same pass.
+func evalSphereFused(q Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState) {
 	s := q.Select
 	r2 := s.Radius * s.Radius
 	sc := vecPool.Get().(*vecScratch)
 	defer vecPool.Put(sc)
-	for start := 0; start < nRows; start += VecBlock {
-		end := start + VecBlock
-		if end > nRows {
-			end = nRows
-		}
+	for start := lo; start < hi; start += VecBlock {
+		end := min(start+VecBlock, hi)
 		d2 := sphereBlockD2(s, cols, start, end, sc.d2)
 		switch q.Aggregate {
 		case Sum, Avg:
@@ -661,16 +657,13 @@ func evalSphereFused(q Query, cols [][]float64, nRows int, colX, colY []float64,
 }
 
 // evalBlocks is the generic two-phase path (any dimensionality, any
-// degenerate column configuration): fill the block's match mask, then
-// fold the aggregates under it.
-func evalBlocks(q Query, cols [][]float64, nRows int, colX, colY []float64, st *vecState) {
+// degenerate column configuration) over rows [lo, hi): fill the block's
+// match mask, then fold the aggregates under it.
+func evalBlocks(q Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState) {
 	sc := vecPool.Get().(*vecScratch)
 	defer vecPool.Put(sc)
-	for start := 0; start < nRows; start += VecBlock {
-		end := start + VecBlock
-		if end > nRows {
-			end = nRows
-		}
+	for start := lo; start < hi; start += VecBlock {
+		end := min(start+VecBlock, hi)
 		mask := blockMask(q.Select, cols, start, end, sc)
 		switch q.Aggregate {
 		case Sum, Avg, Var:
@@ -683,20 +676,16 @@ func evalBlocks(q Query, cols [][]float64, nRows int, colX, colY []float64, st *
 	}
 }
 
-// evalView runs the kernel pipeline over one columnar view, picking the
-// fully-fused specialisation when the query has the common shape and
-// falling back to the generic two-phase block path otherwise.
-func evalView(q Query, view storage.ColumnView) vecState {
-	var st vecState
-	n := view.Len()
-	if n == 0 || q.Select.Dims() > view.Width() {
-		return st
+// seedView starts the state of a scan over view: zero, with the
+// data-scale pivots of the shifted frame taken from the view's first
+// values. Any value at the column's scale works; taking row 0 keeps the
+// kernels free of a seeding branch. ok is false when there is nothing to
+// scan (an empty view, or a selection wider than the rows).
+func seedView(q Query, view storage.ColumnView) (st vecState, colX, colY []float64, ok bool) {
+	if view.Len() == 0 || q.Select.Dims() > view.Width() {
+		return st, nil, nil, false
 	}
-	cols := view.Cols
-	colX, colY := aggCols(q, cols)
-	// Data-scale pivots for the shifted frame: the view's first values.
-	// Any value at the column's scale works; taking row 0 keeps the
-	// kernels free of a seeding branch.
+	colX, colY = aggCols(q, view.Cols)
 	if colX != nil {
 		st.cx = colX[0]
 		st.seeded = true
@@ -704,10 +693,21 @@ func evalView(q Query, view storage.ColumnView) vecState {
 	if colY != nil {
 		st.cy = colY[0]
 	}
+	return st, colX, colY, true
+}
+
+// evalRange folds rows [lo, hi) of cols into st, picking the fully-fused
+// specialisation when the query has the common shape and falling back to
+// the generic two-phase block path otherwise. Every kernel carries st's
+// accumulators forward in row order and adds an exact +0 for a row that
+// does not match, so folding two ranges one after the other leaves the
+// very bits that folding the rows between them as well would, as long as
+// none of those rows matches.
+func evalRange(q Query, cols [][]float64, colX, colY []float64, lo, hi int, st *vecState) {
 	s := q.Select
 	if !s.IsRadius() && len(s.Los) == 0 {
-		evalAll(q, cols, n, &st)
-		return st
+		evalAll(q, colX, colY, lo, hi, st)
+		return
 	}
 
 	// Fast paths: fused single-pass kernels for the common shapes.
@@ -720,41 +720,82 @@ func evalView(q Query, view storage.ColumnView) vecState {
 			fusedOK = colX != nil && colY != nil
 		}
 		if fusedOK {
-			evalSphereFused(q, cols, n, colX, colY, &st)
-			return st
+			evalSphereFused(q, cols, lo, hi, colX, colY, st)
+			return
 		}
 	} else if d := len(s.Los); d <= 2 {
+		c0 := cols[0][lo:hi]
 		var c1 []float64
 		if d == 2 {
-			c1 = cols[1]
+			c1 = cols[1][lo:hi]
 		}
 		switch q.Aggregate {
 		case Count:
 			if d == 1 {
-				st.n += rectCount1(cols[0], s.Los[0], s.His[0])
+				st.n += rectCount1(c0, s.Los[0], s.His[0])
 			} else {
-				st.n += rectCount2(cols[0], c1, s.Los[0], s.His[0], s.Los[1], s.His[1])
+				st.n += rectCount2(c0, c1, s.Los[0], s.His[0], s.Los[1], s.His[1])
 			}
-			return st
+			return
 		case Sum, Avg:
 			if colX != nil {
-				st.rectSum(cols[0], c1, colX, s.Los, s.His)
-				return st
+				st.rectSum(c0, c1, colX[lo:hi], s.Los, s.His)
+				return
 			}
 		case Var:
 			if colX != nil {
-				st.rectFold1(cols[0], c1, colX, s.Los, s.His)
-				return st
+				st.rectFold1(c0, c1, colX[lo:hi], s.Los, s.His)
+				return
 			}
 		case Corr, RegSlope:
 			if colX != nil && colY != nil {
-				st.rectFold2(cols[0], c1, colX, colY, s.Los, s.His)
-				return st
+				st.rectFold2(c0, c1, colX[lo:hi], colY[lo:hi], s.Los, s.His)
+				return
 			}
 		}
 	}
-	evalBlocks(q, cols, n, colX, colY, &st)
+	evalBlocks(q, cols, lo, hi, colX, colY, st)
+}
+
+// evalView runs the kernel pipeline over one whole columnar view.
+func evalView(q Query, view storage.ColumnView) vecState {
+	st, colX, colY, ok := seedView(q, view)
+	if ok {
+		evalRange(q, view.Cols, colX, colY, 0, view.Len(), &st)
+	}
 	return st
+}
+
+// evalViewPruned is evalView that skips the full chunks whose zone entry
+// cannot meet the selection. It carries ONE state, seeded like
+// evalView's, through the surviving runs of chunks in row order, so by
+// evalRange's contract the result equals evalView's bit for bit. The
+// rows past the last full chunk have no entry and are always scanned; a
+// view without entries is scanned whole. The second return is the number
+// of rows scanned.
+func evalViewPruned(q Query, view storage.ColumnView) (vecState, int64) {
+	st, colX, colY, ok := seedView(q, view)
+	if !ok {
+		return st, 0
+	}
+	var scanned int64
+	full := view.FullChunks()
+	lo := 0 // start of the current run of rows to scan
+	for c := 0; c < full; c++ {
+		if ZoneCanMatch(q.Select, view.ChunkZone(c)) {
+			continue
+		}
+		if hi := c * storage.ChunkRows; lo < hi {
+			evalRange(q, view.Cols, colX, colY, lo, hi, &st)
+			scanned += int64(hi - lo)
+		}
+		lo = (c + 1) * storage.ChunkRows
+	}
+	if n := view.Len(); lo < n {
+		evalRange(q, view.Cols, colX, colY, lo, n, &st)
+		scanned += int64(n - lo)
+	}
+	return st, scanned
 }
 
 // EvalView computes q's exact answer over one columnar view with the
@@ -772,6 +813,16 @@ func EvalView(q Query, view storage.ColumnView) Result {
 // row-at-a-time nodes merge freely.
 func PartialEvalView(q Query, view storage.ColumnView) []float64 {
 	return evalView(q, view).encode(q)
+}
+
+// PartialEvalPruned is PartialEvalView with chunk-level pruning: chunks
+// of the view whose zone entry (ColumnView.ChunkZone) cannot meet q's
+// selection are skipped, the rest stream through the same kernels. The
+// state is bit-identical to PartialEvalView's over the same view; the
+// second return is the number of rows actually scanned.
+func PartialEvalPruned(q Query, view storage.ColumnView) ([]float64, int64) {
+	st, scanned := evalViewPruned(q, view)
+	return st.encode(q), scanned
 }
 
 // ZeroPartial returns the mergeable state of an empty row set (what a

@@ -1,11 +1,16 @@
-package query
+// An external test package: the layout benchmark below reads
+// workload.StandardRows, and internal/workload imports internal/query.
+package query_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/query"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // benchSink keeps the kernels' results live so the compiler cannot
@@ -43,9 +48,9 @@ func benchColumns(b *testing.B, n int) (storage.ColumnView, []storage.Row) {
 	return view, scanned
 }
 
-func benchSelection(selectivity float64) Selection {
+func benchSelection(selectivity float64) query.Selection {
 	sx := selectivity / 0.9
-	return Selection{
+	return query.Selection{
 		Los: []float64{50 - 50*sx, 5},
 		His: []float64{50 + 50*sx, 95},
 	}
@@ -57,20 +62,20 @@ func benchSelection(selectivity float64) Selection {
 func BenchmarkVecKernels(b *testing.B) {
 	const n = 1 << 20
 	view, rows := benchColumns(b, n)
-	aggs := []Agg{Count, Sum, Var, Corr}
+	aggs := []query.Agg{query.Count, query.Sum, query.Var, query.Corr}
 	for _, sel := range []float64{0.01, 0.10, 0.50} {
 		for _, agg := range aggs {
-			q := Query{Select: benchSelection(sel), Aggregate: agg, Col: 2, Col2: 0}
+			q := query.Query{Select: benchSelection(sel), Aggregate: agg, Col: 2, Col2: 0}
 			b.Run("vec/"+agg.String()+"/"+pct(sel), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r := EvalView(q, view)
+					r := query.EvalView(q, view)
 					benchSink += r.Value + float64(r.Support)
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
 			})
 			b.Run("row/"+agg.String()+"/"+pct(sel), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r := EvalRows(q, rows)
+					r := query.EvalRows(q, rows)
 					benchSink += r.Value + float64(r.Support)
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
@@ -83,20 +88,20 @@ func BenchmarkVecKernels(b *testing.B) {
 func BenchmarkVecSphere(b *testing.B) {
 	const n = 1 << 20
 	view, rows := benchColumns(b, n)
-	q := Query{
-		Select:    Selection{Center: []float64{50, 50}, Radius: 18},
-		Aggregate: Sum, Col: 2,
+	q := query.Query{
+		Select:    query.Selection{Center: []float64{50, 50}, Radius: 18},
+		Aggregate: query.Sum, Col: 2,
 	}
 	b.Run("vec", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := EvalView(q, view)
+			r := query.EvalView(q, view)
 			benchSink += r.Value
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
 	})
 	b.Run("row", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := EvalRows(q, rows)
+			r := query.EvalRows(q, rows)
 			benchSink += r.Value
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
@@ -111,5 +116,68 @@ func pct(f float64) string {
 		return "sel10"
 	default:
 		return "sel1"
+	}
+}
+
+// BenchmarkChunkPruneLayout is the variant × layout table behind the
+// clustered base: one 167k-row partition of the standard dataset (what a
+// member of exact-3n holds per partition), laid out in arrival order or
+// clustered, scanned whole (PartialEvalView, the oracle) or chunk-pruned
+// (PartialEvalPruned), under a rectangle and a sphere of the default
+// extent at the first default interest region. Before timing, each pruned variant is checked
+// bit for bit against the full scan of its own view. rows/op is the
+// rows the kernels streamed; pruning pays only on the clustered layout.
+func BenchmarkChunkPruneLayout(b *testing.B) {
+	const parts = 6
+	all := workload.StandardRows(1_000_000, 1)
+	var dealt []storage.Row
+	for i := 0; i < len(all); i += parts {
+		dealt = append(dealt, all[i])
+	}
+	arrival := storage.BuildColStore(3, dealt)
+	clustered := storage.NewColStore(3)
+	clustered.AppendClustered(dealt, 0, 1)
+
+	full := func(q query.Query, v storage.ColumnView) ([]float64, int64) {
+		return query.PartialEvalView(q, v), int64(v.Len())
+	}
+	region := workload.DefaultRegions(2)[0]
+	half := region.Extent
+	selections := []struct {
+		name string
+		sel  query.Selection
+	}{
+		{"rect", query.Selection{
+			Los: []float64{region.Center[0] - half, region.Center[1] - half},
+			His: []float64{region.Center[0] + half, region.Center[1] + half}}},
+		{"sphere", query.Selection{Center: region.Center, Radius: half}},
+	}
+	for _, layout := range []struct {
+		name  string
+		store *storage.ColStore
+	}{{"arrival", arrival}, {"clustered", clustered}} {
+		view, _ := layout.store.View()
+		for _, scan := range []struct {
+			name string
+			eval func(query.Query, storage.ColumnView) ([]float64, int64)
+		}{{"full", full}, {"pruned", query.PartialEvalPruned}} {
+			for _, s := range selections {
+				q := query.Query{Select: s.sel, Aggregate: query.Var, Col: 2}
+				want, _ := full(q, view)
+				got, rows := scan.eval(q, view)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						b.Fatalf("%s/%s/%s: slot %d: %v != full scan %v", layout.name, scan.name, s.name, i, got[i], want[i])
+					}
+				}
+				b.Run(layout.name+"/"+scan.name+"/"+s.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						p, _ := scan.eval(q, view)
+						benchSink += p[0]
+					}
+					b.ReportMetric(float64(rows), "rows/op")
+				})
+			}
+		}
 	}
 }

@@ -497,3 +497,159 @@ func FuzzSelectIndices(f *testing.F) {
 		}
 	})
 }
+
+// pruneRows draws n three-column rows (x and y around a 4x4 grid of
+// cluster centres, z = 2x + 5 + noise like the standard dataset). One
+// row in `every` (none for 0) is one of the values pruning must not trip
+// over: a NaN, a ±Inf, or an exact duplicate of the previous row. A low
+// `every` puts a NaN into nearly every chunk (nothing is prunable), a
+// high one leaves most chunks clean.
+func pruneRows(seed int64, n, every int) []storage.Row {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		x := float64(rng.Intn(4))*25 + rng.NormFloat64()*4
+		y := float64(rng.Intn(4))*25 + rng.NormFloat64()*4
+		vec := []float64{x, y, 2*x + 5 + rng.NormFloat64()}
+		if every > 0 && rng.Intn(every) == 0 {
+			switch rng.Intn(4) {
+			case 0:
+				vec[rng.Intn(3)] = math.NaN()
+			case 1:
+				vec[rng.Intn(3)] = math.Inf(1)
+			case 2:
+				vec[rng.Intn(3)] = math.Inf(-1)
+			case 3:
+				if i > 0 {
+					copy(vec, rows[i-1].Vec)
+				}
+			}
+		}
+		rows[i] = storage.Row{Key: uint64(i), Vec: vec}
+	}
+	return rows
+}
+
+// pruneView lays rows out in arrival order or clustered (Z-order) and
+// returns the view, chunk entries included.
+func pruneView(rows []storage.Row, clustered bool) storage.ColumnView {
+	c := storage.NewColStore(3)
+	if clustered {
+		c.AppendClustered(rows, 0, 1)
+	} else {
+		c.Append(rows...)
+	}
+	view, _ := c.View()
+	return view
+}
+
+// checkPruneParity is the chunk-pruning contract: the pruned partial of
+// a view equals the unpruned partial of the SAME view bit for bit (bits,
+// not ==: a selected NaN must come out as the same NaN), and it reads no
+// more rows than the view holds. It returns the rows read.
+func checkPruneParity(t *testing.T, q Query, view storage.ColumnView) int64 {
+	t.Helper()
+	want := PartialEvalView(q, view)
+	got, rowsRead := PartialEvalPruned(q, view)
+	if len(got) != len(want) {
+		t.Fatalf("%+v: pruned partial has %d slots, unpruned %d", q, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%+v over %d rows: slot %d: pruned %v (%#x) != unpruned %v (%#x)",
+				q, view.Len(), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	if rowsRead < 0 || rowsRead > int64(view.Len()) {
+		t.Fatalf("%+v: read %d rows of a %d-row view", q, rowsRead, view.Len())
+	}
+	return rowsRead
+}
+
+// TestChunkPruneParity runs the contract over both layouts, lengths on
+// and off the chunk boundary, rectangles and spheres of every
+// dimensionality (including wider than the rows) and every aggregate —
+// and checks that pruning does prune: on the clustered layout selective
+// queries must skip rows, and a view without chunk entries must fall
+// through to the full scan.
+func TestChunkPruneParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i, n := range []int{0, 1, 1023, 1024, 1025, 4096, 5000, 9999, 9999} {
+		every := []int{24, 2000}[i%2] // dirty and nearly clean data by turns
+		rows := pruneRows(int64(n), n, every)
+		for _, clustered := range []bool{false, true} {
+			view := pruneView(rows, clustered)
+			for trial := 0; trial < 40; trial++ {
+				q := Query{
+					Select:    randSelection(rng, 3),
+					Aggregate: allAggs[trial%len(allAggs)],
+					Col:       rng.Intn(3),
+					Col2:      rng.Intn(3),
+				}
+				if q.Select.IsRadius() {
+					q.Select.Radius = 2 + rng.Float64()*10
+				}
+				checkPruneParity(t, q, view)
+			}
+			// Selective queries around the cluster centres, as the serving
+			// workloads draw them: on clean clustered data most chunks
+			// must be skipped.
+			var read int64
+			for trial := 0; trial < 8; trial++ {
+				cx, cy := float64(trial%4)*25, float64(trial/2)*25
+				sel := Selection{Los: []float64{cx - 3, cy - 3}, His: []float64{cx + 3, cy + 3}}
+				if trial >= 4 {
+					sel = Selection{Center: []float64{cx, cy}, Radius: 4}
+				}
+				read += checkPruneParity(t, Query{Select: sel, Aggregate: allAggs[trial%len(allAggs)], Col: 2, Col2: 0}, view)
+			}
+			if clustered && every == 2000 && n > 9000 && read > 8*int64(n)/2 {
+				t.Errorf("n=%d clustered: selective queries read %d of %d rows: chunk pruning does not prune", n, read, 8*n)
+			}
+			bare := storage.ColumnView{Keys: view.Keys, Cols: view.Cols}
+			q := Query{Select: Selection{Los: []float64{20, 20}, His: []float64{30, 30}}, Aggregate: Var, Col: 2}
+			if got := checkPruneParity(t, q, bare); got != int64(n) {
+				t.Errorf("n=%d: a view without chunk entries read %d rows, want all", n, got)
+			}
+		}
+	}
+	// The zero-dimension rectangle matches every row: nothing to prune.
+	view := pruneView(pruneRows(3, 3000, 24), true)
+	if got := checkPruneParity(t, Query{Aggregate: Sum, Col: 1}, view); got != 3000 {
+		t.Errorf("match-all selection read %d rows, want 3000", got)
+	}
+}
+
+// FuzzChunkPrune fuzzes the same contract: arbitrary data seed and
+// length, layout, selection geometry and aggregate.
+func FuzzChunkPrune(f *testing.F) {
+	f.Add(int64(1), uint16(5000), true, 20.0, 20.0, 30.0, 30.0, 8.0, false, uint8(2), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(2), uint16(4096), true, 50.0, 50.0, 10.0, 0.0, 6.0, true, uint8(2), uint8(1), uint8(0), uint8(2))
+	f.Add(int64(3), uint16(1025), false, -5.0, 5.0, 90.0, 120.0, 3.0, true, uint8(3), uint8(4), uint8(2), uint8(1))
+	f.Add(int64(4), uint16(3071), true, 75.0, 0.0, 75.0, 1e9, 1.0, false, uint8(1), uint8(5), uint8(0), uint8(2))
+	f.Add(int64(5), uint16(2048), true, 0.0, 0.0, 0.0, 0.0, 40.0, true, uint8(4), uint8(2), uint8(1), uint8(1))
+	f.Add(int64(6), uint16(0), true, 0.0, 0.0, 1.0, 1.0, 1.0, false, uint8(2), uint8(0), uint8(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, clustered bool, a, b, c, d, r float64, radius bool, dims, agg, col, col2 uint8) {
+		n %= 6000
+		k := int(dims)%4 + 1 // 4 is wider than the rows: matches nothing
+		var sel Selection
+		if radius {
+			sel = Selection{Center: []float64{a, b, c, d}[:k], Radius: r}
+		} else {
+			los, his := []float64{a, b, a, b}[:k], []float64{c, d, d, c}[:k]
+			for j := range los {
+				if los[j] > his[j] {
+					los[j], his[j] = his[j], los[j]
+				}
+			}
+			sel = Selection{Los: los, His: his}
+		}
+		if sel.Validate() != nil {
+			t.Skip()
+		}
+		q := Query{Select: sel, Aggregate: allAggs[int(agg)%len(allAggs)], Col: int(col) % 4, Col2: int(col2) % 4}
+		every := []int{0, 24, 500, 4000}[uint64(seed)%4]
+		checkPruneParity(t, q, pruneView(pruneRows(seed, int(n), every), clustered))
+	})
+}

@@ -1,10 +1,12 @@
 // Columnar projection: every partition maintains a struct-of-arrays
 // mirror of its rows — one contiguous []float64 per column plus a key
 // column — together with a zone map (per-column min/max and a row
-// count). The projection is what the vectorized batch kernels in
+// count) for the whole partition and one for every ChunkRows-row chunk
+// of it. The projection is what the vectorized batch kernels in
 // internal/query scan: contiguous columns turn the per-row pointer
 // chase of []Row into sequential streams, and zone maps let the exact
-// path skip partitions that cannot intersect a selection at all.
+// path skip partitions, and chunks of a partition, that cannot
+// intersect a selection at all.
 package storage
 
 import "errors"
@@ -26,6 +28,34 @@ type ColumnView struct {
 	Keys []uint64
 	// Cols holds one contiguous value array per table column.
 	Cols [][]float64
+	// ChunkMins and ChunkMaxs hold the zone entries of the view's FULL
+	// chunks: chunk c covers rows [c*ChunkRows, (c+1)*ChunkRows) and its
+	// bounds for column j sit at index c*Width()+j. A full chunk never
+	// takes another row, so its entry is as immutable as the rows it
+	// bounds; the trailing partial chunk has no entry here because its
+	// entry still moves under appends.
+	ChunkMins, ChunkMaxs []float64
+	// ChunkNaN flags the full chunks that hold a NaN value, one flag per
+	// chunk: min/max cannot bound NaN, so such a chunk is unbounded.
+	ChunkNaN []bool
+}
+
+// ChunkRows is the zone-map granularity inside a partition, in rows. It
+// equals the anti-entropy digest's chunk and the scan kernels' block.
+const ChunkRows = 1024
+
+// FullChunks returns how many of the view's chunks carry a zone entry.
+func (v ColumnView) FullChunks() int { return len(v.ChunkNaN) }
+
+// ChunkZone returns full chunk c's zone map. The slices alias the
+// view's pinned entries. A chunk that holds a NaN reports nil bounds
+// (never prunable), like ColStore.ZoneView for a whole store.
+func (v ColumnView) ChunkZone(c int) ZoneMap {
+	if v.ChunkNaN[c] {
+		return ZoneMap{Rows: ChunkRows}
+	}
+	w := len(v.Cols)
+	return ZoneMap{Mins: v.ChunkMins[c*w : (c+1)*w], Maxs: v.ChunkMaxs[c*w : (c+1)*w], Rows: ChunkRows}
 }
 
 // Len returns the number of rows in the view.
@@ -96,6 +126,12 @@ type ColStore struct {
 	// the selection semantics, so the zone map must stop claiming it
 	// bounds the data or pruning would skip matching rows.
 	unbounded bool
+	// Chunk zone entries, one per started chunk, laid out as
+	// ColumnView.ChunkMins/ChunkMaxs/ChunkNaN. Only the last entry (the
+	// chunk still filling) ever changes; entries of full chunks are
+	// shared with outstanding views.
+	chunkMins, chunkMaxs []float64
+	chunkNaN             []bool
 }
 
 // NewColStore builds an empty store for rows of the given width. A
@@ -107,6 +143,12 @@ func NewColStore(width int) *ColStore {
 		c.cols = make([][]float64, width)
 	}
 	return c
+}
+
+// adopt fixes the width of a store built with a negative one.
+func (c *ColStore) adopt(width int) {
+	c.width = width
+	c.cols = make([][]float64, width)
 }
 
 // BuildColStore builds a store of the given width holding rows.
@@ -122,8 +164,7 @@ func BuildColStore(width int, rows []Row) *ColStore {
 func (c *ColStore) Append(rows ...Row) {
 	for _, r := range rows {
 		if c.width < 0 {
-			c.width = len(r.Vec)
-			c.cols = make([][]float64, c.width)
+			c.adopt(len(r.Vec))
 		}
 		if c.ragged {
 			return
@@ -136,27 +177,45 @@ func (c *ColStore) Append(rows ...Row) {
 		for j := range c.cols {
 			c.cols[j] = append(c.cols[j], r.Vec[j])
 		}
+		c.boundChunk(r.Vec)
 		if c.mins == nil {
 			c.mins = append([]float64(nil), r.Vec...)
 			c.maxs = append([]float64(nil), r.Vec...)
-			for _, v := range r.Vec {
-				if v != v {
-					c.unbounded = true
-				}
-			}
-			continue
 		}
-		for j, v := range r.Vec {
-			if v < c.mins[j] {
-				c.mins[j] = v
-			}
-			if v > c.maxs[j] {
-				c.maxs[j] = v
-			}
-			if v != v {
-				c.unbounded = true
-			}
+		if widen(c.mins, c.maxs, r.Vec) {
+			c.unbounded = true
 		}
+	}
+}
+
+// widen grows the box [mins, maxs] to cover vec and reports whether vec
+// holds a NaN, which no box can cover.
+func widen(mins, maxs, vec []float64) (nan bool) {
+	for j, v := range vec {
+		if v < mins[j] {
+			mins[j] = v
+		}
+		if v > maxs[j] {
+			maxs[j] = v
+		}
+		if v != v {
+			nan = true
+		}
+	}
+	return nan
+}
+
+// boundChunk extends the zone entry of the chunk the just-appended row
+// landed in, opening the entry when the row is the chunk's first.
+func (c *ColStore) boundChunk(vec []float64) {
+	last := (len(c.keys) - 1) / ChunkRows
+	if last == len(c.chunkNaN) {
+		c.chunkMins = append(c.chunkMins, vec...)
+		c.chunkMaxs = append(c.chunkMaxs, vec...)
+		c.chunkNaN = append(c.chunkNaN, false)
+	}
+	if widen(c.chunkMins[last*c.width:], c.chunkMaxs[last*c.width:], vec) {
+		c.chunkNaN[last] = true
 	}
 }
 
@@ -179,15 +238,21 @@ func (c *ColStore) Ragged() bool { return c.ragged }
 // View snapshots the store as a ColumnView. The second return is false
 // when the projection is unusable. Length and capacity are pinned so
 // later appends stay invisible and consumer appends cannot touch shared
-// memory.
+// memory; the chunk entries are pinned at the full chunks for the same
+// reason.
 func (c *ColStore) View() (ColumnView, bool) {
 	if c == nil || c.ragged {
 		return ColumnView{}, false
 	}
 	n := len(c.keys)
+	full := n / ChunkRows
+	fw := full * len(c.cols)
 	v := ColumnView{
-		Keys: c.keys[:n:n],
-		Cols: make([][]float64, len(c.cols)),
+		Keys:      c.keys[:n:n],
+		Cols:      make([][]float64, len(c.cols)),
+		ChunkMins: c.chunkMins[:fw:fw],
+		ChunkMaxs: c.chunkMaxs[:fw:fw],
+		ChunkNaN:  c.chunkNaN[:full:full],
 	}
 	for j := range c.cols {
 		v.Cols[j] = c.cols[j][:n:n]

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -303,5 +304,95 @@ func TestColumnViewRows(t *testing.T) {
 	got[3].Vec = append(got[3].Vec, 9) // must not spill into row 4's vector
 	if again := view.Rows(0); !reflect.DeepEqual(again, rows) {
 		t.Fatal("editing materialised rows changed the store")
+	}
+}
+
+// TestChunkZonesBoundTheirRows: every full chunk's entry is the tight
+// min/max box of exactly its ChunkRows rows, whatever the batch sizes
+// the rows arrived in, and the trailing partial chunk has no entry.
+func TestChunkZonesBoundTheirRows(t *testing.T) {
+	rows := randRows(3*ChunkRows+317, 5)
+	c := NewColStore(-1)
+	for from, step := 0, 1; from < len(rows); from, step = from+step, step*3+1 {
+		c.Append(rows[from:min(from+step, len(rows))]...)
+	}
+	view, ok := c.View()
+	if !ok || view.Len() != len(rows) {
+		t.Fatalf("view: ok=%v len=%d", ok, view.Len())
+	}
+	if view.FullChunks() != 3 {
+		t.Fatalf("%d rows carry %d chunk entries, want 3", len(rows), view.FullChunks())
+	}
+	for ch := 0; ch < view.FullChunks(); ch++ {
+		zm := view.ChunkZone(ch)
+		if zm.Rows != ChunkRows || len(zm.Mins) != 3 || len(zm.Maxs) != 3 {
+			t.Fatalf("chunk %d: zone %+v", ch, zm)
+		}
+		for j := 0; j < 3; j++ {
+			lo, hi := rows[ch*ChunkRows].Vec[j], rows[ch*ChunkRows].Vec[j]
+			for _, r := range rows[ch*ChunkRows : (ch+1)*ChunkRows] {
+				lo, hi = min(lo, r.Vec[j]), max(hi, r.Vec[j])
+			}
+			if zm.Mins[j] != lo || zm.Maxs[j] != hi {
+				t.Fatalf("chunk %d col %d: zone [%v,%v], rows span [%v,%v]", ch, j, zm.Mins[j], zm.Maxs[j], lo, hi)
+			}
+		}
+	}
+}
+
+// TestChunkZonesPinnedUnderAppends: the entries a view pinned keep their
+// values while later appends fill the chunk that was partial at snapshot
+// time, open new ones and force the entry arrays to grow.
+func TestChunkZonesPinnedUnderAppends(t *testing.T) {
+	rows := randRows(2*ChunkRows+100, 6)
+	c := BuildColStore(3, rows)
+	view, _ := c.View()
+	if view.FullChunks() != 2 {
+		t.Fatalf("%d chunk entries, want 2", view.FullChunks())
+	}
+	mins := append([]float64(nil), view.ChunkMins...)
+	maxs := append([]float64(nil), view.ChunkMaxs...)
+
+	wide := make([]Row, 3*ChunkRows)
+	for i := range wide {
+		wide[i] = Row{Key: uint64(1_000_000 + i), Vec: []float64{-1e9, 1e9, math.NaN()}}
+	}
+	c.Append(wide...)
+
+	if view.FullChunks() != 2 || !reflect.DeepEqual(view.ChunkMins, mins) || !reflect.DeepEqual(view.ChunkMaxs, maxs) {
+		t.Fatal("a pinned view's chunk entries changed under later appends")
+	}
+	if view.ChunkNaN[0] || view.ChunkNaN[1] {
+		t.Fatal("a pinned view's chunks turned unbounded under later appends")
+	}
+	if cap(view.ChunkMins) != len(mins) || cap(view.ChunkNaN) != 2 {
+		t.Fatalf("chunk entries not capacity-pinned: cap %d and %d", cap(view.ChunkMins), cap(view.ChunkNaN))
+	}
+	after, _ := c.View()
+	if after.FullChunks() != 5 {
+		t.Fatalf("%d chunk entries after the appends, want 5", after.FullChunks())
+	}
+	// Chunk 2 was partial at the first snapshot: it now holds the old
+	// tail and the first wide rows, so its box must cover both.
+	if zm := after.ChunkZone(2); zm.Mins != nil {
+		t.Fatalf("chunk 2 holds NaN rows but reports bounds %+v", zm)
+	}
+	if !reflect.DeepEqual(after.ChunkMins[:len(mins)], mins) {
+		t.Fatal("full chunks' entries were rewritten by later appends")
+	}
+}
+
+// TestChunkZoneNaNIsUnbounded: a chunk that holds a NaN reports no
+// bounds (min/max cannot see NaN, yet a NaN coordinate matches any
+// range), and only that chunk does.
+func TestChunkZoneNaNIsUnbounded(t *testing.T) {
+	rows := randRows(3*ChunkRows, 7)
+	rows[ChunkRows+17].Vec[1] = math.NaN()
+	view, _ := BuildColStore(3, rows).View()
+	for ch, wantNaN := range []bool{false, true, false} {
+		zm := view.ChunkZone(ch)
+		if zm.Rows != ChunkRows || (zm.Mins == nil) != wantNaN || (zm.Maxs == nil) != wantNaN {
+			t.Fatalf("chunk %d: zone %+v, want unbounded=%v", ch, zm, wantNaN)
+		}
 	}
 }
