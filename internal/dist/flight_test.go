@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/query"
@@ -74,6 +75,69 @@ func TestFlightStatusSection(t *testing.T) {
 				t.Fatalf("node %s: series %q not registered (have %v)", id, want, lc.Node(id).Flight().Metrics())
 			}
 		}
+	}
+
+	// replication_lag is the worst gap over the node's partitions: one
+	// lagging partition must keep showing while its siblings commit
+	// healthy batches. Take a member that is primary of two partitions.
+	primaryOf := map[string][]int{}
+	any := lc.Node(lc.IDs()[0])
+	for p := 0; p < any.Partitions(); p++ {
+		o := any.PartitionOwners(p)[0]
+		primaryOf[o] = append(primaryOf[o], p)
+	}
+	var primary *Node
+	for id, parts := range primaryOf {
+		if len(parts) >= 2 {
+			primary = lc.Node(id)
+		}
+	}
+	if primary == nil {
+		t.Fatalf("no member is primary of two partitions: %v", primaryOf)
+	}
+	lagging, healthy := primaryOf[primary.ID()][0], primaryOf[primary.ID()][1]
+	replica := any.PartitionOwners(lagging)[1]
+	nextKey := uint64(7_000_000)
+	ingestInto := func(p int) IngestResponse {
+		t.Helper()
+		var rows []WireRow
+		for ; len(rows) < 4; nextKey++ {
+			if primary.partitionForKey(nextKey) == p {
+				rows = append(rows, WireRow{Key: nextKey, Vec: []float64{1, 2, 3}})
+			}
+		}
+		var resp IngestResponse
+		if code := postJSON(t, lc.URL(primary.ID())+"/v1/ingest", IngestRequest{Rows: rows}, &resp); code != http.StatusOK {
+			t.Fatalf("ingest into partition %d: HTTP %d", p, code)
+		}
+		return resp
+	}
+	// The replica misses one batch, then cannot heal the gap the next
+	// one reveals: it answers, two sequences behind.
+	lc.Chaos(primary.ID()).Set([]chaos.Rule{{Endpoint: "/v1/replicate", ErrorRate: 1}})
+	ingestInto(lagging)
+	lc.Chaos(primary.ID()).Clear()
+	lc.Chaos(replica).Set([]chaos.Rule{{Endpoint: "/v1/walfetch", ErrorRate: 1}})
+	if resp := ingestInto(lagging); resp.AckedRows != 0 {
+		t.Fatalf("gapped replica acked: %+v", resp)
+	}
+	if resp := ingestInto(healthy); resp.FailedRows != 0 {
+		t.Fatalf("healthy sibling partition missed quorum: %+v", resp)
+	}
+	after := time.Now().UnixMilli()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h, _ := primary.Flight().History("replication_lag", time.Second)
+		if n := len(h.Points); n > 0 && h.Points[n-1].TUnixMs > after {
+			if got := h.Points[n-1].V; got != 2 {
+				t.Fatalf("replication_lag = %v after a healthy sibling batch, want 2 (partition %d lags)", got, lagging)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("flight recorder took no sample after the ingest")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

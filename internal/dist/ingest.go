@@ -129,16 +129,22 @@ func (n *Node) applyTail(pt *partition, entries []WALFetchEntry) (int, error) {
 // up on.
 const idemCacheCap = 4096
 
+// idemSlot keys the idempotency cache: one client batch under one key
+// has one outcome per partition it touched.
+type idemSlot struct {
+	key  string
+	part int
+}
+
 // idemGet returns the stored outcome of (key, part) when this primary
 // already applied that batch under the same idempotency key.
 func (n *Node) idemGet(key string, p int) (PartIngestResult, bool) {
 	if key == "" {
 		return PartIngestResult{}, false
 	}
-	k := fmt.Sprintf("%s/%d", key, p)
 	n.idemMu.Lock()
 	defer n.idemMu.Unlock()
-	pr, ok := n.idem[k]
+	pr, ok := n.idem[idemSlot{key, p}]
 	return pr, ok
 }
 
@@ -148,7 +154,7 @@ func (n *Node) idemPut(key string, p int, pr PartIngestResult) {
 	if key == "" {
 		return
 	}
-	k := fmt.Sprintf("%s/%d", key, p)
+	k := idemSlot{key, p}
 	n.idemMu.Lock()
 	defer n.idemMu.Unlock()
 	if _, dup := n.idem[k]; !dup {
@@ -239,8 +245,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if req.Trace || serve.TraceRequested(r) {
 		root = trace.NewSpan("ingest", n.id)
 	}
-	resp := IngestResponse{Node: n.id}
-	for _, p := range parts {
+	// The partitions of a batch commit side by side, one goroutine each
+	// (the work is fsync and RPC wait, so the bound is the batch's
+	// partition count): a partition's lock, log, sequence and version
+	// bump are its own, so they share nothing to order. Results land by
+	// position, which keeps Parts in ascending partition order.
+	resp := IngestResponse{Node: n.id, Parts: make([]PartIngestResult, len(parts))}
+	runBounded(0, len(parts), func(i int) {
+		p := parts[i]
 		rows := groups[p]
 		owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
 		var pr PartIngestResult
@@ -266,12 +278,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		psp.End()
 		psp.SetAttrInt("part", int64(p))
 		psp.SetAttrInt("rows", int64(len(rows)))
+		resp.Parts[i] = pr
+	})
+	for _, pr := range resp.Parts {
 		if pr.Acked {
 			resp.AckedRows += pr.Rows
 		} else {
 			resp.FailedRows += pr.Rows
 		}
-		resp.Parts = append(resp.Parts, pr)
 	}
 	resp.Version = n.DataVersion()
 	resp.Epoch = ms.view.Epoch
@@ -289,7 +303,8 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 // caller must treat unacked as lost-or-present). A batch whose
 // idempotency key this primary already applied replays the stored
 // outcome instead of re-applying the rows, so a client retrying a
-// broken connection cannot double-ingest.
+// broken connection cannot double-ingest; a stored outcome that missed
+// the quorum is offered to the replicas again first.
 //
 // Primaryship is re-resolved UNDER the partition's ingest lock: a view
 // change can move it while the request waits, and sequencing a batch on
@@ -325,6 +340,14 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 	// Under the ingest lock, so a concurrent retry of the same batch
 	// serialises behind the original apply and sees its outcome.
 	if pr, ok := n.idemGet(idemKey, p); ok {
+		if !pr.Acked {
+			// Applied here but under quorum when first delivered, and the
+			// replica may be healthy again: offer it the stored sequence
+			// once more instead of replaying the miss forever (replicas
+			// dedup by sequence, so a copy that has it just says so).
+			pr.Acked = n.replicateBatch(pt, ms, owners, pr.Seq, rows, sp)
+			n.idemPut(idemKey, p, pr)
+		}
 		n.logger.Debug("idempotent ingest replay", "part", p, "seq", pr.Seq, "key", idemKey)
 		return pr
 	}
@@ -332,6 +355,22 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 	if err := n.applyBatch(pt, true, seq, rows, sp); err != nil {
 		return PartIngestResult{Part: p, Rows: len(rows), Error: err.Error()}
 	}
+	pr := PartIngestResult{
+		Part: p, Rows: len(rows), Seq: seq,
+		Acked: n.replicateBatch(pt, ms, owners, seq, rows, sp),
+	}
+	// The batch is applied (whatever the quorum verdict): remember its
+	// outcome so a retried delivery replays instead of re-applying.
+	n.idemPut(idemKey, p, pr)
+	return pr
+}
+
+// replicateBatch ships batch seq of live partition pt — already applied
+// here by this node as primary, which holds pt's ingest lock — to the
+// other ring owners and reports whether the write quorum now holds it.
+// A non-nil parent span gets a replicate child.
+func (n *Node) replicateBatch(pt *partition, ms *memberState, owners []string, seq uint64, rows []storage.Row, sp *trace.Span) bool {
+	p := pt.id
 	rsp := sp.Child("replicate")
 	var batchLag uint64
 	fanout := func(ms *memberState, owners []string) int {
@@ -375,15 +414,16 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 		if cur := n.members(); cur.view.Epoch > ms.view.Epoch {
 			nowners := cur.ring.Owners(partKey(p), n.cfg.Replicas)
 			if len(nowners) > 0 && nowners[0] == n.id {
-				ms, owners = cur, nowners
+				owners = nowners
 				acks = fanout(cur, nowners)
 			}
 		}
 	}
-	// Publish the worst responding-replica gap of the latest fan-out as
-	// this node's replication-lag gauge (the flight recorder samples it
-	// every second; healthy batches reset it to zero).
-	n.repLag.Store(int64(batchLag))
+	// The worst responding-replica gap of this partition's latest
+	// fan-out; the node's replication-lag gauge is the maximum over its
+	// live partitions (a healthy batch resets its own partition to zero,
+	// never a lagging sibling's).
+	pt.repLag.Store(batchLag)
 	rsp.End()
 	rsp.SetAttrInt("acks", int64(acks))
 	acked := acks >= n.writeQuorum(len(owners))
@@ -391,14 +431,7 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 		n.logger.Warn("ingest batch under quorum",
 			"part", p, "seq", seq, "acks", acks, "quorum", n.writeQuorum(len(owners)))
 	}
-	pr := PartIngestResult{
-		Part: p, Rows: len(rows), Seq: seq,
-		Acked: acked,
-	}
-	// The batch is applied (whatever the quorum verdict): remember its
-	// outcome so a retried delivery replays instead of re-applying.
-	n.idemPut(idemKey, p, pr)
-	return pr
+	return acked
 }
 
 // replicateTo ships one sequenced batch to a replica owner and returns
@@ -544,6 +577,9 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer pt.ingest.Unlock()
+	// A copy that is replicated to is not its partition's primary (any
+	// more): whatever lag it observed as one is history.
+	pt.repLag.Store(0)
 	if last := pt.seq(); live && req.Seq > last+1 {
 		// Sequence gap: this replica missed a batch. Heal inline by
 		// fetching the missing tail from the peer holders (the primary

@@ -108,8 +108,8 @@ type Node struct {
 	// applied (idem key, partition) outcomes, replayed on client retry
 	// so a broken-connection retry cannot double-ingest. Bounded FIFO.
 	idemMu    sync.Mutex
-	idem      map[string]PartIngestResult
-	idemOrder []string
+	idem      map[idemSlot]PartIngestResult
+	idemOrder []idemSlot
 
 	pool  *serve.Pool
 	sched *serve.Scheduler
@@ -136,11 +136,8 @@ type Node struct {
 	maints []*ingest.Maintainer
 
 	// flight is the node's flight recorder (nil when cfg.Flight is
-	// off); repLag is the primary-observed replication lag it samples:
-	// the worst sequence gap among responding replicas of the latest
-	// replicated batch.
+	// off).
 	flight *flight.Recorder
-	repLag atomic.Int64
 
 	// mu guards the three lookups from partition id to the node's copy
 	// of that fragment, one per lifecycle state (partition.go). Load
@@ -206,7 +203,7 @@ func NewNode(cfg Config) (*Node, error) {
 		live:    make(map[int]*partition),
 		staged:  make(map[int]staging),
 		retired: make(map[int]*partition),
-		idem:    make(map[string]PartIngestResult),
+		idem:    make(map[idemSlot]PartIngestResult),
 	}
 	n.version.Store(1) // bulk-loaded base data is version 1; ingest advances it
 	n.member.Store(newMemberState(view, cfg.VNodes))
@@ -352,8 +349,15 @@ func NewNode(cfg Config) (*Node, error) {
 		fr.Instrument(rec)
 		fr.AddGauge("sched_queue_depth",
 			func() float64 { return float64(n.sched.QueueDepth()) })
-		fr.AddGauge("replication_lag",
-			func() float64 { return float64(n.repLag.Load()) })
+		// Primary-observed: the worst gap any live partition saw among
+		// the replicas that responded to its latest replicated batch.
+		fr.AddGauge("replication_lag", func() float64 {
+			var worst uint64
+			for _, pt := range n.liveParts() {
+				worst = max(worst, pt.repLag.Load())
+			}
+			return float64(worst)
+		})
 		fr.AddGauge("breaker_state",
 			func() float64 { return float64(n.health.worstBreaker()) })
 		fr.Watch("lat_p99_all", "queries", "errors", "rejected",

@@ -59,6 +59,11 @@ type partition struct {
 	// replay (which reads the log and must not re-append to it), and
 	// after Close. Attached and detached under the ingest lock.
 	wal atomic.Pointer[ingest.Log]
+
+	// repLag is the worst sequence gap among the replicas that responded
+	// to this copy's latest replicate fan-out, written by its primary
+	// under the ingest lock and zeroed when the copy is replicated to.
+	repLag atomic.Uint64
 }
 
 // newPartition returns an empty copy of fragment id; its width is

@@ -533,8 +533,9 @@ func (n *Node) fetchPartials(ctx context.Context, url string, parts []int, wq se
 	return pr.Partials, reqBytes + int64(rb.Len()), nil
 }
 
-// runBounded runs fn(0..n-1) on at most fanout worker goroutines and
-// waits for completion — the bounded replacement for the old
+// runBounded runs fn(0..n-1) on at most fanout worker goroutines
+// (fanout <= 0: one per item; a single worker runs inline) and waits
+// for completion — the bounded replacement for the old
 // goroutine-per-partition spawn.
 func runBounded(fanout, n int, fn func(i int)) {
 	if n == 0 {

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -134,6 +136,9 @@ func TestForwardedQueryKeepsTraceFlag(t *testing.T) {
 
 func TestTracedIngestSpans(t *testing.T) {
 	lc := traceTestCluster(t, Config{})
+	// A delay in every replicate RPC makes each partition's commit long
+	// enough to tell overlapping from consecutive.
+	setChaos(lc, []chaos.Rule{{Endpoint: "/v1/replicate", LatencyMS: 40}})
 	rows := make([]WireRow, 32)
 	for i := range rows {
 		rows[i] = WireRow{Key: uint64(1000 + i), Vec: []float64{1, 2, 3}}
@@ -168,6 +173,30 @@ func TestTracedIngestSpans(t *testing.T) {
 	// spans must carry the primary's stitched wal_append/absorb spans.
 	if w.CountNamed("absorb") == 0 || w.CountNamed("wal_append") == 0 && w.CountNamed("forward") == 0 {
 		t.Fatalf("ingest span tree missing write-path stages:\n%+v", w)
+	}
+	// The partitions commit concurrently, so their spans are siblings in
+	// no particular order: one per response part, found by attribute, and
+	// together longer than the root they overlap under.
+	partSpans := make(map[string]trace.WireSpan)
+	var sum int64
+	for _, c := range w.Children {
+		if c.Name == "part" {
+			partSpans[c.Attrs["part"]] = c
+			sum += c.DurNs
+		}
+	}
+	if len(ir.Parts) < 2 || len(partSpans) != len(ir.Parts) {
+		t.Fatalf("%d part spans for %d response parts:\n%+v", len(partSpans), len(ir.Parts), w)
+	}
+	for _, pr := range ir.Parts {
+		sp, ok := partSpans[strconv.Itoa(pr.Part)]
+		if !ok || sp.Attrs["rows"] != strconv.Itoa(pr.Rows) || sp.CountNamed("replicate") != 1 {
+			t.Fatalf("partition %d: no part span with its rows and one replicate fan-out:\n%+v", pr.Part, w)
+		}
+	}
+	if w.DurNs >= sum {
+		t.Fatalf("root span %v is not shorter than its part spans together (%v): they did not overlap",
+			time.Duration(w.DurNs), time.Duration(sum))
 	}
 }
 
