@@ -139,7 +139,8 @@ func TestLayoutRestartEqualsPeer(t *testing.T) {
 // TestLayoutGainerScansWhatItsDonorScans: a snapshot ships rows in
 // resident order, so a gainer installed from one has its donor's
 // clustered base and arrival-order tail: same digest, and for every
-// query the same chunks survive pruning — equal rows_read, equal bits.
+// query the same blocks are skipped, folded from their summaries and
+// streamed — equal rows_read, equal bits.
 func TestLayoutGainerScansWhatItsDonorScans(t *testing.T) {
 	lc, rows := layoutCluster(t, t.TempDir())
 	for b := uint64(0); b < 4; b++ {
@@ -164,9 +165,9 @@ func TestLayoutGainerScansWhatItsDonorScans(t *testing.T) {
 				continue
 			}
 			for i, q := range layoutQueries() {
-				want, wantRows, ok := lc.Node(id).localPartial(p, q)
-				got, gotRows, _ := gainer.localPartial(p, q)
-				if !ok || gotRows != wantRows || !equalFloats(got, want) {
+				want, wantRows, wantSummarised, ok := lc.Node(id).localPartial(p, q)
+				got, gotRows, gotSummarised, _ := gainer.localPartial(p, q)
+				if !ok || gotRows != wantRows || gotSummarised != wantSummarised || !equalFloats(got, want) {
 					t.Fatalf("partition %d query %d: gainer read %d rows for %v, holder %s read %d rows for %v",
 						p, i, gotRows, got, id, wantRows, want)
 				}
@@ -181,8 +182,10 @@ func TestLayoutGainerScansWhatItsDonorScans(t *testing.T) {
 
 // TestLayoutPrunedScatterIsSelectiveAndExact: over a clustered base with
 // an ingested tail, a selective query reads a fraction of the rows held
-// (cost.rows_read counts the chunks scanned) and still answers what the
-// row-at-a-time reference answers over all the input rows.
+// (cost.rows_read counts the rows streamed) and still answers what the
+// row-at-a-time reference answers over all the input rows. A selection
+// that covers most of the table streams only its boundary and the tail:
+// it reads fewer rows than it selects.
 func TestLayoutPrunedScatterIsSelectiveAndExact(t *testing.T) {
 	lc, rows := layoutCluster(t, t.TempDir())
 	for b := uint64(0); b < 4; b++ {
@@ -210,5 +213,21 @@ func TestLayoutPrunedScatterIsSelectiveAndExact(t *testing.T) {
 	}
 	if share := float64(read) / float64(len(queries)*len(rows)); share > 0.5 {
 		t.Fatalf("selective queries read %.0f%% of the table on average", 100*share)
+	}
+	wide := query.Selection{Los: []float64{10, 10}, His: []float64{95, 95}}
+	for i, agg := range []query.Agg{query.Count, query.Sum, query.Avg, query.Var, query.Corr, query.RegSlope} {
+		q := query.Query{Select: wide, Aggregate: agg, Col: 2, Col2: 0}
+		got, cost, err := lc.Node(lc.IDs()[i%3]).ScatterGather(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := query.EvalRows(q, rows)
+		if got.Support != want.Support || !closeEnough(agg, got.Value, want.Value) {
+			t.Fatalf("wide %v: scatter %v over %d rows, reference %v over %d", agg, got.Value, got.Support, want.Value, want.Support)
+		}
+		if want.Support < int64(len(rows))/2 || cost.RowsRead <= 0 || cost.RowsRead >= want.Support {
+			t.Fatalf("wide %v: read %d rows to select %d of %d: interior blocks were not answered from their summaries",
+				agg, cost.RowsRead, want.Support, len(rows))
+		}
 	}
 }

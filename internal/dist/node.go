@@ -684,14 +684,14 @@ func (n *Node) schemaWidth() int {
 }
 
 // localPartial is partition.partial over the node's live copy of p; the
-// third return reports whether this node holds p.
-func (n *Node) localPartial(p int, q query.Query) ([]float64, int64, bool) {
+// last return reports whether this node holds p.
+func (n *Node) localPartial(p int, q query.Query) (partial []float64, scanned, summarised int64, ok bool) {
 	pt := n.livePart(p)
 	if pt == nil {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	partial, rowsRead := pt.partial(q)
-	return partial, rowsRead, true
+	partial, scanned, summarised = pt.partial(q)
+	return partial, scanned, summarised, true
 }
 
 // Answer serves one query through the node's own pool (local API used by
@@ -901,14 +901,15 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 		root = trace.NewSpan("partials", n.id)
 	}
 	scan := root.Child("local_scan")
-	var rowsScanned int64
+	var rowsScanned, rowsSummarised int64
 	resp := PartialsResponse{Node: n.id, Epoch: n.epoch(),
 		Partials: make([]PartPartial, 0, len(req.Parts))}
 	for _, p := range req.Parts {
 		e := PartPartial{Part: p}
-		if partial, rowsRead, ok := n.localPartial(p, q); ok {
-			e.Partial, e.Rows = partial, rowsRead
-			rowsScanned += rowsRead
+		if partial, scanned, summarised, ok := n.localPartial(p, q); ok {
+			e.Partial, e.Rows = partial, scanned
+			rowsScanned += scanned
+			rowsSummarised += summarised
 		} else {
 			e.Error = n.notHeld(p)
 		}
@@ -916,7 +917,8 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 	}
 	scan.End()
 	scan.SetAttrInt("parts", int64(len(req.Parts)))
-	scan.SetAttrInt("rows", rowsScanned)
+	scan.SetAttrInt("rows_scanned", rowsScanned)
+	scan.SetAttrInt("rows_summarised", rowsSummarised)
 	root.End()
 	if root != nil {
 		resp.Spans = []trace.WireSpan{root.Wire()}
@@ -1000,7 +1002,7 @@ func (n *Node) PartLastSeq(p int) uint64 {
 // as the serving path, so two replicas holding identical rows produce
 // identical states.
 func (n *Node) PartialState(p int, q query.Query) ([]float64, bool) {
-	partial, _, ok := n.localPartial(p, q)
+	partial, _, _, ok := n.localPartial(p, q)
 	return partial, ok
 }
 

@@ -117,11 +117,13 @@ func (pt *partition) closeLog() {
 	}
 }
 
-// partial evaluates q's mergeable aggregate state over the copy: the
-// batch kernels stream the chunks of the columnar view whose zone entry
-// can meet the selection and skip the rest. It also returns the rows
-// read, which are the rows of the chunks scanned, not the rows held.
-func (pt *partition) partial(q query.Query) ([]float64, int64) {
+// partial evaluates q's mergeable aggregate state over the copy: chunks
+// and blocks of the columnar view that the selection cannot reach are
+// skipped, blocks wholly inside it are answered from their summaries,
+// and the batch kernels stream the rest. It also returns the rows read,
+// which are the rows streamed (not the rows held), and the rows answered
+// from summaries.
+func (pt *partition) partial(q query.Query) (partial []float64, scanned, summarised int64) {
 	view, _, _ := pt.snapshot()
 	return query.PartialEvalPruned(q, view)
 }

@@ -51,8 +51,11 @@ func (o scatterOracle) DataVersion() int64 { return o.n.DataVersion() }
 
 type partialResult struct {
 	partial []float64
-	rows    int64
-	holder  string
+	rows    int64 // rows streamed through the kernels (cost.rows_read)
+	// summarised is the rows answered from block summaries; only the
+	// local scan fills it (a holder reports its own in its span tree).
+	summarised int64
+	holder     string
 }
 
 // jsonBufPool pools the request/response buffers of the batched partial
@@ -135,11 +138,20 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 	}
 	lsp := sp.Child("local_scan")
 	runBounded(n.cfg.GatherFanout, len(held), func(i int) {
-		partial, rows := held[i].partial(q)
-		results[held[i].id] = partialResult{partial: partial, rows: rows, holder: n.id}
+		partial, scanned, summarised := held[i].partial(q)
+		results[held[i].id] = partialResult{partial: partial, rows: scanned, summarised: summarised, holder: n.id}
 	})
 	lsp.End()
-	lsp.SetAttrInt("parts", int64(len(held)))
+	if lsp != nil {
+		var scanned, summarised int64
+		for _, pt := range held {
+			scanned += results[pt.id].rows
+			summarised += results[pt.id].summarised
+		}
+		lsp.SetAttrInt("parts", int64(len(held)))
+		lsp.SetAttrInt("rows_scanned", scanned)
+		lsp.SetAttrInt("rows_summarised", summarised)
+	}
 	remote.Wait()
 
 	msp := sp.Child("merge")

@@ -104,6 +104,32 @@ func TestTracePropagatesAcrossCluster(t *testing.T) {
 		t.Fatalf("want local_scan spans from entry and remote holders, got %d", w.CountNamed("local_scan"))
 	}
 
+	// Every local_scan span, the coordinator's and the holders', says how
+	// its rows were answered: streamed through the kernels (what
+	// cost.rows_read adds up) or folded from block summaries. The query
+	// holds all 3000 rows, so the two account for every one of them (a
+	// hedged partition is scanned twice, hence >=).
+	var scanned, summarised int64
+	var walk func(*trace.WireSpan)
+	walk = func(sp *trace.WireSpan) {
+		if sp.Name == "local_scan" {
+			sc, err1 := strconv.ParseInt(sp.Attrs["rows_scanned"], 10, 64)
+			su, err2 := strconv.ParseInt(sp.Attrs["rows_summarised"], 10, 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("local_scan span on %s has attributes %v, want rows_scanned and rows_summarised", sp.Node, sp.Attrs)
+			}
+			scanned, summarised = scanned+sc, summarised+su
+		}
+		for i := range sp.Children {
+			walk(&sp.Children[i])
+		}
+	}
+	walk(w)
+	if scanned < qr.Cost.RowsRead || summarised == 0 || scanned+summarised < 3000 {
+		t.Fatalf("local_scan spans report %d rows scanned and %d summarised; cost.rows_read is %d of 3000 rows held",
+			scanned, summarised, qr.Cost.RowsRead)
+	}
+
 	// The answering node's ring serves the same tree back by id.
 	resp, err := http.Get(lc.URL(qr.Node) + "/v1/debug/trace/" + qr.TraceID)
 	if err != nil {

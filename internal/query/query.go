@@ -87,11 +87,21 @@ func (s Selection) Dims() int {
 	return len(s.Los)
 }
 
-// Validate checks structural invariants.
+// Validate checks structural invariants. A NaN bound, centre or radius is
+// refused: NaN fails every comparison, so it would pass `lo > hi` here
+// and then match every row on its side in Contains and in the kernels.
 func (s Selection) Validate() error {
+	if math.IsNaN(s.Radius) {
+		return fmt.Errorf("%w: radius is NaN", ErrBadQuery)
+	}
 	if s.IsRadius() {
 		if len(s.Center) == 0 {
 			return fmt.Errorf("%w: radius selection without centre", ErrBadQuery)
+		}
+		for i, c := range s.Center {
+			if math.IsNaN(c) {
+				return fmt.Errorf("%w: centre coordinate %d is NaN", ErrBadQuery, i)
+			}
 		}
 		return nil
 	}
@@ -100,6 +110,9 @@ func (s Selection) Validate() error {
 			ErrBadQuery, len(s.Los), len(s.His))
 	}
 	for i := range s.Los {
+		if math.IsNaN(s.Los[i]) || math.IsNaN(s.His[i]) {
+			return fmt.Errorf("%w: dimension %d has a NaN bound", ErrBadQuery, i)
+		}
 		if s.Los[i] > s.His[i] {
 			return fmt.Errorf("%w: dimension %d has lo > hi", ErrBadQuery, i)
 		}

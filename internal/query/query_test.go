@@ -21,6 +21,14 @@ func TestSelectionValidate(t *testing.T) {
 		{"width mismatch", Selection{Los: []float64{0}, His: []float64{1, 2}}, true},
 		{"radius no centre", Selection{Radius: 1}, true},
 		{"empty", Selection{}, true},
+		// NaN fails every comparison: it slips past lo > hi and would then
+		// match every row on its side.
+		{"NaN lo", Selection{Los: []float64{0, math.NaN()}, His: []float64{1, 1}}, true},
+		{"NaN hi", Selection{Los: []float64{0, 0}, His: []float64{math.NaN(), 1}}, true},
+		{"NaN centre", Selection{Center: []float64{0, math.NaN()}, Radius: 1}, true},
+		{"NaN radius", Selection{Center: []float64{0, 0}, Radius: math.NaN()}, true},
+		{"NaN radius over a range", Selection{Los: []float64{0}, His: []float64{1}, Radius: math.NaN()}, true},
+		{"infinite bounds", Selection{Los: []float64{math.Inf(-1)}, His: []float64{math.Inf(1)}}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -31,7 +31,10 @@
 // accurate even when the mean dwarfs the spread. First-order sums
 // accumulate raw and in row order, so COUNT, SUM and AVG are
 // bit-identical to the row-at-a-time reference, which is retained as
-// the correctness oracle (EvalRows/PartialEval).
+// the correctness oracle (EvalRows/PartialEval). That holds for a scan
+// of a whole view; PartialEvalPruned answers blocks wholly inside the
+// selection from stored moments, which re-associates the sums (see
+// evalViewPruned).
 //
 // Per-query scratch (the match mask and the spheres' distance
 // accumulator) comes from a sync.Pool, so the hot path is
@@ -289,7 +292,7 @@ func (st *vecState) maskedFold2(colX, colY []float64, start int, mask []uint64) 
 
 // evalAll handles the degenerate zero-dimension rectangle (it matches
 // every row, per the reference Contains semantics).
-func evalAll(q Query, colX, colY []float64, lo, hi int, st *vecState) {
+func evalAll(q *Query, colX, colY []float64, lo, hi int, st *vecState) {
 	for i := lo; i < hi; i++ {
 		switch q.Aggregate {
 		case Sum, Avg, Var:
@@ -586,14 +589,11 @@ func (st *vecState) rectFold2(c0, c1, colX, colY []float64, los, his []float64) 
 
 // evalSphereFused folds the sphere kernel per block over rows [lo, hi):
 // the distance accumulator is thresholded and consumed in the same pass.
-func evalSphereFused(q Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState) {
-	s := q.Select
-	r2 := s.Radius * s.Radius
-	sc := vecPool.Get().(*vecScratch)
-	defer vecPool.Put(sc)
+func evalSphereFused(q *Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState, sc *vecScratch) {
+	r2 := q.Select.Radius * q.Select.Radius
 	for start := lo; start < hi; start += VecBlock {
 		end := min(start+VecBlock, hi)
-		d2 := sphereBlockD2(s, cols, start, end, sc.d2)
+		d2 := sphereBlockD2(q.Select, cols, start, end, sc.d2)
 		switch q.Aggregate {
 		case Sum, Avg:
 			blk := colX[start:end]
@@ -659,9 +659,7 @@ func evalSphereFused(q Query, cols [][]float64, lo, hi int, colX, colY []float64
 // evalBlocks is the generic two-phase path (any dimensionality, any
 // degenerate column configuration) over rows [lo, hi): fill the block's
 // match mask, then fold the aggregates under it.
-func evalBlocks(q Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState) {
-	sc := vecPool.Get().(*vecScratch)
-	defer vecPool.Put(sc)
+func evalBlocks(q *Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState, sc *vecScratch) {
 	for start := lo; start < hi; start += VecBlock {
 		end := min(start+VecBlock, hi)
 		mask := blockMask(q.Select, cols, start, end, sc)
@@ -702,9 +700,10 @@ func seedView(q Query, view storage.ColumnView) (st vecState, colX, colY []float
 // accumulators forward in row order and adds an exact +0 for a row that
 // does not match, so folding two ranges one after the other leaves the
 // very bits that folding the rows between them as well would, as long as
-// none of those rows matches.
-func evalRange(q Query, cols [][]float64, colX, colY []float64, lo, hi int, st *vecState) {
-	s := q.Select
+// none of those rows matches. sc is the scan's scratch: one per scan, not
+// one per range, since a pruned scan folds hundreds of short ranges.
+func evalRange(q *Query, cols [][]float64, colX, colY []float64, lo, hi int, st *vecState, sc *vecScratch) {
+	s := &q.Select
 	if !s.IsRadius() && len(s.Los) == 0 {
 		evalAll(q, colX, colY, lo, hi, st)
 		return
@@ -720,7 +719,7 @@ func evalRange(q Query, cols [][]float64, colX, colY []float64, lo, hi int, st *
 			fusedOK = colX != nil && colY != nil
 		}
 		if fusedOK {
-			evalSphereFused(q, cols, lo, hi, colX, colY, st)
+			evalSphereFused(q, cols, lo, hi, colX, colY, st, sc)
 			return
 		}
 	} else if d := len(s.Los); d <= 2 {
@@ -754,48 +753,200 @@ func evalRange(q Query, cols [][]float64, colX, colY []float64, lo, hi int, st *
 			}
 		}
 	}
-	evalBlocks(q, cols, lo, hi, colX, colY, st)
+	evalBlocks(q, cols, lo, hi, colX, colY, st, sc)
 }
 
 // evalView runs the kernel pipeline over one whole columnar view.
 func evalView(q Query, view storage.ColumnView) vecState {
 	st, colX, colY, ok := seedView(q, view)
 	if ok {
-		evalRange(q, view.Cols, colX, colY, 0, view.Len(), &st)
+		sc := vecPool.Get().(*vecScratch)
+		defer vecPool.Put(sc)
+		evalRange(&q, view.Cols, colX, colY, 0, view.Len(), &st, sc)
 	}
 	return st
 }
 
-// evalViewPruned is evalView that skips the full chunks whose zone entry
-// cannot meet the selection. It carries ONE state, seeded like
-// evalView's, through the surviving runs of chunks in row order, so by
-// evalRange's contract the result equals evalView's bit for bit. The
-// rows past the last full chunk have no entry and are always scanned; a
-// view without entries is scanned whole. The second return is the number
-// of rows scanned.
-func evalViewPruned(q Query, view storage.ColumnView) (vecState, int64) {
+// boxClass places a box of rows against a selection.
+type boxClass uint8
+
+const (
+	boxStraddles boxClass = iota // some rows may match and some may not
+	boxMiss                      // no row inside the box matches
+	boxInside                    // every row inside the box matches
+)
+
+// classifyBox places the box [mins, maxs] against s (s.Dims() columns of
+// it). The verdict is about Selection.Contains as the kernels compute it
+// in floating point, not about the real-number geometry, and it holds
+// for every row whose coordinates are finite and inside the box; a box
+// over NaN rows must not be classified. A bound or centre that is NaN
+// makes every test false, so such a selection straddles everything.
+//
+// Rectangle: a row is rejected iff v < lo or v > hi on some column, and
+// mins[j] <= v <= maxs[j], so comparing the box's corners decides both
+// ways. Sphere: a row's d² is Σ_j fl(fl(v_j−c_j)²), added in column
+// order from 0. Rounding is monotone, so per column the row's term lies
+// between the box's nearest and farthest term, and two sums of the same
+// length added in the same order keep that order (a nearest term of 0 is
+// left out below; adding it changes nothing): near <= d² <= far for every
+// row, with near and far accumulated exactly as sphereBlockD2
+// accumulates d².
+func classifyBox(s *Selection, mins, maxs []float64) boxClass {
+	if s.IsRadius() {
+		var near, far float64
+		for j, c := range s.Center {
+			lo, hi := mins[j]-c, maxs[j]-c
+			if lo > 0 {
+				near += lo * lo
+			} else if hi < 0 {
+				near += hi * hi
+			}
+			f := -lo
+			if hi > f {
+				f = hi
+			}
+			far += f * f
+		}
+		r2 := s.Radius * s.Radius
+		switch {
+		case near > r2:
+			return boxMiss
+		case far <= r2:
+			return boxInside
+		}
+		return boxStraddles
+	}
+	inside := true
+	for j, lo := range s.Los {
+		hi := s.His[j]
+		if hi < mins[j] || lo > maxs[j] {
+			return boxMiss
+		}
+		inside = inside && lo <= mins[j] && maxs[j] <= hi
+	}
+	if inside {
+		return boxInside
+	}
+	return boxStraddles
+}
+
+// summaryFold says how an inside block's moment record folds into the
+// state of q over a view of width w: which record slots feed which
+// accumulators. ok is false when q's aggregate columns are out of range
+// (the kernels read 0 there, the summaries hold nothing for it), and
+// inside blocks are then streamed like any other.
+type summaryFold struct {
+	agg                    Agg
+	stride                 int
+	px, sumX, devX, xx     int
+	py, sumY, devY, yy, xy int
+}
+
+func newSummaryFold(q Query, w int) (f summaryFold, ok bool) {
+	f = summaryFold{agg: q.Aggregate, stride: storage.MomentStride(w)}
+	x, y := q.Col, q.Col2
+	switch q.Aggregate {
+	case Sum, Avg, Var:
+		y = x
+	case Corr, RegSlope:
+	default:
+		return f, true
+	}
+	if x < 0 || x >= w || y < 0 || y >= w {
+		return f, false
+	}
+	f.px, f.sumX, f.devX, f.xx = x, w+x, 2*w+x, 3*w+storage.CrossOffset(w, x, x)
+	f.py, f.sumY, f.devY, f.yy = y, w+y, 2*w+y, 3*w+storage.CrossOffset(w, y, y)
+	f.xy = 3*w + storage.CrossOffset(w, x, y)
+	return f, true
+}
+
+// fold adds full block b of the view, every row of it selected, to st
+// from the block's moment record instead of its rows.
+func (f summaryFold) fold(st *vecState, moments []float64, b int) {
+	rec := moments[b*f.stride : (b+1)*f.stride]
+	switch f.agg {
+	case Sum, Avg:
+		st.n += storage.BlockRows
+		st.sum += rec[f.sumX]
+	case Var:
+		// cy: st.cy keeps the unused second-column frame where it is.
+		st.mergeShifted(vecState{n: storage.BlockRows, seeded: true,
+			sum: rec[f.sumX], cx: rec[f.px], cy: st.cy, sx: rec[f.devX], sxx: rec[f.xx]})
+	case Corr, RegSlope:
+		st.mergeShifted(vecState{n: storage.BlockRows, seeded: true,
+			sum: rec[f.sumX], sumY: rec[f.sumY], cx: rec[f.px], cy: rec[f.py],
+			sx: rec[f.devX], sy: rec[f.devY], sxx: rec[f.xx], syy: rec[f.yy], sxy: rec[f.xy]})
+	default:
+		st.n += storage.BlockRows
+	}
+}
+
+// evalViewPruned is evalView that streams only the rows on the
+// selection's boundary. It walks the view's summaries two levels deep:
+// a full chunk whose zone entry cannot meet the selection is skipped
+// whole; in a chunk that can (and in the full blocks past the last full
+// chunk) each clean block is classified, a miss is skipped, an inside
+// block is folded from its moment record, and what straddles — with
+// every dirty block and the rows past the last full block — streams
+// through the kernels in maximal runs. ONE state, seeded like evalView's,
+// is carried through runs and folds in row order, so the result is a
+// pure function of the view: COUNT is exact, the sums re-associate at
+// block granularity against evalView's (DESIGN.md, "Clustered base and
+// chunk zone entries", states the bound). A view without block
+// summaries is pruned by chunk only, one without chunk entries either is
+// one run. The returns after the state are the rows streamed and the
+// rows answered from summaries.
+func evalViewPruned(q Query, view storage.ColumnView) (st vecState, scanned, summarised int64) {
 	st, colX, colY, ok := seedView(q, view)
 	if !ok {
-		return st, 0
+		return st, 0, 0
 	}
-	var scanned int64
+	s, w := &q.Select, view.Width()
+	fold, foldOK := newSummaryFold(q, w)
+	sc := vecPool.Get().(*vecScratch)
+	defer vecPool.Put(sc)
+
+	lo := 0 // start of the current run of rows to stream
+	// skipTo ends the current run at `from`, streaming it, and starts the
+	// next one at `to`: rows [from, to) are not streamed.
+	skipTo := func(from, to int) {
+		if lo < from {
+			evalRange(&q, view.Cols, colX, colY, lo, from, &st, sc)
+			scanned += int64(from - lo)
+		}
+		lo = to
+	}
+	blocks := func(from, to int) {
+		for b, to := from, min(to, view.FullBlocks()); b < to; b++ {
+			if view.BlockDirty[b] {
+				continue
+			}
+			switch classifyBox(s, view.BlockMins[b*w:(b+1)*w], view.BlockMaxs[b*w:(b+1)*w]) {
+			case boxMiss:
+				skipTo(b*storage.BlockRows, (b+1)*storage.BlockRows)
+			case boxInside:
+				if foldOK {
+					skipTo(b*storage.BlockRows, (b+1)*storage.BlockRows)
+					fold.fold(&st, view.BlockMoments, b)
+					summarised += storage.BlockRows
+				}
+			}
+		}
+	}
+	const perChunk = storage.ChunkRows / storage.BlockRows
 	full := view.FullChunks()
-	lo := 0 // start of the current run of rows to scan
 	for c := 0; c < full; c++ {
-		if ZoneCanMatch(q.Select, view.ChunkZone(c)) {
-			continue
+		if ZoneCanMatch(*s, view.ChunkZone(c)) {
+			blocks(c*perChunk, (c+1)*perChunk)
+		} else {
+			skipTo(c*storage.ChunkRows, (c+1)*storage.ChunkRows)
 		}
-		if hi := c * storage.ChunkRows; lo < hi {
-			evalRange(q, view.Cols, colX, colY, lo, hi, &st)
-			scanned += int64(hi - lo)
-		}
-		lo = (c + 1) * storage.ChunkRows
 	}
-	if n := view.Len(); lo < n {
-		evalRange(q, view.Cols, colX, colY, lo, n, &st)
-		scanned += int64(n - lo)
-	}
-	return st, scanned
+	blocks(full*perChunk, view.FullBlocks())
+	skipTo(view.Len(), view.Len())
+	return st, scanned, summarised
 }
 
 // EvalView computes q's exact answer over one columnar view with the
@@ -815,14 +966,17 @@ func PartialEvalView(q Query, view storage.ColumnView) []float64 {
 	return evalView(q, view).encode(q)
 }
 
-// PartialEvalPruned is PartialEvalView with chunk-level pruning: chunks
-// of the view whose zone entry (ColumnView.ChunkZone) cannot meet q's
-// selection are skipped, the rest stream through the same kernels. The
-// state is bit-identical to PartialEvalView's over the same view; the
-// second return is the number of rows actually scanned.
-func PartialEvalPruned(q Query, view storage.ColumnView) ([]float64, int64) {
-	st, scanned := evalViewPruned(q, view)
-	return st.encode(q), scanned
+// PartialEvalPruned is PartialEvalView answered from the view's chunk
+// entries and block summaries wherever they decide: rows the selection
+// cannot reach are skipped, blocks wholly inside it are folded from
+// their moments, and only the rest stream through the kernels. The count
+// is PartialEvalView's exactly; the sums agree with it to rounding (they
+// re-associate at block granularity), and equal views give equal bits.
+// The returns after the state are the rows streamed and the rows
+// answered from summaries.
+func PartialEvalPruned(q Query, view storage.ColumnView) (partial []float64, scanned, summarised int64) {
+	st, scanned, summarised := evalViewPruned(q, view)
+	return st.encode(q), scanned, summarised
 }
 
 // ZeroPartial returns the mergeable state of an empty row set (what a
@@ -843,26 +997,7 @@ func ZoneCanMatch(s Selection, zm storage.ZoneMap) bool {
 		// Every row is narrower than the selection: nothing can match.
 		return false
 	}
-	if s.IsRadius() {
-		// Minimum distance from the centre to the bounding box.
-		var d2 float64
-		for j, c := range s.Center {
-			if c < zm.Mins[j] {
-				d := zm.Mins[j] - c
-				d2 += d * d
-			} else if c > zm.Maxs[j] {
-				d := c - zm.Maxs[j]
-				d2 += d * d
-			}
-		}
-		return d2 <= s.Radius*s.Radius
-	}
-	for j := range s.Los {
-		if s.His[j] < zm.Mins[j] || s.Los[j] > zm.Maxs[j] {
-			return false
-		}
-	}
-	return true
+	return classifyBox(&s, zm.Mins, zm.Maxs) != boxMiss
 }
 
 // Prune partitions t's zone maps against sel: it returns the partitions

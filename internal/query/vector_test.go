@@ -543,38 +543,91 @@ func pruneView(rows []storage.Row, clustered bool) storage.ColumnView {
 	return view
 }
 
-// checkPruneParity is the chunk-pruning contract: the pruned partial of
-// a view equals the unpruned partial of the SAME view bit for bit (bits,
-// not ==: a selected NaN must come out as the same NaN), and it reads no
-// more rows than the view holds. It returns the rows read.
-func checkPruneParity(t *testing.T, q Query, view storage.ColumnView) int64 {
+// pruneTol is the stated bound of the pruned-scan contract: a sum of the
+// pruned partial is within pruneTol of the unpruned one, relative to the
+// magnitude the sum's rounding error scales with (slotScales).
+const pruneTol = 1e-12
+
+// slotScales returns, for each slot of q's 8-slot partial over view, the
+// magnitude its rounding error scales with: Σ|x| for a first-order sum,
+// and for a second-order one Σ(|x|+|p|)(|y|+|q|) with p, q the view's
+// pivots (its first row), because those sums are rebuilt from the
+// shifted frame and the pivot takes part in the rounding.
+func slotScales(q Query, view storage.ColumnView) [8]float64 {
+	var ax, ay, axx, ayy, axy float64
+	for i := 0; i < view.Len(); i++ {
+		vec := view.Row(i)
+		if !q.Select.Contains(vec) {
+			continue
+		}
+		x, y := math.Abs(colValVec(vec, q.Col)), math.Abs(colValVec(vec, q.Col2))
+		px := x + math.Abs(colValVec(view.Row(0), q.Col))
+		py := y + math.Abs(colValVec(view.Row(0), q.Col2))
+		ax, ay = ax+x, ay+y
+		axx, ayy, axy = axx+px*px, ayy+py*py, axy+px*py
+	}
+	return [8]float64{0, ax, axx, ax, ay, axx, axy, ayy}
+}
+
+// checkPruneParity is the pruned-scan contract against the unpruned scan
+// of the SAME view: the count (and so Support) is exact; every sum is
+// within pruneTol of its scale, and NaN or ±Inf exactly where the
+// unpruned one is; rows streamed plus rows answered from summaries never
+// exceed the rows held; and a second evaluation returns the same bits
+// and the same counts (a summary is a pure function of the view). It
+// returns the rows streamed and the rows summarised.
+func checkPruneParity(t *testing.T, q Query, view storage.ColumnView) (scanned, summarised int64) {
 	t.Helper()
 	want := PartialEvalView(q, view)
-	got, rowsRead := PartialEvalPruned(q, view)
+	got, scanned, summarised := PartialEvalPruned(q, view)
 	if len(got) != len(want) {
 		t.Fatalf("%+v: pruned partial has %d slots, unpruned %d", q, len(got), len(want))
 	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%+v over %d rows: slot %d: pruned %v (%#x) != unpruned %v (%#x)",
-				q, view.Len(), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	if got[0] != want[0] {
+		t.Fatalf("%+v over %d rows: pruned count %v, unpruned %v", q, view.Len(), got[0], want[0])
+	}
+	scales := slotScales(q, view)
+	for i := 1; i < len(got); i++ {
+		g, w := got[i], want[i]
+		// Not `<=`: a scale that is itself NaN or Inf (a non-finite value in
+		// a selected row) bounds nothing.
+		ok := !(math.Abs(g-w) > pruneTol*scales[i])
+		if math.IsNaN(w) || math.IsNaN(g) {
+			ok = math.IsNaN(w) && math.IsNaN(g)
+		} else if math.IsInf(w, 0) || math.IsInf(g, 0) {
+			ok = g == w
+		}
+		if !ok {
+			t.Fatalf("%+v over %d rows: slot %d: pruned %v, unpruned %v, off by %g of scale %g",
+				q, view.Len(), i, g, w, math.Abs(g-w)/scales[i], scales[i])
 		}
 	}
-	if rowsRead < 0 || rowsRead > int64(view.Len()) {
-		t.Fatalf("%+v: read %d rows of a %d-row view", q, rowsRead, view.Len())
+	if scanned < 0 || summarised < 0 || summarised%storage.BlockRows != 0 || scanned+summarised > int64(view.Len()) {
+		t.Fatalf("%+v: streamed %d and summarised %d rows of a %d-row view", q, scanned, summarised, view.Len())
 	}
-	return rowsRead
+	again, scanned2, summarised2 := PartialEvalPruned(q, view)
+	if scanned2 != scanned || summarised2 != summarised {
+		t.Fatalf("%+v: second evaluation streamed %d/%d rows, first %d/%d", q, scanned2, summarised2, scanned, summarised)
+	}
+	for i := range got {
+		if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%+v: slot %d differs between two evaluations of one view: %v, %v", q, i, got[i], again[i])
+		}
+	}
+	return scanned, summarised
 }
 
 // TestChunkPruneParity runs the contract over both layouts, lengths on
-// and off the chunk boundary, rectangles and spheres of every
-// dimensionality (including wider than the rows) and every aggregate —
-// and checks that pruning does prune: on the clustered layout selective
-// queries must skip rows, and a view without chunk entries must fall
-// through to the full scan.
+// and off the block and the chunk boundary, rectangles and spheres of
+// every dimensionality (including wider than the rows) and every
+// aggregate (including columns out of range) — and checks that pruning
+// does prune: on the clustered layout selective queries must skip rows,
+// selections that meet nothing or cover everything are answered from the
+// summaries alone, and a view without summaries must fall through to the
+// full scan.
 func TestChunkPruneParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for i, n := range []int{0, 1, 1023, 1024, 1025, 4096, 5000, 9999, 9999} {
+	for i, n := range []int{0, 1, 127, 128, 129, 1023, 1024, 1025, 1152, 4096, 5000, 9999, 9999} {
 		every := []int{24, 2000}[i%2] // dirty and nearly clean data by turns
 		rows := pruneRows(int64(n), n, every)
 		for _, clustered := range []bool{false, true} {
@@ -583,17 +636,17 @@ func TestChunkPruneParity(t *testing.T) {
 				q := Query{
 					Select:    randSelection(rng, 3),
 					Aggregate: allAggs[trial%len(allAggs)],
-					Col:       rng.Intn(3),
-					Col2:      rng.Intn(3),
+					Col:       rng.Intn(4), // 3 is out of range: read as 0, never summarised
+					Col2:      rng.Intn(4),
 				}
-				if q.Select.IsRadius() {
+				if q.Select.IsRadius() && trial%2 == 0 {
 					q.Select.Radius = 2 + rng.Float64()*10
 				}
 				checkPruneParity(t, q, view)
 			}
 			// Selective queries around the cluster centres, as the serving
-			// workloads draw them: on clean clustered data most chunks
-			// must be skipped.
+			// workloads draw them: on clean clustered data most rows must
+			// be skipped.
 			var read int64
 			for trial := 0; trial < 8; trial++ {
 				cx, cy := float64(trial%4)*25, float64(trial/2)*25
@@ -601,27 +654,164 @@ func TestChunkPruneParity(t *testing.T) {
 				if trial >= 4 {
 					sel = Selection{Center: []float64{cx, cy}, Radius: 4}
 				}
-				read += checkPruneParity(t, Query{Select: sel, Aggregate: allAggs[trial%len(allAggs)], Col: 2, Col2: 0}, view)
+				scanned, _ := checkPruneParity(t, Query{Select: sel, Aggregate: allAggs[trial%len(allAggs)], Col: 2, Col2: 0}, view)
+				read += scanned
 			}
 			if clustered && every == 2000 && n > 9000 && read > 8*int64(n)/2 {
-				t.Errorf("n=%d clustered: selective queries read %d of %d rows: chunk pruning does not prune", n, read, 8*n)
+				t.Errorf("n=%d clustered: selective queries read %d of %d rows: pruning does not prune", n, read, 8*n)
 			}
 			bare := storage.ColumnView{Keys: view.Keys, Cols: view.Cols}
 			q := Query{Select: Selection{Los: []float64{20, 20}, His: []float64{30, 30}}, Aggregate: Var, Col: 2}
-			if got := checkPruneParity(t, q, bare); got != int64(n) {
-				t.Errorf("n=%d: a view without chunk entries read %d rows, want all", n, got)
+			if scanned, summarised := checkPruneParity(t, q, bare); scanned != int64(n) || summarised != 0 {
+				t.Errorf("n=%d: a view without summaries streamed %d rows and summarised %d, want all and none", n, scanned, summarised)
 			}
 		}
 	}
-	// The zero-dimension rectangle matches every row: nothing to prune.
+
+	// Clean rows filling whole blocks, in either layout: a selection that
+	// meets no row and one that holds them all are both answered without
+	// streaming a row, every aggregate. A query whose aggregate column is
+	// out of range has nothing to fold and streams what it selects.
+	const clean = 4*storage.ChunkRows + 3*storage.BlockRows
+	nowhere := Selection{Los: []float64{1e6, 1e6}, His: []float64{2e6, 2e6}}
+	everywhere := Selection{Center: []float64{40, 40}, Radius: 1e4}
+	for _, clustered := range []bool{false, true} {
+		view := pruneView(pruneRows(11, clean, 0), clustered)
+		for _, agg := range allAggs {
+			q := Query{Select: nowhere, Aggregate: agg, Col: 2, Col2: 1}
+			if scanned, summarised := checkPruneParity(t, q, view); scanned != 0 || summarised != 0 {
+				t.Errorf("%v, empty selection: streamed %d rows and summarised %d, want 0 and 0", agg, scanned, summarised)
+			}
+			q.Select = everywhere
+			if scanned, summarised := checkPruneParity(t, q, view); scanned != 0 || summarised != clean {
+				t.Errorf("%v, all-covering selection: streamed %d rows and summarised %d, want 0 and %d", agg, scanned, summarised, clean)
+			}
+		}
+		q := Query{Select: everywhere, Aggregate: Sum, Col: 3}
+		if scanned, summarised := checkPruneParity(t, q, view); scanned != clean || summarised != 0 {
+			t.Errorf("aggregate column out of range: streamed %d rows and summarised %d, want all and none", scanned, summarised)
+		}
+	}
+
+	// The zero-dimension rectangle matches every row: clean blocks fold,
+	// dirty blocks and the rows past the last block stream.
 	view := pruneView(pruneRows(3, 3000, 24), true)
-	if got := checkPruneParity(t, Query{Aggregate: Sum, Col: 1}, view); got != 3000 {
-		t.Errorf("match-all selection read %d rows, want 3000", got)
+	scanned, summarised := checkPruneParity(t, Query{Aggregate: Sum, Col: 1}, view)
+	if dirty := int64(dirtyBlocks(view)); scanned+summarised != 3000 || scanned != dirty*storage.BlockRows+3000%storage.BlockRows {
+		t.Errorf("match-all selection streamed %d rows and summarised %d of 3000 with %d dirty blocks", scanned, summarised, dirty)
 	}
 }
 
+func dirtyBlocks(view storage.ColumnView) (n int) {
+	for _, d := range view.BlockDirty {
+		if d {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBlockSummaryIsTheKernelState: folding a block from its moment
+// record leaves the state the kernels leave after streaming the block
+// with every row selected and the block's first row as the pivot, bit
+// for bit, for every aggregate and column pair.
+func TestBlockSummaryIsTheKernelState(t *testing.T) {
+	view := pruneView(pruneRows(5, 3*storage.BlockRows, 0), false)
+	all := Selection{Los: []float64{math.Inf(-1)}, His: []float64{math.Inf(1)}}
+	for b := 0; b < view.FullBlocks(); b++ {
+		lo, hi := b*storage.BlockRows, (b+1)*storage.BlockRows
+		block := storage.ColumnView{Keys: view.Keys[lo:hi], Cols: make([][]float64, view.Width())}
+		for j, c := range view.Cols {
+			block.Cols[j] = c[lo:hi]
+		}
+		for _, agg := range allAggs {
+			for col := 0; col < 3; col++ {
+				for col2 := 0; col2 < 3; col2++ {
+					q := Query{Select: all, Aggregate: agg, Col: col, Col2: col2}
+					want := evalView(q, block)
+					got, _, _, _ := seedView(q, block)
+					fold, ok := newSummaryFold(q, view.Width())
+					if !ok {
+						t.Fatalf("%+v: no fold", q)
+					}
+					fold.fold(&got, view.BlockMoments, b)
+					if agg == Var {
+						got.cy, want.cy = 0, 0 // Var carries no second column
+					}
+					if got != want {
+						t.Fatalf("block %d, %v(%d,%d): folded %+v, streamed %+v", b, agg, col, col2, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzBoxClass fuzzes the classifier's two promises against
+// Selection.Contains, the definition of a match: every finite row inside
+// a box classified inside matches, and no finite row inside a box
+// classified miss does. Selections are taken as they come, non-finite
+// and unvalidated bounds included.
+func FuzzBoxClass(f *testing.F) {
+	f.Add(int64(1), 20.0, 30.0, 22.0, 28.0, 25.0, 25.0, 10.0, 40.0, 6.0, false, uint8(1))
+	f.Add(int64(2), 20.0, 30.0, 22.0, 28.0, 25.0, 25.0, 10.0, 40.0, 6.0, true, uint8(1))
+	f.Add(int64(3), 0.0, 1e-9, 0.0, 1e-9, 1e-9, 0.0, 0.0, 0.0, 1.4142135623730951e-9, true, uint8(2))
+	f.Add(int64(4), -5.0, 5.0, 1e300, 1.1e300, math.Inf(-1), 0.0, math.Inf(1), 2e300, math.Inf(1), false, uint8(1))
+	f.Add(int64(5), 1.0, 2.0, 3.0, 4.0, math.NaN(), 3.5, 9.0, math.NaN(), math.NaN(), true, uint8(2))
+	f.Add(int64(6), 0.1, 0.3, 0.1, 0.3, 0.2, 0.2, 0.1, 0.1, 0.14142135623730953, true, uint8(1))
+
+	f.Fuzz(func(t *testing.T, seed int64, b0, b1, b2, b3, s0, s1, s2, s3, r float64, radius bool, dims uint8) {
+		k := int(dims)%3 + 1
+		corners := []float64{b0, b1, b2, b3, b1, b2}
+		mins, maxs := make([]float64, k), make([]float64, k)
+		for j := range mins {
+			lo, hi := corners[2*j], corners[2*j+1]
+			if lo-lo != 0 || hi-hi != 0 {
+				t.Skip() // a summarised block holds finite rows only
+			}
+			mins[j], maxs[j] = min(lo, hi), max(lo, hi)
+		}
+		var sel Selection
+		if radius {
+			sel = Selection{Center: []float64{s0, s1, s2}[:k], Radius: r}
+		} else {
+			los, his := []float64{s0, s1, r}[:k], []float64{s2, s3, s0}[:k]
+			for j := range los {
+				if los[j] > his[j] {
+					los[j], his[j] = his[j], los[j]
+				}
+			}
+			sel = Selection{Los: los, His: his}
+		}
+		class := classifyBox(&sel, mins, maxs)
+		if class == boxStraddles {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		row := make([]float64, k)
+		for trial := 0; trial < 64; trial++ {
+			for j := range row {
+				switch u := rng.Float64(); {
+				case trial < 1<<k: // the box's corners first
+					row[j] = []float64{mins[j], maxs[j]}[trial>>j&1]
+				case u < 0.1:
+					row[j] = math.Nextafter(mins[j], maxs[j])
+				case u < 0.2:
+					row[j] = math.Nextafter(maxs[j], mins[j])
+				default:
+					row[j] = min(max(mins[j]+rng.Float64()*(maxs[j]-mins[j]), mins[j]), maxs[j])
+				}
+			}
+			if got := sel.Contains(row); got != (class == boxInside) {
+				t.Fatalf("box [%v, %v] is class %d against %+v, but row %v: Contains = %v", mins, maxs, class, sel, row, got)
+			}
+		}
+	})
+}
+
 // FuzzChunkPrune fuzzes the same contract: arbitrary data seed and
-// length, layout, selection geometry and aggregate.
+// length, layout, selection geometry (non-finite bounds included, as
+// long as Validate lets them through) and aggregate.
 func FuzzChunkPrune(f *testing.F) {
 	f.Add(int64(1), uint16(5000), true, 20.0, 20.0, 30.0, 30.0, 8.0, false, uint8(2), uint8(3), uint8(2), uint8(0))
 	f.Add(int64(2), uint16(4096), true, 50.0, 50.0, 10.0, 0.0, 6.0, true, uint8(2), uint8(1), uint8(0), uint8(2))
@@ -629,6 +819,8 @@ func FuzzChunkPrune(f *testing.F) {
 	f.Add(int64(4), uint16(3071), true, 75.0, 0.0, 75.0, 1e9, 1.0, false, uint8(1), uint8(5), uint8(0), uint8(2))
 	f.Add(int64(5), uint16(2048), true, 0.0, 0.0, 0.0, 0.0, 40.0, true, uint8(4), uint8(2), uint8(1), uint8(1))
 	f.Add(int64(6), uint16(0), true, 0.0, 0.0, 1.0, 1.0, 1.0, false, uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(8), uint16(1280), true, -1e3, -1e3, 1e3, 1e3, 1e3, true, uint8(1), uint8(4), uint8(2), uint8(0))
+	f.Add(int64(12), uint16(2175), false, math.Inf(-1), 10.0, math.Inf(1), 60.0, 1.0, false, uint8(1), uint8(3), uint8(2), uint8(2))
 
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, clustered bool, a, b, c, d, r float64, radius bool, dims, agg, col, col2 uint8) {
 		n %= 6000

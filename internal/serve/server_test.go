@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -173,10 +175,25 @@ func TestServerErrorMapping(t *testing.T) {
 		"unknown agg":  `{"agg":"median","los":[0,0],"his":[1,1]}`,
 		"lo above hi":  `{"agg":"count","los":[2,2],"his":[1,1]}`,
 		"no selection": `{"agg":"count"}`,
+		"NaN bound":    `{"agg":"count","los":[NaN,0],"his":[1,1]}`,
+		"NaN centre":   `{"agg":"count","center":[0,NaN],"radius":1}`,
 	} {
 		_, code := postQuery(t, ts.URL, []byte(body))
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
+		}
+	}
+
+	// JSON has no NaN literal, so the decoder stops the two bodies above;
+	// a NaN that reaches a request some other way (an in-process caller, a
+	// wire query built by a peer) is stopped by validation, with the error
+	// the handlers map to the same 400.
+	for name, req := range map[string]QueryRequest{
+		"NaN bound":  {Agg: "count", Los: []float64{math.NaN(), 0}, His: []float64{1, 1}},
+		"NaN centre": {Agg: "count", Center: []float64{0, math.NaN()}, Radius: 1},
+	} {
+		if _, err := req.Query(); !errors.Is(err, query.ErrBadQuery) {
+			t.Errorf("%s: Query() = %v, want ErrBadQuery", name, err)
 		}
 	}
 

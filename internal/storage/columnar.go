@@ -38,14 +38,59 @@ type ColumnView struct {
 	// ChunkNaN flags the full chunks that hold a NaN value, one flag per
 	// chunk: min/max cannot bound NaN, so such a chunk is unbounded.
 	ChunkNaN []bool
+	// BlockMins and BlockMaxs hold the boxes of the view's FULL blocks,
+	// laid out like the chunk entries: block b covers rows
+	// [b*BlockRows, (b+1)*BlockRows). Every full chunk's blocks are full,
+	// so FullBlocks() >= FullChunks()*ChunkRows/BlockRows.
+	BlockMins, BlockMaxs []float64
+	// BlockDirty flags the full blocks that hold a NaN or ±Inf value. Such
+	// a block has no usable summary: its box may not bound it (NaN), and
+	// its moments were not taken (an infinite pivot turns every finite
+	// deviation into NaN).
+	BlockDirty []bool
+	// BlockMoments holds one moment record of MomentStride(Width()) values
+	// per full block; see MomentStride for the layout.
+	BlockMoments []float64
 }
 
 // ChunkRows is the zone-map granularity inside a partition, in rows. It
 // equals the anti-entropy digest's chunk and the scan kernels' block.
 const ChunkRows = 1024
 
+// BlockRows is the summary granularity inside a chunk, in rows. Finer
+// blocks leave fewer rows on a selection's boundary but cost
+// proportionally more entries and box tests; DESIGN.md ("Clustered base
+// and chunk zone entries") has the measurements behind 128.
+const BlockRows = 128
+
+// MomentStride is the length of one block's moment record for rows of
+// width w. With p the block's first row, the record holds
+//
+//	[0, w)    p_j
+//	[w, 2w)   Σ x_j
+//	[2w, 3w)  Σ (x_j − p_j)
+//	[3w, …)   Σ (x_j − p_j)(x_k − p_k) for j ≤ k, at 3w + CrossOffset(w, j, k)
+//
+// each sum over the block's BlockRows rows in row order: the
+// shifted-frame state the batch kernels of internal/query produce over
+// the block with every row selected and p as the pivot.
+func MomentStride(w int) int { return 3*w + w*(w+1)/2 }
+
+// CrossOffset is the position of the (j, k) product sum within the cross
+// section of a moment record: the upper triangle, row-major, with the
+// two columns taken in either order.
+func CrossOffset(w, j, k int) int {
+	if j > k {
+		j, k = k, j
+	}
+	return j*w - j*(j-1)/2 + k - j
+}
+
 // FullChunks returns how many of the view's chunks carry a zone entry.
 func (v ColumnView) FullChunks() int { return len(v.ChunkNaN) }
+
+// FullBlocks returns how many of the view's blocks carry a summary.
+func (v ColumnView) FullBlocks() int { return len(v.BlockDirty) }
 
 // ChunkZone returns full chunk c's zone map. The slices alias the
 // view's pinned entries. A chunk that holds a NaN reports nil bounds
@@ -126,10 +171,18 @@ type ColStore struct {
 	// the selection semantics, so the zone map must stop claiming it
 	// bounds the data or pruning would skip matching rows.
 	unbounded bool
-	// Chunk zone entries, one per started chunk, laid out as
-	// ColumnView.ChunkMins/ChunkMaxs/ChunkNaN. Only the last entry (the
-	// chunk still filling) ever changes; entries of full chunks are
-	// shared with outstanding views.
+	// Block summaries, one per FULL block, laid out as the ColumnView
+	// fields of the same names. An entry is written once, when its block
+	// fills, and never again, so all of them are shared with outstanding
+	// views.
+	blockMins, blockMaxs []float64
+	blockDirty           []bool
+	blockMoments         []float64
+	// Chunk zone entries, one per chunk with at least one full block,
+	// laid out as ColumnView.ChunkMins/ChunkMaxs/ChunkNaN: the union of
+	// the chunk's block boxes. Only the last entry (the chunk still
+	// filling) ever changes; entries of full chunks are shared with
+	// outstanding views.
 	chunkMins, chunkMaxs []float64
 	chunkNaN             []bool
 }
@@ -158,9 +211,9 @@ func BuildColStore(width int, rows []Row) *ColStore {
 	return c
 }
 
-// Append adds rows to the projection, extending the zone map. A row of
-// the wrong width poisons the store (Ragged) rather than corrupting the
-// layout.
+// Append adds rows to the projection, extending the zone map and
+// summarising every block the rows fill. A row of the wrong width
+// poisons the store (Ragged) rather than corrupting the layout.
 func (c *ColStore) Append(rows ...Row) {
 	for _, r := range rows {
 		if c.width < 0 {
@@ -177,13 +230,15 @@ func (c *ColStore) Append(rows ...Row) {
 		for j := range c.cols {
 			c.cols[j] = append(c.cols[j], r.Vec[j])
 		}
-		c.boundChunk(r.Vec)
 		if c.mins == nil {
 			c.mins = append([]float64(nil), r.Vec...)
 			c.maxs = append([]float64(nil), r.Vec...)
 		}
 		if widen(c.mins, c.maxs, r.Vec) {
 			c.unbounded = true
+		}
+		if len(c.keys)%BlockRows == 0 {
+			c.summariseBlock()
 		}
 	}
 }
@@ -205,18 +260,69 @@ func widen(mins, maxs, vec []float64) (nan bool) {
 	return nan
 }
 
-// boundChunk extends the zone entry of the chunk the just-appended row
-// landed in, opening the entry when the row is the chunk's first.
-func (c *ColStore) boundChunk(vec []float64) {
-	last := (len(c.keys) - 1) / ChunkRows
-	if last == len(c.chunkNaN) {
-		c.chunkMins = append(c.chunkMins, vec...)
-		c.chunkMaxs = append(c.chunkMaxs, vec...)
-		c.chunkNaN = append(c.chunkNaN, false)
+// summariseBlock writes the summary of the block the last appended row
+// completed, one column at a time, and folds its box into the block's
+// chunk entry. Every sum runs in row order with the block's first row
+// as the pivot, so a summary is a pure function of the resident order:
+// two stores holding the same rows in the same order hold the same bits.
+func (c *ColStore) summariseBlock() {
+	w, lo := c.width, len(c.keys)-BlockRows
+	b := lo / BlockRows
+	c.blockMins = append(c.blockMins, make([]float64, w)...)
+	c.blockMaxs = append(c.blockMaxs, make([]float64, w)...)
+	c.blockMoments = append(c.blockMoments, make([]float64, MomentStride(w))...)
+	mins, maxs := c.blockMins[b*w:], c.blockMaxs[b*w:]
+	rec := c.blockMoments[b*MomentStride(w):]
+	var nan, dirty bool
+	for j, col := range c.cols {
+		blk := col[lo : lo+BlockRows]
+		p := blk[0]
+		mn, mx := p, p
+		var sum, dev float64
+		for _, v := range blk {
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+			sum += v
+			dev += v - p
+			nan = nan || v != v
+			dirty = dirty || v-v != 0 // NaN or ±Inf
+		}
+		mins[j], maxs[j] = mn, mx
+		rec[j], rec[w+j], rec[2*w+j] = p, sum, dev
 	}
-	if widen(c.chunkMins[last*c.width:], c.chunkMaxs[last*c.width:], vec) {
-		c.chunkNaN[last] = true
+	if !dirty {
+		cross := rec[3*w:]
+		for j := 0; j < w; j++ {
+			xj := c.cols[j][lo : lo+BlockRows]
+			for k := j; k < w; k++ {
+				xk := c.cols[k][lo : lo+BlockRows]
+				pj, pk := xj[0], xk[0]
+				var s float64
+				for i, x := range xj {
+					s += (x - pj) * (xk[i] - pk)
+				}
+				cross[CrossOffset(w, j, k)] = s
+			}
+		}
 	}
+	c.blockDirty = append(c.blockDirty, dirty)
+
+	// The chunk entry is the union of its blocks' boxes: widen it to
+	// cover this block's two extreme corners.
+	ch := lo / ChunkRows
+	if ch == len(c.chunkNaN) {
+		c.chunkMins = append(c.chunkMins, mins...)
+		c.chunkMaxs = append(c.chunkMaxs, maxs...)
+		c.chunkNaN = append(c.chunkNaN, nan)
+		return
+	}
+	widen(c.chunkMins[ch*w:], c.chunkMaxs[ch*w:], mins)
+	widen(c.chunkMins[ch*w:], c.chunkMaxs[ch*w:], maxs)
+	c.chunkNaN[ch] = c.chunkNaN[ch] || nan
 }
 
 // Len returns the number of projected rows.
@@ -238,21 +344,27 @@ func (c *ColStore) Ragged() bool { return c.ragged }
 // View snapshots the store as a ColumnView. The second return is false
 // when the projection is unusable. Length and capacity are pinned so
 // later appends stay invisible and consumer appends cannot touch shared
-// memory; the chunk entries are pinned at the full chunks for the same
-// reason.
+// memory; the chunk entries are pinned at the full chunks, and the block
+// summaries at the full blocks, for the same reason.
 func (c *ColStore) View() (ColumnView, bool) {
 	if c == nil || c.ragged {
 		return ColumnView{}, false
 	}
-	n := len(c.keys)
+	n, w := len(c.keys), len(c.cols)
 	full := n / ChunkRows
-	fw := full * len(c.cols)
+	fw := full * w
+	blocks := n / BlockRows
+	bw, bm := blocks*w, blocks*MomentStride(w)
 	v := ColumnView{
-		Keys:      c.keys[:n:n],
-		Cols:      make([][]float64, len(c.cols)),
-		ChunkMins: c.chunkMins[:fw:fw],
-		ChunkMaxs: c.chunkMaxs[:fw:fw],
-		ChunkNaN:  c.chunkNaN[:full:full],
+		Keys:         c.keys[:n:n],
+		Cols:         make([][]float64, w),
+		ChunkMins:    c.chunkMins[:fw:fw],
+		ChunkMaxs:    c.chunkMaxs[:fw:fw],
+		ChunkNaN:     c.chunkNaN[:full:full],
+		BlockMins:    c.blockMins[:bw:bw],
+		BlockMaxs:    c.blockMaxs[:bw:bw],
+		BlockDirty:   c.blockDirty[:blocks:blocks],
+		BlockMoments: c.blockMoments[:bm:bm],
 	}
 	for j := range c.cols {
 		v.Cols[j] = c.cols[j][:n:n]

@@ -396,3 +396,151 @@ func TestChunkZoneNaNIsUnbounded(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockSummariesAreTheRowOrderMoments: every full block's summary is
+// the tight box of exactly its BlockRows rows and the moments a
+// row-at-a-time fold of them leaves — raw sums, sums of deviations from
+// the block's first row, and their products for every column pair, each
+// added in row order (what the batch kernels of internal/query accumulate
+// with every row selected) — bit for bit, whatever the batch sizes the
+// rows arrived in; the rows past the last full block have none.
+func TestBlockSummariesAreTheRowOrderMoments(t *testing.T) {
+	const w = 3
+	rows := randRows(ChunkRows+3*BlockRows+57, 8)
+	c := NewColStore(-1)
+	for from, step := 0, 1; from < len(rows); from, step = from+step, step*3+1 {
+		c.Append(rows[from:min(from+step, len(rows))]...)
+	}
+	view, _ := c.View()
+	if view.FullBlocks() != len(rows)/BlockRows || view.FullChunks() != 1 {
+		t.Fatalf("%d rows carry %d block summaries and %d chunk entries", len(rows), view.FullBlocks(), view.FullChunks())
+	}
+	if len(view.BlockMins) != view.FullBlocks()*w || len(view.BlockMoments) != view.FullBlocks()*MomentStride(w) {
+		t.Fatalf("summary arrays hold %d box and %d moment values", len(view.BlockMins), len(view.BlockMoments))
+	}
+	for b := 0; b < view.FullBlocks(); b++ {
+		block := rows[b*BlockRows : (b+1)*BlockRows]
+		p := block[0].Vec
+		want := make([]float64, MomentStride(w))
+		copy(want, p)
+		mins, maxs := append([]float64(nil), p...), append([]float64(nil), p...)
+		for _, r := range block {
+			for j, v := range r.Vec {
+				mins[j], maxs[j] = min(mins[j], v), max(maxs[j], v)
+				want[w+j] += v
+				want[2*w+j] += v - p[j]
+				for k := j; k < w; k++ {
+					want[3*w+CrossOffset(w, k, j)] += (v - p[j]) * (r.Vec[k] - p[k])
+				}
+			}
+		}
+		if view.BlockDirty[b] {
+			t.Fatalf("block %d of finite rows is flagged dirty", b)
+		}
+		if !reflect.DeepEqual(view.BlockMins[b*w:(b+1)*w], mins) || !reflect.DeepEqual(view.BlockMaxs[b*w:(b+1)*w], maxs) {
+			t.Fatalf("block %d: box [%v, %v], rows span [%v, %v]", b, view.BlockMins[b*w:(b+1)*w], view.BlockMaxs[b*w:(b+1)*w], mins, maxs)
+		}
+		if got := view.BlockMoments[b*MomentStride(w) : (b+1)*MomentStride(w)]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("block %d: moments %v, row-order fold %v", b, got, want)
+		}
+	}
+}
+
+// TestBlockSummariesPinnedUnderAppends: the summaries a view pinned are
+// read by one goroutine while another appends past them — filling the
+// block that was partial at snapshot time, opening new blocks and chunks
+// and forcing every summary array to grow — and they neither change nor
+// race (run with -race).
+func TestBlockSummariesPinnedUnderAppends(t *testing.T) {
+	rows := randRows(ChunkRows+2*BlockRows+100, 9)
+	c := BuildColStore(3, rows)
+	view, _ := c.View()
+	if view.FullBlocks() != ChunkRows/BlockRows+2 {
+		t.Fatalf("%d block summaries, want %d", view.FullBlocks(), ChunkRows/BlockRows+2)
+	}
+	pinned := ColumnView{
+		BlockMins:    append([]float64(nil), view.BlockMins...),
+		BlockMaxs:    append([]float64(nil), view.BlockMaxs...),
+		BlockDirty:   append([]bool(nil), view.BlockDirty...),
+		BlockMoments: append([]float64(nil), view.BlockMoments...),
+	}
+	unchanged := func() bool {
+		return reflect.DeepEqual(view.BlockMins, pinned.BlockMins) && reflect.DeepEqual(view.BlockMaxs, pinned.BlockMaxs) &&
+			reflect.DeepEqual(view.BlockDirty, pinned.BlockDirty) && reflect.DeepEqual(view.BlockMoments, pinned.BlockMoments)
+	}
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if !unchanged() {
+					t.Error("a pinned view's block summaries changed under later appends")
+					return
+				}
+			}
+		}
+	}()
+	wide := make([]Row, 3*ChunkRows)
+	for i := range wide {
+		wide[i] = Row{Key: uint64(1_000_000 + i), Vec: []float64{-1e9, 1e9, math.NaN()}}
+	}
+	for from := 0; from < len(wide); from += 100 {
+		c.Append(wide[from:min(from+100, len(wide))]...)
+	}
+	close(stop)
+	reader.Wait()
+
+	if !unchanged() {
+		t.Fatal("a pinned view's block summaries changed under later appends")
+	}
+	if cap(view.BlockMins) != len(view.BlockMins) || cap(view.BlockDirty) != len(view.BlockDirty) || cap(view.BlockMoments) != len(view.BlockMoments) {
+		t.Fatal("block summaries are not capacity-pinned")
+	}
+	after, _ := c.View()
+	if after.FullBlocks() != (len(rows)+len(wide))/BlockRows {
+		t.Fatalf("%d block summaries after the appends, want %d", after.FullBlocks(), (len(rows)+len(wide))/BlockRows)
+	}
+	if !reflect.DeepEqual(after.BlockMoments[:len(pinned.BlockMoments)], pinned.BlockMoments) {
+		t.Fatal("full blocks' summaries were rewritten by later appends")
+	}
+	// The block that was partial at the first snapshot now holds the old
+	// tail and the first NaN rows.
+	if b := view.FullBlocks(); !after.BlockDirty[b] {
+		t.Fatalf("block %d holds NaN rows but is not flagged", b)
+	}
+}
+
+// TestNonFiniteBlockIsFlagged: a block that holds a NaN, a +Inf or a
+// −Inf is flagged dirty, and only that block is; of the three only the
+// NaN makes the chunk around it unbounded, since min/max do bound ±Inf.
+func TestNonFiniteBlockIsFlagged(t *testing.T) {
+	rows := randRows(3*ChunkRows, 10)
+	perChunk := ChunkRows / BlockRows
+	rows[2*BlockRows+5].Vec[0] = math.Inf(1)            // chunk 0, block 2
+	rows[ChunkRows+BlockRows-1].Vec[2] = math.NaN()     // chunk 1, block 0 (its last row)
+	rows[2*ChunkRows+7*BlockRows].Vec[1] = math.Inf(-1) // chunk 2, block 7 (its first row: the pivot)
+	view, _ := BuildColStore(3, rows).View()
+	dirty := map[int]bool{2: true, perChunk: true, 2*perChunk + 7: true}
+	for b, got := range view.BlockDirty {
+		if got != dirty[b] {
+			t.Errorf("block %d: dirty=%v, want %v", b, got, dirty[b])
+		}
+	}
+	for ch, wantNaN := range []bool{false, true, false} {
+		if view.ChunkNaN[ch] != wantNaN {
+			t.Errorf("chunk %d: NaN flag %v, want %v", ch, view.ChunkNaN[ch], wantNaN)
+		}
+	}
+	if zm := view.ChunkZone(0); zm.Maxs[0] != math.Inf(1) {
+		t.Errorf("chunk 0 holds a +Inf in column 0 but its box stops at %v", zm.Maxs[0])
+	}
+	if zm := view.ChunkZone(2); zm.Mins[1] != math.Inf(-1) {
+		t.Errorf("chunk 2 holds a -Inf in column 1 but its box starts at %v", zm.Mins[1])
+	}
+}
