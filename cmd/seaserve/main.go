@@ -479,7 +479,7 @@ func runSingle(ctx context.Context, o options) error {
 		lg.Info("flight recorder armed", "spool", spool, "anomaly", o.anomaly)
 	}
 	lg.Info("serving", "addr", o.addr, "agents", o.agents, "workers", o.workers,
-		"queue", o.queue, "tenant_inflight", o.tenantInflight)
+		"queue", o.queue, "tenant_inflight", o.tenantInflight, "scan_kernels", query.KernelTier())
 	return srv.Run(ctx, o.addr, o.drain)
 }
 
@@ -570,7 +570,7 @@ func runCluster(ctx context.Context, o options) error {
 		lg.Warn("pprof endpoints mounted under /debug/pprof/ — do not expose publicly")
 	}
 
-	lg.Info("serving", "node", o.nodeID, "addr", o.addr)
+	lg.Info("serving", "node", o.nodeID, "addr", o.addr, "scan_kernels", query.KernelTier())
 	runCtx := ctx
 	if o.join != "" {
 		// The seed stages partitions onto us over HTTP, so we must be

@@ -12,6 +12,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/serve"
 )
 
@@ -223,6 +224,7 @@ func (n *Node) NodeStatus() NodeStatus {
 		n.sampler.Sample()
 	}
 	st.Runtime = n.sampler.Snapshot()
+	st.Runtime.KernelTier = query.KernelTier()
 
 	if n.flight != nil {
 		fs := n.flight.Status()

@@ -56,6 +56,9 @@ func TestNodeStatusSnapshot(t *testing.T) {
 		if st.Runtime.Goroutines == 0 || st.Runtime.HeapAlloc == 0 {
 			t.Fatalf("node %s: runtime section not sampled: %+v", id, st.Runtime)
 		}
+		if st.Runtime.KernelTier != query.KernelTier() {
+			t.Fatalf("node %s: runtime.kernel_tier %q, the process scans on %q", id, st.Runtime.KernelTier, query.KernelTier())
+		}
 	}
 }
 
@@ -194,7 +197,7 @@ func TestStatusGoldenKeys(t *testing.T) {
 		},
 		Runtime: obs.RuntimeSnap{
 			Goroutines: 1, HeapAlloc: 1, HeapSys: 1, GCCycles: 1,
-			GCPauseP50: 1, GCPauseP99: 1, GCPauseMax: 1,
+			GCPauseP50: 1, GCPauseP99: 1, GCPauseMax: 1, KernelTier: "avx2",
 		},
 		Flight: &flight.Status{
 			Series: 1, Ticks: 1, DroppedSamples: 1, Anomalies: 1,
@@ -230,6 +233,7 @@ func TestStatusGoldenKeys(t *testing.T) {
 		"runtime", "runtime.gc_cycles", "runtime.gc_pause_max_ns",
 		"runtime.gc_pause_p50_ns", "runtime.gc_pause_p99_ns",
 		"runtime.goroutines", "runtime.heap_alloc_bytes", "runtime.heap_sys_bytes",
+		"runtime.kernel_tier",
 		"sched", "sched.classes",
 		"sched.classes.*", "sched.classes.*.inflight", "sched.classes.*.p50_ns",
 		"sched.classes.*.p99_ns", "sched.classes.*.queries", "sched.classes.*.rejected",

@@ -20,6 +20,11 @@ type RuntimeSnap struct {
 	GCPauseP50 int64 `json:"gc_pause_p50_ns"`
 	GCPauseP99 int64 `json:"gc_pause_p99_ns"`
 	GCPauseMax int64 `json:"gc_pause_max_ns"`
+	// KernelTier names the scan kernels the process's exact path runs on
+	// ("avx2" or "generic"), so the slow member of a mixed fleet shows in
+	// a status scrape. The sampler does not know it; the owner of the
+	// snapshot fills it in.
+	KernelTier string `json:"kernel_tier"`
 }
 
 // RuntimeSampler periodically reads runtime memory/GC statistics into

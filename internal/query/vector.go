@@ -1,18 +1,23 @@
 // Vectorized columnar execution: the batch kernels behind the exact
 // path. Instead of walking []storage.Row one row at a time through
-// Selection.Contains (a function call and a pointer chase per row), the
-// kernels stream the partition's contiguous columnar projection in
-// blocks of VecBlock rows through two phases:
+// Selection.Contains (a function call and a pointer chase per row), a
+// scan streams the partition's contiguous columnar projection in runs of
+// at most VecBlock rows through two phases:
 //
-//  1. Selection: a reusable per-block match-mask vector is filled
-//     branchlessly — hyper-rectangles run one min/max pass per column
-//     (each pass ANDs its verdict into the mask via a conditional move,
-//     never a data-dependent branch), hyper-spheres accumulate squared
-//     distances into a fused block accumulator and threshold it.
+//  1. Selection: a reusable per-run match-mask vector is filled
+//     branchlessly, one lane per row: a hyper-rectangle tests every
+//     selection column's min/max, a hyper-sphere adds up the squared
+//     distance column by column and thresholds it.
 //  2. Aggregation: the aggregate's sufficient statistics fold over the
-//     block under the mask, again branchlessly — non-matching rows
+//     run under the mask, again branchlessly — non-matching rows
 //     contribute an exact 0 through bit-masking — without ever
-//     materialising a storage.Row.
+//     materialising a storage.Row, and the matches are counted in the
+//     same pass.
+//
+// There is ONE pipeline (evalRange), for every dimensionality, shape and
+// aggregate; what varies is the tier of the six primitives it is written
+// over (kernels.go): AVX2 assembly where the CPU has it, pure Go
+// elsewhere, picked once at init, equal on the bits.
 //
 // Branchlessness is the point: at mid selectivities a data-dependent
 // branch mispredicts constantly, and measured on scalar Go codegen the
@@ -23,22 +28,26 @@
 //
 // Numerical frame: second-order moments (VAR/CORR/REGSLOPE) accumulate
 // in a shifted frame — values are centred on a data-scale pivot (the
-// view's first value of the aggregated column) before squaring — which
+// first selected value of the aggregated column) before squaring — which
 // keeps the partial sums at spread scale instead of mean² scale. Raw
 // moments are reconstructed only at the mergeable-state boundary
 // (PartialEvalView), where the distributed wire format requires them;
 // EvalView and EvalTable finish directly in the shifted frame and stay
-// accurate even when the mean dwarfs the spread. First-order sums
-// accumulate raw and in row order, so COUNT, SUM and AVG are
-// bit-identical to the row-at-a-time reference, which is retained as
-// the correctness oracle (EvalRows/PartialEval). That holds for a scan
-// of a whole view; PartialEvalPruned answers blocks wholly inside the
-// selection from stored moments, which re-associates the sums (see
-// evalViewPruned).
+// accurate even when the mean dwarfs the spread.
 //
-// Per-query scratch (the match mask and the spheres' distance
-// accumulator) comes from a sync.Pool, so the hot path is
-// allocation-free after warm-up.
+// What agrees with the row-at-a-time reference (EvalRows/PartialEval,
+// retained as the correctness oracle): membership, and so COUNT and
+// Support, exactly, NaN coordinates included. Sums are added four lanes
+// at a time (the order is specified in kernels.go), not in row order, so
+// SUM/AVG and the moments agree with the reference to rounding — within
+// 1e-12 of the magnitude the sum's rounding error scales with — and not
+// on the bits. The same bound holds between a whole-view scan and the
+// pruned one, which re-associates at block granularity as well (see
+// evalViewPruned). What does hold on the bits: equal views give equal
+// answers, on either tier.
+//
+// Per-query scratch (the match mask) comes from a sync.Pool, so the hot
+// path is allocation-free after warm-up.
 package query
 
 import (
@@ -47,101 +56,50 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/storage"
 )
 
-// VecBlock is the number of rows a selection kernel processes per
-// block: large enough to amortise per-block overhead, small enough that
-// a block's column segments, match mask and distance accumulator all
-// stay in L1.
+// VecBlock is the number of rows the kernels process per call: large
+// enough to amortise per-call overhead, small enough that a run's column
+// segments and match mask stay in L1.
 const VecBlock = 1024
 
 // vecScratch is the pooled per-query scratch buffer.
 type vecScratch struct {
-	mask []uint64  // per-row match mask for the current block (0 or ^0)
-	d2   []float64 // fused distance accumulator (hyper-sphere kernel)
+	mask []uint64 // per-row match mask for the current run (0 or ^0)
+	run  runSums  // what the current run's fold returned
 }
 
 var vecPool = sync.Pool{New: func() any {
-	return &vecScratch{
-		mask: make([]uint64, VecBlock),
-		d2:   make([]float64, VecBlock),
-	}
+	return &vecScratch{mask: make([]uint64, VecBlock)}
 }}
 
-// b2u converts a comparison verdict to 0/1 without a branch: the
-// compiler lowers this pattern to a flag materialisation (SETcc), which
-// is the cornerstone of every kernel below — a data-dependent branch at
-// mid selectivity mispredicts constantly and measures an order of
-// magnitude slower than the arithmetic form.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+// zeroCol stands in for an aggregate column that is out of range: the
+// reference reads 0 there. Read-only.
+var zeroCol [VecBlock]float64
+
+// runOf returns rows [start, end) of col, or as many zeros for a nil
+// (out-of-range) column.
+func runOf(col []float64, start, end int) []float64 {
+	if col == nil {
+		return zeroCol[:end-start]
 	}
-	return 0
+	return col[start:end]
 }
 
-// rectBlockMask fills the match mask for rows [start, end) of a
-// hyper-rectangle selection: the leading dimension's pass sets the
-// mask, every further dimension ANDs its verdict in, branchlessly. The
-// verdict uses the reference's exclusion form (`v < lo || v > hi`
-// rejects), so NaN coordinates — which fail every comparison — match
-// exactly as they do in Selection.Contains.
-func rectBlockMask(s Selection, cols [][]float64, start, end int, mask []uint64) []uint64 {
-	mask = mask[:end-start]
-	c0 := cols[0][start:end]
-	lo0, hi0 := s.Los[0], s.His[0]
-	for i, v := range c0 {
-		mask[i] = (b2u(v < lo0) | b2u(v > hi0)) - 1
-	}
-	for j := 1; j < len(s.Los); j++ {
-		cj := cols[j][start:end]
-		lo, hi := s.Los[j], s.His[j]
-		for i, w := range cj {
-			mask[i] &= (b2u(w < lo) | b2u(w > hi)) - 1
-		}
+// fillMask is the selection phase over rows [start, end), at most
+// VecBlock of them: it returns the match mask, in sc. Membership is
+// bit-identical to Selection.Contains; a selection of no dimensions
+// matches every row, as it does there.
+func fillMask(k *kernels, s *Selection, cols [][]float64, start, end int, sc *vecScratch) []uint64 {
+	mask := sc.mask[:end-start]
+	if s.Radius > 0 { // IsRadius, without its copy of the Selection
+		k.sphereMask(mask, cols, start, s.Center, s.Radius*s.Radius)
+	} else {
+		k.rectMask(mask, cols, start, s.Los, s.His)
 	}
 	return mask
-}
-
-// sphereBlockD2 accumulates squared distances for rows [start, end)
-// into d2, one fused pass per dimension — the same per-row addition
-// order as Selection.Contains, so membership decisions are
-// bit-identical to the reference.
-func sphereBlockD2(s Selection, cols [][]float64, start, end int, d2 []float64) []float64 {
-	d2 = d2[:end-start]
-	for i := range d2 {
-		d2[i] = 0
-	}
-	for j, c := range s.Center {
-		cj := cols[j][start:end]
-		for i, w := range cj {
-			d := w - c
-			d2[i] += d * d
-		}
-	}
-	return d2
-}
-
-// sphereBlockMask thresholds the distance accumulator into the mask.
-func sphereBlockMask(s Selection, cols [][]float64, start, end int, sc *vecScratch) []uint64 {
-	d2 := sphereBlockD2(s, cols, start, end, sc.d2)
-	r2 := s.Radius * s.Radius
-	mask := sc.mask[:len(d2)]
-	for i, dv := range d2 {
-		mask[i] = -b2u(dv <= r2)
-	}
-	return mask
-}
-
-// blockMask dispatches to the rectangle or sphere mask kernel.
-func blockMask(s Selection, cols [][]float64, start, end int, sc *vecScratch) []uint64 {
-	if s.IsRadius() {
-		return sphereBlockMask(s, cols, start, end, sc)
-	}
-	return rectBlockMask(s, cols, start, end, sc.mask)
 }
 
 // SelectIndices returns the indices of every row in view matching s, in
@@ -152,23 +110,12 @@ func SelectIndices(s Selection, view storage.ColumnView) []int {
 	if s.Dims() > view.Width() || view.Len() == 0 {
 		return nil
 	}
-	if !s.IsRadius() && len(s.Los) == 0 {
-		out := make([]int, view.Len())
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
 	sc := vecPool.Get().(*vecScratch)
 	defer vecPool.Put(sc)
 	var out []int
 	n := view.Len()
 	for start := 0; start < n; start += VecBlock {
-		end := start + VecBlock
-		if end > n {
-			end = n
-		}
-		mask := blockMask(s, view.Cols, start, end, sc)
+		mask := fillMask(kern, &s, view.Cols, start, min(start+VecBlock, n), sc)
 		for i, m := range mask {
 			if m != 0 {
 				out = append(out, start+i)
@@ -179,12 +126,12 @@ func SelectIndices(s Selection, view storage.ColumnView) []int {
 }
 
 // vecState is the shifted-frame sufficient statistic the batch kernels
-// accumulate: n and the raw first-order sums (row order, bit-compatible
-// with the reference), plus centred second-order sums at spread scale.
+// accumulate: n and the raw first-order sums, plus centred second-order
+// sums at spread scale.
 type vecState struct {
 	n        int64
-	sum      float64 // raw Σx (column Col), row order
-	sumY     float64 // raw Σy (column Col2), row order
+	sum      float64 // raw Σx (column Col)
+	sumY     float64 // raw Σy (column Col2)
 	cx, cy   float64 // shifts: first selected values of Col / Col2
 	seeded   bool
 	sx, sy   float64 // Σ(x-cx), Σ(y-cy)
@@ -192,126 +139,32 @@ type vecState struct {
 	sxy      float64 // Σ(x-cx)(y-cy)
 }
 
-// aggCols resolves the aggregate's columns (nil for out-of-range: the
-// reference reads 0 there).
-func aggCols(q Query, cols [][]float64) (colX, colY []float64) {
-	if q.Col >= 0 && q.Col < len(cols) {
-		colX = cols[q.Col]
-	}
-	if q.Col2 >= 0 && q.Col2 < len(cols) {
-		colY = cols[q.Col2]
-	}
-	return colX, colY
-}
-
-// maskedCount counts the set lanes of a block mask.
-func maskedCount(mask []uint64) int64 {
-	var n int64
-	for _, m := range mask {
-		n += int64(m & 1)
-	}
-	return n
-}
-
-// maskTo0 passes v through for matched lanes and yields an exact +0 for
-// unmatched ones (bit-masking, so a NaN or Inf in an unselected row
-// cannot pollute the accumulators).
-func maskTo0(v float64, m uint64) float64 {
-	return math.Float64frombits(math.Float64bits(v) & m)
-}
-
-// maskedFold1 folds one block of the single-column moment state under
-// the mask: the raw sum adds v or an exact +0 per lane (so SUM stays
-// bit-identical to the reference, which skips non-matching rows), the
-// shifted sums add (v - pivot) or +0.
-func (st *vecState) maskedFold1(colX []float64, start int, mask []uint64) {
-	if colX == nil {
-		st.n += maskedCount(mask)
-		return
-	}
-	blk := colX[start : start+len(mask)]
-	cx := st.cx
-	var n int64
-	sum, sx, sxx := st.sum, st.sx, st.sxx
+// seedFrom takes the pivots of an unseeded state from the first matched
+// row of a run, and reports whether the run has one. The pivot must be a
+// selected value: an unselected row may hold anything (a NaN, an Inf, an
+// outlier at 1e300), and a frame shifted by that destroys every sum it
+// touches.
+func (st *vecState) seedFrom(mask []uint64, x, y []float64) bool {
 	for i, m := range mask {
-		x := blk[i]
-		xm := maskTo0(x, m)
-		d := maskTo0(x-cx, m)
-		sum += xm
-		sx += d
-		sxx += d * d
-		n += int64(m & 1)
-	}
-	st.n += n
-	st.sum, st.sx, st.sxx = sum, sx, sxx
-}
-
-// maskedFold2 folds one block of the two-column moment state under the
-// mask. A nil column reads 0 (reference colVal semantics), handled on
-// the rare scalar path.
-func (st *vecState) maskedFold2(colX, colY []float64, start int, mask []uint64) {
-	if colX == nil || colY == nil {
-		for i, m := range mask {
-			if m != 0 {
-				var x, y float64
-				if colX != nil {
-					x = colX[start+i]
-				}
-				if colY != nil {
-					y = colY[start+i]
-				}
-				st.n++
-				st.foldXY(x, y)
-			}
-		}
-		return
-	}
-	blkX := colX[start : start+len(mask)]
-	blkY := colY[start : start+len(mask)]
-	cx, cy := st.cx, st.cy
-	var n int64
-	sumX, sumY := st.sum, st.sumY
-	sx, sy, sxx, syy, sxy := st.sx, st.sy, st.sxx, st.syy, st.sxy
-	for i, m := range mask {
-		x, y := blkX[i], blkY[i]
-		sumX += maskTo0(x, m)
-		sumY += maskTo0(y, m)
-		dx := maskTo0(x-cx, m)
-		dy := maskTo0(y-cy, m)
-		sx += dx
-		sy += dy
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-		n += int64(m & 1)
-	}
-	st.n += n
-	st.sum, st.sumY = sumX, sumY
-	st.sx, st.sy, st.sxx, st.syy, st.sxy = sx, sy, sxx, syy, sxy
-}
-
-// evalAll handles the degenerate zero-dimension rectangle (it matches
-// every row, per the reference Contains semantics).
-func evalAll(q *Query, colX, colY []float64, lo, hi int, st *vecState) {
-	for i := lo; i < hi; i++ {
-		switch q.Aggregate {
-		case Sum, Avg, Var:
-			st.n++
-			st.foldXY(colValVec2(colX, i), 0)
-		case Corr, RegSlope:
-			st.n++
-			st.foldXY(colValVec2(colX, i), colValVec2(colY, i))
-		default:
-			st.n++
+		if m != 0 {
+			st.cx, st.cy, st.seeded = x[i], y[i], true
+			return true
 		}
 	}
+	return false
 }
 
-func colValVec2(col []float64, i int) float64 {
-	if col == nil {
-		return 0
-	}
-	return col[i]
+// addRun adds one run's count and sums, taken in st's frame, to the
+// state.
+func (st *vecState) addRun(r *runSums) {
+	st.n += r.n
+	st.sum += r.sum
+	st.sumY += r.sumY
+	st.sx += r.sx
+	st.sy += r.sy
+	st.sxx += r.sxx
+	st.syy += r.syy
+	st.sxy += r.sxy
 }
 
 func (st *vecState) foldXY(x, y float64) {
@@ -429,337 +282,62 @@ func finishShifted(q Query, st vecState) Result {
 	return res
 }
 
-// rectCount1/rectCount2 are the fully-fused single-pass kernels for the
-// dominant selection shapes (1- and 2-dimensional rectangles): the
-// predicate verdicts and the aggregate fold live in one loop, so
-// nothing is stored or re-read between phases.
-func rectCount1(c0 []float64, lo0, hi0 float64) int64 {
-	var n int64
-	for _, v := range c0 {
-		n += int64((b2u(v < lo0) | b2u(v > hi0)) ^ 1)
-	}
-	return n
-}
-
-func rectCount2(c0, c1 []float64, lo0, hi0, lo1, hi1 float64) int64 {
-	// Two-way unroll with independent accumulators: the verdict chains
-	// of adjacent rows overlap instead of serialising on one counter.
-	var n0, n1 int64
-	c1 = c1[:len(c0)]
-	i := 0
-	for ; i+1 < len(c0); i += 2 {
-		v0, v1 := c0[i], c0[i+1]
-		w0, w1 := c1[i], c1[i+1]
-		n0 += int64((b2u(v0 < lo0) | b2u(v0 > hi0) | b2u(w0 < lo1) | b2u(w0 > hi1)) ^ 1)
-		n1 += int64((b2u(v1 < lo0) | b2u(v1 > hi0) | b2u(w1 < lo1) | b2u(w1 > hi1)) ^ 1)
-	}
-	for ; i < len(c0); i++ {
-		v, w := c0[i], c1[i]
-		n0 += int64((b2u(v < lo0) | b2u(v > hi0) | b2u(w < lo1) | b2u(w > hi1)) ^ 1)
-	}
-	return n0 + n1
-}
-
-// rectSum runs the fused rectangle kernel for SUM/AVG, which need only
-// the count and the raw first-order sum — no second moments, so the
-// per-row work is a mask, one masked add and a lane count. The value
-// column is read through its bit view, so the lane masking is pure
-// integer arithmetic and only the final add touches the FP unit.
-func (st *vecState) rectSum(c0, c1, colX []float64, los, his []float64) {
-	lo0, hi0 := los[0], his[0]
-	var n int64
-	sum := st.sum
-	cv := bitsView(colX[:len(c0)])
-	if c1 == nil {
-		for i, v := range c0 {
-			m := (b2u(v < lo0) | b2u(v > hi0)) - 1
-			sum += math.Float64frombits(cv[i] & m)
-			n += int64(m & 1)
-		}
-	} else {
-		lo1, hi1 := los[1], his[1]
-		c1 = c1[:len(c0)]
-		// Unroll the predicate work two rows at a time; the sum chain
-		// stays a single sequential accumulator so SUM remains
-		// bit-identical to the row-order reference.
-		var n1 int64
-		i := 0
-		for ; i+1 < len(c0); i += 2 {
-			v0, v1 := c0[i], c0[i+1]
-			w0, w1 := c1[i], c1[i+1]
-			m0 := (b2u(v0 < lo0) | b2u(v0 > hi0) | b2u(w0 < lo1) | b2u(w0 > hi1)) - 1
-			m1 := (b2u(v1 < lo0) | b2u(v1 > hi0) | b2u(w1 < lo1) | b2u(w1 > hi1)) - 1
-			sum += math.Float64frombits(cv[i] & m0)
-			sum += math.Float64frombits(cv[i+1] & m1)
-			n += int64(m0 & 1)
-			n1 += int64(m1 & 1)
-		}
-		for ; i < len(c0); i++ {
-			v, w := c0[i], c1[i]
-			m := (b2u(v < lo0) | b2u(v > hi0) | b2u(w < lo1) | b2u(w > hi1)) - 1
-			sum += math.Float64frombits(cv[i] & m)
-			n += int64(m & 1)
-		}
-		n += n1
-	}
-	st.n += n
-	st.sum = sum
-}
-
-// bitsView reinterprets a float64 column as its IEEE-754 bit pattern so
-// mask application stays in the integer pipeline. Same element size and
-// alignment; read-only use.
-func bitsView(xs []float64) []uint64 {
-	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
-}
-
-// rectFold1 runs the fused rectangle kernel for single-column moments
-// over up to two selection dimensions (c1 nil for one).
-func (st *vecState) rectFold1(c0, c1, colX []float64, los, his []float64) {
-	lo0, hi0 := los[0], his[0]
-	cx := st.cx
-	var n int64
-	sum, sx, sxx := st.sum, st.sx, st.sxx
-	cv := colX[:len(c0)]
-	if c1 == nil {
-		for i, v := range c0 {
-			m := (b2u(v < lo0) | b2u(v > hi0)) - 1
-			x := cv[i]
-			sum += maskTo0(x, m)
-			d := maskTo0(x-cx, m)
-			sx += d
-			sxx += d * d
-			n += int64(m & 1)
-		}
-	} else {
-		lo1, hi1 := los[1], his[1]
-		c1 = c1[:len(c0)]
-		for i, v := range c0 {
-			w := c1[i]
-			m := (b2u(v < lo0) | b2u(v > hi0) | b2u(w < lo1) | b2u(w > hi1)) - 1
-			x := cv[i]
-			sum += maskTo0(x, m)
-			d := maskTo0(x-cx, m)
-			sx += d
-			sxx += d * d
-			n += int64(m & 1)
-		}
-	}
-	st.n += n
-	st.sum, st.sx, st.sxx = sum, sx, sxx
-}
-
-// rectFold2 runs the fused rectangle kernel for two-column moments over
-// up to two selection dimensions.
-func (st *vecState) rectFold2(c0, c1, colX, colY []float64, los, his []float64) {
-	lo0, hi0 := los[0], his[0]
-	cx, cy := st.cx, st.cy
-	var n int64
-	sumX, sumY := st.sum, st.sumY
-	sx, sy, sxx, syy, sxy := st.sx, st.sy, st.sxx, st.syy, st.sxy
-	cvX := colX[:len(c0)]
-	cvY := colY[:len(c0)]
-	var lo1, hi1 float64
-	if c1 != nil {
-		lo1, hi1 = los[1], his[1]
-		c1 = c1[:len(c0)]
-	}
-	for i, v := range c0 {
-		m := (b2u(v < lo0) | b2u(v > hi0)) - 1
-		if c1 != nil {
-			w := c1[i]
-			m &= (b2u(w < lo1) | b2u(w > hi1)) - 1
-		}
-		x, y := cvX[i], cvY[i]
-		sumX += maskTo0(x, m)
-		sumY += maskTo0(y, m)
-		dx := maskTo0(x-cx, m)
-		dy := maskTo0(y-cy, m)
-		sx += dx
-		sy += dy
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-		n += int64(m & 1)
-	}
-	st.n += n
-	st.sum, st.sumY = sumX, sumY
-	st.sx, st.sy, st.sxx, st.syy, st.sxy = sx, sy, sxx, syy, sxy
-}
-
-// evalSphereFused folds the sphere kernel per block over rows [lo, hi):
-// the distance accumulator is thresholded and consumed in the same pass.
-func evalSphereFused(q *Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState, sc *vecScratch) {
-	r2 := q.Select.Radius * q.Select.Radius
-	for start := lo; start < hi; start += VecBlock {
-		end := min(start+VecBlock, hi)
-		d2 := sphereBlockD2(q.Select, cols, start, end, sc.d2)
-		switch q.Aggregate {
-		case Sum, Avg:
-			blk := colX[start:end]
-			var n int64
-			sum := st.sum
-			for i, dv := range d2 {
-				m := -b2u(dv <= r2)
-				sum += maskTo0(blk[i], m)
-				n += int64(m & 1)
-			}
-			st.n += n
-			st.sum = sum
-		case Var:
-			blk := colX[start:end]
-			cx := st.cx
-			var n int64
-			sum, sx, sxx := st.sum, st.sx, st.sxx
-			for i, dv := range d2 {
-				m := -b2u(dv <= r2)
-				x := blk[i]
-				sum += maskTo0(x, m)
-				d := maskTo0(x-cx, m)
-				sx += d
-				sxx += d * d
-				n += int64(m & 1)
-			}
-			st.n += n
-			st.sum, st.sx, st.sxx = sum, sx, sxx
-		case Corr, RegSlope:
-			blkX := colX[start:end]
-			blkY := colY[start:end]
-			cx, cy := st.cx, st.cy
-			var n int64
-			sumX, sumY := st.sum, st.sumY
-			sx, sy, sxx, syy, sxy := st.sx, st.sy, st.sxx, st.syy, st.sxy
-			for i, dv := range d2 {
-				m := -b2u(dv <= r2)
-				x, y := blkX[i], blkY[i]
-				sumX += maskTo0(x, m)
-				sumY += maskTo0(y, m)
-				dx := maskTo0(x-cx, m)
-				dy := maskTo0(y-cy, m)
-				sx += dx
-				sy += dy
-				sxx += dx * dx
-				syy += dy * dy
-				sxy += dx * dy
-				n += int64(m & 1)
-			}
-			st.n += n
-			st.sum, st.sumY = sumX, sumY
-			st.sx, st.sy, st.sxx, st.syy, st.sxy = sx, sy, sxx, syy, sxy
-		default:
-			var n int64
-			for _, dv := range d2 {
-				n += int64(b2u(dv <= r2))
-			}
-			st.n += n
-		}
-	}
-}
-
-// evalBlocks is the generic two-phase path (any dimensionality, any
-// degenerate column configuration) over rows [lo, hi): fill the block's
-// match mask, then fold the aggregates under it.
-func evalBlocks(q *Query, cols [][]float64, lo, hi int, colX, colY []float64, st *vecState, sc *vecScratch) {
-	for start := lo; start < hi; start += VecBlock {
-		end := min(start+VecBlock, hi)
-		mask := blockMask(q.Select, cols, start, end, sc)
-		switch q.Aggregate {
-		case Sum, Avg, Var:
-			st.maskedFold1(colX, start, mask)
-		case Corr, RegSlope:
-			st.maskedFold2(colX, colY, start, mask)
-		default:
-			st.n += maskedCount(mask)
-		}
-	}
-}
-
-// seedView starts the state of a scan over view: zero, with the
-// data-scale pivots of the shifted frame taken from the view's first
-// values. Any value at the column's scale works; taking row 0 keeps the
-// kernels free of a seeding branch. ok is false when there is nothing to
-// scan (an empty view, or a selection wider than the rows).
-func seedView(q Query, view storage.ColumnView) (st vecState, colX, colY []float64, ok bool) {
+// scanCols resolves the columns q's aggregate reads from view (nil for
+// one out of range: the reference reads 0 there). ok is false when there
+// is nothing to scan: an empty view, or a selection wider than the rows.
+func scanCols(q Query, view storage.ColumnView) (colX, colY []float64, ok bool) {
 	if view.Len() == 0 || q.Select.Dims() > view.Width() {
-		return st, nil, nil, false
+		return nil, nil, false
 	}
-	colX, colY = aggCols(q, view.Cols)
-	if colX != nil {
-		st.cx = colX[0]
-		st.seeded = true
+	if q.Col >= 0 && q.Col < view.Width() {
+		colX = view.Cols[q.Col]
 	}
-	if colY != nil {
-		st.cy = colY[0]
+	if q.Col2 >= 0 && q.Col2 < view.Width() {
+		colY = view.Cols[q.Col2]
 	}
-	return st, colX, colY, true
+	return colX, colY, true
 }
 
-// evalRange folds rows [lo, hi) of cols into st, picking the fully-fused
-// specialisation when the query has the common shape and falling back to
-// the generic two-phase block path otherwise. Every kernel carries st's
-// accumulators forward in row order and adds an exact +0 for a row that
-// does not match, so folding two ranges one after the other leaves the
-// very bits that folding the rows between them as well would, as long as
-// none of those rows matches. sc is the scan's scratch: one per scan, not
-// one per range, since a pruned scan folds hundreds of short ranges.
+// evalRange folds rows [lo, hi) of cols into st: the one pipeline. Each
+// run of at most VecBlock rows gets its mask filled and is folded under
+// it by the primitive the aggregate needs, which counts the matches as
+// it goes; the run's count and sums are then added to st's. The pivots
+// of the shifted frame are taken at the first match the scan meets
+// (seedFrom); until there is one there is nothing to fold. sc is the
+// scan's scratch: one per scan, not one per range, since a pruned scan
+// folds hundreds of short ranges.
 func evalRange(q *Query, cols [][]float64, colX, colY []float64, lo, hi int, st *vecState, sc *vecScratch) {
-	s := &q.Select
-	if !s.IsRadius() && len(s.Los) == 0 {
-		evalAll(q, colX, colY, lo, hi, st)
-		return
-	}
-
-	// Fast paths: fused single-pass kernels for the common shapes.
-	if s.IsRadius() {
-		fusedOK := true
+	k, r := kern, &sc.run
+	for start := lo; start < hi; start += VecBlock {
+		end := min(start+VecBlock, hi)
+		mask := fillMask(k, &q.Select, cols, start, end, sc)
+		*r = runSums{}
 		switch q.Aggregate {
-		case Sum, Avg, Var:
-			fusedOK = colX != nil
-		case Corr, RegSlope:
-			fusedOK = colX != nil && colY != nil
-		}
-		if fusedOK {
-			evalSphereFused(q, cols, lo, hi, colX, colY, st, sc)
-			return
-		}
-	} else if d := len(s.Los); d <= 2 {
-		c0 := cols[0][lo:hi]
-		var c1 []float64
-		if d == 2 {
-			c1 = cols[1][lo:hi]
-		}
-		switch q.Aggregate {
-		case Count:
-			if d == 1 {
-				st.n += rectCount1(c0, s.Los[0], s.His[0])
-			} else {
-				st.n += rectCount2(c0, c1, s.Los[0], s.His[0], s.Los[1], s.His[1])
-			}
-			return
 		case Sum, Avg:
-			if colX != nil {
-				st.rectSum(c0, c1, colX[lo:hi], s.Los, s.His)
-				return
-			}
+			k.sum(mask, runOf(colX, start, end), r)
 		case Var:
-			if colX != nil {
-				st.rectFold1(c0, c1, colX[lo:hi], s.Los, s.His)
-				return
+			x := runOf(colX, start, end)
+			// Var carries no second column: its frame keeps cy at 0.
+			if !st.seeded && !st.seedFrom(mask, x, zeroCol[:len(mask)]) {
+				continue
 			}
+			k.fold1(mask, x, st.cx, r)
 		case Corr, RegSlope:
-			if colX != nil && colY != nil {
-				st.rectFold2(c0, c1, colX[lo:hi], colY[lo:hi], s.Los, s.His)
-				return
+			x, y := runOf(colX, start, end), runOf(colY, start, end)
+			if !st.seeded && !st.seedFrom(mask, x, y) {
+				continue
 			}
+			k.fold2(mask, x, y, st.cx, st.cy, r)
+		default:
+			r.n = k.count(mask)
 		}
+		st.addRun(r)
 	}
-	evalBlocks(q, cols, lo, hi, colX, colY, st, sc)
 }
 
 // evalView runs the kernel pipeline over one whole columnar view.
-func evalView(q Query, view storage.ColumnView) vecState {
-	st, colX, colY, ok := seedView(q, view)
-	if ok {
+func evalView(q Query, view storage.ColumnView) (st vecState) {
+	if colX, colY, ok := scanCols(q, view); ok {
 		sc := vecPool.Get().(*vecScratch)
 		defer vecPool.Put(sc)
 		evalRange(&q, view.Cols, colX, colY, 0, view.Len(), &st, sc)
@@ -790,10 +368,10 @@ const (
 // between the box's nearest and farthest term, and two sums of the same
 // length added in the same order keep that order (a nearest term of 0 is
 // left out below; adding it changes nothing): near <= d² <= far for every
-// row, with near and far accumulated exactly as sphereBlockD2
+// row, with near and far accumulated exactly as sphereMask
 // accumulates d².
 func classifyBox(s *Selection, mins, maxs []float64) boxClass {
-	if s.IsRadius() {
+	if s.Radius > 0 { // IsRadius, without its copy of the Selection: ~1 500 calls a query
 		var near, far float64
 		for j, c := range s.Center {
 			lo, hi := mins[j]-c, maxs[j]-c
@@ -864,7 +442,7 @@ func newSummaryFold(q Query, w int) (f summaryFold, ok bool) {
 
 // fold adds full block b of the view, every row of it selected, to st
 // from the block's moment record instead of its rows.
-func (f summaryFold) fold(st *vecState, moments []float64, b int) {
+func (f *summaryFold) fold(st *vecState, moments []float64, b int) {
 	rec := moments[b*f.stride : (b+1)*f.stride]
 	switch f.agg {
 	case Sum, Avg:
@@ -890,16 +468,19 @@ func (f summaryFold) fold(st *vecState, moments []float64, b int) {
 // chunk) each clean block is classified, a miss is skipped, an inside
 // block is folded from its moment record, and what straddles — with
 // every dirty block and the rows past the last full block — streams
-// through the kernels in maximal runs. ONE state, seeded like evalView's,
-// is carried through runs and folds in row order, so the result is a
-// pure function of the view: COUNT is exact, the sums re-associate at
-// block granularity against evalView's (DESIGN.md, "Clustered base and
-// chunk zone entries", states the bound). A view without block
-// summaries is pruned by chunk only, one without chunk entries either is
-// one run. The returns after the state are the rows streamed and the
-// rows answered from summaries.
+// through the kernels in maximal runs. ONE state is carried through runs
+// and folds in row order, its frame seeded by whichever comes first, a
+// streamed match or a folded block's own pivot, so the result is a pure
+// function of the view: COUNT is exact, the sums re-associate at block
+// granularity against evalView's (DESIGN.md, "Clustered base and chunk
+// zone entries", states the bound). A view without block summaries is
+// pruned by chunk only, one without chunk entries either is one run. The
+// boxes are tested where they lie, in the view's flat arrays: the walk
+// makes ~1 500 tests a query and copies nothing for one. The returns
+// after the state are the rows streamed and the rows answered from
+// summaries.
 func evalViewPruned(q Query, view storage.ColumnView) (st vecState, scanned, summarised int64) {
-	st, colX, colY, ok := seedView(q, view)
+	colX, colY, ok := scanCols(q, view)
 	if !ok {
 		return st, 0, 0
 	}
@@ -938,10 +519,11 @@ func evalViewPruned(q Query, view storage.ColumnView) (st vecState, scanned, sum
 	const perChunk = storage.ChunkRows / storage.BlockRows
 	full := view.FullChunks()
 	for c := 0; c < full; c++ {
-		if ZoneCanMatch(*s, view.ChunkZone(c)) {
-			blocks(c*perChunk, (c+1)*perChunk)
-		} else {
+		// A chunk that holds a NaN has no box that bounds it.
+		if !view.ChunkNaN[c] && classifyBox(s, view.ChunkMins[c*w:(c+1)*w], view.ChunkMaxs[c*w:(c+1)*w]) == boxMiss {
 			skipTo(c*storage.ChunkRows, (c+1)*storage.ChunkRows)
+		} else {
+			blocks(c*perChunk, (c+1)*perChunk)
 		}
 	}
 	blocks(full*perChunk, view.FullBlocks())
@@ -950,9 +532,10 @@ func evalViewPruned(q Query, view storage.ColumnView) (st vecState, scanned, sum
 }
 
 // EvalView computes q's exact answer over one columnar view with the
-// vectorized kernels. COUNT/SUM/AVG are bit-identical to EvalRows over
-// the same rows; VAR/CORR/REGSLOPE finish in the shifted frame and are
-// numerically stronger than the row-at-a-time reference on
+// vectorized kernels. Support and COUNT are exactly EvalRows' over the
+// same rows; SUM/AVG agree with it to rounding (the package comment
+// states the bound); VAR/CORR/REGSLOPE finish in the shifted frame and
+// are numerically stronger than the row-at-a-time reference on
 // mean-dominated data.
 func EvalView(q Query, view storage.ColumnView) Result {
 	return finishShifted(q, evalView(q, view))

@@ -4,10 +4,8 @@ package query_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/query"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -18,106 +16,6 @@ import (
 // chance — an earlier draft of these kernels "ran" at 2700 MRows/s
 // that way).
 var benchSink float64
-
-func benchColumns(b *testing.B, n int) (storage.ColumnView, []storage.Row) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	cl := cluster.New(2, cluster.DefaultConfig())
-	tbl, err := storage.NewTable(cl, "bench", []string{"x", "y", "z"}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]storage.Row, n)
-	for i := range rows {
-		rows[i] = storage.Row{
-			Key: uint64(i),
-			Vec: []float64{rng.Float64() * 100, rng.Float64() * 100, rng.NormFloat64()},
-		}
-	}
-	if err := tbl.Load(rows); err != nil {
-		b.Fatal(err)
-	}
-	view, _, err := tbl.ScanColumns(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scanned, _, err := tbl.ScanPartition(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return view, scanned
-}
-
-func benchSelection(selectivity float64) query.Selection {
-	sx := selectivity / 0.9
-	return query.Selection{
-		Los: []float64{50 - 50*sx, 5},
-		His: []float64{50 + 50*sx, 95},
-	}
-}
-
-// BenchmarkVecKernels is the kernel-level grid (selectivity ×
-// aggregate) contrasting EvalView with the row-at-a-time reference
-// EvalRows over identical 1M-row data. mrows/s is the headline.
-func BenchmarkVecKernels(b *testing.B) {
-	const n = 1 << 20
-	view, rows := benchColumns(b, n)
-	aggs := []query.Agg{query.Count, query.Sum, query.Var, query.Corr}
-	for _, sel := range []float64{0.01, 0.10, 0.50} {
-		for _, agg := range aggs {
-			q := query.Query{Select: benchSelection(sel), Aggregate: agg, Col: 2, Col2: 0}
-			b.Run("vec/"+agg.String()+"/"+pct(sel), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r := query.EvalView(q, view)
-					benchSink += r.Value + float64(r.Support)
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
-			})
-			b.Run("row/"+agg.String()+"/"+pct(sel), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r := query.EvalRows(q, rows)
-					benchSink += r.Value + float64(r.Support)
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
-			})
-		}
-	}
-}
-
-// BenchmarkVecSphere covers the hyper-sphere kernel path.
-func BenchmarkVecSphere(b *testing.B) {
-	const n = 1 << 20
-	view, rows := benchColumns(b, n)
-	q := query.Query{
-		Select:    query.Selection{Center: []float64{50, 50}, Radius: 18},
-		Aggregate: query.Sum, Col: 2,
-	}
-	b.Run("vec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := query.EvalView(q, view)
-			benchSink += r.Value
-		}
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
-	})
-	b.Run("row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := query.EvalRows(q, rows)
-			benchSink += r.Value
-		}
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
-	})
-}
-
-func pct(f float64) string {
-	switch {
-	case f >= 0.5:
-		return "sel50"
-	case f >= 0.1:
-		return "sel10"
-	default:
-		return "sel1"
-	}
-}
 
 // standardPartition deals one 167k-row partition of the standard dataset
 // (what a member of exact-3n holds per partition) and returns it in

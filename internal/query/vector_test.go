@@ -89,11 +89,12 @@ func rowReference(t *testing.T, q Query, tbl *storage.Table) (Result, [][]float6
 // vectorized engine: across random tables (hash- and range-
 // partitioned), random selections (rectangles and spheres, including
 // ones wider than the rows) and all six aggregates, the vectorized path
-// must agree with the row-at-a-time reference — bit-identically for
-// COUNT/SUM/AVG (the kernels accumulate first-order sums in the same
-// order), and within an explicit 1e-9 relative tolerance for
-// VAR/CORR/REGSLOPE, whose second-order moments the kernels
-// deliberately accumulate in a shifted frame.
+// must agree with the row-at-a-time reference — exactly on the count
+// (membership is bit-identical to Contains), within pruneTol·Σ|x| on
+// the first-order sums (the kernels add them four lanes at a time, the
+// reference in row order), and within an explicit 1e-9 relative
+// tolerance for VAR/CORR/REGSLOPE, whose second-order moments the
+// kernels deliberately accumulate in a shifted frame.
 func TestVectorizedEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const trials = 60
@@ -111,6 +112,7 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 		ref, refPartials := rowReference(t, q, tbl)
 
 		// Per-partition: vectorized partials against the reference.
+		var absSum float64 // Σ|x| over the selected rows of the table
 		for p := 0; p < tbl.Partitions(); p++ {
 			view, _, err := tbl.ScanColumns(p)
 			if err != nil {
@@ -121,25 +123,26 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 			if got[0] != want[0] {
 				t.Fatalf("trial %d part %d: n %v != %v (q=%+v)", trial, p, got[0], want[0], q)
 			}
+			scales := slotScales(q, view)
+			absSum += scales[1]
 			// Slots the aggregate's finish consumes (the vectorized
 			// partial leaves unused slots zero): [1]=sum, [2]=sum2,
 			// [3]=sx, [4]=sy, [5]=sxx, [6]=sxy, [7]=syy.
-			var exact, approx []int
+			var first, approx []int
 			switch q.Aggregate {
 			case Sum, Avg:
-				exact = []int{1}
+				first = []int{1}
 			case Var:
-				exact, approx = []int{1}, []int{2}
+				first, approx = []int{1}, []int{2}
 			case Corr:
-				exact, approx = []int{3, 4}, []int{5, 6, 7}
+				first, approx = []int{3, 4}, []int{5, 6, 7}
 			case RegSlope:
-				exact, approx = []int{3, 4}, []int{5, 6}
+				first, approx = []int{3, 4}, []int{5, 6}
 			}
-			// Raw first-order sums are order-identical.
-			for _, s := range exact {
-				if got[s] != want[s] {
-					t.Fatalf("trial %d part %d slot %d: first-order sum %v != %v (q=%+v)",
-						trial, p, s, got[s], want[s], q)
+			for _, s := range first {
+				if !(math.Abs(got[s]-want[s]) <= pruneTol*scales[s]) {
+					t.Fatalf("trial %d part %d slot %d: first-order sum %v != %v, off by %g of Σ|x| = %g (q=%+v)",
+						trial, p, s, got[s], want[s], math.Abs(got[s]-want[s])/scales[s], scales[s], q)
 				}
 			}
 			for _, s := range approx {
@@ -158,10 +161,18 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 			t.Fatalf("trial %d: support %d != %d (q=%+v)", trial, got.Support, ref.Support, q)
 		}
 		switch q.Aggregate {
-		case Count, Sum, Avg:
+		case Count:
 			if got.Value != ref.Value {
-				t.Fatalf("trial %d: %s = %v, want bit-identical %v (q=%+v)",
-					trial, q.Aggregate, got.Value, ref.Value, q)
+				t.Fatalf("trial %d: COUNT = %v, want bit-identical %v (q=%+v)", trial, got.Value, ref.Value, q)
+			}
+		case Sum, Avg:
+			scale := absSum
+			if q.Aggregate == Avg {
+				scale /= math.Max(1, float64(ref.Support))
+			}
+			if !(math.Abs(got.Value-ref.Value) <= pruneTol*scale) {
+				t.Fatalf("trial %d: %s = %v, want %v within %g of scale %g (q=%+v)",
+					trial, q.Aggregate, got.Value, ref.Value, pruneTol, scale, q)
 			}
 		default:
 			if d := math.Abs(got.Value - ref.Value); d > 1e-9*math.Max(1, math.Abs(ref.Value)) {
@@ -340,6 +351,51 @@ func twoPassCorr(xs, ys []float64) float64 {
 		sxy += dx * dy
 	}
 	return sxy / math.Sqrt(sxx*syy)
+}
+
+// TestPivotIgnoresUnselectedRows: the pivot of the shifted frame is a
+// SELECTED value. A row outside the selection may hold anything in the
+// aggregated columns — a NaN, an Inf, an outlier at 1e300 — and neither a
+// whole-view scan nor a pruned one may let it into the frame, whether it
+// is the view's first row or a block's.
+func TestPivotIgnoresUnselectedRows(t *testing.T) {
+	const n = 3*storage.BlockRows + 44
+	sels := []Selection{
+		{Los: []float64{19, 19}, His: []float64{31, 31}},
+		{Center: []float64{25, 25}, Radius: 9},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		for _, at := range []int{0, storage.BlockRows} {
+			rng := rand.New(rand.NewSource(int64(at) + 1))
+			rows := make([]storage.Row, n)
+			for i := range rows {
+				x, y := 20+10*rng.Float64(), 20+10*rng.Float64()
+				rows[i] = storage.Row{Key: uint64(i), Vec: []float64{x, y, 2*x + 5 + rng.NormFloat64(), 3*y - 1 + rng.NormFloat64()}}
+			}
+			rows[at].Vec = []float64{90, 90, bad, bad} // outside both selections
+			view, _ := storage.BuildColStore(4, rows).View()
+			for _, sel := range sels {
+				for _, agg := range []Agg{Var, Corr, RegSlope} {
+					q := Query{Select: sel, Aggregate: agg, Col: 2, Col2: 3}
+					want := EvalRows(q, rows)
+					if want.Support < n/2 || want.Value == 0 {
+						t.Fatalf("%v: the reference selects %d rows and answers %v", agg, want.Support, want.Value)
+					}
+					pruned, _, _ := PartialEvalPruned(q, view)
+					for name, got := range map[string]Result{
+						"EvalView":          EvalView(q, view),
+						"PartialEvalView":   MergeEval(q, [][]float64{PartialEvalView(q, view)}),
+						"PartialEvalPruned": MergeEval(q, [][]float64{pruned}),
+					} {
+						if got.Support != want.Support || !(math.Abs(got.Value-want.Value) <= 1e-9*math.Abs(want.Value)) {
+							t.Errorf("%v at row %d, %v over %+v: %s = %v (support %d), EvalRows = %v (support %d)",
+								bad, at, agg, sel, name, got.Value, got.Support, want.Value, want.Support)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestNaNParity pins the kernels to the reference's NaN semantics: a
@@ -550,9 +606,10 @@ const pruneTol = 1e-12
 
 // slotScales returns, for each slot of q's 8-slot partial over view, the
 // magnitude its rounding error scales with: Σ|x| for a first-order sum,
-// and for a second-order one Σ(|x|+|p|)(|y|+|q|) with p, q the view's
-// pivots (its first row), because those sums are rebuilt from the
-// shifted frame and the pivot takes part in the rounding.
+// and for a second-order one Σ(|x|+|p|)(|y|+|q|) with p, q values at the
+// data's scale (the view's first row), because those sums are rebuilt
+// from the shifted frame and a pivot — some selected row's value, not
+// the same one in every scan — takes part in the rounding.
 func slotScales(q Query, view storage.ColumnView) [8]float64 {
 	var ax, ay, axx, ayy, axy float64
 	for i := 0; i < view.Len(); i++ {
@@ -713,8 +770,11 @@ func dirtyBlocks(view storage.ColumnView) (n int) {
 
 // TestBlockSummaryIsTheKernelState: folding a block from its moment
 // record leaves the state the kernels leave after streaming the block
-// with every row selected and the block's first row as the pivot, bit
-// for bit, for every aggregate and column pair.
+// with every row selected — the same count and the same frame (the
+// block's first row is the pivot either way), and every sum within
+// pruneTol of the magnitude its rounding scales with: storage adds a
+// block's moments in row order, the kernels four lanes at a time — for
+// every aggregate and column pair.
 func TestBlockSummaryIsTheKernelState(t *testing.T) {
 	view := pruneView(pruneRows(5, 3*storage.BlockRows, 0), false)
 	all := Selection{Los: []float64{math.Inf(-1)}, His: []float64{math.Inf(1)}}
@@ -729,17 +789,34 @@ func TestBlockSummaryIsTheKernelState(t *testing.T) {
 				for col2 := 0; col2 < 3; col2++ {
 					q := Query{Select: all, Aggregate: agg, Col: col, Col2: col2}
 					want := evalView(q, block)
-					got, _, _, _ := seedView(q, block)
 					fold, ok := newSummaryFold(q, view.Width())
 					if !ok {
 						t.Fatalf("%+v: no fold", q)
 					}
+					var got vecState
 					fold.fold(&got, view.BlockMoments, b)
-					if agg == Var {
-						got.cy, want.cy = 0, 0 // Var carries no second column
-					}
-					if got != want {
+					if got.n != want.n || got.seeded != want.seeded || got.cx != want.cx || got.cy != want.cy {
 						t.Fatalf("block %d, %v(%d,%d): folded %+v, streamed %+v", b, agg, col, col2, got, want)
+					}
+					// The magnitudes of the block's sums in that frame.
+					var ax, ay, adx, ady, axx, ayy, axy float64
+					for i := range block.Keys {
+						x, y := block.Cols[col][i], block.Cols[col2][i]
+						dx, dy := math.Abs(x-want.cx), math.Abs(y-want.cy)
+						ax, ay, adx, ady = ax+math.Abs(x), ay+math.Abs(y), adx+dx, ady+dy
+						axx, ayy, axy = axx+dx*dx, ayy+dy*dy, axy+dx*dy
+					}
+					for _, s := range []struct {
+						name             string
+						got, want, scale float64
+					}{
+						{"sum", got.sum, want.sum, ax}, {"sumY", got.sumY, want.sumY, ay},
+						{"sx", got.sx, want.sx, adx}, {"sy", got.sy, want.sy, ady},
+						{"sxx", got.sxx, want.sxx, axx}, {"syy", got.syy, want.syy, ayy}, {"sxy", got.sxy, want.sxy, axy},
+					} {
+						if !(math.Abs(s.got-s.want) <= pruneTol*s.scale) {
+							t.Fatalf("block %d, %v(%d,%d): %s folded %v, streamed %v (scale %g)", b, agg, col, col2, s.name, s.got, s.want, s.scale)
+						}
 					}
 				}
 			}

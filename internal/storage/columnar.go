@@ -71,9 +71,10 @@ const BlockRows = 128
 //	[2w, 3w)  Σ (x_j − p_j)
 //	[3w, …)   Σ (x_j − p_j)(x_k − p_k) for j ≤ k, at 3w + CrossOffset(w, j, k)
 //
-// each sum over the block's BlockRows rows in row order: the
-// shifted-frame state the batch kernels of internal/query produce over
-// the block with every row selected and p as the pivot.
+// each sum over the block's BlockRows rows in row order: to rounding
+// (the kernels add four lanes at a time), the shifted-frame state the
+// batch kernels of internal/query produce over the block with every row
+// selected and p as the pivot.
 func MomentStride(w int) int { return 3*w + w*(w+1)/2 }
 
 // CrossOffset is the position of the (j, k) product sum within the cross
