@@ -129,7 +129,7 @@ func TestBreakerVetoesAlivePeer(t *testing.T) {
 // TestScatterDegradesWhenHoldersGone: with replication 1, killing a
 // member makes its partitions unreachable; the exact path must then
 // return an honest degraded answer over the covered partitions instead
-// of failing — and must fail when NoDegrade opts out.
+// of failing.
 func TestScatterDegradesWhenHoldersGone(t *testing.T) {
 	agentCfg := core.DefaultConfig(2)
 	agentCfg.TrainingQueries = 1 << 30 // never predict: every answer is exact
@@ -175,29 +175,6 @@ func TestScatterDegradesWhenHoldersGone(t *testing.T) {
 	st := n0.NodeStatus()
 	if st.Resilience.DegradedAnswers == 0 {
 		t.Fatal("resilience status missing degraded answers")
-	}
-}
-
-// TestScatterNoDegradeFailsHard: the NoDegrade opt-out restores the old
-// fail-the-query behaviour.
-func TestScatterNoDegradeFailsHard(t *testing.T) {
-	agentCfg := core.DefaultConfig(2)
-	agentCfg.TrainingQueries = 1 << 30
-	rows := testRows(2_000, 11)
-	lc, err := StartLocal(2, Config{
-		Agent:       agentCfg,
-		Replicas:    1,
-		RetryBudget: -1,
-		NoDegrade:   true,
-		Timeout:     500 * time.Millisecond,
-	}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(lc.Close)
-	lc.Kill("n1")
-	if _, err := lc.Node("n0").Answer("", aggStreams(7)[0].Next()); err == nil {
-		t.Fatal("NoDegrade cluster answered despite unreachable partitions")
 	}
 }
 

@@ -63,9 +63,7 @@
 //	GET  /v1/metrics   Prometheus text exposition
 //	GET  /healthz      liveness (failover probing)
 //
-// cmd/seaserve exposes a node via -node-id/-peers/-replicas; E14
-// (internal/experiments) measures scale-out QPS, cross-shard latency and
-// failover recovery on an in-process LocalCluster.
+// cmd/seaserve exposes a node via -node-id/-peers/-replicas.
 package dist
 
 import (
@@ -145,13 +143,6 @@ type Config struct {
 	Workers        int
 	QueueDepth     int
 	TenantInflight int
-	// ServiceDelay, when positive, is paced for real inside a scheduler
-	// worker for every locally-answered query: it models the per-node
-	// service time (storage, NIC) a real deployment pays but an
-	// in-process simulation cannot charge to host CPU. It bounds one
-	// node's throughput at Workers/ServiceDelay, which is what makes
-	// scale-out measurable on small hosts (E14). Zero disables pacing.
-	ServiceDelay time.Duration
 	// DataDir, when set, enables WAL durability for the live write
 	// path: every owned data partition appends its sequenced ingest
 	// batches to a write-ahead log under DataDir/part-<i>, and Load
@@ -269,11 +260,6 @@ type Config struct {
 	BreakerMinVolume   int64
 	BreakerFailureRate float64
 	BreakerOpenFor     time.Duration
-	// NoDegrade disables graceful degradation: with it set, a query
-	// whose partition holders are all unreachable fails with
-	// ErrAllReplicasFailed instead of returning a degraded partial-
-	// coverage answer.
-	NoDegrade bool
 	// InitialView, when set, is the membership view the node boots
 	// with instead of deriving an epoch-1 view from Peers. A joiner
 	// fetches a live member's view (FetchMembership) and passes it

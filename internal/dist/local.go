@@ -18,7 +18,7 @@ import (
 
 // LocalCluster runs N cluster nodes in one process, each with its own
 // loopback HTTP server — real node-to-node HTTP/JSON, no simulation.
-// Tests, E14 and examples/distcluster use it to stand up a cluster in
+// Tests, the experiments and examples/distcluster use it to stand up a cluster in
 // milliseconds; Kill and Revive exercise failover and snapshot warm-up.
 type LocalCluster struct {
 	base Config

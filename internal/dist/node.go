@@ -151,8 +151,8 @@ type Node struct {
 	version atomic.Int64
 
 	// partialsServed counts incoming batched partial-state RPCs;
-	// partialsSent counts outgoing batched rounds. E17 and the dist
-	// tests use them to assert the message-minimal fan-out shape.
+	// partialsSent counts outgoing batched rounds. The dist tests use
+	// them to assert the message-minimal fan-out shape.
 	partialsServed atomic.Int64
 	partialsSent   atomic.Int64
 
@@ -695,10 +695,7 @@ func (n *Node) localPartial(p int, q query.Query) (partial []float64, scanned, s
 }
 
 // Answer serves one query through the node's own pool (local API used by
-// embedding processes; HTTP clients go through /v1/query). With a
-// configured ServiceDelay the query also occupies its scheduler worker
-// for that long, bounding the node's throughput like a real node's
-// storage/NIC service time would.
+// embedding processes; HTTP clients go through /v1/query).
 func (n *Node) Answer(tenant string, q query.Query) (core.Answer, error) {
 	return n.AnswerTraced(tenant, q, nil)
 }
@@ -712,23 +709,10 @@ func (n *Node) AnswerTraced(tenant string, q query.Query, tr *trace.Trace) (core
 		// that owns its key slice (background drift maintenance).
 		n.maints[n.pool.RouteIndex(serve.Key(q))].Record(q)
 	}
-	if n.cfg.ServiceDelay <= 0 {
-		if tr == nil {
-			return n.sched.Answer(tenant, q)
-		}
-		return n.sched.AnswerTraced(tenant, q, tr)
+	if tr == nil {
+		return n.sched.Answer(tenant, q)
 	}
-	v, err := n.sched.Do(tenant, func() (any, error) {
-		time.Sleep(n.cfg.ServiceDelay)
-		if tr == nil {
-			return n.pool.Answer(q)
-		}
-		return n.pool.AnswerTraced(q, tr)
-	})
-	if err != nil {
-		return core.Answer{}, err
-	}
-	return v.(core.Answer), nil
+	return n.sched.AnswerTraced(tenant, q, tr)
 }
 
 // owners returns the ring owners for q's canonical key.

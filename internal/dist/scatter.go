@@ -84,8 +84,7 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // slow holders are hedged to a second replica after a quantile-based
 // delay; and when a partition's holders are ALL gone, the merge
 // degrades to the covered partitions (query.Extrapolate) instead of
-// failing — unless Config.NoDegrade restores the old fail-hard
-// behaviour.
+// failing. A query with no partition covered at all still fails.
 func (n *Node) ScatterGather(q query.Query) (query.Result, metrics.Cost, error) {
 	return n.ScatterGatherSpan(q, nil)
 }
@@ -172,7 +171,7 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 		holders[r.holder] = true
 	}
 	covered := n.cfg.Partitions - uncovered
-	if uncovered > 0 && (n.cfg.NoDegrade || covered == 0) {
+	if uncovered > 0 && covered == 0 {
 		msp.End()
 		return query.Result{}, metrics.Cost{}, remoteErr
 	}

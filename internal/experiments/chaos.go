@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -29,16 +26,14 @@ type E21Row struct {
 	Rows  int `json:"rows"`
 	Nodes int `json:"nodes"`
 
-	// Overhead: served QPS of the same scatter stream against a
-	// resilience-stripped cluster (no retries, no hedging, breakers
-	// pinned closed) versus the hardened defaults, chaos disarmed in
-	// both — the ≤2% CI gate.
-	Workers     int     `json:"workers"`
-	BaselineQPS float64 `json:"baseline_qps"`
-	ChaosQPS    float64 `json:"chaos_qps"`
-	OverheadPct float64 `json:"overhead_pct"`
+	// Overhead: the same scatter stream against a resilience-stripped
+	// cluster (no retries, no hedging, breakers pinned closed) and the
+	// hardened defaults, chaos disarmed in both (bound E21Bound).
+	Workers  int      `json:"workers"`
+	Overhead Overhead `json:"overhead"`
 	// Hedges counts hedged scatter RPCs fired by the hardened cluster
-	// during the overhead phases (the plumbing is live, not just built).
+	// during the overhead measurement (the plumbing is live, not just
+	// built).
 	Hedges int64 `json:"hedges"`
 
 	// Narrative: 3-node cluster, chaos armed — one peer's partials
@@ -115,58 +110,6 @@ func e21Drive(hc *http.Client, bases []string, reqs []serve.QueryRequest, worker
 	return out
 }
 
-// e21DriveAB drives the same query stream against two clusters at
-// once for a paired overhead comparison: each worker issues every
-// logical query to BOTH clusters back-to-back (alternating which goes
-// first per query), so the two measurements of a pair run milliseconds
-// apart under identical ambient conditions. A CPU-steal lump, a
-// frequency excursion, or a scheduler stall hits both sides of the
-// stream equally and cancels in the latency ratio — unlike sequential
-// before/after phases, whose environment can shift several percent
-// between phases (measured: the sequential null test between identical
-// clusters swings ±10% per pair in this harness). Per-query latencies
-// are returned per cluster, in request order.
-func e21DriveAB(hc *http.Client, basesA, basesB []string, reqs []serve.QueryRequest, workers int) (latA, latB []time.Duration, err error) {
-	latA = make([]time.Duration, len(reqs))
-	latB = make([]time.Duration, len(reqs))
-	errs := make([]error, workers)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for j := range idx {
-				one := func(bases []string, lat []time.Duration) {
-					r := e21Post(hc, bases[j%len(bases)], reqs[j])
-					if r.err != nil && errs[w] == nil {
-						errs[w] = r.err
-					}
-					lat[j] = r.lat
-				}
-				if j%2 == 0 {
-					one(basesA, latA)
-					one(basesB, latB)
-				} else {
-					one(basesB, latB)
-					one(basesA, latA)
-				}
-			}
-		}(w)
-	}
-	for j := range reqs {
-		idx <- j
-	}
-	close(idx)
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, nil, e
-		}
-	}
-	return latA, latB, nil
-}
-
 // e21Post sends one query and decodes the cluster's answer.
 func e21Post(hc *http.Client, base string, req serve.QueryRequest) e21Result {
 	body, err := json.Marshal(req)
@@ -229,6 +172,18 @@ func e21SetChaos(hc *http.Client, base string, rules []chaos.Rule) error {
 	return nil
 }
 
+// E21Bound is the resilience-plane gate, in percent of throughput.
+const E21Bound = 2
+
+// memberURLs lists the cluster's member base URLs.
+func memberURLs(lc *dist.LocalCluster) []string {
+	urls := make([]string, 0, len(lc.IDs()))
+	for _, id := range lc.IDs() {
+		urls = append(urls, lc.URL(id))
+	}
+	return urls
+}
+
 // E21ChaosResilience runs the chaos-hardening scenario end to end.
 //
 // Overhead: two identical 3-node clusters serve the same repeat
@@ -236,14 +191,9 @@ func e21SetChaos(hc *http.Client, base string, rules []chaos.Rule) error {
 // over /v1/partials) — one with the resilience plane stripped to its
 // pre-hardening behaviour (RetryBudget<0, HedgeQuantile<0, breakers
 // pinned closed), one with the hardened defaults and the chaos
-// interceptor installed but disarmed. The comparison is paired per
-// QUERY, not per phase: every worker issues each query to both
-// clusters back-to-back in alternating order (e21DriveAB), so ambient
-// noise — CPU steal, frequency shifts, scheduler stalls, which swing
-// sequential before/after phases by ±10% in this harness — hits both
-// sides equally and cancels in the pooled mean-latency ratio. With a
-// closed-loop driver QPS = workers/meanLatency, so that ratio IS the
-// QPS ratio the ≤2% CI gate consumes.
+// interceptor installed but disarmed, paired per query
+// (measureOverhead). Sequential before/after phases swing ±10% per pair
+// in this harness; the pairing cancels that noise.
 //
 // Narrative: a 3-node R=1 cluster serves unique whole-space COUNT
 // queries while chaos rules injected at runtime blackhole one peer's
@@ -297,85 +247,17 @@ func E21ChaosResilience(nRows, workers, perWorker int) (E21Row, error) {
 	}
 	defer hard.Close()
 
-	catalog := make([]serve.QueryRequest, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(400), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		q := cs.Next()
-		catalog[i] = serve.QueryRequest{Agg: "count", Los: q.Select.Los, His: q.Select.His}
+	catalog := countRequests(400)
+	row.Overhead, err = measureOverhead(workers*perWorker, workers, E21Bound,
+		postSide(hc, memberURLs(base), catalog), postSide(hc, memberURLs(hard), catalog), nil)
+	if err != nil {
+		return row, fmt.Errorf("E21: overhead query failed: %v", err)
 	}
-	stream := make([]serve.QueryRequest, workers*perWorker)
-	for i := range stream {
-		stream[i] = catalog[i%len(catalog)]
-	}
-	memberURLs := func(lc *dist.LocalCluster) []string {
-		urls := make([]string, 0, len(lc.IDs()))
-		for _, id := range lc.IDs() {
-			urls = append(urls, lc.URL(id))
-		}
-		return urls
-	}
-	// Collector cycles are a loud noise source in a process hosting two
-	// clusters plus the driver; switch the collector off for the
-	// overhead section and collect manually between blocks, outside the
-	// measured stream. (Restored before the narrative phase; the defer
-	// is a failure-path backstop.)
-	gcPct := debug.SetGCPercent(-1)
-	defer func() { debug.SetGCPercent(gcPct) }()
-	baseURLs, hardURLs := memberURLs(base), memberURLs(hard)
-	// One discarded warm-up block primes connection pools and heap
-	// shape on both clusters so neither side of the paired stream pays
-	// first-touch costs; then four measured blocks, pooling per-query
-	// latencies, with a manual collection between blocks.
-	runtime.GC()
-	warm := stream[:len(stream)/4+1]
-	if _, _, err := e21DriveAB(hc, baseURLs, hardURLs, warm, workers); err != nil {
-		return row, err
-	}
-	var latBase, latHard []time.Duration
-	const blocks = 4
-	for b := 0; b < blocks; b++ {
-		runtime.GC()
-		lo, hi := b*len(stream)/blocks, (b+1)*len(stream)/blocks
-		lb, lh, err := e21DriveAB(hc, baseURLs, hardURLs, stream[lo:hi], workers)
-		if err != nil {
-			return row, fmt.Errorf("E21: overhead query failed: %v", err)
-		}
-		latBase = append(latBase, lb...)
-		latHard = append(latHard, lh...)
-	}
-	// Winsorise both sides at the pooled 99th percentile before
-	// summing: an ambient multi-ms stall lands on one side of one pair
-	// and would otherwise move the ratio by over a percent on its own.
-	// The cap is computed over BOTH sides pooled, so it clips outliers
-	// symmetrically; a systematic tail shift (hedging, breaker
-	// bookkeeping) still surfaces as mass piling up at the cap.
-	pooled := make([]time.Duration, 0, len(latBase)+len(latHard))
-	pooled = append(append(pooled, latBase...), latHard...)
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
-	capLat := pooled[len(pooled)*99/100]
-	sum := func(lats []time.Duration) float64 {
-		var s time.Duration
-		for _, l := range lats {
-			if l > capLat {
-				l = capLat
-			}
-			s += l
-		}
-		return s.Seconds()
-	}
-	sb, sh := sum(latBase), sum(latHard)
-	// Closed-loop throughput: workers each cycling on one cluster alone
-	// would serve workers/meanLatency QPS, so the paired mean-latency
-	// ratio IS the QPS ratio — measured from contemporaneous samples.
-	row.BaselineQPS = float64(workers) * float64(len(latBase)) / sb
-	row.ChaosQPS = float64(workers) * float64(len(latHard)) / sh
-	row.OverheadPct = 100 * (1 - sb/sh)
 	for _, id := range hard.IDs() {
 		row.Hedges += hard.Node(id).NodeStatus().Resilience.Hedges
 	}
 	base.Close()
 	hard.Close()
-	debug.SetGCPercent(gcPct)
 
 	// --- Narrative: armed chaos on a live cluster. ---
 	// R=1 so the blackholed peer's data partitions have no alternate

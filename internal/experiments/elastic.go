@@ -5,9 +5,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,12 +28,10 @@ type E22Row struct {
 	Nodes   int `json:"nodes"`
 	Workers int `json:"workers"`
 
-	// Overhead: served QPS of the same scatter stream with the elastic
-	// plane disarmed (AntiEntropy=0: ticks are a single atomic load)
-	// versus armed at an aggressive cadence — the ≤2% CI gate.
-	BaselineQPS float64 `json:"baseline_qps"`
-	ElasticQPS  float64 `json:"elastic_qps"`
-	OverheadPct float64 `json:"overhead_pct"`
+	// Overhead: the same scatter stream with the elastic plane disarmed
+	// (AntiEntropy=0: ticks are a single atomic load) and armed at an
+	// aggressive cadence (bound E22Bound).
+	Overhead Overhead `json:"overhead"`
 
 	// Narrative: 3-node cluster grows to 5 and retires one founding
 	// member, all under sustained queries + ingest.
@@ -60,16 +55,22 @@ type E22Row struct {
 	RepairFinding bool `json:"repair_finding"`
 }
 
+// E22Bound is the anti-entropy gate, in percent of throughput.
+const E22Bound = 2
+
 // E22ElasticMembership runs the elastic-membership scenario end to end.
 //
 // Overhead: two identical 3-node clusters (resilience extras stripped
 // the same way on both sides so the comparison isolates the elastic
-// plane) serve the same repeat scatter stream — one with AntiEntropy
-// disarmed, one with the background repair loop armed at an aggressive
-// 35ms cadence. The comparison is paired per query (e21DriveAB):
-// ambient noise hits both sides equally and cancels in the pooled
-// mean-latency ratio, which IS the closed-loop QPS ratio the ≤2% CI
-// gate consumes.
+// plane) serve the same repeat scatter stream, paired per query — one
+// with AntiEntropy disarmed, one armed with every member's repair pass
+// ticked by hand every 500ms (measureOverhead). Both clusters share one
+// process, so the CPU a pass burns slows both sides of a pair alike; the
+// passes are timed and that busy time is charged per period beside the
+// paired ratio. A pass over the smoke-scale cluster takes 1–2.5ms on a
+// 2-vCPU VM, so the 35ms cadence this gate once used cost 3–7% of a
+// core — invisible to the pairing alone; 500ms is still 60x the 30s
+// cadence DESIGN.md suggests for production.
 //
 // Narrative: a 3-node cluster (replicas=2, durable WALs, anti-entropy
 // armed at 150ms) serves background whole-space COUNT queries and a
@@ -117,70 +118,26 @@ func E22ElasticMembership(nRows, workers, perWorker int) (E22Row, error) {
 		return row, err
 	}
 	defer base.Close()
-	elastic, err := mk(35 * time.Millisecond)
+	elastic, err := mk(-1) // armed, ticked by hand below
 	if err != nil {
 		return row, err
 	}
 	defer elastic.Close()
 
-	catalog := make([]serve.QueryRequest, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(400), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		q := cs.Next()
-		catalog[i] = serve.QueryRequest{Agg: "count", Los: q.Select.Los, His: q.Select.His}
-	}
-	stream := make([]serve.QueryRequest, workers*perWorker)
-	for i := range stream {
-		stream[i] = catalog[i%len(catalog)]
-	}
-	memberURLs := func(lc *dist.LocalCluster) []string {
-		urls := make([]string, 0, len(lc.IDs()))
-		for _, id := range lc.IDs() {
-			urls = append(urls, lc.URL(id))
+	catalog := countRequests(400)
+	repairPass := func() {
+		for _, id := range elastic.IDs() {
+			elastic.Node(id).AntiEntropyTick()
 		}
-		return urls
 	}
-	gcPct := debug.SetGCPercent(-1)
-	defer func() { debug.SetGCPercent(gcPct) }()
-	baseURLs, elasticURLs := memberURLs(base), memberURLs(elastic)
-	runtime.GC()
-	warm := stream[:len(stream)/4+1]
-	if _, _, err := e21DriveAB(hc, baseURLs, elasticURLs, warm, workers); err != nil {
-		return row, err
+	row.Overhead, err = measureOverhead(workers*perWorker, workers, E22Bound,
+		postSide(hc, memberURLs(base), catalog), postSide(hc, memberURLs(elastic), catalog),
+		&periodic{every: 500 * time.Millisecond, tick: repairPass})
+	if err != nil {
+		return row, fmt.Errorf("E22: overhead query failed: %v", err)
 	}
-	var latBase, latElastic []time.Duration
-	const blocks = 4
-	for b := 0; b < blocks; b++ {
-		runtime.GC()
-		lo, hi := b*len(stream)/blocks, (b+1)*len(stream)/blocks
-		lb, le, err := e21DriveAB(hc, baseURLs, elasticURLs, stream[lo:hi], workers)
-		if err != nil {
-			return row, fmt.Errorf("E22: overhead query failed: %v", err)
-		}
-		latBase = append(latBase, lb...)
-		latElastic = append(latElastic, le...)
-	}
-	pooled := make([]time.Duration, 0, len(latBase)+len(latElastic))
-	pooled = append(append(pooled, latBase...), latElastic...)
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
-	capLat := pooled[len(pooled)*99/100]
-	sum := func(lats []time.Duration) float64 {
-		var s time.Duration
-		for _, l := range lats {
-			if l > capLat {
-				l = capLat
-			}
-			s += l
-		}
-		return s.Seconds()
-	}
-	sb, se := sum(latBase), sum(latElastic)
-	row.BaselineQPS = float64(workers) * float64(len(latBase)) / sb
-	row.ElasticQPS = float64(workers) * float64(len(latElastic)) / se
-	row.OverheadPct = 100 * (1 - sb/se)
 	base.Close()
 	elastic.Close()
-	debug.SetGCPercent(gcPct)
 
 	// --- Narrative: grow, shrink and heal under sustained load. ---
 	return row, e22Narrative(&row, rows, hc)

@@ -1,13 +1,16 @@
-// Package experiments contains the runnable reproductions of every
-// experiment in DESIGN.md's per-experiment index (E1-E12 plus ablations
-// A1-A5). Each experiment is a pure function from parameters to a typed
-// row of results; the root bench_test.go and cmd/seabench both drive
-// these functions, so benchmark metrics and printed tables always agree.
+// Package experiments contains the runnable reproductions of the
+// experiments in DESIGN.md's per-experiment index (E1-E12, E15, E18-E22
+// plus ablations A1-A5). Each experiment is a pure function from
+// parameters to a typed row of results; the root bench_test.go and
+// cmd/seabench both drive these functions, so benchmark metrics and
+// printed tables always agree.
 //
-// The paper is a vision paper with no evaluation tables; these
-// experiments quantify its claims C1-C10 (see DESIGN.md) on the
-// simulated BDAS. EXPERIMENTS.md records the measured rows against the
-// claimed magnitudes.
+// The paper is a vision paper with no evaluation tables; E1-E12 and the
+// ablations quantify its claims C1-C10 (see DESIGN.md) on the simulated
+// BDAS, and DESIGN.md's index states what each one reproduces. E18-E22
+// gate what an instrument costs the serving path with one estimator
+// (overhead.go). The serving system's end-to-end performance is
+// measured by bench/, whose rows are kept in bench/trajectory/.
 package experiments
 
 import (

@@ -199,31 +199,6 @@ func TestE12Shape(t *testing.T) {
 	}
 }
 
-func TestE14Shape(t *testing.T) {
-	row, err := E14DistServe(4_000, 3, 4, 30, 80, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Queries == 0 || row.QPS <= 0 {
-		t.Errorf("E14 served nothing: %+v", row)
-	}
-	if row.PredictionRate <= 0 {
-		t.Error("E14: snapshot-warmed cluster never predicted")
-	}
-	if row.SnapshotBytes <= 0 {
-		t.Error("E14: model shipping moved zero bytes")
-	}
-	if row.FailoverErrors != 0 {
-		t.Errorf("E14: %d client-visible errors during failover, want 0", row.FailoverErrors)
-	}
-	if row.FailoverQueries == 0 || row.RecoveryTime <= 0 {
-		t.Errorf("E14: failover phase did not run: %+v", row)
-	}
-	if row.P50 <= 0 || row.P99 < row.P50 {
-		t.Errorf("E14: implausible latency percentiles: p50=%v p99=%v", row.P50, row.P99)
-	}
-}
-
 func TestAblations(t *testing.T) {
 	a1, err := A1Quanta(5_000, []float64{64, 400})
 	if err != nil {

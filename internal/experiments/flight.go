@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/flight"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -27,14 +24,12 @@ type E20Row struct {
 	Rows  int `json:"rows"`
 	Nodes int `json:"nodes"`
 
-	// Overhead: served QPS of the same repeat-heavy stream with the
-	// recorder off versus sampling at an aggressive 100ms period (10x
-	// production rate — an upper bound on the 1s default).
-	Workers     int     `json:"workers"`
-	Series      int     `json:"series"`
-	BaselineQPS float64 `json:"baseline_qps"`
-	FlightQPS   float64 `json:"flight_qps"`
-	OverheadPct float64 `json:"overhead_pct"`
+	// Overhead: the same repeat-heavy stream through a bare pool and one
+	// with a recorder sampling its Series at an aggressive 100ms period
+	// (10x production rate — an upper bound on the 1s default; bound
+	// E20Bound).
+	Series   int      `json:"series"`
+	Overhead Overhead `json:"overhead"`
 
 	// Overload narrative (synthetic tick clock, one coordinator).
 	WarmTicks     int     `json:"warm_ticks"`
@@ -66,16 +61,16 @@ type E20Row struct {
 	ExemplarTraceID string `json:"exemplar_trace_id"`
 }
 
+// E20Bound is the flight-recorder gate, in percent of throughput.
+const E20Bound = 2
+
 // E20FlightRecorder runs the flight-recorder scenario end to end.
 //
-// Overhead: the E17 fixture's fast-path stream is served with the
-// recorder off versus sampling every registered series at 100ms, as
-// twenty-four alternating back-to-back pairs; OverheadPct is the
-// median paired QPS ratio (same estimator as E19 — the only one whose
-// noise floor sits under the 2% CI gate). 100ms is 10x the production
-// sampling rate and still clears the gate with margin; at 50x the
-// tick's reads of hot histogram cache lines alone cost ~1.5% — see
-// DESIGN.md for the measured scaling.
+// Overhead: two E17 fixtures serve the same fast-path stream, one bare
+// and one with a flight recorder attached, paired per query, while the
+// recorder samples every registered series each 100ms by hand
+// (measureOverhead: the ticks are timed and charged per period). 100ms
+// is 10x the production sampling rate.
 //
 // Narrative: a 3-node cluster runs with manual-tick flight recorders
 // (FlightSample < 0) and a tight SLO. A warm phase of repeated cached
@@ -87,93 +82,24 @@ type E20Row struct {
 // clock jump past the cooldown must admit exactly one more. The
 // latency ramp must replay from /v1/history at both resolutions, with
 // an exemplar trace id on overload points.
-func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	row := E20Row{Rows: nRows, Nodes: 3, Workers: workers}
+func E20FlightRecorder(nRows, training, queries int) (E20Row, error) {
+	row := E20Row{Rows: nRows, Nodes: 3}
 
-	// --- Overhead: recorder off vs 100ms sampling, paired median. ---
-	fix, err := NewE17Fixture(nRows, training)
+	// --- Overhead: recorder off vs 100ms sampling. ---
+	catalog := countCatalog(400)
+	bare, fix, err := fixturePair(nRows, training, catalog)
 	if err != nil {
 		return row, err
 	}
-	catalog := make([]query.Query, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(400), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		catalog[i] = cs.Next()
-	}
-	for _, q := range catalog { // prime cache/prediction tiers once
-		_, _ = fix.Pool.Answer(q)
-	}
-	// One recorder, armed before any measurement: its ring and registry
-	// allocations must not land inside a paired phase, where they would
-	// bias GC timing against the instrumented half. The phases drive
-	// sampling manually (the FlightSample<0 pattern) so the same
-	// recorder can start and stop ticking once per flight phase — a
-	// recorder's own background sampler cannot restart after Stop.
 	fr := flight.New(flight.Config{HiSlots: 256, LoSlots: 64})
 	fr.Instrument(fix.Pool.Recorder())
+	fix.Pool.EnableFlight(fr)
 	row.Series = len(fr.Metrics())
-	// Both phases run IDENTICAL scaffolding — ticker goroutine, channel
-	// plumbing, attach/detach — so the recorder's sampling work is the
-	// single treatment variable the pair ratio sees; a base phase's
-	// ticker fires into a nil recorder.
-	runPhase := func(rec *flight.Recorder) float64 {
-		fix.Pool.EnableFlight(rec)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			tk := time.NewTicker(100 * time.Millisecond)
-			defer tk.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case now := <-tk.C:
-					if rec != nil {
-						rec.Tick(now)
-					}
-				}
-			}
-		}()
-		qps := serveQPS(fix.Pool, workers, perWorker, catalog)
-		close(stop)
-		<-done
-		fix.Pool.EnableFlight(nil)
-		return qps
+	row.Overhead, err = measurePools(queries, E20Bound, bare.Pool, fix.Pool, catalog,
+		&periodic{every: 100 * time.Millisecond, tick: func() { fr.Tick(time.Now()) }})
+	if err != nil {
+		return row, err
 	}
-	measureBase := func() float64 { return runPhase(nil) }
-	measureFlight := func() float64 { return runPhase(fr) }
-	// One discarded warm-up pair, then twenty-four alternating-order
-	// pairs; see E19 for why the median paired ratio is the only
-	// estimator under the 2% gate on a small box.
-	runtime.GC()
-	measureBase()
-	measureFlight()
-	var baseQ, ratios []float64
-	for run := 0; run < 24; run++ {
-		var qb, qf float64
-		if run%2 == 0 {
-			qb = measureBase()
-			qf = measureFlight()
-		} else {
-			qf = measureFlight()
-			qb = measureBase()
-		}
-		baseQ = append(baseQ, qb)
-		ratios = append(ratios, qf/qb)
-	}
-	sort.Float64s(baseQ)
-	sort.Float64s(ratios)
-	med := (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-	row.BaselineQPS = (baseQ[len(baseQ)/2-1] + baseQ[len(baseQ)/2]) / 2
-	row.FlightQPS = row.BaselineQPS * med
-	row.OverheadPct = 100 * (1 - med)
 
 	// --- Narrative: induced overload on a synthetic tick clock. ---
 	spool, err := os.MkdirTemp("", "e20-spool-*")

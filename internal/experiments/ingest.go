@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -353,4 +354,15 @@ func e15VerifyRecovery(lc *dist.LocalCluster, ledger *e15Ledger, nRows int) (los
 		}
 	}
 	return lost, identical, nil
+}
+
+// durPercentile returns the p-th percentile of unsorted durations.
+func durPercentile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := make([]time.Duration, len(ds))
+	copy(sorted, ds)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[int(p*float64(len(sorted)-1))]
 }

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestE19Introspection(t *testing.T) {
-	row, err := E19Introspection(4_000, 120, 4, 100)
+	row, err := E19Introspection(4_000, 120, 400)
 	if err != nil {
 		t.Fatalf("E19 failed: %v (row %+v)", err, row)
 	}
@@ -17,8 +17,8 @@ func TestE19Introspection(t *testing.T) {
 	if !row.CaughtUp {
 		t.Error("E19: catch-up did not drain the lag")
 	}
-	if row.BaselineQPS <= 0 || row.ObsQPS <= 0 {
-		t.Errorf("E19: served nothing: baseline=%.0f obs=%.0f", row.BaselineQPS, row.ObsQPS)
+	if ov := row.Overhead; ov.Pairs == 0 || ov.Period == 0 || ov.TickBusy <= 0 {
+		t.Errorf("E19: overhead not measured: %+v", ov)
 	}
 	if row.LogLines == 0 {
 		t.Error("E19: instrumented phase emitted no log lines")

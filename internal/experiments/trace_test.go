@@ -3,11 +3,11 @@ package experiments
 import "testing"
 
 func TestE18Shape(t *testing.T) {
-	row, err := E18TraceOverhead(5_000, 150, 4, 100, 10)
+	row, err := E18TraceOverhead(5_000, 150, 400, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.BaselineQPS <= 0 || row.TracedQPS <= 0 {
+	if row.Overhead.Pairs == 0 {
 		t.Fatalf("E18 served nothing: %+v", row)
 	}
 	if row.SampledTraces == 0 {

@@ -254,7 +254,9 @@ var benchSinkN int64
 // scratch per scan, as evalViewPruned streams the runs it cannot skip:
 // 128 rows is one straddling block, the run the pruned exact path lives
 // on; 1024 is a straddling chunk; `view` is the whole view as one range.
-// Both selections match about a tenth of the rows.
+// The `row` tier is the row-at-a-time reference, EvalRows over the same
+// rows, at `view` length only: the contrast the vectorised tiers exist
+// for. Both selections match about a tenth of the rows.
 func BenchmarkVecKernels(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(1))
@@ -296,6 +298,17 @@ func BenchmarkVecKernels(b *testing.B) {
 					})
 				}
 			}
+		}
+	}
+	for _, agg := range []Agg{Count, Sum, Var, Corr} {
+		for _, shape := range shapes {
+			q := Query{Select: shape.sel, Aggregate: agg, Col: 2, Col2: 0}
+			b.Run("row/view/"+agg.String()+"/"+shape.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSinkN += EvalRows(q, rows).Support
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mrows/s")
+			})
 		}
 	}
 }

@@ -22,9 +22,9 @@
 // Branchlessness is the point: at mid selectivities a data-dependent
 // branch mispredicts constantly, and measured on scalar Go codegen the
 // branchy formulations run an order of magnitude slower than the
-// mask-vector form (the E16 microbenchmarks document the end-to-end
-// effect). SelectIndices exposes the selection phase alone for
-// consumers that need row positions rather than an aggregate.
+// mask-vector form (BenchmarkVecKernels' row tier shows the contrast).
+// SelectIndices exposes the selection phase alone for consumers that
+// need row positions rather than an aggregate.
 //
 // Numerical frame: second-order moments (VAR/CORR/REGSLOPE) accumulate
 // in a shifted frame — values are centred on a data-scale pivot (the
@@ -32,8 +32,8 @@
 // keeps the partial sums at spread scale instead of mean² scale. Raw
 // moments are reconstructed only at the mergeable-state boundary
 // (PartialEvalView), where the distributed wire format requires them;
-// EvalView and EvalTable finish directly in the shifted frame and stay
-// accurate even when the mean dwarfs the spread.
+// EvalView finishes directly in the shifted frame and stays accurate
+// even when the mean dwarfs the spread.
 //
 // What agrees with the row-at-a-time reference (EvalRows/PartialEval,
 // retained as the correctness oracle): membership, and so COUNT and
@@ -53,9 +53,7 @@ package query
 import (
 	"errors"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -165,21 +163,6 @@ func (st *vecState) addRun(r *runSums) {
 	st.sxx += r.sxx
 	st.syy += r.syy
 	st.sxy += r.sxy
-}
-
-func (st *vecState) foldXY(x, y float64) {
-	if !st.seeded {
-		st.cx, st.cy = x, y
-		st.seeded = true
-	}
-	st.sum += x
-	st.sumY += y
-	dx, dy := x-st.cx, y-st.cy
-	st.sx += dx
-	st.sy += dy
-	st.sxx += dx * dx
-	st.syy += dy * dy
-	st.sxy += dx * dy
 }
 
 // rebase re-centres the state onto new shifts. The delta between two
@@ -620,109 +603,4 @@ func PartialForPartition(q Query, t *storage.Table, p int) (partial []float64, r
 		return nil, 0, err
 	}
 	return PartialEval(q, rows), int64(len(rows)), nil
-}
-
-// TableScanStats reports what a vectorized table evaluation touched.
-type TableScanStats struct {
-	// RowsScanned is the number of rows the kernels actually streamed.
-	RowsScanned int64
-	// PartsScanned is the number of partitions evaluated.
-	PartsScanned int
-	// PartsPruned is the number of partitions zone maps skipped.
-	PartsPruned int
-}
-
-// EvalTable computes q's exact answer over every partition of t through
-// the vectorized path: zone maps prune non-intersecting partitions, the
-// survivors stream through the batch kernels across up to GOMAXPROCS
-// workers, and the per-partition states merge in partition order (the
-// result is deterministic regardless of scheduling). Partitions without
-// a columnar projection fall back to the row-at-a-time reference
-// kernel.
-func EvalTable(q Query, t *storage.Table) (Result, TableScanStats, error) {
-	var stats TableScanStats
-	if err := q.Validate(); err != nil {
-		return Result{}, stats, err
-	}
-	if err := q.ValidateCols(t.Width()); err != nil {
-		return Result{}, stats, err
-	}
-	parts, pruned := Prune(t, q.Select)
-	stats.PartsPruned = pruned
-	stats.PartsScanned = len(parts)
-	if len(parts) == 0 {
-		return finishShifted(q, vecState{}), stats, nil
-	}
-
-	states := make([]vecState, len(parts))
-	rows := make([]int64, len(parts))
-	errs := make([]error, len(parts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(parts) {
-					return
-				}
-				states[i], rows[i], errs[i] = evalPartition(q, t, parts[i])
-			}
-		}()
-	}
-	wg.Wait()
-
-	var merged vecState
-	for i := range parts {
-		if errs[i] != nil {
-			return Result{}, stats, errs[i]
-		}
-		merged.mergeShifted(states[i])
-		stats.RowsScanned += rows[i]
-	}
-	return finishShifted(q, merged), stats, nil
-}
-
-// evalPartition evaluates one partition, preferring the columnar view
-// and falling back to a row-at-a-time walk (still in the shifted frame)
-// when the projection is unavailable.
-func evalPartition(q Query, t *storage.Table, p int) (vecState, int64, error) {
-	view, _, err := t.ScanColumns(p)
-	if err == nil {
-		return evalView(q, view), int64(view.Len()), nil
-	}
-	if !errors.Is(err, storage.ErrNoColumns) {
-		return vecState{}, 0, err
-	}
-	rows, _, err := t.ScanPartition(p)
-	if err != nil {
-		return vecState{}, 0, err
-	}
-	var st vecState
-	for _, r := range rows {
-		if !q.Select.Contains(r.Vec) {
-			continue
-		}
-		st.n++
-		switch q.Aggregate {
-		case Sum, Avg, Var:
-			st.foldXY(colValVec(r.Vec, q.Col), 0)
-		case Corr, RegSlope:
-			st.foldXY(colValVec(r.Vec, q.Col), colValVec(r.Vec, q.Col2))
-		}
-	}
-	return st, int64(len(rows)), nil
-}
-
-func colValVec(vec []float64, col int) float64 {
-	if col < 0 || col >= len(vec) {
-		return 0
-	}
-	return vec[col]
 }

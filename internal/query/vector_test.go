@@ -85,6 +85,38 @@ func rowReference(t *testing.T, q Query, tbl *storage.Table) (Result, [][]float6
 	return MergeEval(q, partials), partials
 }
 
+// tableEval answers q over every partition of tbl the way the serving
+// path does: the columns are checked against the table's width, each
+// partition contributes its vectorised partial (PartialEvalView), and
+// the partials merge through the wire format (MergeEval). A partition
+// whose zone map cannot meet the selection is left out, and must hold no
+// match: pruning never drops a row.
+func tableEval(t *testing.T, q Query, tbl *storage.Table) (Result, error) {
+	t.Helper()
+	if err := q.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := q.ValidateCols(tbl.Width()); err != nil {
+		return Result{}, err
+	}
+	var partials [][]float64
+	for p, zone := range tbl.ZoneMaps() {
+		view, _, err := tbl.ScanColumns(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial := PartialEvalView(q, view)
+		if !ZoneCanMatch(q.Select, zone) {
+			if partial[0] != 0 {
+				t.Fatalf("partition %d was pruned but holds %v rows matching %+v", p, partial[0], q.Select)
+			}
+			continue
+		}
+		partials = append(partials, partial)
+	}
+	return MergeEval(q, partials), nil
+}
+
 // TestVectorizedEquivalenceProperty is the central property of the
 // vectorized engine: across random tables (hash- and range-
 // partitioned), random selections (rectangles and spheres, including
@@ -152,8 +184,8 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// End to end, with pruning and parallel workers.
-		got, stats, err := EvalTable(q, tbl)
+		// End to end, with pruning, through the wire format.
+		got, err := tableEval(t, q, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,9 +211,6 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 				t.Fatalf("trial %d: %s = %v, want %v within 1e-9 rel (q=%+v)",
 					trial, q.Aggregate, got.Value, ref.Value, q)
 			}
-		}
-		if stats.PartsScanned+stats.PartsPruned != tbl.Partitions() {
-			t.Fatalf("trial %d: stats %+v don't cover %d partitions", trial, stats, tbl.Partitions())
 		}
 	}
 }
@@ -259,8 +288,10 @@ func zoneFromRows(rows []storage.Row, sel Selection) bool {
 // TestShiftedFrameStability is the mean ≫ spread regression: naive
 // sum-of-squares arithmetic loses all significant digits (and used to
 // go catastrophically negative / NaN). The shifted-frame kernels must
-// recover the true statistics, and the clamped raw-moment finish must
-// never return a negative variance or a NaN correlation.
+// recover the true statistics, and the clamped raw-moment finish — of
+// the row reference and of partials merged through the wire format —
+// must never return a negative variance, a NaN or an out-of-range
+// correlation.
 func TestShiftedFrameStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 4000
@@ -287,11 +318,9 @@ func TestShiftedFrameStability(t *testing.T) {
 	trueVar := twoPassVar(xs)
 	trueCorr := twoPassCorr(xs, ys)
 
+	view, _ := storage.BuildColStore(2, rows).View()
 	qv := Query{Select: sel, Aggregate: Var, Col: 0}
-	got, _, err := EvalTable(qv, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := EvalView(qv, view)
 	if got.Support != n {
 		t.Fatalf("support %d != %d", got.Support, n)
 	}
@@ -300,23 +329,27 @@ func TestShiftedFrameStability(t *testing.T) {
 	}
 
 	qc := Query{Select: sel, Aggregate: Corr, Col: 0, Col2: 1}
-	gotC, _, err := EvalTable(qc, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotC.Value-trueCorr) > 1e-3 {
+	if gotC := EvalView(qc, view); math.Abs(gotC.Value-trueCorr) > 1e-3 {
 		t.Fatalf("vectorized Corr = %v, truth %v", gotC.Value, trueCorr)
 	}
 
-	// The raw-moment reference path: inaccurate at this conditioning by
-	// construction, but the finish-time clamp must keep it sane.
+	// The raw-moment paths: inaccurate at this conditioning by
+	// construction, but the finish-time clamp must keep them sane.
 	for _, q := range []Query{qv, qc, {Select: sel, Aggregate: RegSlope, Col: 0, Col2: 1}} {
-		ref := EvalRows(q, rows)
-		if math.IsNaN(ref.Value) || math.IsInf(ref.Value, 0) {
-			t.Fatalf("row-path %s = %v, want finite", q.Aggregate, ref.Value)
+		merged, err := tableEval(t, q, tbl)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if q.Aggregate == Var && ref.Value < 0 {
-			t.Fatalf("row-path Var = %v, want clamped >= 0", ref.Value)
+		for path, res := range map[string]Result{"row path": EvalRows(q, rows), "merged partials": merged} {
+			if math.IsNaN(res.Value) || math.IsInf(res.Value, 0) {
+				t.Fatalf("%s %s = %v, want finite", path, q.Aggregate, res.Value)
+			}
+			if q.Aggregate == Var && res.Value < 0 {
+				t.Fatalf("%s Var = %v, want clamped >= 0", path, res.Value)
+			}
+			if q.Aggregate == Corr && math.Abs(res.Value) > 1 {
+				t.Fatalf("%s Corr = %v, want clamped to [-1, 1]", path, res.Value)
+			}
 		}
 	}
 }
@@ -430,7 +463,7 @@ func TestNaNParity(t *testing.T) {
 		for _, agg := range allAggs {
 			q := Query{Select: sel, Aggregate: agg, Col: 1, Col2: 0}
 			ref, _ := rowReference(t, q, tbl)
-			got, _, err := EvalTable(q, tbl)
+			got, err := tableEval(t, q, tbl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -482,9 +515,9 @@ func TestValidateCols(t *testing.T) {
 	// The evaluation boundary rejects, rather than silently answering 0.
 	rng := rand.New(rand.NewSource(3))
 	tbl := vecTestTable(t, rng, 100, 3, 2, false)
-	_, _, err := EvalTable(Query{Select: Selection{Los: []float64{0, 0}, His: []float64{100, 100}}, Aggregate: Sum, Col: 7}, tbl)
+	_, err := tableEval(t, Query{Select: Selection{Los: []float64{0, 0}, His: []float64{100, 100}}, Aggregate: Sum, Col: 7}, tbl)
 	if !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("EvalTable err = %v, want ErrBadQuery", err)
+		t.Fatalf("err = %v, want ErrBadQuery", err)
 	}
 }
 
@@ -624,6 +657,15 @@ func slotScales(q Query, view storage.ColumnView) [8]float64 {
 		axx, ayy, axy = axx+px*px, ayy+py*py, axy+px*py
 	}
 	return [8]float64{0, ax, axx, ax, ay, axx, axy, ayy}
+}
+
+// colValVec reads column col of vec, 0 out of range, as the reference
+// does.
+func colValVec(vec []float64, col int) float64 {
+	if col < 0 || col >= len(vec) {
+		return 0
+	}
+	return vec[col]
 }
 
 // checkPruneParity is the pruned-scan contract against the unpruned scan
