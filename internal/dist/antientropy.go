@@ -1,16 +1,14 @@
 package dist
 
 import (
-	"bytes"
+	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"net/http"
 	"time"
 
-	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/storage"
 )
@@ -43,8 +41,7 @@ const aeChunkRows = 1024
 // DigestRequest is the POST /v1/digest body: name a partition, get its
 // content digest.
 type DigestRequest struct {
-	Part  int   `json:"part"`
-	Epoch int64 `json:"epoch,omitempty"`
+	Part int `json:"part"`
 }
 
 // PartDigest is one partition's content digest.
@@ -54,7 +51,6 @@ type PartDigest struct {
 	Rows    int      `json:"rows"`
 	Chunks  []uint64 `json:"chunks,omitempty"`
 	Root    string   `json:"root"`
-	Epoch   int64    `json:"epoch,omitempty"`
 }
 
 // AntiEntropyCounters snapshots the repair loop's lifetime counters.
@@ -72,9 +68,7 @@ func (n *Node) digestPartition(p int) (PartDigest, bool) {
 	if pt == nil {
 		return PartDigest{}, false
 	}
-	d := pt.digest()
-	d.Epoch = n.epoch()
-	return d, true
+	return pt.digest(), true
 }
 
 // digest hashes the copy straight from its columns, in the documented
@@ -114,12 +108,9 @@ func (pt *partition) digest() PartDigest {
 
 func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 	var req DigestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
-	n.noteEpoch(req.Epoch)
 	d, ok := n.digestPartition(req.Part)
 	if !ok {
 		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": n.notHeld(req.Part)})
@@ -130,24 +121,11 @@ func (n *Node) handleDigest(w http.ResponseWriter, r *http.Request) {
 
 // fetchDigest fetches partition p's digest from a peer.
 func (n *Node) fetchDigest(url string, p int) (*PartDigest, error) {
-	body, err := json.Marshal(DigestRequest{Part: p, Epoch: n.epoch()})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.hc.Post(url+"/v1/digest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dist: digest %d from %s: HTTP %d: %w",
-			p, url, resp.StatusCode, errPeerResponded)
-	}
 	var out PartDigest
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	if _, err := n.call(context.Background(), http.MethodPost, url+"/v1/digest", envelope{},
+		DigestRequest{Part: p}, &out); err != nil {
+		return nil, fmt.Errorf("dist: digest %d from %s: %w", p, url, err)
 	}
-	n.noteEpoch(out.Epoch)
 	return &out, nil
 }
 

@@ -196,10 +196,17 @@ func TestDeadlineRefusedServerSide(t *testing.T) {
 	if code := postJSON(t, base+"/v1/query", wq, nil); code != http.StatusGatewayTimeout {
 		t.Fatalf("/v1/query DOA deadline: HTTP %d, want 504", code)
 	}
-	if code := postJSON(t, base+"/v1/partials", PartialsRequest{
-		Parts: []int{0}, Query: queryToWire(aggStreams(7)[0].Next(), ""), DeadlineMS: dead,
-	}, nil); code != http.StatusGatewayTimeout {
-		t.Fatalf("/v1/partials DOA deadline: HTTP %d, want 504", code)
+	// Node-to-node calls carry the deadline in the envelope.
+	body, _ := json.Marshal(PartialsRequest{Parts: []int{0}, Query: queryToWire(aggStreams(7)[0].Next(), "")})
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/partials", bytes.NewReader(body))
+	envelope{deadline: dead}.write(req.Header)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("/v1/partials DOA deadline: HTTP %d, want 504", resp.StatusCode)
 	}
 	if code := postJSON(t, base+"/v1/ingest", IngestRequest{
 		Rows: []WireRow{{Key: 1, Vec: []float64{1, 2, 3}}}, DeadlineMS: dead,
@@ -254,8 +261,7 @@ func TestHedgeFiresOnceAndCancelsLoser(t *testing.T) {
 	n0.hedgeNs.Store(int64(5 * time.Millisecond))
 	sentBefore := n0.PartialRPCsSent()
 	resp, _, err := n0.fetchPartialsHedged(
-		slow.URL, fast.URL, []int{0}, queryToWire(aggStreams(7)[0].Next(), ""),
-		0, time.Time{}, nil)
+		slow.URL, fast.URL, []int{0}, queryToWire(aggStreams(7)[0].Next(), ""), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +488,7 @@ func TestIngestConcurrentBatchesKeepReplicasIdentical(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		defer drainClose(resp.Body)
+		defer resp.Body.Close()
 		var ir IngestResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			return err

@@ -1,12 +1,10 @@
 package dist
 
 import (
-	"bytes"
+	"context"
 	crand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
 	"sync"
 	"time"
@@ -30,11 +28,11 @@ import (
 // even when they still answer /healthz.
 //
 // The client is membership-aware: every node response carries the
-// membership epoch it was served under, and a response from a NEWER
-// epoch than the client knows triggers a synchronous refresh (GET
-// /v1/membership) that rebuilds the ring and URL table — evicting
-// departed members so they stop receiving RPCs, and admitting joiners
-// so routing follows the new placement. The ring and URL map are
+// membership epoch it was served under (the X-Sea-Epoch envelope
+// header), and a response from a NEWER epoch than the client knows
+// triggers a synchronous refresh (GET /v1/membership) that rebuilds the
+// ring and URL table — evicting departed members so they stop receiving
+// RPCs, and admitting joiners so routing follows the new placement. The ring and URL map are
 // treated as immutable snapshots behind mu, so in-flight requests keep
 // a consistent view while a refresh swaps in the next one.
 type Client struct {
@@ -110,24 +108,6 @@ func (c *Client) Epoch() int64 {
 	return c.epoch
 }
 
-// noteEpoch records a membership epoch observed in a node response and
-// refreshes the client's view if it is newer than what we route by.
-// The refresh is synchronous: by the time the caller's NEXT request
-// goes out, routing already reflects the new membership, so a departed
-// node receives no further RPCs from this client.
-func (c *Client) noteEpoch(e int64) {
-	if e <= 0 {
-		return
-	}
-	c.mu.RLock()
-	known := c.epoch
-	c.mu.RUnlock()
-	if e <= known {
-		return
-	}
-	c.refresh(e)
-}
-
 // refresh pulls /v1/membership from the members we currently know,
 // adopts the highest-epoch view seen, and rebuilds the ring + URL
 // table from it. Single-flight: concurrent observers of the same new
@@ -198,29 +178,14 @@ func (c *Client) AnswerNode(q query.Query) (core.Answer, string, error) {
 
 // retryLoop drives walk — one full pass over the candidate list —
 // until it reports done, or the retry budget is exhausted, or the
-// deadline passes. Between passes the loop backs off exponentially
-// with up to +100% uniform jitter, clamped to the remaining deadline.
+// deadline passes, backing off between passes (sleepBackoff).
 func (c *Client) retryLoop(deadline time.Time, walk func() bool) {
 	backoff := c.backoff
-	for retries := 0; ; retries++ {
-		if walk() {
+	for retries := 0; !walk() && retries < c.budget; retries++ {
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return
 		}
-		if retries >= c.budget {
-			return
-		}
-		d := backoff + time.Duration(rand.Int64N(int64(backoff)))
-		if !deadline.IsZero() {
-			left := time.Until(deadline)
-			if left <= 0 {
-				return
-			}
-			if d > left {
-				d = left
-			}
-		}
-		time.Sleep(d)
-		backoff *= 2
+		sleepBackoff(&backoff, deadline)
 	}
 }
 
@@ -228,10 +193,8 @@ func (c *Client) answer(q query.Query) (QueryResponse, error) {
 	if err := q.Validate(); err != nil {
 		return QueryResponse{}, err
 	}
-	body, err := json.Marshal(queryToWire(q, c.Tenant))
-	if err != nil {
-		return QueryResponse{}, err
-	}
+	wire := queryToWire(q, c.Tenant)
+	env := envelope{deadline: wire.DeadlineMS}
 	key := serve.Key(q)
 	var out QueryResponse
 	var lastErr, terminalErr error
@@ -245,30 +208,21 @@ func (c *Client) answer(q query.Query) (QueryResponse, error) {
 			if url == "" || !c.health.available(url) {
 				continue
 			}
-			resp, err := c.hc.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				lastErr = err
-				c.health.observe(url, err)
-				continue
-			}
-			r, retryable, err := decodeAnswer(resp)
+			var r QueryResponse
+			rep, err := c.call(context.Background(), http.MethodPost, url+"/v1/query", env, wire, &r)
+			c.health.observeReply(url, rep, err)
 			if err == nil {
-				c.health.observe(url, nil)
-				c.noteEpoch(r.Epoch)
 				out, ok = r, true
 				return true
 			}
-			// The node responded, so it is alive — retry elsewhere for
-			// retryable failures but do not quarantine it. Server-side
-			// failures still count toward its breaker.
-			lastErr = err
-			if resp.StatusCode >= 500 {
-				c.health.observe(url, fmt.Errorf("%w: %v", errPeerResponded, err))
-			} else {
-				c.health.observe(url, nil)
-			}
-			if !retryable {
-				terminalErr = err
+			lastErr = fmt.Errorf("dist: query via %s: %w", id, err)
+			// Overload, server-side failures and garbled replies are worth
+			// another replica; a rejected query or a lapsed deadline (a
+			// retried dead request arrives even deader) fails the same way
+			// everywhere.
+			if s := rep.status; s != 0 && s != http.StatusOK && s != http.StatusTooManyRequests &&
+				(s < 500 || s == http.StatusGatewayTimeout) {
+				terminalErr = lastErr
 				return true
 			}
 		}
@@ -301,30 +255,6 @@ func (c *Client) candidates(ring *Ring, key string) []string {
 	return out
 }
 
-// decodeAnswer parses one node response. retryable reports whether the
-// failure is worth trying on another replica (overload and server-side
-// failures are; malformed-query rejections and dead-on-arrival 504s
-// are not — a retried dead request arrives even deader). The body is
-// always drained so the keep-alive connection is reusable.
-func decodeAnswer(resp *http.Response) (QueryResponse, bool, error) {
-	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusOK {
-		var out QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return QueryResponse{}, true, err
-		}
-		return out, false, nil
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	_ = json.NewDecoder(resp.Body).Decode(&e)
-	err := fmt.Errorf("dist: HTTP %d: %s", resp.StatusCode, e.Error)
-	retryable := (resp.StatusCode >= 500 && resp.StatusCode != http.StatusGatewayTimeout) ||
-		resp.StatusCode == http.StatusTooManyRequests
-	return QueryResponse{}, retryable, err
-}
-
 // newIdemKey mints a batch idempotency key: 16 random bytes, hex.
 func newIdemKey() string {
 	var b [16]byte
@@ -350,10 +280,7 @@ func (c *Client) Ingest(rows []storage.Row) (IngestResponse, error) {
 	if len(rows) == 0 {
 		return IngestResponse{}, fmt.Errorf("dist: ingest needs rows")
 	}
-	body, err := json.Marshal(IngestRequest{Rows: rowsToWire(rows), IdemKey: newIdemKey()})
-	if err != nil {
-		return IngestResponse{}, err
-	}
+	req := IngestRequest{Rows: rowsToWire(rows), IdemKey: newIdemKey()}
 	var out IngestResponse
 	var lastErr error
 	ok := false
@@ -364,37 +291,17 @@ func (c *Client) Ingest(rows []storage.Row) (IngestResponse, error) {
 			if url == "" || !c.health.available(url) {
 				continue
 			}
-			resp, err := c.hc.Post(url+"/v1/ingest", "application/json", bytes.NewReader(body))
-			if err != nil {
-				lastErr = err
-				c.health.observe(url, err)
-				continue
-			}
 			var r IngestResponse
-			derr := json.NewDecoder(resp.Body).Decode(&r)
-			code := resp.StatusCode
-			drainClose(resp.Body)
-			if code != http.StatusOK {
-				lastErr = fmt.Errorf("dist: ingest via %s: HTTP %d", id, code)
-				if code >= 500 {
-					c.health.observe(url, fmt.Errorf("%w: %v", errPeerResponded, lastErr))
-				} else {
-					c.health.observe(url, nil)
-				}
-				if code == http.StatusBadRequest {
-					return true
-				}
-				continue
+			rep, err := c.call(context.Background(), http.MethodPost, url+"/v1/ingest", envelope{}, req, &r)
+			c.health.observeReply(url, rep, err)
+			if err == nil {
+				out, ok = r, true
+				return true
 			}
-			if derr != nil {
-				lastErr = derr
-				c.health.observe(url, nil)
-				continue
+			lastErr = fmt.Errorf("dist: ingest via %s: %w", id, err)
+			if rep.status == http.StatusBadRequest {
+				return true
 			}
-			c.health.observe(url, nil)
-			c.noteEpoch(r.Epoch)
-			out, ok = r, true
-			return true
 		}
 		return false
 	})
@@ -414,29 +321,13 @@ func (c *Client) Status() (ClusterStatus, error) {
 		if url == "" || !c.health.available(url) {
 			continue
 		}
-		resp, err := c.hc.Get(url + "/v1/cluster")
-		if err != nil {
-			lastErr = err
-			c.health.observe(url, err)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			drainClose(resp.Body)
-			lastErr = fmt.Errorf("dist: cluster status from %s: HTTP %d", url, resp.StatusCode)
-			c.health.observe(url, fmt.Errorf("%w: %v", errPeerResponded, lastErr))
-			continue
-		}
 		var st ClusterStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		drainClose(resp.Body)
-		if err != nil {
-			lastErr = err
-			c.health.observe(url, nil)
-			continue
+		rep, err := c.call(context.Background(), http.MethodGet, url+"/v1/cluster", envelope{}, nil, &st)
+		c.health.observeReply(url, rep, err)
+		if err == nil {
+			return st, nil
 		}
-		c.health.observe(url, nil)
-		c.noteEpoch(st.Epoch)
-		return st, nil
+		lastErr = fmt.Errorf("dist: cluster status from %s: %w", url, err)
 	}
 	return ClusterStatus{}, errAllReplicas("cluster status", lastErr)
 }

@@ -29,7 +29,10 @@
 //     instead of re-paying its training queries — the real-system
 //     analogue of internal/polystore's ship-model strategy.
 //
-// Node-to-node API (all JSON):
+// Node-to-node API (JSON bodies; the cross-cutting fields ride in the
+// envelope headers of envelope.go — X-Sea-Epoch on every request and
+// response, X-Sea-Deadline (Unix ms), X-Sea-Trace and the
+// X-Sea-Forwarded hop count):
 //
 //	POST /v1/query     client-facing query; non-owners forward to owners
 //	POST /v1/ingest    client-facing row batches (replicated, quorum-
@@ -69,7 +72,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -378,38 +380,6 @@ func newHTTPClient(timeout time.Duration, fault *chaos.Fault) *http.Client {
 	return &http.Client{Timeout: timeout, Transport: rt}
 }
 
-// drainClose drains (bounded) and closes an HTTP response body. On
-// error and retry paths the body must be read to EOF before Close or
-// the keep-alive connection is torn down instead of reused — under an
-// error storm that converts every retry into a fresh TCP handshake.
-func drainClose(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, 256<<10))
-	body.Close()
-}
-
-// deadlineMS converts a query deadline to its wire form (absolute Unix
-// milliseconds; 0 = none).
-func deadlineMS(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixMilli()
-}
-
-// checkDeadline maps a wire deadline back to a query deadline and
-// reports dead-on-arrival requests: callers refuse those with
-// serve.ErrDeadline instead of computing answers nobody reads.
-func checkDeadline(ms int64) (time.Time, error) {
-	if ms <= 0 {
-		return time.Time{}, nil
-	}
-	dl := time.UnixMilli(ms)
-	if !time.Now().Before(dl) {
-		return dl, serve.ErrDeadline
-	}
-	return dl, nil
-}
-
 // partKey is the ring key for data partition p.
 func partKey(p int) string { return "part:" + strconv.Itoa(p) }
 
@@ -427,7 +397,9 @@ func queryToWire(q query.Query, tenant string) serve.QueryRequest {
 	} else {
 		req.Los, req.His = q.Select.Los, q.Select.His
 	}
-	req.DeadlineMS = deadlineMS(q.Deadline)
+	if !q.Deadline.IsZero() {
+		req.DeadlineMS = q.Deadline.UnixMilli()
+	}
 	return req
 }
 
@@ -448,10 +420,6 @@ type QueryResponse struct {
 	serve.QueryResponse
 	// Node is the member that produced the answer.
 	Node string `json:"node"`
-	// Epoch is the answering node's membership epoch: a client seeing
-	// an epoch newer than its own refetches the membership view and
-	// re-resolves owners instead of routing on a stale ring.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // Answer converts the wire response to the agent's answer type.
@@ -476,15 +444,6 @@ func (r QueryResponse) Answer() core.Answer {
 type PartialsRequest struct {
 	Parts []int              `json:"parts"`
 	Query serve.QueryRequest `json:"query"`
-	// Trace asks the holder to record a span tree for its side of the
-	// batch and return it in PartialsResponse.Spans.
-	Trace bool `json:"trace,omitempty"`
-	// DeadlineMS propagates the coordinator's absolute deadline (Unix
-	// milliseconds; 0 = none): holders refuse dead-on-arrival batches
-	// with HTTP 504 instead of scanning partitions nobody waits for.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Epoch is the caller's membership epoch (stale holders refetch).
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // PartPartial is one partition's outcome within a batched partials
@@ -507,8 +466,6 @@ type PartialsResponse struct {
 	// request asked for a trace); the gatherer grafts it under its
 	// partial_rpc span.
 	Spans []trace.WireSpan `json:"spans,omitempty"`
-	// Epoch is the holder's membership epoch.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // SnapshotResponse ships a node's agent states for replica warm-up.
@@ -557,9 +514,6 @@ type WireRow struct {
 // partition's primary and replicated to the ring owners.
 type IngestRequest struct {
 	Rows []WireRow `json:"rows"`
-	// Trace asks the ingest path to record a span tree (wal_append,
-	// absorb, replicate fan-out) and return it in IngestResponse.Spans.
-	Trace bool `json:"trace,omitempty"`
 	// IdemKey is a client-chosen idempotency key for the batch: a
 	// primary remembers recently applied (key, partition) outcomes and
 	// replays the stored result instead of re-applying the rows, so a
@@ -569,10 +523,6 @@ type IngestRequest struct {
 	// DeadlineMS propagates the client's absolute deadline (Unix
 	// milliseconds; 0 = none).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Epoch is the membership epoch a forwarding member routed the batch
-	// by (0 from clients). A receiver still on an older view catches up
-	// before it judges whose partition this is.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // PartIngestResult is one partition's outcome within an ingest batch.
@@ -599,8 +549,6 @@ type IngestResponse struct {
 	// for a trace). Forwarding nodes stitch the primary's spans under
 	// their own forward span.
 	Spans []trace.WireSpan `json:"spans,omitempty"`
-	// Epoch is the answering node's membership epoch.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // ReplicateRequest is the primary-to-replica POST /v1/replicate body:
@@ -610,15 +558,11 @@ type ReplicateRequest struct {
 	Part int       `json:"part"`
 	Seq  uint64    `json:"seq"`
 	Rows []WireRow `json:"rows"`
-	// Epoch is the primary's membership epoch (stale replicas refetch).
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // ReplicateResponse reports the replica's last applied sequence.
 type ReplicateResponse struct {
 	LastSeq uint64 `json:"last_seq"`
-	// Epoch is the replica's membership epoch.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // WALFetchRequest is the POST /v1/walfetch body: a recovering replica
@@ -630,8 +574,6 @@ type WALFetchRequest struct {
 	// Max bounds the entry count of one response (0 takes the server's
 	// walFetchMaxDefault); callers loop while Truncated.
 	Max int `json:"max,omitempty"`
-	// Epoch is the caller's membership epoch.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // WALFetchEntry is one sequenced batch of a fetched log tail.
@@ -659,8 +601,6 @@ type WALFetchResponse struct {
 	// durability configured); LastSeq is still authoritative and the
 	// caller falls back to a snapshot fetch for missing rows.
 	NoWAL bool `json:"no_wal,omitempty"`
-	// Epoch is the holder's membership epoch.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // wireToRows converts wire rows to storage rows.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 // countAll returns the cluster's exact whole-space row count via the
@@ -153,7 +154,7 @@ func TestMembershipClientRefreshEvictsRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainClose(resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("leave: HTTP %d", resp.StatusCode)
 	}
@@ -411,7 +412,7 @@ func assertConserved(t *testing.T, lc *LocalCluster, step string, wantRows int) 
 		}
 		var st NodeStatus
 		err = json.NewDecoder(resp.Body).Decode(&st)
-		drainClose(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("%s: status of %s: %v", step, id, err)
 		}
@@ -554,4 +555,58 @@ func TestElasticLifecycleConservation(t *testing.T) {
 	}
 	assertConserved(t, lc, "corrupt+repair", want)
 	ingest("after repair")
+}
+
+// TestReplicateHealsStagedCopyGap: a primary that adopted a new view
+// before the gainer did replicates to the gainer's staged copy, which
+// is missing the batches sequenced since its snapshot (they went to the
+// old owners only). The staged copy must heal the gap from the holders
+// and ack, not answer 409 and cost the client its ack.
+func TestReplicateHealsStagedCopyGap(t *testing.T) {
+	cfg := core.DefaultConfig(2)
+	cfg.TrainingQueries = 1 << 30
+	lc, err := StartLocal(2, Config{Agent: cfg, Replicas: 1, WriteQuorum: 1, Partitions: 2,
+		DataDir: t.TempDir()}, testRows(400, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	primary := lc.Node(lc.Node("n0").PartitionOwners(0)[0])
+	gainer := lc.Node("n0")
+	if gainer == primary {
+		gainer = lc.Node("n1")
+	}
+	batch := func(first uint64) []storage.Row {
+		var rows []storage.Row
+		for k := first; len(rows) < 3; k++ {
+			if primary.partitionForKey(k) == 0 {
+				rows = append(rows, storage.Row{Key: k, Vec: []float64{1, 2, 3}})
+			}
+		}
+		return rows
+	}
+	if err := gainer.stageParts([]MigratePart{{Part: 0, Donors: []string{selfURL(primary)}}}); err != nil {
+		t.Fatal(err)
+	}
+	var last []storage.Row
+	for b := uint64(0); b < 3; b++ {
+		last = batch(9_400_000 + b*1000)
+		if pr := primary.primaryIngest(0, last, "", envelope{}, nil); !pr.Acked {
+			t.Fatalf("ingest on the primary: %+v", pr)
+		}
+	}
+	seq := primary.PartLastSeq(0)
+	got, err := primary.replicateTo(selfURL(gainer), 0, seq, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != seq {
+		t.Fatalf("staged copy answered last_seq %d, want %d (gap not healed)", got, seq)
+	}
+	gainer.mu.RLock()
+	staged := gainer.staged[0].pt
+	gainer.mu.RUnlock()
+	if want := primary.livePart(0).digest(); staged.digest().Root != want.Root {
+		t.Fatal("healed staged copy differs from the primary's")
+	}
 }

@@ -89,6 +89,17 @@ func (h *health) observe(url string, err error) {
 	h.markDownOn(url, err)
 }
 
+// observeReply is observe for a forwarded or client call's outcome: a
+// peer that answered below 500 — a rejection or a garbled body included
+// — proved it is up; an unreachable peer or a server failure is
+// observed as the error it is.
+func (h *health) observeReply(url string, rep reply, err error) {
+	if rep.status != 0 && rep.status < 500 {
+		err = nil
+	}
+	h.observe(url, err)
+}
+
 // worstBreaker returns the worst breaker state across all peers
 // (the sea_breaker_state gauge).
 func (h *health) worstBreaker() int {

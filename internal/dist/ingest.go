@@ -1,12 +1,10 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/query"
@@ -14,21 +12,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
-
-// parseHops decodes the ingest forward-hop header. Empty means an
-// entry-point request (0 hops). A non-numeric value — e.g. a node id
-// set by a pre-elastic peer — maps to the terminal hop count, which
-// preserves the old "forwarded requests never hop again" behaviour.
-func parseHops(h string) int {
-	if h == "" {
-		return 0
-	}
-	v, err := strconv.Atoi(h)
-	if err != nil || v < 0 {
-		return maxIngestHops
-	}
-	return v
-}
 
 // This file is the cluster's replicated write path (the live data
 // plane):
@@ -109,14 +92,14 @@ func (n *Node) offer(pt *partition, live bool, seq uint64, rows []storage.Row) (
 	return seq, nil
 }
 
-// applyTail offers a fetched log tail to live copy pt in order (the
-// caller holds its ingest lock), skipping what is already applied and
-// stopping at the first gap — another holder may fill it. It returns
-// how many batches were applied.
-func (n *Node) applyTail(pt *partition, entries []WALFetchEntry) (int, error) {
+// applyTail offers a fetched log tail to copy pt in order (the caller
+// holds its ingest lock; live says whether pt is the live copy),
+// skipping what is already applied and stopping at the first gap —
+// another holder may fill it. It returns how many batches were applied.
+func (n *Node) applyTail(pt *partition, live bool, entries []WALFetchEntry) (int, error) {
 	start := pt.seq()
 	for _, e := range entries {
-		if last, err := n.offer(pt, true, e.Seq, wireToRows(e.Rows)); err != nil || e.Seq > last {
+		if last, err := n.offer(pt, live, e.Seq, wireToRows(e.Rows)); err != nil || e.Seq > last {
 			return int(pt.seq() - start), err
 		}
 	}
@@ -188,20 +171,20 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer n.closeDone()
 	var req IngestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, rowsBodyLimit, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
 		serve.WriteError(w, fmt.Errorf("%w: ingest batch needs rows", query.ErrBadQuery))
 		return
 	}
-	// Refuse dead-on-arrival batches: the client stopped waiting, and an
-	// applied-but-unacked write is worse than a refused one.
-	if _, err := checkDeadline(req.DeadlineMS); err != nil {
-		serve.WriteError(w, err)
+	// The client's body deadline folds into the envelope, which every
+	// forward hop carries. Refuse dead-on-arrival batches: the client
+	// stopped waiting, and an applied-but-unacked write is worse than a
+	// refused one.
+	env := envelopeOf(r).until(req.DeadlineMS)
+	if env.expired() {
+		serve.WriteError(w, serve.ErrDeadline)
 		return
 	}
 	batch := wireToRows(req.Rows)
@@ -228,21 +211,20 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Ints(parts)
 
-	hops := parseHops(r.Header.Get(forwardHeader))
 	// A forwarder routed this batch by a view this node has not adopted
 	// yet (the cutover push is still on its way): by the old view the
 	// node would forward the batch back, and the two would bounce it
 	// until the hop budget refused it. Catch up first, synchronously.
-	if req.Epoch > n.epoch() {
+	if env.epoch > n.epoch() {
 		n.refreshMembership()
 	}
 	ms := n.members()
-	// ?trace=1 (or a forwarded request's Trace flag) records the write
-	// path as a span tree: wal_append/absorb per applied partition,
-	// replicate fan-out, and the forwarded primaries' own trees
-	// stitched under the forward spans.
+	// ?trace=1 (or a forwarder's trace flag) records the write path as a
+	// span tree: wal_append/absorb per applied partition, replicate
+	// fan-out, and the forwarded primaries' own trees stitched under the
+	// forward spans.
 	var root *trace.Span
-	if req.Trace || serve.TraceRequested(r) {
+	if env.trace || serve.TraceRequested(r) {
 		root = trace.NewSpan("ingest", n.id)
 	}
 	// The partitions of a batch commit side by side, one goroutine each
@@ -259,8 +241,8 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		psp := root.Child("part")
 		switch {
 		case len(owners) > 0 && owners[0] == n.id:
-			pr = n.primaryIngest(p, rows, req.IdemKey, hops, psp)
-		case hops >= maxIngestHops:
+			pr = n.primaryIngest(p, rows, req.IdemKey, env, psp)
+		case env.hops >= maxIngestHops:
 			// Anti-bounce: the hop budget is spent. A persisting ring
 			// disagreement must surface as an error, not bounce again —
 			// and never as a silent non-primary apply, which would fork
@@ -269,7 +251,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			pr = PartIngestResult{Part: p, Rows: len(rows),
 				Error: fmt.Sprintf("dist: node %s is not the primary of partition %d", n.id, p)}
 		default:
-			pr = n.forwardIngest(owners, p, rows, req.IdemKey, hops, psp)
+			pr = n.forwardIngest(owners, p, rows, req.IdemKey, env, psp)
 			// The batch changed data this node holds no replica of, so
 			// its own version counter stays put — advance the ingest
 			// epoch instead so cached cluster-wide answers expire.
@@ -288,7 +270,6 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Version = n.DataVersion()
-	resp.Epoch = ms.view.Epoch
 	if root != nil {
 		root.End()
 		resp.Spans = []trace.WireSpan{root.Wire()}
@@ -311,8 +292,8 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 // the old primary after cutover would fork the partition's log. A batch
 // that lost the race re-forwards (with the lock RELEASED first — the
 // new primary's cutover sync may be fetching our WAL tail, which needs
-// this very lock).
-func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int, sp *trace.Span) PartIngestResult {
+// this very lock). env is the batch's envelope (hop count, deadline).
+func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, env envelope, sp *trace.Span) PartIngestResult {
 	pt := n.lockLive(p)
 	if pt == nil {
 		// Routed here as primary, but the partition is gone — a view
@@ -320,8 +301,8 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 		// Re-resolve under the current membership and forward to the
 		// node that owns it now instead of failing the batch.
 		owners := n.members().ring.Owners(partKey(p), n.cfg.Replicas)
-		if len(owners) > 0 && owners[0] != n.id && hops < maxIngestHops {
-			return n.forwardIngest(owners, p, rows, idemKey, hops, sp)
+		if len(owners) > 0 && owners[0] != n.id && env.hops < maxIngestHops {
+			return n.forwardIngest(owners, p, rows, idemKey, env, sp)
 		}
 		return PartIngestResult{Part: p, Rows: len(rows),
 			Error: fmt.Sprintf("dist: primary %s does not hold partition %d", n.id, p)}
@@ -330,11 +311,11 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 	owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
 	if len(owners) == 0 || owners[0] != n.id {
 		pt.ingest.Unlock()
-		if hops >= maxIngestHops {
+		if env.hops >= maxIngestHops {
 			return PartIngestResult{Part: p, Rows: len(rows),
 				Error: fmt.Sprintf("dist: node %s is no longer the primary of partition %d", n.id, p)}
 		}
-		return n.forwardIngest(owners, p, rows, idemKey, hops, sp)
+		return n.forwardIngest(owners, p, rows, idemKey, env, sp)
 	}
 	defer pt.ingest.Unlock()
 	// Under the ingest lock, so a concurrent retry of the same batch
@@ -440,23 +421,11 @@ func (n *Node) replicateBatch(pt *partition, ms *memberState, owners []string, s
 // its inline heal — the caller reads the shortfall off LastSeq instead
 // of treating the responsive peer as down.
 func (n *Node) replicateTo(url string, p int, seq uint64, rows []storage.Row) (uint64, error) {
-	body, err := json.Marshal(ReplicateRequest{Part: p, Seq: seq, Rows: rowsToWire(rows), Epoch: n.epoch()})
-	if err != nil {
-		return 0, err
-	}
-	resp, err := n.hc.Post(url+"/v1/replicate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
-		return 0, fmt.Errorf("replicate to %s: HTTP %d: %w", url, resp.StatusCode, errPeerResponded)
-	}
 	var rr ReplicateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+	if _, err := n.call(context.Background(), http.MethodPost, url+"/v1/replicate", envelope{},
+		ReplicateRequest{Part: p, Seq: seq, Rows: rowsToWire(rows)}, &rr); err != nil {
 		return 0, fmt.Errorf("replicate to %s: %w", url, err)
 	}
-	n.noteEpoch(rr.Epoch)
 	return rr.LastSeq, nil
 }
 
@@ -468,17 +437,16 @@ func (n *Node) replicateTo(url string, p int, seq uint64, rows []storage.Row) (u
 // cluster (its listener closes right after the cutover), and the batch
 // belongs to whichever node now owns the partition. A primary that
 // RESPONDS with an error is not retried — that is an application
-// outcome, not stale routing.
-func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey string, hops int, sp *trace.Span) PartIngestResult {
+// outcome, not stale routing. The hop carries env's deadline, so a batch
+// the client stopped waiting for is not applied behind its back.
+func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey string, env envelope, sp *trace.Span) PartIngestResult {
 	fail := func(msg string) PartIngestResult {
 		return PartIngestResult{Part: p, Rows: len(rows), Error: msg}
 	}
 	// The idempotency key rides along: a client retry entering through a
 	// different member still dedups at the same primary.
-	body, err := json.Marshal(IngestRequest{Rows: rowsToWire(rows), Trace: sp != nil, IdemKey: idemKey, Epoch: n.epoch()})
-	if err != nil {
-		return fail(err.Error())
-	}
+	body := IngestRequest{Rows: rowsToWire(rows), IdemKey: idemKey}
+	fwd := envelope{deadline: env.deadline, trace: sp != nil, hops: env.hops + 1}
 	lastMsg := "dist: partition has no ring owners"
 	tried := make(map[string]bool, 2)
 	for attempt := 0; attempt < 2; attempt++ {
@@ -490,7 +458,7 @@ func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey
 			if owners[0] == n.id {
 				// The refreshed view made US the primary: sequence the
 				// batch locally instead of bouncing it further.
-				return n.primaryIngest(p, rows, idemKey, hops+1, sp)
+				return n.primaryIngest(p, rows, idemKey, fwd, sp)
 			}
 			if tried[owners[0]] {
 				break // same primary as before; transport is just down
@@ -508,38 +476,20 @@ func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey
 		}
 		fsp := sp.Child("forward")
 		fsp.SetAttr("primary", primary)
-		hreq, err := http.NewRequest(http.MethodPost, url+"/v1/ingest", bytes.NewReader(body))
-		if err != nil {
-			fsp.End()
-			return fail(err.Error())
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set(forwardHeader, strconv.Itoa(hops+1))
-		resp, err := n.hc.Do(hreq)
-		if err != nil {
-			fsp.End()
-			n.health.observe(url, err)
+		var out IngestResponse
+		rep, err := n.call(context.Background(), http.MethodPost, url+"/v1/ingest", fwd, body, &out)
+		n.health.observeReply(url, rep, err)
+		// Graft the primary's span tree under this node's forward span.
+		fsp.AttachWire(out.Spans)
+		fsp.End()
+		if rep.status == 0 {
 			n.logger.Warn("ingest forward failed", "part", p, "primary", primary, "err", err)
 			lastMsg = fmt.Sprintf("dist: primary %s of partition %d: %v", primary, p, err)
 			continue
 		}
-		var out IngestResponse
-		derr := json.NewDecoder(resp.Body).Decode(&out)
-		drainClose(resp.Body)
-		if derr != nil || resp.StatusCode != http.StatusOK {
-			fsp.End()
-			if resp.StatusCode >= 500 {
-				n.health.observe(url, fmt.Errorf("%w: ingest forward HTTP %d", errPeerResponded, resp.StatusCode))
-			} else {
-				n.health.observe(url, nil)
-			}
-			return fail(fmt.Sprintf("dist: primary %s of partition %d: HTTP %d", primary, p, resp.StatusCode))
+		if err != nil {
+			return fail(fmt.Sprintf("dist: primary %s of partition %d: %v", primary, p, err))
 		}
-		n.health.observe(url, nil)
-		n.noteEpoch(out.Epoch)
-		// Graft the primary's span tree under this node's forward span.
-		fsp.AttachWire(out.Spans)
-		fsp.End()
 		for _, pr := range out.Parts {
 			if pr.Part == p {
 				return pr
@@ -558,12 +508,9 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer n.closeDone()
 	var req ReplicateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, rowsBodyLimit, &req) {
 		return
 	}
-	n.noteEpoch(req.Epoch)
 	// Whichever copy the node has takes the stream. A staged copy (this
 	// node gains the partition in a pending view) keeps its cutover
 	// delta small that way. A retired copy (this node just lost it)
@@ -580,14 +527,16 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// A copy that is replicated to is not its partition's primary (any
 	// more): whatever lag it observed as one is history.
 	pt.repLag.Store(0)
-	if last := pt.seq(); live && req.Seq > last+1 {
-		// Sequence gap: this replica missed a batch. Heal inline by
-		// fetching the missing tail from the peer holders (the primary
-		// already has every earlier batch — including this one — in its
-		// WAL), then offer the batch against the healed sequence.
+	if last := pt.seq(); req.Seq > last+1 {
+		// Sequence gap: this copy missed a batch. Heal inline by fetching
+		// the missing tail from the peer holders (the primary already has
+		// every earlier batch — including this one — in its WAL), then
+		// offer the batch against the healed sequence. A staged copy gaps
+		// whenever the primary adopts the new view first: the batches
+		// sequenced since its snapshot went to the old owners only.
 		n.logger.Warn("replication gap, healing inline",
-			"part", req.Part, "applied", last, "incoming", req.Seq)
-		_, _ = n.catchUpLocked(pt)
+			"part", req.Part, "applied", last, "incoming", req.Seq, "live", live)
+		_, _ = n.catchUpLocked(pt, live)
 	}
 	last, err := n.offer(pt, live, req.Seq, wireToRows(req.Rows))
 	if err != nil {
@@ -600,17 +549,14 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if req.Seq > last {
 		status = http.StatusConflict
 	}
-	serve.WriteJSON(w, status, ReplicateResponse{LastSeq: last, Epoch: n.epoch()})
+	serve.WriteJSON(w, status, ReplicateResponse{LastSeq: last})
 }
 
 func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	var req WALFetchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
-	n.noteEpoch(req.Epoch)
 	max := req.Max
 	if max <= 0 {
 		max = walFetchMaxDefault
@@ -628,8 +574,7 @@ func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	if fenced {
 		defer pt.ingest.Unlock()
 	}
-	resp := WALFetchResponse{Part: req.Part, LastSeq: pt.seq(),
-		Fenced: fenced, Epoch: n.epoch()}
+	resp := WALFetchResponse{Part: req.Part, LastSeq: pt.seq(), Fenced: fenced}
 	if l := pt.wal.Load(); l == nil {
 		resp.NoWAL = true
 	} else {
@@ -680,12 +625,14 @@ func (n *Node) catchUpPartition(p int) (int, error) {
 		return 0, nil
 	}
 	defer pt.ingest.Unlock()
-	return n.catchUpLocked(pt)
+	return n.catchUpLocked(pt, true)
 }
 
-// catchUpLocked is catchUpPartition for a caller that already holds the
-// live copy's ingest lock.
-func (n *Node) catchUpLocked(pt *partition) (int, error) {
+// catchUpLocked is catchUpPartition for a caller that already holds
+// copy pt's ingest lock (live says whether pt is the live copy). The
+// holders consulted are the partition's owners under the node's current
+// view: for a staged copy the old owners, for a retired one the new.
+func (n *Node) catchUpLocked(pt *partition, live bool) (int, error) {
 	var applied int
 	var lastErr error
 	ms := n.members()
@@ -711,7 +658,7 @@ func (n *Node) catchUpLocked(pt *partition) (int, error) {
 			// starting, and quarantining peers here would poison the
 			// first cooldown window of serving (ingest has no local
 			// fallback).
-			resp, err := n.fetchTail(url, pt.id, pt.seq(), 0)
+			resp, _, err := n.fetchTail(url, pt.id, pt.seq())
 			if err != nil {
 				lastErr = err
 				break
@@ -719,7 +666,7 @@ func (n *Node) catchUpLocked(pt *partition) (int, error) {
 			if resp == nil || resp.NoWAL {
 				break // holder keeps no WAL; nothing to fetch
 			}
-			roundApplied, err := n.applyTail(pt, resp.Entries)
+			roundApplied, err := n.applyTail(pt, live, resp.Entries)
 			applied += roundApplied
 			if err != nil {
 				return applied, err
@@ -733,29 +680,19 @@ func (n *Node) catchUpLocked(pt *partition) (int, error) {
 }
 
 // fetchTail fetches partition p's WAL tail after the given sequence
-// from a peer. max <= 0 lets the donor apply its default bound. A 404
-// (holder keeps no WAL, pre-elastic peer) returns (nil, nil).
-func (n *Node) fetchTail(url string, p int, after uint64, max int) (*WALFetchResponse, error) {
-	body, err := json.Marshal(WALFetchRequest{Part: p, After: after, Max: max, Epoch: n.epoch()})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.hc.Post(url+"/v1/walfetch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil // holder keeps no WAL; nothing to fetch
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("walfetch from %s: HTTP %d: %w", url, resp.StatusCode, errPeerResponded)
-	}
+// from a peer, under the donor's default bound, with the epoch the
+// donor's reply was stamped with. A 404 (the donor holds no copy)
+// returns a nil tail.
+func (n *Node) fetchTail(url string, p int, after uint64) (*WALFetchResponse, int64, error) {
 	var out WALFetchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	rep, err := n.call(context.Background(), http.MethodPost, url+"/v1/walfetch", envelope{},
+		WALFetchRequest{Part: p, After: after}, &out)
+	if rep.status == http.StatusNotFound {
+		return nil, rep.epoch, nil
 	}
-	n.noteEpoch(out.Epoch)
+	if err != nil {
+		return nil, 0, fmt.Errorf("walfetch from %s: %w", url, err)
+	}
 	sort.Slice(out.Entries, func(i, j int) bool { return out.Entries[i].Seq < out.Entries[j].Seq })
-	return &out, nil
+	return &out, rep.epoch, nil
 }

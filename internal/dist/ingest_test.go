@@ -253,7 +253,7 @@ func TestIngestForwardedRequestNeverBounces(t *testing.T) {
 	body, _ := json.Marshal(IngestRequest{Rows: []WireRow{{Key: key, Vec: []float64{1, 2, 3}}}})
 	req, _ := http.NewRequest(http.MethodPost, lc.URL(node0.ID())+"/v1/ingest", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardHeader, "test")
+	req.Header.Set(hdrHops, strconv.Itoa(maxIngestHops))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestQueryForwardAntiBounceAnswersLocally(t *testing.T) {
 		req, _ := http.NewRequest(http.MethodPost, lc.URL(node0.ID())+"/v1/query", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		if withHeader {
-			req.Header.Set(forwardHeader, "test")
+			req.Header.Set(hdrHops, "1")
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -381,7 +381,7 @@ func TestReplicateGapHealsInline(t *testing.T) {
 			batch = append(batch, storage.Row{Key: k, Vec: []float64{4, 5, 6}})
 		}
 	}
-	pr := node0.primaryIngest(part, batch, "", 0, nil)
+	pr := node0.primaryIngest(part, batch, "", envelope{}, nil)
 	if !pr.Acked {
 		t.Fatalf("gapped replica did not heal: %+v", pr)
 	}

@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -224,24 +222,10 @@ func (lc *LocalCluster) Join(id string) error {
 		_ = srv.Close()
 		node.Close()
 	}
-	body, err := json.Marshal(JoinRequest{ID: id, URL: url})
-	if err != nil {
-		teardown()
-		return err
-	}
-	resp, err := http.Post(seed+"/v1/join", "application/json", bytes.NewReader(body))
-	if err != nil {
+	if _, err := call(context.Background(), http.DefaultClient, http.MethodPost, seed+"/v1/join",
+		envelope{}, JoinRequest{ID: id, URL: url}, nil); err != nil {
 		teardown()
 		return fmt.Errorf("dist: join %s: %w", id, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		teardown()
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("dist: join %s: HTTP %d: %s", id, resp.StatusCode, e.Error)
 	}
 	lc.mu.Lock()
 	lc.ids = append(lc.ids, id)
@@ -279,21 +263,9 @@ func (lc *LocalCluster) Leave(id string) error {
 	if via == "" {
 		return fmt.Errorf("dist: no surviving member to orchestrate leave of %q", id)
 	}
-	body, err := json.Marshal(LeaveRequest{ID: id})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(via+"/v1/leave", "application/json", bytes.NewReader(body))
-	if err != nil {
+	if _, err := call(context.Background(), http.DefaultClient, http.MethodPost, via+"/v1/leave",
+		envelope{}, LeaveRequest{ID: id}, nil); err != nil {
 		return fmt.Errorf("dist: leave %s: %w", id, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("dist: leave %s: HTTP %d: %s", id, resp.StatusCode, e.Error)
 	}
 	lc.mu.Lock()
 	delete(lc.servers, id)

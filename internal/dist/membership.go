@@ -1,30 +1,29 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
 	"time"
 
-	"repro/internal/query"
 	"repro/internal/serve"
 )
 
 // This file is the elastic-membership plane: a versioned membership
 // View (epoch + member list) every node carries, swapped atomically on
-// change and stamped into every wire body. A node or client that sees
-// a response from a newer epoch refetches the view from the members it
-// knows (GET /v1/membership) and re-resolves owners instead of routing
-// on a stale ring — the gossip is pull-on-divergence, so a quiet
-// cluster exchanges no membership traffic at all.
+// change and stamped on every request and response (the X-Sea-Epoch
+// envelope header). A node or client that sees a message from a newer
+// epoch refetches the view from the members it knows (GET
+// /v1/membership) and re-resolves owners instead of routing on a stale
+// ring — the gossip is pull-on-divergence, so a quiet cluster exchanges
+// no membership traffic at all.
 //
 // Epochs only increase. The coordinator of a join/leave (any live
 // member that received the request) builds epoch+1, stages the moving
 // partitions on their gainers (rebalance.go), then pushes the new view
 // to every old and new member; stragglers that miss the push converge
-// the first time any stamped RPC reaches them.
+// the first time any stamped message reaches them.
 
 // Member is one cluster member in a membership view.
 type Member struct {
@@ -123,9 +122,9 @@ func (n *Node) members() *memberState { return n.member.Load() }
 func (n *Node) epoch() int64 { return n.members().view.Epoch }
 
 // noteEpoch reacts to an epoch observed on the wire: anything newer
-// than the node's own view kicks a background membership refresh. It
-// is called on every stamped request/response a node handles, so it
-// must stay one comparison on the common (equal-epoch) path.
+// than the node's own view kicks a background membership refresh. The
+// envelope calls it on every stamped request and reply a node handles,
+// so it must stay one comparison on the common (equal-epoch) path.
 func (n *Node) noteEpoch(e int64) {
 	if e > n.epoch() {
 		n.kickRefresh()
@@ -189,9 +188,7 @@ func (n *Node) handleMembershipGet(w http.ResponseWriter, _ *http.Request) {
 // with the node's resulting view, so the push doubles as an exchange.
 func (n *Node) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 	var v View
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&v); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &v) {
 		return
 	}
 	if v.Epoch > n.epoch() {
@@ -205,17 +202,8 @@ func (n *Node) handleMembershipPost(w http.ResponseWriter, r *http.Request) {
 
 // fetchMembership fetches url's membership view with the given client.
 func fetchMembership(hc *http.Client, baseURL string) (MembershipResponse, error) {
-	resp, err := hc.Get(baseURL + "/v1/membership")
-	if err != nil {
-		return MembershipResponse{}, fmt.Errorf("dist: membership from %s: %w", baseURL, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return MembershipResponse{}, fmt.Errorf("dist: membership from %s: HTTP %d: %w",
-			baseURL, resp.StatusCode, errPeerResponded)
-	}
 	var out MembershipResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if _, err := call(context.Background(), hc, http.MethodGet, baseURL+"/v1/membership", envelope{}, nil, &out); err != nil {
 		return MembershipResponse{}, fmt.Errorf("dist: membership from %s: %w", baseURL, err)
 	}
 	return out, nil
@@ -232,23 +220,10 @@ func FetchMembership(baseURL string, timeout time.Duration) (MembershipResponse,
 	return fetchMembership(&http.Client{Timeout: timeout}, baseURL)
 }
 
-// pushView posts a view to a member and returns its resulting epoch.
-func (n *Node) pushView(url string, v View) (int64, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
+// pushView posts a view to a member.
+func (n *Node) pushView(url string, v View) error {
+	if _, err := n.call(context.Background(), http.MethodPost, url+"/v1/membership", envelope{}, v, nil); err != nil {
+		return fmt.Errorf("dist: push view to %s: %w", url, err)
 	}
-	resp, err := n.hc.Post(url+"/v1/membership", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("dist: push view to %s: HTTP %d: %w", url, resp.StatusCode, errPeerResponded)
-	}
-	var out MembershipResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.View.Epoch, nil
+	return nil
 }

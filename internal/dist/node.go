@@ -1,10 +1,10 @@
 package dist
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -26,14 +26,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
-
-// forwardHeader marks a node-to-node forwarded request. On the query
-// path any non-empty value means "answer locally, never bounce". On
-// the ingest path it carries a hop COUNT: a membership change can
-// briefly leave two nodes disagreeing about a partition's primary, so
-// one extra re-forward hop is allowed before the request is pinned
-// where it is.
-const forwardHeader = "X-Sea-Forwarded"
 
 // maxIngestHops bounds ingest re-forwarding during membership
 // disagreement windows: at this hop count a node applies the batch as
@@ -424,19 +416,6 @@ func (n *Node) Flight() *flight.Recorder { return n.flight }
 // experiments can drive Tick from a synthetic clock.
 func (n *Node) SLO() *metrics.SLOEngine { return n.slo }
 
-// Handler returns the node's HTTP API, with data-plane requests
-// counted (DataRPCs).
-func (n *Node) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/query", "/v1/partials",
-			"/v1/ingest", "/v1/replicate", "/v1/walfetch":
-			n.dataRPCs.Add(1)
-		}
-		n.mux.ServeHTTP(w, r)
-	})
-}
-
 // DataRPCs returns the number of data-plane requests (query, partials,
 // ingest, replicate, walfetch) this node has served over HTTP. The
 // client-staleness regression test asserts a departed member's count
@@ -462,10 +441,7 @@ type chaosState struct {
 
 func (n *Node) handleChaosSet(w http.ResponseWriter, r *http.Request) {
 	var req chaosState
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
 	if !req.Enabled {
@@ -722,10 +698,7 @@ func (n *Node) owners(q query.Query) []string {
 
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req serve.QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
 	q, err := req.Query()
@@ -733,10 +706,14 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
+	// The client's body deadline folds into the envelope: the earlier of
+	// the two binds the answer and the forward hop.
+	env := envelopeOf(r).until(req.DeadlineMS)
+	q.Deadline = env.deadlineTime()
 	// Refuse dead-on-arrival requests before any work (including the
 	// forward hop): the client stopped waiting, and a retried dead
 	// request arrives even deader. serve.WriteError maps this to 504.
-	if !q.Deadline.IsZero() && !time.Now().Before(q.Deadline) {
+	if env.expired() {
 		serve.WriteError(w, serve.ErrDeadline)
 		return
 	}
@@ -748,32 +725,27 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// preserves it: the owner's admission control must see the same
 	// tenant the entry node resolved, header or body.
 	req.Tenant = tenant
+	env.trace = env.trace || serve.TraceRequested(r)
 
 	owners := n.owners(q)
-	mine := false
-	for _, o := range owners {
-		if o == n.id {
-			mine = true
-			break
-		}
-	}
 	// Forwarded queries are always answered locally (no bouncing); owned
 	// queries too. Everything else is proxied to the key's owners with
 	// failover, and answered locally as the last resort — any node can
 	// scatter-gather, so a fully-degraded ring still serves.
-	if mine || r.Header.Get(forwardHeader) != "" {
-		n.answerLocal(w, r, tenant, q)
+	if env.hops > 0 || containsStr(owners, n.id) {
+		n.answerLocal(w, env.trace, tenant, q)
 		return
 	}
-	if n.forward(w, owners, req, r.URL.RawQuery) {
+	env.hops = 1
+	if n.forward(w, owners, req, env) {
 		return
 	}
-	n.answerLocal(w, r, tenant, q)
+	n.answerLocal(w, env.trace, tenant, q)
 }
 
-func (n *Node) answerLocal(w http.ResponseWriter, r *http.Request, tenant string, q query.Query) {
+func (n *Node) answerLocal(w http.ResponseWriter, traced bool, tenant string, q query.Query) {
 	var tr *trace.Trace
-	if serve.TraceRequested(r) {
+	if traced {
 		tr = n.tracer.Force("query")
 	}
 	ans, err := n.AnswerTraced(tenant, q, tr)
@@ -792,8 +764,7 @@ func (n *Node) answerLocal(w http.ResponseWriter, r *http.Request, tenant string
 			Degraded:  ans.Degraded,
 			Coverage:  ans.Coverage,
 		},
-		Node:  n.id,
-		Epoch: n.epoch(),
+		Node: n.id,
 	}
 	if tr != nil {
 		resp.TraceID = tr.ID()
@@ -802,53 +773,34 @@ func (n *Node) answerLocal(w http.ResponseWriter, r *http.Request, tenant string
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
-// forward proxies req to the key's owners in ring order and relays the
-// first conclusive response. The original URL query string rides along
-// so ?trace=1 reaches the node that actually answers. It reports false
-// when every owner was unreachable (the caller then degrades to
-// answering locally).
-func (n *Node) forward(w http.ResponseWriter, owners []string, req serve.QueryRequest, rawQuery string) bool {
-	body, err := json.Marshal(req)
-	if err != nil {
-		serve.WriteError(w, err)
-		return true
-	}
-	target := "/v1/query"
-	if rawQuery != "" {
-		target += "?" + rawQuery
-	}
+// forward proxies req to the key's owners in ring order under env (the
+// trace flag and deadline ride along to the node that answers) and
+// relays the first conclusive response: an answer, or the owner's
+// verdict on the query (a rejection, overload, a lapsed deadline). It
+// reports false when every owner was unreachable or failed (the caller
+// then degrades to answering locally).
+func (n *Node) forward(w http.ResponseWriter, owners []string, req serve.QueryRequest, env envelope) bool {
 	urls := n.members().urls
 	for _, o := range owners {
 		url, ok := urls[o]
 		if !ok || url == "" || o == n.id || !n.health.available(url) {
 			continue
 		}
-		hreq, err := http.NewRequest(http.MethodPost, url+target, bytes.NewReader(body))
-		if err != nil {
-			continue
+		var raw json.RawMessage
+		rep, err := n.call(context.Background(), http.MethodPost, url+"/v1/query", env, req, &raw)
+		n.health.observeReply(url, rep, err)
+		var se *statusError
+		switch {
+		case err == nil:
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(rep.status)
+			_, _ = w.Write(raw)
+			return true
+		case errors.As(err, &se) && (se.code < 500 || se.code == http.StatusGatewayTimeout):
+			serve.WriteJSON(w, se.code, map[string]string{"error": se.msg})
+			return true
 		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set(forwardHeader, n.id)
-		resp, err := n.hc.Do(hreq)
-		if err != nil {
-			n.health.observe(url, err)
-			n.logger.Warn("query forward failed, trying next owner", "peer", o, "err", err)
-			continue
-		}
-		if resp.StatusCode >= 500 && resp.StatusCode != http.StatusGatewayTimeout {
-			// The owner responded (alive, don't quarantine) but failed;
-			// count it toward the breaker, drain the body so the
-			// keep-alive connection is reused, and try the next replica.
-			n.health.observe(url, fmt.Errorf("%w: forward HTTP %d", errPeerResponded, resp.StatusCode))
-			drainClose(resp.Body)
-			continue
-		}
-		n.health.observe(url, nil)
-		defer resp.Body.Close()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-		return true
+		n.logger.Warn("query forward failed, trying next owner", "peer", o, "err", err)
 	}
 	return false
 }
@@ -860,16 +812,7 @@ func (n *Node) forward(w http.ResponseWriter, owners []string, req serve.QueryRe
 func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 	n.partialsServed.Add(1)
 	var req PartialsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
-		return
-	}
-	n.noteEpoch(req.Epoch)
-	// The coordinator's deadline rode along: refuse dead-on-arrival
-	// batches instead of scanning partitions nobody waits for.
-	if _, err := checkDeadline(req.DeadlineMS); err != nil {
-		serve.WriteError(w, err)
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
 	q, err := req.Query.Query()
@@ -881,13 +824,12 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 	// tree rooted at this node; the gatherer grafts it under the
 	// matching partial_rpc span, stitching one tree across nodes.
 	var root *trace.Span
-	if req.Trace {
+	if envelopeOf(r).trace {
 		root = trace.NewSpan("partials", n.id)
 	}
 	scan := root.Child("local_scan")
 	var rowsScanned, rowsSummarised int64
-	resp := PartialsResponse{Node: n.id, Epoch: n.epoch(),
-		Partials: make([]PartPartial, 0, len(req.Parts))}
+	resp := PartialsResponse{Node: n.id, Partials: make([]PartPartial, 0, len(req.Parts))}
 	for _, p := range req.Parts {
 		e := PartPartial{Part: p}
 		if partial, scanned, summarised, ok := n.localPartial(p, q); ok {
@@ -1023,30 +965,18 @@ func (n *Node) Status() ClusterStatus {
 // predicts immediately instead of re-paying its training queries. It
 // returns the shipped snapshot size in bytes.
 func (n *Node) WarmFrom(peerURL string) (int64, error) {
-	resp, err := n.hc.Get(peerURL + "/v1/snapshot")
-	if err != nil {
-		return 0, fmt.Errorf("dist: warm from %s: %w", peerURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("dist: warm from %s: HTTP %d", peerURL, resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, fmt.Errorf("dist: warm from %s: %w", peerURL, err)
-	}
 	var snap SnapshotResponse
-	if err := json.Unmarshal(body, &snap); err != nil {
+	rep, err := n.call(context.Background(), http.MethodGet, peerURL+"/v1/snapshot", envelope{}, nil, &snap)
+	if err != nil {
 		return 0, fmt.Errorf("dist: warm from %s: %w", peerURL, err)
 	}
-	agents := n.pool.Agents()
-	for i, ag := range agents {
+	for i, ag := range n.pool.Agents() {
 		if i >= len(snap.Agents) || snap.Agents[i] == nil {
 			break
 		}
 		if err := ag.Restore(snap.Agents[i]); err != nil {
-			return int64(len(body)), fmt.Errorf("dist: warm agent %d from %s: %w", i, peerURL, err)
+			return rep.bytes, fmt.Errorf("dist: warm agent %d from %s: %w", i, peerURL, err)
 		}
 	}
-	return int64(len(body)), nil
+	return rep.bytes, nil
 }

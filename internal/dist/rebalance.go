@@ -1,8 +1,7 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -78,15 +77,13 @@ type MigrateRequest struct {
 
 // MigrateResponse reports how many partitions the gainer staged.
 type MigrateResponse struct {
-	Staged int   `json:"staged"`
-	Epoch  int64 `json:"epoch"`
+	Staged int `json:"staged"`
 }
 
 // PartSnapRequest is the POST /v1/partsnap body: one partition's full
 // snapshot for staging or repair.
 type PartSnapRequest struct {
-	Part  int   `json:"part"`
-	Epoch int64 `json:"epoch,omitempty"`
+	Part int `json:"part"`
 }
 
 // PartSnapResponse is a consistent point-in-time copy of one
@@ -100,7 +97,6 @@ type PartSnapResponse struct {
 	LastSeq uint64    `json:"last_seq"`
 	BaseLen int       `json:"base_len"`
 	Rows    []WireRow `json:"rows"`
-	Epoch   int64     `json:"epoch,omitempty"`
 }
 
 // RebalanceStatus is the GET /v1/rebalance body and the "rebalance"
@@ -122,10 +118,7 @@ type staging struct {
 
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
 	if req.ID == "" || req.URL == "" {
@@ -151,10 +144,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req LeaveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
 	if req.ID == "" {
@@ -291,8 +281,7 @@ func (n *Node) orchestrate(next func(View) (View, error)) (JoinResponse, error) 
 	pushc := make(chan pushRes, len(targets))
 	for id, url := range targets {
 		go func(id, url string) {
-			_, err := n.pushView(url, nv)
-			pushc <- pushRes{id: id, err: err}
+			pushc <- pushRes{id: id, err: n.pushView(url, nv)}
 		}(id, url)
 	}
 	for range targets {
@@ -312,17 +301,9 @@ func (n *Node) sendMigrate(url string, v View, parts []MigratePart) error {
 	if url == "" {
 		return fmt.Errorf("dist: gainer has no URL")
 	}
-	body, err := json.Marshal(MigrateRequest{View: v, Parts: parts})
-	if err != nil {
-		return err
-	}
-	resp, err := n.hc.Post(url+"/v1/migrate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: migrate to %s: HTTP %d: %w", url, resp.StatusCode, errPeerResponded)
+	if _, err := n.call(context.Background(), http.MethodPost, url+"/v1/migrate", envelope{},
+		MigrateRequest{View: v, Parts: parts}, nil); err != nil {
+		return fmt.Errorf("dist: migrate to %s: %w", url, err)
 	}
 	return nil
 }
@@ -335,16 +316,14 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer n.closeDone()
 	var req MigrateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
 	if err := n.stageParts(req.Parts); err != nil {
 		serve.WriteError(w, err)
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, MigrateResponse{Staged: len(req.Parts), Epoch: n.epoch()})
+	serve.WriteJSON(w, http.StatusOK, MigrateResponse{Staged: len(req.Parts)})
 }
 
 // stageParts fetches each listed partition's snapshot from the first
@@ -379,24 +358,11 @@ func (n *Node) stageOne(mp MigratePart) (*partition, error) {
 // fetchPart fetches partition p's snapshot from a donor and builds a
 // copy from it.
 func (n *Node) fetchPart(url string, p int) (*partition, error) {
-	body, err := json.Marshal(PartSnapRequest{Part: p, Epoch: n.epoch()})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.hc.Post(url+"/v1/partsnap", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dist: partsnap %d from %s: HTTP %d: %w",
-			p, url, resp.StatusCode, errPeerResponded)
-	}
 	var out PartSnapResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	if _, err := n.call(context.Background(), http.MethodPost, url+"/v1/partsnap", envelope{},
+		PartSnapRequest{Part: p}, &out); err != nil {
+		return nil, fmt.Errorf("dist: partsnap %d from %s: %w", p, url, err)
 	}
-	n.noteEpoch(out.Epoch)
 	rows := wireToRows(out.Rows)
 	if err := checkWidth(rows, -1); err != nil {
 		return nil, fmt.Errorf("dist: partsnap %d from %s: %w", p, url, err)
@@ -407,12 +373,9 @@ func (n *Node) fetchPart(url string, p int) (*partition, error) {
 
 func (n *Node) handlePartSnap(w http.ResponseWriter, r *http.Request) {
 	var req PartSnapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
+	if !decodeBody(w, r, bodyLimit, &req) {
 		return
 	}
-	n.noteEpoch(req.Epoch)
 	pt, _ := n.find(req.Part)
 	if pt == nil {
 		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": n.notHeld(req.Part)})
@@ -423,7 +386,7 @@ func (n *Node) handlePartSnap(w http.ResponseWriter, r *http.Request) {
 	view, baseLen, lastSeq := pt.snapshot()
 	serve.WriteJSON(w, http.StatusOK, PartSnapResponse{
 		Part: req.Part, LastSeq: lastSeq, BaseLen: baseLen,
-		Rows: rowsToWire(view.Rows(0)), Epoch: n.epoch(),
+		Rows: rowsToWire(view.Rows(0)),
 	})
 }
 
@@ -613,8 +576,8 @@ func (n *Node) retirePartition(p int) {
 // finalSyncLocked drains live copy pt's cutover delta (the caller holds
 // its ingest lock): every batch the donors sequenced between the
 // staging snapshot and the donors adopting the new view. It finishes
-// when a donor serves a FENCED tail at (or past) the new epoch showing
-// nothing missing — fenced means the donor held its ingest lock, so
+// when a donor serves a FENCED tail stamped at (or past) the new epoch
+// showing nothing missing — fenced means the donor held its ingest lock, so
 // its LastSeq cannot advance behind our back; at the new epoch the
 // donor also no longer sequences fresh batches for the partition. On
 // timeout it logs and returns: anti-entropy and gap-healing replication
@@ -628,11 +591,10 @@ func (n *Node) finalSyncLocked(pt *partition, donors []string, newEpoch int64) {
 			if durl == "" || durl == self {
 				continue
 			}
-			resp, err := n.fetchTail(durl, pt.id, pt.seq(), 0)
+			resp, epoch, err := n.fetchTail(durl, pt.id, pt.seq())
 			if err != nil || resp == nil {
 				continue
 			}
-			n.noteEpoch(resp.Epoch)
 			if resp.NoWAL {
 				// Memory-only donor: no tail to fetch. If it is ahead,
 				// re-stage wholesale from its snapshot.
@@ -644,13 +606,13 @@ func (n *Node) finalSyncLocked(pt *partition, donors []string, newEpoch int64) {
 					}
 				}
 			} else {
-				applied, err := n.applyTail(pt, resp.Entries)
+				applied, err := n.applyTail(pt, true, resp.Entries)
 				if err != nil {
 					n.logger.Warn("final sync apply failed", "part", pt.id, "err", err)
 				}
 				progress = progress || applied > 0
 			}
-			if resp.Fenced && resp.Epoch >= newEpoch && resp.LastSeq <= pt.seq() && !resp.Truncated {
+			if resp.Fenced && epoch >= newEpoch && resp.LastSeq <= pt.seq() && !resp.Truncated {
 				return
 			}
 		}

@@ -3,10 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -58,9 +56,8 @@ type partialResult struct {
 	holder     string
 }
 
-// jsonBufPool pools the request/response buffers of the batched partial
-// RPCs so a scatter under load does not churn a fresh buffer per round
-// trip.
+// jsonBufPool pools call's request and response buffers, so a scatter
+// under load does not churn a fresh buffer per round trip.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ScatterGather computes q's exact answer across every data partition:
@@ -204,7 +201,6 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 // carrying the holder's returned span tree.
 func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResult, sp *trace.Span) (int64, int, error) {
 	wire := queryToWire(q, "")
-	dlMS := deadlineMS(q.Deadline)
 	// Per-partition remote holder candidates in ring order, consumed by
 	// a cursor as failovers advance.
 	cand := make(map[int][]string, len(missing))
@@ -285,7 +281,7 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 			// Span.Child is safe under concurrent workers; a nil sp
 			// keeps the whole branch free.
 			rsp := sp.Child("partial_rpc")
-			o.resp, o.bytes, o.err = n.fetchPartialsHedged(url, hedgeURL, o.parts, wire, dlMS, q.Deadline, rsp)
+			o.resp, o.bytes, o.err = n.fetchPartialsHedged(url, hedgeURL, o.parts, wire, rsp)
 			rsp.End()
 			rsp.SetAttr("holder", o.holder)
 			rsp.SetAttrInt("parts", int64(len(o.parts)))
@@ -396,10 +392,10 @@ func sleepBackoff(backoff *time.Duration, deadline time.Time) {
 // p95-quantile delay, 19 RPCs in 20 never do). The overhead gate in E21
 // rides on this: a goroutine+timer+select per RPC was measurable against
 // the stripped baseline, an armed-but-unfired AfterFunc is not.
-func (n *Node) fetchPartialsHedged(url, hedgeURL string, parts []int, wq serve.QueryRequest, dlMS int64, deadline time.Time, sp *trace.Span) ([]PartPartial, int64, error) {
+func (n *Node) fetchPartialsHedged(url, hedgeURL string, parts []int, wq serve.QueryRequest, sp *trace.Span) ([]PartPartial, int64, error) {
 	delay := n.hedgeDelay()
 	if hedgeURL == "" || delay <= 0 {
-		ps, b, err := n.fetchPartials(context.Background(), url, parts, wq, dlMS, deadline, sp, false)
+		ps, b, err := n.fetchPartials(context.Background(), url, parts, wq, sp, false)
 		n.health.observe(url, err)
 		return ps, b, err
 	}
@@ -415,13 +411,13 @@ func (n *Node) fetchPartialsHedged(url, hedgeURL string, parts []int, wq serve.Q
 	ch := make(chan out, 1)
 	tm := time.AfterFunc(delay, func() {
 		n.rec().Hedge()
-		ps, b, err := n.fetchPartials(ctx, hedgeURL, parts, wq, dlMS, deadline, sp, true)
+		ps, b, err := n.fetchPartials(ctx, hedgeURL, parts, wq, sp, true)
 		if err == nil {
 			priCancel() // the hedge won: yank the still-blocked primary
 		}
 		ch <- out{resp: ps, bytes: b, err: err}
 	})
-	ps, b, err := n.fetchPartials(priCtx, url, parts, wq, dlMS, deadline, sp, false)
+	ps, b, err := n.fetchPartials(priCtx, url, parts, wq, sp, false)
 	hedgeLaunched := !tm.Stop()
 	if err == nil {
 		// The primary won (or tied). A launched hedge dies with the
@@ -490,58 +486,23 @@ const (
 
 // fetchPartials runs one batched partials round trip against a holder,
 // returning its per-partition entries and the request+response payload
-// bytes. Both JSON buffers come from the shared pool. A non-nil span
-// asks the holder for its own span tree and grafts it underneath. The
-// propagated deadline bounds the request context; error-status bodies
-// are drained so their keep-alive connections are reused.
-func (n *Node) fetchPartials(ctx context.Context, url string, parts []int, wq serve.QueryRequest, dlMS int64, deadline time.Time, sp *trace.Span, hedge bool) ([]PartPartial, int64, error) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer jsonBufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(PartialsRequest{
-		Parts: parts, Query: wq, Trace: sp != nil, DeadlineMS: dlMS,
-		Epoch: n.epoch(),
-	}); err != nil {
-		return nil, 0, err
-	}
-	reqBytes := int64(buf.Len())
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/partials", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	rpcStart := time.Now()
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp.Body)
-		return nil, 0, fmt.Errorf("partials from %s: HTTP %d: %w", url, resp.StatusCode, errPeerResponded)
-	}
-	rb := jsonBufPool.Get().(*bytes.Buffer)
-	rb.Reset()
-	defer jsonBufPool.Put(rb)
-	if _, err := rb.ReadFrom(io.LimitReader(resp.Body, 64<<20)); err != nil {
-		return nil, 0, err
-	}
+// bytes. The query's deadline rides in the envelope and bounds the
+// round trip. A non-nil span asks the holder for its own span tree and
+// grafts it underneath.
+func (n *Node) fetchPartials(ctx context.Context, url string, parts []int, wq serve.QueryRequest, sp *trace.Span, hedge bool) ([]PartPartial, int64, error) {
 	var pr PartialsResponse
-	if err := json.Unmarshal(rb.Bytes(), &pr); err != nil {
-		return nil, 0, err
+	start := time.Now()
+	rep, err := n.call(ctx, http.MethodPost, url+"/v1/partials",
+		envelope{deadline: wq.DeadlineMS, trace: sp != nil}, PartialsRequest{Parts: parts, Query: wq}, &pr)
+	if err != nil {
+		return nil, 0, fmt.Errorf("partials from %s: %w", url, err)
 	}
-	n.noteEpoch(pr.Epoch)
 	sp.AttachWire(pr.Spans)
 	if !hedge {
 		n.partialsSent.Add(1)
-		n.observePartialLat(time.Since(rpcStart))
+		n.observePartialLat(time.Since(start))
 	}
-	return pr.Partials, reqBytes + int64(rb.Len()), nil
+	return pr.Partials, rep.bytes, nil
 }
 
 // runBounded runs fn(0..n-1) on at most fanout worker goroutines

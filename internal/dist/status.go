@@ -1,9 +1,8 @@
 package dist
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -324,23 +323,8 @@ func (n *Node) fetchStatus(id string) NodeReport {
 		return NodeReport{ID: id, Error: "no peer URL"}
 	}
 	rep := NodeReport{ID: id, URL: url}
-	resp, err := n.hc.Get(url + "/v1/status")
-	if err != nil {
-		rep.Error = err.Error()
-		return rep
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		rep.Error = fmt.Sprintf("HTTP %d", resp.StatusCode)
-		return rep
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		rep.Error = err.Error()
-		return rep
-	}
 	var st NodeStatus
-	if err := json.Unmarshal(body, &st); err != nil {
+	if _, err := n.call(context.Background(), http.MethodGet, url+"/v1/status", envelope{}, nil, &st); err != nil {
 		rep.Error = err.Error()
 		return rep
 	}
