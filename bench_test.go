@@ -483,14 +483,13 @@ func BenchmarkE19ObsOverhead(b *testing.B) {
 // rings queryable.
 func BenchmarkE20FlightSample(b *testing.B) {
 	b.Run("Steady", func(b *testing.B) {
-		rec := metrics.NewServeRecorder(1024)
+		rec := metrics.NewServeRecorder()
 		for i := 0; i < 512; i++ {
 			rec.ObservePath(time.Duration(50+i%100)*time.Microsecond, metrics.PathCache)
 			rec.ObservePath(time.Duration(200+i%400)*time.Microsecond, metrics.PathExactScatter)
 		}
 		fr := flight.New(flight.Config{Node: "bench", Anomaly: true})
 		fr.Instrument(rec)
-		fr.Watch("lat_p99_all", "queries")
 		base := time.Unix(1_700_000_000, 0)
 		// Spin the rings past one full wrap so the benchmark measures
 		// steady state, not first-fill.

@@ -72,14 +72,21 @@
 // lagging replica turns critical). cmd/seatop renders that aggregator
 // as a live dashboard.
 //
-// The flight recorder (both modes): -flight samples every registered
-// counter, gauge and key histogram quantile into in-memory ring
+// The flight recorder (both modes): -flight samples every series of
+// the metrics registry plus key histogram quantiles into in-memory ring
 // buffers at two resolutions (~10 min at 1 s, ~6 h at 30 s) behind
 // GET /v1/history?metric=&window=, and captures diagnostic bundles
 // (goroutine dump, short CPU + heap profiles, trace rings, status
-// snapshot) into a bounded spool (-flight-spool) when the SLO engine
-// turns critical or -anomaly's robust z-score detector fires; browse
-// them via GET /v1/debug/bundles and /v1/debug/bundle/<id>/<file>.
+// snapshot) into a bounded spool (<-flight-spool>/<node id>, node
+// "local" in single-node mode) when the SLO engine turns critical or
+// -anomaly's robust z-score detector fires; browse them via
+// GET /v1/debug/bundles and /v1/debug/bundle/<id>/<file>. A registry
+// series named x is sea_x on /v1/metrics (sea_x_total for a counter)
+// and x on /v1/history: sea_sched_queue_depth is sched_queue_depth,
+// sea_go_gc_cycles_total is go_gc_cycles.
+//
+// Both modes wire these instruments through the same function
+// (serve.NewPlane), so the flags mean the same thing in either.
 //
 // Endpoints (both modes):
 //
@@ -114,7 +121,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -122,7 +128,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/flight"
+	"repro/internal/explain"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -408,8 +414,8 @@ func runSingle(ctx context.Context, o options) error {
 	}
 	lg.Info("loaded", "rows", sys.Rows(), "nodes", o.nodes)
 
-	pool := make([]*sea.Agent, o.agents)
-	for i := range pool {
+	agents := make([]*core.Agent, o.agents)
+	for i := range agents {
 		ag, err := sys.NewAgent(sea.AgentConfig{
 			Dims: 2, TrainingQueries: o.training, UseMapReduceOracle: true,
 			DriftRowBudget: o.driftBudget,
@@ -422,65 +428,49 @@ func runSingle(ctx context.Context, o options) error {
 		}
 		st := ag.Stats()
 		lg.Info("agent trained", "agent", i, "queries", st.Queries, "quanta", st.Quanta)
-		pool[i] = ag
+		agents[i] = ag.Inner()
 	}
 
-	srv, err := sea.NewServer(pool, sea.ServeOptions{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		TenantInflight: o.tenantInflight,
-		AnswerCache:    o.answerCache,
-		TraceSample:    o.traceSample,
-		TraceRing:      o.traceRing,
-		SlowQuery:      o.slowQuery,
-		AuditSample:    o.auditSample,
-	})
+	pool, err := serve.NewPool(agents, nil)
 	if err != nil {
 		return err
 	}
-	// Introspection plane: slow-query logging on the serving pool, SLO
-	// burn-rate tracking, runtime telemetry, optional pprof.
-	servePool := srv.Scheduler().Pool()
-	servePool.SetLogger(lg)
-	rec := servePool.Recorder()
+	if o.answerCache > 0 {
+		pool.EnableCache(o.answerCache)
+	}
+	sched := serve.NewScheduler(pool, serve.SchedulerConfig{
+		Workers:        o.workers,
+		QueueDepth:     o.queue,
+		TenantInflight: o.tenantInflight,
+	})
+	var sloCfg *metrics.SLOConfig
 	if o.sloLatency > 0 {
-		slo := metrics.NewSLOEngine(rec, metrics.SLOConfig{LatencyObjective: o.sloLatency})
-		slo.Start()
-		defer slo.Stop()
-		rec.SetSLO(slo)
+		sloCfg = &metrics.SLOConfig{LatencyObjective: o.sloLatency}
 	}
-	sampler := obs.NewRuntimeSampler(o.runtimeSample)
-	sampler.Register(rec)
-	if o.runtimeSample > 0 {
-		sampler.Start()
-		defer sampler.Stop()
-	}
+	plane := serve.NewPlane(pool, serve.PlaneConfig{
+		Node:          "local",
+		TraceSample:   o.traceSample,
+		TraceRing:     o.traceRing,
+		SlowQuery:     o.slowQuery,
+		AuditSample:   o.auditSample,
+		Logger:        lg,
+		SLO:           sloCfg,
+		RuntimeSample: o.runtimeSample,
+		Pprof:         o.pprof,
+		Flight:        o.flight,
+		FlightSpool:   o.flightSpool,
+		Anomaly:       o.anomaly,
+	})
+	defer plane.Close()
 	if o.pprof {
-		srv.EnablePprof()
 		lg.Warn("pprof endpoints mounted under /debug/pprof/ — do not expose publicly")
 	}
-	if o.flight {
-		spool := o.flightSpool
-		if spool == "" {
-			spool = filepath.Join(os.TempDir(), "sea-flight", "local")
-		}
-		fr := flight.New(flight.Config{
-			Node: "local", SpoolDir: spool, Anomaly: o.anomaly, Logger: lg,
-			TracerFn: servePool.Tracer,
-			StatusFn: func() any { return servePool.Stats() },
-		})
-		fr.Instrument(rec)
-		fr.AddGauge("sched_queue_depth", func() float64 { return float64(srv.Scheduler().QueueDepth()) })
-		fr.Watch("lat_p99_all", "queries", "errors", "rejected",
-			"sea_go_goroutines", "sea_go_heap_alloc_bytes")
-		srv.EnableFlight(fr)
-		fr.Start()
-		defer fr.Stop()
-		lg.Info("flight recorder armed", "spool", spool, "anomaly", o.anomaly)
+	if fr := plane.Flight; fr != nil {
+		lg.Info("flight recorder armed", "spool", fr.Config().SpoolDir, "anomaly", o.anomaly)
 	}
 	lg.Info("serving", "addr", o.addr, "agents", o.agents, "workers", o.workers,
 		"queue", o.queue, "tenant_inflight", o.tenantInflight, "scan_kernels", query.KernelTier())
-	return srv.Run(ctx, o.addr, o.drain)
+	return serve.NewServer(sched, explain.New(agents[0])).Run(ctx, o.addr, o.drain)
 }
 
 func runCluster(ctx context.Context, o options) error {

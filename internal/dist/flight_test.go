@@ -68,7 +68,7 @@ func TestFlightStatusSection(t *testing.T) {
 		}
 		for _, want := range []string{
 			"queries", "cache_hit_rate", "lat_p99_all", "lat_p99_exact_scatter",
-			"sea_go_goroutines", "replication_lag", "sched_queue_depth",
+			"go_goroutines", "replication_lag", "sched_queue_depth", "breaker_state",
 			"slo_state",
 		} {
 			if !names[want] {

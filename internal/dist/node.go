@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -109,27 +107,13 @@ type Node struct {
 	// logger is the node's structured logger (cfg.Logger bound to this
 	// node's id); nil when unwired — every call site is nil-safe.
 	logger *obs.Logger
-	// slo evaluates per-tenant-class burn rates (nil when disabled).
-	slo *metrics.SLOEngine
-	// sampler caches runtime telemetry; samplerBG records whether its
-	// background loop runs (otherwise status requests sample on
-	// demand).
-	sampler   *obs.RuntimeSampler
-	samplerBG bool
-
-	// tracer owns the node's span trees: the background sampler, the
-	// bounded ring behind GET /v1/debug/trace/<id>, and the slow-query
-	// log. It is also installed on the pool, so every tier of the
-	// serving path threads spans through it.
-	tracer *trace.Tracer
+	// plane is the node's observability: tracer, SLO engine, runtime
+	// sampler and flight recorder over the pool's series registry.
+	plane *serve.Plane
 
 	// maints are the per-agent background drift maintainers (nil when
 	// RequantCheck is disabled).
 	maints []*ingest.Maintainer
-
-	// flight is the node's flight recorder (nil when cfg.Flight is
-	// off).
-	flight *flight.Recorder
 
 	// mu guards the three lookups from partition id to the node's copy
 	// of that fragment, one per lifecycle state (partition.go). Load
@@ -229,74 +213,53 @@ func NewNode(cfg Config) (*Node, error) {
 		pool.SetCacheVersion(n.cacheVersion)
 	}
 	n.pool = pool
-	n.tracer = trace.NewTracer(cfg.ID, cfg.TraceRing)
-	n.tracer.SetSampleRate(cfg.TraceSample)
-	if cfg.SlowQuery > 0 {
-		n.tracer.SetSlowThreshold(cfg.SlowQuery)
-	}
-	pool.EnableTracing(n.tracer)
-	if cfg.AuditSample > 0 {
-		every := int64(1)
-		if cfg.AuditSample < 1 {
-			every = int64(math.Round(1 / cfg.AuditSample))
-		}
-		pool.EnableShadowAudit(every, 0)
-	}
 	rec := pool.Recorder()
-	rec.RegisterGauge("sea_wal_segments",
-		"WAL segment files across this node's owned partitions.",
-		func() float64 {
-			total := 0
-			for _, pt := range n.liveParts() {
-				if l := pt.wal.Load(); l != nil {
-					total += l.Segments()
-				}
-			}
-			return float64(total)
-		})
-	rec.RegisterGauge("sea_absorbed_version",
-		"Highest data version the agents' models have fully absorbed.",
-		func() float64 { return float64(n.absorbedVer.Load()) })
-	rec.RegisterGauge("sea_ingest_epoch",
-		"Ingest batches this node forwarded to other primaries.",
-		func() float64 { return float64(n.ingestEpoch.Load()) })
-	rec.RegisterGauge("sea_breaker_state",
-		"Worst per-peer circuit-breaker state (0 closed, 1 half-open, 2 open).",
-		func() float64 { return float64(n.health.worstBreaker()) })
-	rec.RegisterGauge("sea_membership_epoch",
-		"Current membership view epoch (advances on every join/leave).",
-		func() float64 { return float64(n.epoch()) })
-	rec.RegisterGauge("sea_antientropy_repairs_total",
-		"Divergent replicas healed by the anti-entropy repair loop.",
-		func() float64 { return float64(n.aeRepairs.Load()) })
-	rec.RegisterGauge("sea_rebalance_moves_total",
-		"Partition replicas this node moved as a rebalance coordinator.",
-		func() float64 { return float64(n.movesTotal.Load()) })
-	rec.RegisterGauge("sea_probation_quanta",
-		"Quanta serving under post-invalidation probation across the node's agents.",
-		func() float64 {
-			total := 0
-			for _, ag := range agents {
-				total += ag.ProbationQuanta()
-			}
-			return float64(total)
-		})
-	pool.SetLogger(n.logger)
-	if cfg.SLO != nil {
-		n.slo = metrics.NewSLOEngine(rec, *cfg.SLO)
-		n.slo.Start()
-		rec.SetSLO(n.slo)
-	}
-	n.sampler = obs.NewRuntimeSampler(cfg.RuntimeSample)
-	n.sampler.Register(rec)
-	if cfg.RuntimeSample > 0 {
-		n.sampler.Start()
-		n.samplerBG = true
+	for _, s := range []metrics.Series{
+		{Name: "wal_segments", Help: "WAL segment files across this node's owned partitions.",
+			Read: func() float64 { return float64(n.walSegments()) }},
+		{Name: "absorbed_version", Help: "Highest data version the agents' models have fully absorbed.",
+			Read: func() float64 { return float64(n.absorbedVer.Load()) }},
+		{Name: "ingest_epoch", Help: "Ingest batches this node forwarded to other primaries.",
+			Read: func() float64 { return float64(n.ingestEpoch.Load()) }},
+		{Name: "breaker_state", Help: "Worst per-peer circuit-breaker state (0 closed, 1 half-open, 2 open).",
+			Watch: true, Read: func() float64 { return float64(n.health.worstBreaker()) }},
+		{Name: "membership_epoch", Help: "Current membership view epoch (advances on every join/leave).",
+			Read: func() float64 { return float64(n.epoch()) }},
+		{Name: "antientropy_repairs", Help: "Divergent replicas healed by the anti-entropy repair loop.",
+			Kind: metrics.KindCounter, Read: func() float64 { return float64(n.aeRepairs.Load()) }},
+		{Name: "rebalance_moves", Help: "Partition replicas this node moved as a rebalance coordinator.",
+			Kind: metrics.KindCounter, Read: func() float64 { return float64(n.movesTotal.Load()) }},
+		{Name: "probation_quanta", Help: "Quanta serving under post-invalidation probation across the node's agents.",
+			Read: func() float64 { return float64(n.probationQuanta()) }},
+		{Name: "replication_lag", Help: "Worst gap, in batches, any live partition saw among the replicas that answered its latest replicated batch.",
+			Watch: true, Read: func() float64 { return float64(n.replicationLag()) }},
+	} {
+		rec.Register(s)
 	}
 	n.sched = serve.NewScheduler(pool, serve.SchedulerConfig{
 		Workers:        cfg.Workers,
 		QueueDepth:     cfg.QueueDepth,
 		TenantInflight: cfg.TenantInflight,
+	})
+	spool := cfg.FlightSpool
+	if spool == "" && cfg.DataDir != "" {
+		spool = filepath.Join(cfg.DataDir, "flight")
+	}
+	n.plane = serve.NewPlane(pool, serve.PlaneConfig{
+		Node:          cfg.ID,
+		TraceSample:   cfg.TraceSample,
+		TraceRing:     cfg.TraceRing,
+		SlowQuery:     cfg.SlowQuery,
+		AuditSample:   cfg.AuditSample,
+		Logger:        n.logger,
+		SLO:           cfg.SLO,
+		RuntimeSample: cfg.RuntimeSample,
+		Pprof:         cfg.Pprof,
+		Flight:        cfg.Flight,
+		FlightSample:  cfg.FlightSample,
+		FlightSpool:   spool,
+		Anomaly:       cfg.Anomaly,
+		StatusFn:      func() any { return n.NodeStatus() },
 	})
 	if cfg.RequantCheck > 0 {
 		for _, ag := range agents {
@@ -316,50 +279,6 @@ func NewNode(cfg Config) (*Node, error) {
 			})
 			m.Start()
 			n.maints = append(n.maints, m)
-		}
-	}
-	if cfg.Flight {
-		spool := cfg.FlightSpool
-		if spool == "" {
-			if cfg.DataDir != "" {
-				spool = filepath.Join(cfg.DataDir, "flight")
-			} else {
-				spool = filepath.Join(os.TempDir(), "sea-flight")
-			}
-		}
-		fr := flight.New(flight.Config{
-			Node:   cfg.ID,
-			Period: cfg.FlightSample,
-			// Per-node spool subdirectory: a LocalCluster shares one
-			// config root across members.
-			SpoolDir: filepath.Join(spool, cfg.ID),
-			Anomaly:  cfg.Anomaly,
-			Logger:   n.logger,
-			TracerFn: func() *trace.Tracer { return n.tracer },
-			StatusFn: func() any { return n.NodeStatus() },
-		})
-		fr.Instrument(rec)
-		fr.AddGauge("sched_queue_depth",
-			func() float64 { return float64(n.sched.QueueDepth()) })
-		// Primary-observed: the worst gap any live partition saw among
-		// the replicas that responded to its latest replicated batch.
-		fr.AddGauge("replication_lag", func() float64 {
-			var worst uint64
-			for _, pt := range n.liveParts() {
-				worst = max(worst, pt.repLag.Load())
-			}
-			return float64(worst)
-		})
-		fr.AddGauge("breaker_state",
-			func() float64 { return float64(n.health.worstBreaker()) })
-		fr.Watch("lat_p99_all", "queries", "errors", "rejected",
-			"sea_go_goroutines", "sea_go_heap_alloc_bytes", "replication_lag",
-			"rpc_retries", "hedges", "degraded_answers", "breaker_state")
-		n.flight = fr
-		// FlightSample < 0 leaves the sampler unstarted: tests and
-		// experiments drive Tick from a synthetic clock.
-		if cfg.FlightSample >= 0 {
-			fr.Start()
 		}
 	}
 	n.mux = http.NewServeMux()
@@ -382,17 +301,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.mux.HandleFunc("GET /v1/debug/cluster", n.handleDebugCluster)
 	n.mux.HandleFunc("POST /v1/debug/chaos", n.handleChaosSet)
 	n.mux.HandleFunc("GET /v1/debug/chaos", n.handleChaosGet)
-	n.mux.HandleFunc("GET /v1/metrics", n.handleMetrics)
-	serve.RegisterDebug(n.mux, func() *trace.Tracer { return n.tracer })
-	serve.RegisterFlight(n.mux, func() *flight.Recorder { return n.flight })
-	n.pool.EnableFlight(n.flight)
-	if cfg.Pprof {
-		serve.RegisterPprof(n.mux)
-	}
-	n.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	})
+	n.plane.Mount(n.mux)
 	return n, nil
 }
 
@@ -407,14 +316,14 @@ func (n *Node) Ring() *Ring { return n.members().ring }
 func (n *Node) Pool() *serve.Pool { return n.pool }
 
 // Tracer returns the node's tracer (debug endpoints, tests).
-func (n *Node) Tracer() *trace.Tracer { return n.tracer }
+func (n *Node) Tracer() *trace.Tracer { return n.plane.Tracer }
 
 // Flight returns the node's flight recorder (nil when disabled).
-func (n *Node) Flight() *flight.Recorder { return n.flight }
+func (n *Node) Flight() *flight.Recorder { return n.plane.Flight }
 
 // SLO returns the node's SLO engine (nil when disabled). Exported so
 // experiments can drive Tick from a synthetic clock.
-func (n *Node) SLO() *metrics.SLOEngine { return n.slo }
+func (n *Node) SLO() *metrics.SLOEngine { return n.plane.SLO }
 
 // DataRPCs returns the number of data-plane requests (query, partials,
 // ingest, replicate, walfetch) this node has served over HTTP. The
@@ -463,8 +372,8 @@ func (n *Node) handleChaosGet(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// Close drains the node's scheduler, stops the drift maintainers, SLO
-// engine, runtime sampler and anti-entropy loop, waits out every
+// Close drains the node's scheduler, stops the drift maintainers, the
+// observability plane and the anti-entropy loop, waits out every
 // admitted mutating handler (so a replicate ack never races a WAL
 // close), and closes the partition WALs — live and retired. In-flight
 // queries complete. Idempotent.
@@ -475,9 +384,7 @@ func (n *Node) Close() {
 	for _, m := range n.maints {
 		m.Stop()
 	}
-	n.flight.Stop()
-	n.slo.Stop()
-	n.sampler.Stop()
+	n.plane.Close()
 	if n.aeStop != nil {
 		close(n.aeStop)
 	}
@@ -646,6 +553,35 @@ func (n *Node) liveParts() []*partition {
 	return parts
 }
 
+// walSegments counts WAL segment files across the live partitions.
+func (n *Node) walSegments() int {
+	total := 0
+	for _, pt := range n.liveParts() {
+		total += pt.walSegments()
+	}
+	return total
+}
+
+// replicationLag is the worst gap any live partition saw among the
+// replicas that answered its latest replicated batch (primary-observed).
+func (n *Node) replicationLag() uint64 {
+	var worst uint64
+	for _, pt := range n.liveParts() {
+		worst = max(worst, pt.repLag.Load())
+	}
+	return worst
+}
+
+// probationQuanta counts quanta serving under post-invalidation
+// probation across the node's agents.
+func (n *Node) probationQuanta() int {
+	total := 0
+	for _, ag := range n.pool.Agents() {
+		total += ag.ProbationQuanta()
+	}
+	return total
+}
+
 // schemaWidth returns the row width this node has observed (adopted by
 // its partitions from the data), or -1 when unknown.
 func (n *Node) schemaWidth() int {
@@ -746,7 +682,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (n *Node) answerLocal(w http.ResponseWriter, traced bool, tenant string, q query.Query) {
 	var tr *trace.Trace
 	if traced {
-		tr = n.tracer.Force("query")
+		tr = n.plane.Tracer.Force("query")
 	}
 	ans, err := n.AnswerTraced(tenant, q, tr)
 	if err != nil {
@@ -871,10 +807,6 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 func (n *Node) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, n.Status())
-}
-
-func (n *Node) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteMetrics(w, n.pool.Recorder())
 }
 
 // DataVersion returns the node's live data version: 1 after the bulk

@@ -110,6 +110,14 @@ func (pt *partition) width() int {
 	return pt.cols.Width()
 }
 
+// walSegments counts the write-ahead log's segment files (0 without one).
+func (pt *partition) walSegments() int {
+	if l := pt.wal.Load(); l != nil {
+		return l.Segments()
+	}
+	return 0
+}
+
 // closeLog detaches and closes the write-ahead log.
 func (pt *partition) closeLog() {
 	if l := pt.wal.Swap(nil); l != nil {

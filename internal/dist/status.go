@@ -167,19 +167,13 @@ func (n *Node) NodeStatus() NodeStatus {
 		if len(owners) > 0 && owners[0] == n.id {
 			ps.Role = "primary"
 		}
-		if l := pt.wal.Load(); l != nil {
-			ps.WALSegments = l.Segments()
-		}
+		ps.WALSegments = pt.walSegments()
 		st.RowsHeld += int64(ps.Rows)
 		st.Partitions = append(st.Partitions, ps)
 	}
 
-	probation := 0
-	for _, ag := range n.pool.Agents() {
-		probation += ag.ProbationQuanta()
-	}
 	st.Drift = DriftStatus{
-		ProbationQuanta: probation,
+		ProbationQuanta: n.probationQuanta(),
 		Invalidations:   snap.DriftInvalidations,
 		Rebuilds:        snap.Rebuilds,
 	}
@@ -196,7 +190,7 @@ func (n *Node) NodeStatus() NodeStatus {
 	mape, samples := rec.Audit().MAPE("")
 	st.Audit = AuditStatus{Samples: samples, MAPE: mape}
 
-	st.SLO = n.slo.States()
+	st.SLO = n.plane.SLO.States()
 
 	st.Resilience = ResilienceStatus{
 		Breakers:        n.health.breakerStates(),
@@ -217,16 +211,11 @@ func (n *Node) NodeStatus() NodeStatus {
 	}
 	st.Rebalance = n.RebalanceStatus()
 
-	if !n.samplerBG {
-		// No background loop: take the reading on demand so the
-		// snapshot is never stale.
-		n.sampler.Sample()
-	}
-	st.Runtime = n.sampler.Snapshot()
+	st.Runtime = n.plane.Runtime()
 	st.Runtime.KernelTier = query.KernelTier()
 
-	if n.flight != nil {
-		fs := n.flight.Status()
+	if fr := n.plane.Flight; fr != nil {
+		fs := fr.Status()
 		st.Flight = &fs
 	}
 	return st

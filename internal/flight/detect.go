@@ -1,5 +1,7 @@
 package flight
 
+import "repro/internal/metrics"
+
 // detector scores one watched series with a robust rolling z-score:
 // the deviation of the newest input from the window median, scaled by
 // the median absolute deviation (MAD). Median/MAD resist the very
@@ -12,7 +14,7 @@ package flight
 // sorts a preallocated scratch slice in place: zero allocations at
 // steady state.
 type detector struct {
-	kind Kind
+	kind metrics.Kind
 	z    float64 // firing threshold
 
 	win     []float64 // rolling inputs, ring-indexed
@@ -26,7 +28,7 @@ type detector struct {
 	quietUntil int64 // tick before which re-firing is suppressed
 }
 
-func newDetector(kind Kind, window int, z float64) *detector {
+func newDetector(kind metrics.Kind, window int, z float64) *detector {
 	return &detector{
 		kind:    kind,
 		z:       z,
@@ -42,7 +44,7 @@ func newDetector(kind Kind, window int, z float64) *detector {
 // so a sustained excursion raises one anomaly, not one per tick.
 func (d *detector) feed(v float64, tick int64) (fired bool, x, med, z float64) {
 	x = v
-	if d.kind == Counter {
+	if d.kind == metrics.KindCounter {
 		if !d.havePrev {
 			d.prev, d.havePrev = v, true
 			return false, 0, 0, 0

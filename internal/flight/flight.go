@@ -1,5 +1,5 @@
 // Package flight is the node's always-on flight recorder: it samples
-// every registered counter, gauge and key histogram quantile into
+// every series of the metrics registry and key histogram quantiles into
 // fixed-size per-series ring buffers at two resolutions (~10 min at
 // 1 s, ~6 h at 30 s downsampled), runs robust anomaly detection over
 // watched series, and — on an SLO-critical finding or an anomaly
@@ -26,24 +26,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
-
-// Kind classifies a series for downsampling and anomaly semantics:
-// counters are cumulative (downsample keeps the last value, the
-// detector differentiates first), gauges are instantaneous (downsample
-// averages, the detector scores raw values).
-type Kind uint8
-
-const (
-	Gauge Kind = iota
-	Counter
-)
-
-func (k Kind) String() string {
-	if k == Counter {
-		return "counter"
-	}
-	return "gauge"
-}
 
 // Config sizes the recorder. Zero values take the documented defaults.
 type Config struct {
@@ -159,7 +141,10 @@ func (r *ring) push(now int64, v float64, id *string) {
 // goroutine.
 type series struct {
 	name string
-	kind Kind
+	// kind sets downsampling and anomaly semantics: a counter's lo-res
+	// point keeps the last cumulative value and its detector scores the
+	// rate; a gauge's point averages and its detector scores raw values.
+	kind metrics.Kind
 	fn   func() float64
 
 	hi *ring
@@ -189,7 +174,7 @@ type exemplar struct {
 }
 
 // Recorder is the flight recorder. Build with New, register series
-// (Instrument/AddGauge/AddCounter/Watch) at wiring time, then Start —
+// (Instrument/AddGauge) at wiring time, then Start —
 // or drive Tick from a synthetic clock in tests and experiments.
 type Recorder struct {
 	cfg Config
@@ -238,7 +223,10 @@ func New(cfg Config) *Recorder {
 // Config returns the resolved configuration.
 func (r *Recorder) Config() Config { return r.cfg }
 
-func (r *Recorder) add(name string, kind Kind, exIdx int, fn func() float64) {
+// add registers one series; watch arms the anomaly detector on it when
+// Config.Anomaly is on. A name already registered keeps its first
+// series.
+func (r *Recorder) add(name string, kind metrics.Kind, exIdx int, watch bool, fn func() float64) {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	if _, dup := r.byName[name]; dup {
@@ -252,6 +240,9 @@ func (r *Recorder) add(name string, kind Kind, exIdx int, fn func() float64) {
 		lo:    newRing(r.cfg.LoSlots, false),
 		exIdx: exIdx,
 	}
+	if watch && r.cfg.Anomaly {
+		s.det = newDetector(kind, r.cfg.AnomalyWindow, r.cfg.AnomalyZ)
+	}
 	r.byName[name] = s
 	old := *r.list.Load()
 	next := make([]*series, len(old)+1)
@@ -262,24 +253,8 @@ func (r *Recorder) add(name string, kind Kind, exIdx int, fn func() float64) {
 
 // AddGauge registers an instantaneous series sampled every tick. fn
 // must be cheap, concurrency-safe and allocation-free.
-func (r *Recorder) AddGauge(name string, fn func() float64) { r.add(name, Gauge, -1, fn) }
-
-// AddCounter registers a cumulative series sampled every tick.
-func (r *Recorder) AddCounter(name string, fn func() float64) { r.add(name, Counter, -1, fn) }
-
-// Watch arms anomaly detection on named series (no-op for unknown
-// names or when Config.Anomaly is off).
-func (r *Recorder) Watch(names ...string) {
-	if !r.cfg.Anomaly {
-		return
-	}
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	for _, name := range names {
-		if s, ok := r.byName[name]; ok && s.det == nil {
-			s.det = newDetector(s.kind, r.cfg.AnomalyWindow, r.cfg.AnomalyZ)
-		}
-	}
+func (r *Recorder) AddGauge(name string, fn func() float64) {
+	r.add(name, metrics.KindGauge, -1, false, fn)
 }
 
 // histSource snapshots one path histogram per tick into preallocated
@@ -298,22 +273,18 @@ func (hs *histSource) refresh() {
 	hs.p99 = float64(hs.scratch.Quantile(0.99))
 }
 
-// Instrument registers the full serving surface of rec: every
-// cumulative counter, every registered gauge, per-path p50/p99 latency
-// series (p99 with trace-id exemplars), the all-paths aggregate, the
-// cache-hit rate, and — when an SLO engine is attached — the worst-
-// class burn rates and state. If Config.CriticalFn is unset it is
-// wired to rec's SLO engine here.
+// Instrument registers the full serving surface of rec: every series of
+// its registry under the registry name (watched where the registry says
+// so), per-path p50/p99 latency series (p99 with trace-id exemplars),
+// the all-paths aggregate (watched), the cache-hit rate, and the worst-
+// class SLO burn rates and state. Register every registry series first.
+// If Config.CriticalFn is unset it is wired to rec's SLO engine here.
 func (r *Recorder) Instrument(rec *metrics.ServeRecorder) {
 	if rec == nil {
 		return
 	}
-	for _, c := range rec.Counters() {
-		fn := c.Fn
-		r.AddCounter(c.Name, func() float64 { return float64(fn()) })
-	}
-	for _, g := range rec.Gauges() {
-		r.AddGauge(g.Name, g.Fn)
+	for _, s := range rec.Series() {
+		r.add(s.Name, s.Kind, -1, s.Watch, s.Read)
 	}
 	r.AddGauge("cache_hit_rate", rec.CacheHitRate)
 
@@ -322,8 +293,8 @@ func (r *Recorder) Instrument(rec *metrics.ServeRecorder) {
 		hs := &histSource{h: rec.PathHist(p)}
 		sources[p] = hs
 		r.pretick = append(r.pretick, hs.refresh)
-		r.add("lat_p50_"+p.String(), Gauge, -1, func() float64 { return hs.p50 })
-		r.add("lat_p99_"+p.String(), Gauge, int(p), func() float64 { return hs.p99 })
+		r.AddGauge("lat_p50_"+p.String(), func() float64 { return hs.p50 })
+		r.add("lat_p99_"+p.String(), metrics.KindGauge, int(p), false, func() float64 { return hs.p99 })
 	}
 	all := &histSource{}
 	r.pretick = append(r.pretick, func() {
@@ -334,8 +305,8 @@ func (r *Recorder) Instrument(rec *metrics.ServeRecorder) {
 		all.p50 = float64(all.scratch.Quantile(0.50))
 		all.p99 = float64(all.scratch.Quantile(0.99))
 	})
-	r.add("lat_p50_all", Gauge, -1, func() float64 { return all.p50 })
-	r.add("lat_p99_all", Gauge, int(metrics.NumPaths), func() float64 { return all.p99 })
+	r.AddGauge("lat_p50_all", func() float64 { return all.p50 })
+	r.add("lat_p99_all", metrics.KindGauge, int(metrics.NumPaths), true, func() float64 { return all.p99 })
 
 	r.AddGauge("slo_fast_burn", func() float64 { f, _ := rec.SLO().WorstBurn(); return f })
 	r.AddGauge("slo_slow_burn", func() float64 { _, s := rec.SLO().WorstBurn(); return s })
@@ -408,7 +379,7 @@ func (r *Recorder) Tick(now time.Time) {
 		s.accN++
 		if fold {
 			dv := v // counters keep the last cumulative value
-			if s.kind == Gauge && s.accN > 0 {
+			if s.kind == metrics.KindGauge && s.accN > 0 {
 				dv = s.acc / float64(s.accN)
 			}
 			s.lo.push(ns, dv, nil)

@@ -88,7 +88,7 @@ func TestDownsampleSemantics(t *testing.T) {
 	r := New(Config{HiSlots: 8, LoSlots: 4, Downsample: 3})
 	var g, c float64
 	r.AddGauge("g", func() float64 { return g })
-	r.AddCounter("c", func() float64 { return c })
+	r.add("c", metrics.KindCounter, -1, false, func() float64 { return c })
 	ck := newClock(time.Second)
 	gauges := []float64{1, 2, 3, 4, 5, 6}
 	counters := []float64{10, 20, 30, 40, 50, 60}
@@ -120,8 +120,7 @@ func TestDownsampleSemantics(t *testing.T) {
 func TestAnomalySpike(t *testing.T) {
 	r := New(Config{Anomaly: true, AnomalyWindow: 10, AnomalyZ: 8})
 	v := 0.0
-	r.AddGauge("g", func() float64 { return v })
-	r.Watch("g")
+	r.add("g", metrics.KindGauge, -1, true, func() float64 { return v })
 	ck := newClock(time.Second)
 	for i := 0; i < 20; i++ {
 		v = 100 + float64(i%3) // mild jitter
@@ -149,8 +148,7 @@ func TestAnomalySpike(t *testing.T) {
 func TestCounterResetNoFalseAnomaly(t *testing.T) {
 	r := New(Config{Anomaly: true, AnomalyWindow: 10, AnomalyZ: 8})
 	v := 0.0
-	r.AddCounter("c", func() float64 { return v })
-	r.Watch("c")
+	r.add("c", metrics.KindCounter, -1, true, func() float64 { return v })
 	ck := newClock(time.Second)
 	for i := 0; i < 20; i++ {
 		v += 10 // steady 10/tick
@@ -299,7 +297,7 @@ func TestSpoolEviction(t *testing.T) {
 // TestExemplarLinkage runs the instrumented latency path and checks the
 // p99 history point carries the slowest traced query's id.
 func TestExemplarLinkage(t *testing.T) {
-	rec := metrics.NewServeRecorder(1024)
+	rec := metrics.NewServeRecorder()
 	r := New(Config{HiSlots: 8})
 	r.Instrument(rec)
 	rec.ObservePath(5*time.Millisecond, metrics.PathExactScatter)

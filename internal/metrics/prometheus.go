@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 )
 
 // PrometheusContentType is the content type of the text exposition
-// format WritePrometheus emits.
+// format WriteRecorder emits.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Latency histogram exposition bounds: 2^10 ns (~1us) doubling to
@@ -20,49 +21,24 @@ const (
 	errMaxOctave = 36
 )
 
-// WritePrometheus renders a serving snapshot in the Prometheus text
-// exposition format: lifetime counters as *_total series, rates and
-// latency percentiles as gauges. Every series carries HELP/TYPE.
-// Snapshot-only form — WriteRecorder additionally emits the real
-// per-path histograms, tenant-class series, audit histograms and
-// registered gauges the snapshot does not carry bucket data for.
-func WritePrometheus(w io.Writer, s ServeSnapshot) error {
-	counters := []struct {
-		name, help string
-		v          int64
-	}{
-		{"sea_queries_total", "Answered queries (predicted + fallbacks + deduped).", s.Queries},
-		{"sea_predicted_total", "Queries answered data-lessly from learned models.", s.Predicted},
-		{"sea_fallbacks_total", "Queries that executed the exact oracle path.", s.Fallbacks},
-		{"sea_deduped_total", "Queries served by sharing an identical in-flight fallback.", s.Deduped},
-		{"sea_cache_hits_total", "Queries served from the versioned answer cache.", s.CacheHits},
-		{"sea_rejected_total", "Submissions turned away by admission control.", s.Rejected},
-		{"sea_errors_total", "Failed queries.", s.Errors},
-		{"sea_ingest_batches_total", "Row batches applied through the live write path.", s.IngestBatches},
-		{"sea_ingest_rows_total", "Rows applied through the live write path.", s.IngestRows},
-		{"sea_drift_invalidations_total", "Quanta invalidated by the ingest drift budget.", s.DriftInvalidations},
-		{"sea_rebuilds_total", "Completed background model re-quantisations.", s.Rebuilds},
-		{"sea_rpc_retries_total", "Retried inter-node RPC attempts.", s.RPCRetries},
-		{"sea_hedges_total", "Hedged scatter RPCs fired against a second holder.", s.Hedges},
-		{"sea_degraded_answers_total", "Queries answered with partial partition coverage.", s.DegradedAnswers},
-	}
-	for _, c := range counters {
-		if err := writeSeries(w, c.name, c.help, "counter", float64(c.v)); err != nil {
+// WriteRecorder renders the recorder's full Prometheus exposition: every
+// registry series as one HELP/TYPE/value family, then the labelled
+// families — latency quantiles, real histograms (`_bucket`/`_sum`/
+// `_count`) for every answer path and accuracy-audit key, per-tenant-
+// class series and the SLO burn rates. Serving front-ends mount it on
+// GET /v1/metrics so one scrape config covers single-node servers and
+// every cluster member alike.
+func (r *ServeRecorder) WriteRecorder(w io.Writer) error {
+	for _, s := range r.Series() {
+		if err := writeSeries(w, s.ExpoName(), s.Help, s.Kind.String(), s.Read()); err != nil {
 			return err
 		}
 	}
-	gauges := []struct {
-		name, help string
-		v          float64
-	}{
-		{"sea_qps", "Lifetime queries per second.", s.QPS},
-		{"sea_fallback_rate", "Fraction of queries that ran the exact path.", s.FallbackRate},
-		{"sea_uptime_seconds", "Recorder uptime.", s.Uptime.Seconds()},
-	}
-	for _, g := range gauges {
-		if err := writeSeries(w, g.name, g.help, "gauge", g.v); err != nil {
-			return err
-		}
+
+	// Latency quantiles over the merged answer-path histograms.
+	var all HistSnapshot
+	for p := Path(0); p < NumPaths; p++ {
+		all.Merge(r.paths[p].Snapshot())
 	}
 	if _, err := fmt.Fprintf(w,
 		"# HELP sea_latency_seconds Query latency quantiles from the merged answer-path histograms.\n"+
@@ -71,20 +47,8 @@ func WritePrometheus(w io.Writer, s ServeSnapshot) error {
 			"sea_latency_seconds{quantile=\"0.9\"} %g\n"+
 			"sea_latency_seconds{quantile=\"0.99\"} %g\n"+
 			"sea_latency_seconds{quantile=\"1\"} %g\n",
-		s.P50.Seconds(), s.P90.Seconds(), s.P99.Seconds(), s.Max.Seconds()); err != nil {
-		return err
-	}
-	return nil
-}
-
-// WriteRecorder renders the full exposition: everything WritePrometheus
-// emits plus real Prometheus histograms (`_bucket`/`_sum`/`_count`)
-// for every answer path's latency distribution and every accuracy-audit
-// error histogram, per-tenant-class counters, and the registered
-// gauges. Serving front-ends mount it on GET /v1/metrics so one scrape
-// config covers single-node servers and every cluster member alike.
-func (r *ServeRecorder) WriteRecorder(w io.Writer) error {
-	if err := WritePrometheus(w, r.Snapshot()); err != nil {
+		quantileSeconds(all, 0.50), quantileSeconds(all, 0.90), quantileSeconds(all, 0.99),
+		time.Duration(all.Max).Seconds()); err != nil {
 		return err
 	}
 
@@ -187,26 +151,19 @@ func (r *ServeRecorder) WriteRecorder(w io.Writer) error {
 	if histErr != nil {
 		return histErr
 	}
-	if err := writeSeries(w, "sea_audit_samples_total",
-		"Model answers audited against an exact evaluation.", "counter",
-		float64(r.audit.Samples())); err != nil {
-		return err
-	}
 
 	// SLO burn rates, when an engine is attached (nil-safe no-op
 	// otherwise).
-	if err := r.slo.Load().WritePrometheus(w); err != nil {
-		return err
-	}
+	return r.slo.Load().WritePrometheus(w)
+}
 
-	// Registered gauges (WAL segments, absorbed version, probation
-	// quanta, queue depth — owned by other subsystems).
-	for _, g := range r.Gauges() {
-		if err := writeSeries(w, g.Name, g.Help, "gauge", g.Fn()); err != nil {
-			return err
-		}
+// quantileSeconds is hs's q-quantile of nanosecond samples, in seconds
+// (0 for an empty snapshot).
+func quantileSeconds(hs HistSnapshot, q float64) float64 {
+	if hs.Count == 0 {
+		return 0
 	}
-	return nil
+	return time.Duration(hs.Quantile(q)).Seconds()
 }
 
 // writeHist emits one labeled histogram series set: cumulative

@@ -29,7 +29,7 @@ func TestLabelValue(t *testing.T) {
 // exposition. The sanitized output must keep the whole id inside one
 // quoted label value.
 func TestPrometheusLabelInjection(t *testing.T) {
-	r := NewServeRecorder(0)
+	r := NewServeRecorder()
 	hostile := "evil\"} 1\nsea_fake_metric{x=\"y"
 	r.TenantObserve(ClassOf(hostile), 5*time.Millisecond)
 	r.TenantObserve("good", time.Millisecond)

@@ -98,13 +98,46 @@ type TenantSnap struct {
 	P99      time.Duration `json:"p99_ns"`
 }
 
-// GaugeDef is a registered gauge: a named callback sampled at
-// exposition time (WAL segment counts, absorbed versions, queue
-// depths — state owned elsewhere that metrics should not duplicate).
-type GaugeDef struct {
+// Kind says how a registry series accumulates. A counter only grows:
+// its exposition name gains `_total`, and the flight recorder keeps its
+// last value when it downsamples and scores its rate. A gauge is an
+// instantaneous reading.
+type Kind uint8
+
+const (
+	KindGauge Kind = iota
+	KindCounter
+)
+
+// String returns the Prometheus TYPE word.
+func (k Kind) String() string {
+	if k == KindCounter {
+		return "counter"
+	}
+	return "gauge"
+}
+
+// Series is one scalar series of a recorder's registry, the single list
+// both /v1/metrics and the flight recorder walk. It is exported as
+// sea_<Name> (sea_<Name>_total for a counter) and recorded as <Name>.
+type Series struct {
 	Name string
 	Help string
-	Fn   func() float64
+	Kind Kind
+	// Read samples the current value; it must be cheap, safe to call
+	// concurrently and allocation-free (the flight recorder calls it every
+	// tick).
+	Read func() float64
+	// Watch arms the flight recorder's anomaly detector on the series.
+	Watch bool
+}
+
+// ExpoName is the series' family name on /v1/metrics.
+func (s Series) ExpoName() string {
+	if s.Kind == KindCounter {
+		return "sea_" + s.Name + "_total"
+	}
+	return "sea_" + s.Name
 }
 
 // ServeSnapshot is a point-in-time view of serving-layer health: the
@@ -202,22 +235,85 @@ type ServeRecorder struct {
 
 	slo atomic.Pointer[SLOEngine]
 
-	gaugeMu sync.RWMutex
-	gauges  []GaugeDef
+	// series is the scalar registry, copied on write so readers never
+	// lock.
+	seriesMu sync.Mutex
+	series   atomic.Pointer[[]Series]
 }
 
-// NewServeRecorder builds a recorder. The window argument is retained
-// for compatibility with earlier sorted-window percentile math and is
-// ignored: latency distributions are now lifetime log-bucketed
-// histograms, which merge across recorders and export as real
-// Prometheus histograms.
-func NewServeRecorder(window int) *ServeRecorder {
-	_ = window
-	return &ServeRecorder{
+// NewServeRecorder builds a recorder whose registry holds its own
+// counters and the lifetime rates derived from them.
+func NewServeRecorder() *ServeRecorder {
+	r := &ServeRecorder{
 		start:   time.Now(),
 		tenants: make(map[string]*TenantStats),
 	}
+	r.series.Store(&[]Series{})
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Int64
+		watch      bool
+	}{
+		{"queries", "Answered queries (predicted + fallbacks + deduped).", &r.queries, true},
+		{"predicted", "Queries answered data-lessly from learned models.", &r.predicted, false},
+		{"fallbacks", "Queries that executed the exact oracle path.", &r.fallbacks, false},
+		{"deduped", "Queries served by sharing an identical in-flight fallback.", &r.deduped, false},
+		{"cache_hits", "Queries served from the versioned answer cache.", &r.cacheHits, false},
+		{"rejected", "Submissions turned away by admission control.", &r.rejected, true},
+		{"errors", "Failed queries.", &r.errors, true},
+		{"ingest_batches", "Row batches applied through the live write path.", &r.ingestBatches, false},
+		{"ingest_rows", "Rows applied through the live write path.", &r.ingestRows, false},
+		{"drift_invalidations", "Quanta invalidated by the ingest drift budget.", &r.driftInval, false},
+		{"rebuilds", "Completed background model re-quantisations.", &r.rebuilds, false},
+		{"rpc_retries", "Retried inter-node RPC attempts.", &r.rpcRetries, true},
+		{"hedges", "Hedged scatter RPCs fired against a second holder.", &r.hedges, true},
+		{"degraded_answers", "Queries answered with partial partition coverage.", &r.degraded, true},
+	} {
+		v := c.v
+		r.Register(Series{Name: c.name, Help: c.help, Kind: KindCounter, Watch: c.watch,
+			Read: func() float64 { return float64(v.Load()) }})
+	}
+	r.Register(Series{Name: "audit_samples", Help: "Model answers audited against an exact evaluation.",
+		Kind: KindCounter, Read: func() float64 { return float64(r.audit.Samples()) }})
+	r.Register(Series{Name: "qps", Help: "Lifetime queries per second.", Read: func() float64 {
+		return rate(r.queries.Load(), time.Since(r.start).Seconds())
+	}})
+	r.Register(Series{Name: "fallback_rate", Help: "Fraction of queries that ran the exact path.", Read: func() float64 {
+		return rate(r.fallbacks.Load(), float64(r.queries.Load()))
+	}})
+	r.Register(Series{Name: "uptime_seconds", Help: "Recorder uptime.", Read: func() float64 {
+		return time.Since(r.start).Seconds()
+	}})
+	return r
 }
+
+// rate is n/d, or 0 when d is not positive.
+func rate(n int64, d float64) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d
+}
+
+// Register adds s to the scalar registry. The first registration of a
+// name wins and later ones are dropped, so two schedulers over one pool
+// export one queue-depth series. Register at wiring time.
+func (r *ServeRecorder) Register(s Series) {
+	r.seriesMu.Lock()
+	defer r.seriesMu.Unlock()
+	old := *r.series.Load()
+	for _, have := range old {
+		if have.Name == s.Name {
+			return
+		}
+	}
+	next := append(old[:len(old):len(old)], s)
+	r.series.Store(&next)
+}
+
+// Series returns the scalar registry in registration order. The slice is
+// shared: callers must not modify it.
+func (r *ServeRecorder) Series() []Series { return *r.series.Load() }
 
 // ObservePath records one answered query under the path that served
 // it. Cache hits count toward CacheHits, model/AQP answers toward
@@ -235,17 +331,6 @@ func (r *ServeRecorder) ObservePath(lat time.Duration, p Path) {
 	r.paths[p].RecordDur(lat)
 }
 
-// Observe records one answered query: its wall latency and which path
-// served it. Compatibility form of ObservePath — callers that know the
-// precise path (scatter vs local exact) should use ObservePath.
-func (r *ServeRecorder) Observe(lat time.Duration, predicted bool) {
-	if predicted {
-		r.ObservePath(lat, PathModel)
-	} else {
-		r.ObservePath(lat, PathExactLocal)
-	}
-}
-
 // DedupPath records a query answered by sharing an identical in-flight
 // fallback's result: it counts toward Queries and the shared answer's
 // path histogram (the recorded latency is the waiter's, i.e. how long
@@ -255,18 +340,6 @@ func (r *ServeRecorder) DedupPath(lat time.Duration, p Path) {
 	r.queries.Add(1)
 	r.deduped.Add(1)
 	r.paths[p].RecordDur(lat)
-}
-
-// Dedup is DedupPath against the exact-local path (compatibility).
-func (r *ServeRecorder) Dedup(lat time.Duration) {
-	r.DedupPath(lat, PathExactLocal)
-}
-
-// CacheHit records a query served straight from the versioned answer
-// cache: it counts toward Queries and the cache path's histogram, but
-// toward neither Predicted nor Fallbacks (no agent was touched).
-func (r *ServeRecorder) CacheHit(lat time.Duration) {
-	r.ObservePath(lat, PathCache)
 }
 
 // Reject records an admission-control rejection.
@@ -369,59 +442,10 @@ func (r *ServeRecorder) SLO() *SLOEngine { return r.slo.Load() }
 // Prometheus writer reads bucket data straight from it).
 func (r *ServeRecorder) PathHist(p Path) *Histogram { return &r.paths[p] }
 
-// RegisterGauge registers a named gauge callback, exported with the
-// given help text on the Prometheus endpoint. Register at wiring time;
-// fn must be cheap and safe to call concurrently.
-func (r *ServeRecorder) RegisterGauge(name, help string, fn func() float64) {
-	r.gaugeMu.Lock()
-	r.gauges = append(r.gauges, GaugeDef{Name: name, Help: help, Fn: fn})
-	r.gaugeMu.Unlock()
-}
-
-// Gauges returns the registered gauge definitions.
-func (r *ServeRecorder) Gauges() []GaugeDef {
-	r.gaugeMu.RLock()
-	defer r.gaugeMu.RUnlock()
-	return append([]GaugeDef(nil), r.gauges...)
-}
-
-// CounterDef is one lifetime counter exposed for time-series sampling:
-// a name and a lock-free load of the current cumulative value.
-type CounterDef struct {
-	Name string
-	Fn   func() int64
-}
-
-// Counters enumerates the recorder's cumulative counters as sampling
-// closures. Each Fn is a single atomic load — the flight recorder
-// calls every one once per second and must stay allocation-free.
-func (r *ServeRecorder) Counters() []CounterDef {
-	return []CounterDef{
-		{"queries", r.queries.Load},
-		{"predicted", r.predicted.Load},
-		{"fallbacks", r.fallbacks.Load},
-		{"deduped", r.deduped.Load},
-		{"cache_hits", r.cacheHits.Load},
-		{"rejected", r.rejected.Load},
-		{"errors", r.errors.Load},
-		{"ingest_batches", r.ingestBatches.Load},
-		{"ingest_rows", r.ingestRows.Load},
-		{"drift_invalidations", r.driftInval.Load},
-		{"rebuilds", r.rebuilds.Load},
-		{"rpc_retries", r.rpcRetries.Load},
-		{"hedges", r.hedges.Load},
-		{"degraded_answers", r.degraded.Load},
-	}
-}
-
 // CacheHitRate returns the lifetime cache-hit fraction of answered
 // queries (0 when none have completed). Two atomic loads, no locks.
 func (r *ServeRecorder) CacheHitRate() float64 {
-	q := r.queries.Load()
-	if q == 0 {
-		return 0
-	}
-	return float64(r.cacheHits.Load()) / float64(q)
+	return rate(r.cacheHits.Load(), float64(r.queries.Load()))
 }
 
 // tenantSnapshot copies the per-class table.
@@ -465,12 +489,8 @@ func (r *ServeRecorder) Snapshot() ServeSnapshot {
 		DegradedAnswers:    r.degraded.Load(),
 		Uptime:             time.Since(r.start),
 	}
-	if s.Uptime > 0 {
-		s.QPS = float64(s.Queries) / s.Uptime.Seconds()
-	}
-	if s.Queries > 0 {
-		s.FallbackRate = float64(s.Fallbacks) / float64(s.Queries)
-	}
+	s.QPS = rate(s.Queries, s.Uptime.Seconds())
+	s.FallbackRate = rate(s.Fallbacks, float64(s.Queries))
 
 	var all HistSnapshot
 	paths := make(map[string]PathStats, NumPaths)

@@ -7,13 +7,23 @@ import (
 	"time"
 )
 
+// observe records a model answer when predicted, an exact local one
+// otherwise.
+func observe(r *ServeRecorder, lat time.Duration, predicted bool) {
+	p := PathExactLocal
+	if predicted {
+		p = PathModel
+	}
+	r.ObservePath(lat, p)
+}
+
 func TestServeRecorderCountersAndPercentiles(t *testing.T) {
-	r := NewServeRecorder(128)
+	r := NewServeRecorder()
 	for i := 1; i <= 100; i++ {
-		r.Observe(time.Duration(i)*time.Millisecond, i%10 != 0)
+		observe(r, time.Duration(i)*time.Millisecond, i%10 != 0)
 	}
 	r.Reject()
-	r.Dedup(2 * time.Millisecond)
+	r.DedupPath(2*time.Millisecond, PathExactLocal)
 	r.Error()
 
 	s := r.Snapshot()
@@ -44,11 +54,11 @@ func TestServeRecorderCountersAndPercentiles(t *testing.T) {
 }
 
 func TestServeRecorderLifetimeHistogram(t *testing.T) {
-	r := NewServeRecorder(8)
+	r := NewServeRecorder()
 	// The recorder keeps lifetime histograms (not a sliding window): all
 	// 20 observations shape the percentiles, and the max stays exact.
 	for i := 1; i <= 20; i++ {
-		r.Observe(time.Duration(i)*time.Second, true)
+		observe(r, time.Duration(i)*time.Second, true)
 	}
 	s := r.Snapshot()
 	if s.Queries != 20 {
@@ -66,7 +76,7 @@ func TestServeRecorderLifetimeHistogram(t *testing.T) {
 }
 
 func TestServeRecorderPerPath(t *testing.T) {
-	r := NewServeRecorder(0)
+	r := NewServeRecorder()
 	r.ObservePath(1*time.Millisecond, PathCache)
 	r.ObservePath(2*time.Millisecond, PathModel)
 	r.ObservePath(40*time.Millisecond, PathExactLocal)
@@ -100,7 +110,7 @@ func TestTenantClassStats(t *testing.T) {
 	if got := ClassOf(""); got != "default" {
 		t.Fatalf("ClassOf(\"\") = %q", got)
 	}
-	r := NewServeRecorder(0)
+	r := NewServeRecorder()
 	for i := 0; i < 3; i++ {
 		ts := r.Tenant("client")
 		ts.Queries.Add(1)
@@ -117,7 +127,7 @@ func TestTenantClassStats(t *testing.T) {
 }
 
 func TestAuditRecorder(t *testing.T) {
-	r := NewServeRecorder(0)
+	r := NewServeRecorder()
 	a := r.Audit()
 	a.Record(0, "avg", "fallback", 0.10)
 	a.Record(0, "avg", "fallback", 0.30)
@@ -144,7 +154,7 @@ func TestAuditRecorder(t *testing.T) {
 }
 
 func TestServeRecorderConcurrent(t *testing.T) {
-	r := NewServeRecorder(0)
+	r := NewServeRecorder()
 	var wg sync.WaitGroup
 	const workers, each = 16, 200
 	wg.Add(workers)
@@ -152,7 +162,7 @@ func TestServeRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				r.Observe(time.Microsecond, i%2 == 0)
+				observe(r, time.Microsecond, i%2 == 0)
 				if i%50 == 0 {
 					_ = r.Snapshot()
 				}
@@ -166,7 +176,7 @@ func TestServeRecorderConcurrent(t *testing.T) {
 }
 
 func TestIngestAndDriftCounters(t *testing.T) {
-	r := NewServeRecorder(8)
+	r := NewServeRecorder()
 	r.IngestBatch(10)
 	r.IngestBatch(5)
 	r.DriftInvalidate(3)
@@ -185,13 +195,13 @@ func TestIngestAndDriftCounters(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := NewServeRecorder(8)
-	r.Observe(2*time.Millisecond, true)
-	r.Observe(4*time.Millisecond, false)
+	r := NewServeRecorder()
+	observe(r, 2*time.Millisecond, true)
+	observe(r, 4*time.Millisecond, false)
 	r.IngestBatch(7)
 	r.Rebuild()
 	var buf strings.Builder
-	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
+	if err := r.WriteRecorder(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -203,29 +213,55 @@ func TestWritePrometheus(t *testing.T) {
 		"sea_rebuilds_total 1",
 		"# TYPE sea_queries_total counter",
 		"# TYPE sea_qps gauge",
+		"# TYPE sea_audit_samples_total counter",
 		`sea_latency_seconds{quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-	// Every series WritePrometheus emits must carry HELP and TYPE.
+	// Every sample line belongs to a family with one HELP and one TYPE.
 	for _, line := range strings.Split(out, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		name := strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]
-		if !strings.Contains(out, "# HELP "+name+" ") {
-			t.Fatalf("series %s has no HELP:\n%s", name, out)
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && strings.Contains(out, "# TYPE "+base+" histogram") {
+				name = base
+			}
 		}
-		if !strings.Contains(out, "# TYPE "+name+" ") {
-			t.Fatalf("series %s has no TYPE:\n%s", name, out)
+		for _, tag := range []string{"# HELP ", "# TYPE "} {
+			if n := strings.Count(out, tag+name+" "); n != 1 {
+				t.Fatalf("series %s has %d %q lines:\n%s", name, n, tag, out)
+			}
+		}
+	}
+}
+
+func TestRegistryKeepsFirstRegistration(t *testing.T) {
+	r := NewServeRecorder()
+	n := len(r.Series())
+	r.Register(Series{Name: "depth", Help: "first", Read: func() float64 { return 1 }})
+	r.Register(Series{Name: "depth", Help: "second", Read: func() float64 { return 2 }})
+	r.Register(Series{Name: "queries", Help: "shadow", Kind: KindCounter, Read: func() float64 { return 9 }})
+	series := r.Series()
+	if len(series) != n+1 {
+		t.Fatalf("registry grew by %d, want 1", len(series)-n)
+	}
+	last := series[len(series)-1]
+	if last.Name != "depth" || last.Help != "first" || last.Read() != 1 {
+		t.Fatalf("later registration replaced the first: %+v", last)
+	}
+	for _, s := range series {
+		if s.Name == "queries" && (s.Read() != 0 || s.ExpoName() != "sea_queries_total") {
+			t.Fatalf("builtin queries series shadowed: %+v", s)
 		}
 	}
 }
 
 func TestWriteRecorderHistograms(t *testing.T) {
-	r := NewServeRecorder(0)
+	r := NewServeRecorder()
 	r.ObservePath(2*time.Millisecond, PathModel)
 	r.ObservePath(40*time.Millisecond, PathExactScatter)
 	ts := r.Tenant("client")
@@ -233,7 +269,7 @@ func TestWriteRecorderHistograms(t *testing.T) {
 	ts.Lat.RecordDur(3 * time.Millisecond)
 	r.TenantReject("client")
 	r.Audit().Record(0, "avg", "shadow", 0.02)
-	r.RegisterGauge("sea_wal_segments", "WAL segment files.", func() float64 { return 4 })
+	r.Register(Series{Name: "wal_segments", Help: "WAL segment files.", Read: func() float64 { return 4 }})
 
 	var buf strings.Builder
 	if err := r.WriteRecorder(&buf); err != nil {

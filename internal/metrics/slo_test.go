@@ -33,7 +33,7 @@ func TestCountAbove(t *testing.T) {
 // synthetic clock.
 func driveSLO(t *testing.T, cfg SLOConfig) (*ServeRecorder, *SLOEngine) {
 	t.Helper()
-	rec := NewServeRecorder(0)
+	rec := NewServeRecorder()
 	eng := NewSLOEngine(rec, cfg)
 	base := time.Unix(1_700_000_000, 0)
 	eng.Tick(base)
@@ -81,7 +81,7 @@ func TestSLOEngineStates(t *testing.T) {
 }
 
 func TestSLOEngineRejectedBurn(t *testing.T) {
-	rec := NewServeRecorder(0)
+	rec := NewServeRecorder()
 	eng := NewSLOEngine(rec, SLOConfig{
 		LatencyObjective: time.Second,
 		ErrorBudget:      0.001,
@@ -136,7 +136,7 @@ func TestSLOPrometheusExport(t *testing.T) {
 }
 
 func TestSLOEngineStartStop(t *testing.T) {
-	rec := NewServeRecorder(0)
+	rec := NewServeRecorder()
 	eng := NewSLOEngine(rec, SLOConfig{Interval: time.Millisecond})
 	rec.TenantObserve("c", time.Millisecond)
 	eng.Start()

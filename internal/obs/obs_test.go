@@ -146,15 +146,15 @@ func TestRuntimeSampler(t *testing.T) {
 		t.Fatalf("GC pauses not folded: %+v", snap)
 	}
 
-	rec := metrics.NewServeRecorder(0)
+	rec := metrics.NewServeRecorder()
 	s.Register(rec)
 	var b strings.Builder
 	if err := rec.WriteRecorder(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sea_go_goroutines", "sea_go_heap_alloc_bytes",
-		"sea_go_gc_cycles_total", "sea_go_gc_pause_p99_seconds"} {
-		if !strings.Contains(b.String(), name) {
+	for _, name := range []string{"sea_go_goroutines gauge", "sea_go_heap_alloc_bytes gauge",
+		"sea_go_gc_cycles_total counter", "sea_go_gc_pause_p99_seconds gauge"} {
+		if !strings.Contains(b.String(), "# TYPE "+name+"\n") {
 			t.Fatalf("exposition missing %s", name)
 		}
 	}

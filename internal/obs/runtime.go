@@ -147,25 +147,24 @@ func (s *RuntimeSampler) Snapshot() RuntimeSnap {
 	}
 }
 
-// Register exports the sampler's readings as gauges on a serving
-// recorder's Prometheus endpoint.
+// Register adds the sampler's readings to a serving recorder's series
+// registry (sea_go_* on /v1/metrics, go_* in the flight history).
 func (s *RuntimeSampler) Register(rec *metrics.ServeRecorder) {
 	if s == nil || rec == nil {
 		return
 	}
-	rec.RegisterGauge("sea_go_goroutines",
-		"Live goroutines (sampled).",
-		func() float64 { return float64(s.goroutines.Load()) })
-	rec.RegisterGauge("sea_go_heap_alloc_bytes",
-		"Heap bytes in use (sampled).",
-		func() float64 { return float64(s.heapAlloc.Load()) })
-	rec.RegisterGauge("sea_go_heap_sys_bytes",
-		"Heap bytes obtained from the OS (sampled).",
-		func() float64 { return float64(s.heapSys.Load()) })
-	rec.RegisterGauge("sea_go_gc_cycles_total",
-		"Completed GC cycles (sampled).",
-		func() float64 { return float64(s.gcCycles.Load()) })
-	rec.RegisterGauge("sea_go_gc_pause_p99_seconds",
-		"p99 GC stop-the-world pause (sampled).",
-		func() float64 { return float64(s.pauseP99.Load()) / 1e9 })
+	for _, g := range []metrics.Series{
+		{Name: "go_goroutines", Help: "Live goroutines (sampled).", Watch: true,
+			Read: func() float64 { return float64(s.goroutines.Load()) }},
+		{Name: "go_heap_alloc_bytes", Help: "Heap bytes in use (sampled).", Watch: true,
+			Read: func() float64 { return float64(s.heapAlloc.Load()) }},
+		{Name: "go_heap_sys_bytes", Help: "Heap bytes obtained from the OS (sampled).",
+			Read: func() float64 { return float64(s.heapSys.Load()) }},
+		{Name: "go_gc_cycles", Help: "Completed GC cycles (sampled).", Kind: metrics.KindCounter,
+			Read: func() float64 { return float64(s.gcCycles.Load()) }},
+		{Name: "go_gc_pause_p99_seconds", Help: "p99 GC stop-the-world pause (sampled).",
+			Read: func() float64 { return float64(s.pauseP99.Load()) / 1e9 }},
+	} {
+		rec.Register(g)
+	}
 }

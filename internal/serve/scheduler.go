@@ -83,9 +83,11 @@ func NewScheduler(pool *Pool, cfg SchedulerConfig) *Scheduler {
 		jobs:   make(chan *job, cfg.QueueDepth),
 		tenant: make(map[string]int),
 	}
-	pool.rec.RegisterGauge("sea_sched_queue_depth",
-		"Jobs waiting in the shared scheduler queue.",
-		func() float64 { return float64(len(s.jobs)) })
+	// A second scheduler over the same pool keeps the first one's series:
+	// the registry holds one per name.
+	pool.rec.Register(metrics.Series{Name: "sched_queue_depth",
+		Help: "Jobs waiting in the shared scheduler queue.",
+		Read: func() float64 { return float64(len(s.jobs)) }})
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()

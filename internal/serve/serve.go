@@ -24,7 +24,10 @@
 //
 // Throughput and latency are instrumented through
 // metrics.ServeRecorder: QPS, p50/p90/p99 latency, fallback and
-// rejection rates, all surfaced on the stats endpoint.
+// rejection rates, all surfaced on the stats endpoint. Plane wires the
+// rest of a front-end's instruments (tracing, audit, SLO, runtime,
+// flight recorder) and their routes, for this Server and for cluster
+// members alike.
 package serve
 
 import (
@@ -148,6 +151,10 @@ type Pool struct {
 	// only on the traced path, so untraced queries never touch it.
 	flight *flight.Recorder
 
+	// plane is the observability plane NewPlane wired onto the pool;
+	// NewServer mounts its routes.
+	plane *Plane
+
 	// Shadow-audit sampler: one in auditEvery model-served answers is
 	// re-evaluated exactly in the background and its realised error
 	// recorded. auditSem bounds concurrent probes (overflow samples are
@@ -175,7 +182,7 @@ func NewPool(agents []*core.Agent, rec *metrics.ServeRecorder) (*Pool, error) {
 		return nil, ErrNoAgents
 	}
 	if rec == nil {
-		rec = metrics.NewServeRecorder(0)
+		rec = metrics.NewServeRecorder()
 	}
 	p := &Pool{agents: agents, rec: rec}
 	// Continuous accuracy audit, free half: every exact fallback whose

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/explain"
-	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/trace"
@@ -150,11 +148,8 @@ func (r QueryRequest) Query() (query.Query, error) {
 //	                           ?trace=1 forces a trace, inlined in the answer
 //	POST /v1/explain           same body; piecewise-linear answer explanation
 //	GET  /v1/stats             agent + serving counters
-//	GET  /v1/metrics           Prometheus exposition (histograms included)
-//	GET  /v1/debug/traces      recent trace ids
-//	GET  /v1/debug/trace/{id}  one span tree from the ring
-//	GET  /v1/debug/slow        the slow-query log
-//	GET  /healthz              liveness
+//
+// plus the observability routes of the pool's Plane (Plane.Mount).
 //
 // Overload maps to 429, malformed queries to 400, oracle failures
 // to 502.
@@ -165,144 +160,20 @@ type Server struct {
 }
 
 // NewServer builds the front-end. exp may be nil to disable /v1/explain.
+// The observability routes come from the pool's Plane; a pool without
+// one gets a default plane here.
 func NewServer(sched *Scheduler, exp *explain.Engine) *Server {
 	s := &Server{sched: sched, explain: exp, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	RegisterDebug(s.mux, func() *trace.Tracer { return s.sched.pool.Tracer() })
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	})
+	plane := sched.pool.plane
+	if plane == nil {
+		plane = NewPlane(sched.pool, PlaneConfig{Node: "local"})
+	}
+	plane.Mount(s.mux)
 	return s
 }
-
-// RegisterDebug mounts the trace-debug routes on mux: the recent-trace
-// list, single-trace retrieval and the slow-query log. Shared with the
-// distributed node API so every serving front-end exposes the same
-// debug surface. tracerFn is consulted per request (it may return nil
-// while tracing is unconfigured — routes then return 404).
-func RegisterDebug(mux *http.ServeMux, tracerFn func() *trace.Tracer) {
-	mux.HandleFunc("GET /v1/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
-		t := tracerFn()
-		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"traces": t.RecentIDs()})
-	})
-	mux.HandleFunc("GET /v1/debug/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
-		t := tracerFn()
-		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
-			return
-		}
-		ws, ok := t.Get(r.PathValue("id"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "trace not in ring"})
-			return
-		}
-		writeJSON(w, http.StatusOK, ws)
-	})
-	mux.HandleFunc("GET /v1/debug/slow", func(w http.ResponseWriter, _ *http.Request) {
-		t := tracerFn()
-		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"slow": t.SlowLog()})
-	})
-}
-
-// RegisterFlight mounts the flight-recorder routes on mux: metric
-// history replay and the diagnostic-bundle spool. Shared with the
-// distributed node API like RegisterDebug. fn is consulted per request
-// (it may return nil while the recorder is unconfigured — routes then
-// return 404).
-func RegisterFlight(mux *http.ServeMux, fn func() *flight.Recorder) {
-	unavailable := func(w http.ResponseWriter) *flight.Recorder {
-		fr := fn()
-		if fr == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "flight recorder not enabled"})
-		}
-		return fr
-	}
-	mux.HandleFunc("GET /v1/history", func(w http.ResponseWriter, r *http.Request) {
-		fr := unavailable(w)
-		if fr == nil {
-			return
-		}
-		metric := r.URL.Query().Get("metric")
-		if metric == "" {
-			writeJSON(w, http.StatusOK, map[string]any{"metrics": fr.Metrics()})
-			return
-		}
-		window := time.Duration(0)
-		if ws := r.URL.Query().Get("window"); ws != "" {
-			d, err := time.ParseDuration(ws)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest,
-					errorResponse{Error: "bad window: " + err.Error()})
-				return
-			}
-			window = d
-		}
-		h, ok := fr.History(metric, window)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown metric " + metric})
-			return
-		}
-		writeJSON(w, http.StatusOK, h)
-	})
-	mux.HandleFunc("GET /v1/debug/bundles", func(w http.ResponseWriter, _ *http.Request) {
-		fr := unavailable(w)
-		if fr == nil {
-			return
-		}
-		bundles := fr.Bundles()
-		if bundles == nil {
-			bundles = []flight.BundleInfo{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"bundles": bundles})
-	})
-	mux.HandleFunc("GET /v1/debug/bundle/{id}/{file}", func(w http.ResponseWriter, r *http.Request) {
-		fr := unavailable(w)
-		if fr == nil {
-			return
-		}
-		path, err := fr.BundleFile(r.PathValue("id"), r.PathValue("file"))
-		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		http.ServeFile(w, r, path)
-	})
-}
-
-// EnableFlight mounts the flight routes on the server's mux and
-// attaches the recorder to the pool's per-query exemplar hook.
-func (s *Server) EnableFlight(fr *flight.Recorder) {
-	s.sched.pool.EnableFlight(fr)
-	RegisterFlight(s.mux, func() *flight.Recorder { return fr })
-}
-
-// RegisterPprof mounts the standard net/http/pprof profiling handlers
-// under /debug/pprof/ on mux. Off by default everywhere — profiling
-// endpoints on a data port are an explicit operator opt-in (seaserve
-// -pprof), since heap and CPU profiles leak operational detail.
-func RegisterPprof(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// EnablePprof mounts the profiling handlers on the server's mux.
-func (s *Server) EnablePprof() { RegisterPprof(s.mux) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -432,7 +303,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			s.sched.pool.rec.Error()
 			return nil, err
 		}
-		s.sched.pool.rec.Observe(time.Since(start), true)
+		s.sched.pool.rec.ObservePath(time.Since(start), metrics.PathModel)
 		return ex, nil
 	})
 	if err != nil {
@@ -447,30 +318,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Agent:   s.sched.pool.Stats(),
 		Serving: s.sched.pool.rec.Snapshot(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	WriteMetrics(w, s.sched.pool.rec)
-}
-
-// WriteMetrics renders the recorder's full Prometheus exposition —
-// counters, gauges, per-path and per-tenant-class latency histograms,
-// audit error histograms and registered gauges; the distributed node
-// API mounts the same exposition on its own GET /v1/metrics route.
-func WriteMetrics(w http.ResponseWriter, rec *metrics.ServeRecorder) {
-	w.Header().Set("Content-Type", metrics.PrometheusContentType)
-	w.WriteHeader(http.StatusOK)
-	_ = rec.WriteRecorder(w)
-}
-
-// ListenAndServe runs the front-end on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return srv.ListenAndServe()
 }
 
 // Run serves on addr until ctx is cancelled, then shuts down gracefully.

@@ -13,13 +13,11 @@ package sea
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
 // Server is the HTTP/JSON serving front-end (see serve.Server).
@@ -96,26 +94,21 @@ func NewScheduler(agents []*Agent, opt ServeOptions) (*Scheduler, error) {
 	if opt.AnswerCache > 0 {
 		pool.EnableCache(opt.AnswerCache)
 	}
-	// A tracer is always attached (even at sampling rate 0) so forced
-	// ?trace=1 traces and the debug endpoints work out of the box.
-	tracer := trace.NewTracer("local", opt.TraceRing)
-	tracer.SetSampleRate(opt.TraceSample)
-	if opt.SlowQuery > 0 {
-		tracer.SetSlowThreshold(opt.SlowQuery)
-	}
-	pool.EnableTracing(tracer)
-	if opt.AuditSample > 0 {
-		every := int64(1)
-		if opt.AuditSample < 1 {
-			every = int64(math.Round(1 / opt.AuditSample))
-		}
-		pool.EnableShadowAudit(every, 0)
-	}
-	return serve.NewScheduler(pool, serve.SchedulerConfig{
+	sched := serve.NewScheduler(pool, serve.SchedulerConfig{
 		Workers:        opt.Workers,
 		QueueDepth:     opt.QueueDepth,
 		TenantInflight: opt.TenantInflight,
-	}), nil
+	})
+	// The plane always carries a tracer (even at sampling rate 0), so
+	// forced ?trace=1 traces and the debug endpoints work out of the box.
+	serve.NewPlane(pool, serve.PlaneConfig{
+		Node:        "local",
+		TraceSample: opt.TraceSample,
+		TraceRing:   opt.TraceRing,
+		SlowQuery:   opt.SlowQuery,
+		AuditSample: opt.AuditSample,
+	})
+	return sched, nil
 }
 
 // NewServer builds the HTTP/JSON front-end over the given agents. The
