@@ -22,6 +22,12 @@
 // Every member loads the same deterministic synthetic dataset (same
 // -rows/-seed) and keeps only the partitions the ring assigns it.
 //
+// In both modes the boot ends, just before serving, by returning its
+// scratch memory to the OS: the generated table (unless the single-node
+// table keeps it) and the load's scratch are garbage by then. The
+// "loaded" log line splits the boot into gen_ms (generating the table),
+// load_ms (loading it) and free_ms (that release).
+//
 // Elastic membership: a new member can also join a RUNNING cluster
 // without restarting anybody — instead of -peers it names any live
 // member with -join and its own reachable URL with -advertise:
@@ -121,6 +127,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"syscall"
@@ -133,6 +140,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/serve"
+	"repro/internal/storage"
 	"repro/internal/workload"
 	"repro/sea"
 )
@@ -409,10 +417,10 @@ func runSingle(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	if err := sys.Load(workload.StandardRows(o.rows, o.seed)); err != nil {
+	boot, err := loadStandard(o, sys.Load)
+	if err != nil {
 		return err
 	}
-	lg.Info("loaded", "rows", sys.Rows(), "nodes", o.nodes)
 
 	agents := make([]*core.Agent, o.agents)
 	for i := range agents {
@@ -430,6 +438,8 @@ func runSingle(ctx context.Context, o options) error {
 		lg.Info("agent trained", "agent", i, "queries", st.Queries, "quanta", st.Quanta)
 		agents[i] = ag.Inner()
 	}
+	boot.free()
+	lg.Info("loaded", append([]any{"rows", sys.Rows(), "nodes", o.nodes}, boot.fields()...)...)
 
 	pool, err := serve.NewPool(agents, nil)
 	if err != nil {
@@ -530,7 +540,8 @@ func runCluster(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	if err := node.Load(workload.StandardRows(o.rows, o.seed)); err != nil {
+	boot, err := loadStandard(o, node.Load)
+	if err != nil {
 		return err
 	}
 	st := node.Status()
@@ -556,6 +567,10 @@ func runCluster(ctx context.Context, o options) error {
 			lg.Info("warmed up", "donor", o.warmFrom, "snapshot_bytes", shipped)
 		}
 	}
+	boot.free()
+	st = node.Status()
+	lg.Info("loaded", append([]any{"partitions", len(st.PartitionsHeld), "rows", st.RowsHeld,
+		"wal", o.dataDir != ""}, boot.fields()...)...)
 	if o.pprof {
 		lg.Warn("pprof endpoints mounted under /debug/pprof/ — do not expose publicly")
 	}
@@ -582,6 +597,42 @@ func runCluster(ctx context.Context, o options) error {
 		return cause
 	}
 	return err
+}
+
+// bootTimes splits a boot into generating the table, loading it, and
+// returning the garbage both left behind to the OS.
+type bootTimes struct {
+	gen, load, release time.Duration
+}
+
+// loadStandard generates the standard table and hands it to load. Only
+// this frame holds the table, so once load returns it is garbage unless
+// load kept it.
+func loadStandard(o options, load func([]storage.Row) error) (*bootTimes, error) {
+	start := time.Now()
+	rows := workload.StandardRows(o.rows, o.seed)
+	b := &bootTimes{gen: time.Since(start)}
+	if err := load(rows); err != nil {
+		return nil, err
+	}
+	b.load = time.Since(start) - b.gen
+	return b, nil
+}
+
+// free returns the boot's garbage to the OS: the generated table, the
+// load's scratch and whatever warm-up left behind. Left to the
+// runtime's background scavenger, those pages can stay resident long
+// after the boot.
+func (b *bootTimes) free() {
+	start := time.Now()
+	debug.FreeOSMemory()
+	b.release = time.Since(start)
+}
+
+// fields are the times as log attributes, in milliseconds.
+func (b *bootTimes) fields() []any {
+	return []any{"gen_ms", b.gen.Milliseconds(), "load_ms", b.load.Milliseconds(),
+		"free_ms", b.release.Milliseconds()}
 }
 
 // joinCluster waits for this member's own /healthz to answer at the

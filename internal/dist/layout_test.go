@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -228,6 +231,75 @@ func TestLayoutPrunedScatterIsSelectiveAndExact(t *testing.T) {
 		if want.Support < int64(len(rows))/2 || cost.RowsRead <= 0 || cost.RowsRead >= want.Support {
 			t.Fatalf("wide %v: read %d rows to select %d of %d: interior blocks were not answered from their summaries",
 				agg, cost.RowsRead, want.Support, len(rows))
+		}
+	}
+}
+
+// goldenRoots are the digest roots of the six partitions of
+// layoutCluster's base (StartLocal(3, R=2) over testRows(60_000, 11)),
+// recorded from the sort-then-append loader that preceded the bulk one.
+// They pin the resident bytes of the clustered base: a loader that
+// orders, fills or summarises differently moves a root.
+var goldenRoots = [6]string{
+	"55e34c8679767139", "a2f1562440a82ffb", "663584a4a635e764",
+	"d3be6a1c8172ced6", "b831fba1a7b60e65", "f7fe7539ee46b544",
+}
+
+// goldenSummaries are the same partitions' summary hashes
+// (summaryHash), recorded alongside goldenRoots.
+var goldenSummaries = [6]uint64{
+	0xaf8c96362cfb511f, 0xb878666d4eef6aeb, 0x0b2760fb4a6ca6af,
+	0xa608d0a58e4ba480, 0x8e24026fe93e9049, 0x6fbc8d31eeae996e,
+}
+
+// summaryHash hashes every block summary and chunk entry of a view, the
+// parts of the layout a digest root does not cover.
+func summaryHash(v storage.ColumnView) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, fs := range [][]float64{v.ChunkMins, v.ChunkMaxs, v.BlockMins, v.BlockMaxs, v.BlockMoments} {
+		put(uint64(len(fs)))
+		for _, f := range fs {
+			put(math.Float64bits(f))
+		}
+	}
+	for _, bs := range [][]bool{v.ChunkNaN, v.BlockDirty} {
+		put(uint64(len(bs)))
+		for _, b := range bs {
+			if b {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestLoadLayoutGolden: Load lays the base down in exactly the bytes it
+// always has. Digests, /v1/partsnap, anti-entropy and every answer
+// depend on them, so a faster loader must not move one.
+func TestLoadLayoutGolden(t *testing.T) {
+	lc, _ := layoutCluster(t, "")
+	node0 := lc.Node(lc.IDs()[0])
+	if parts := node0.Partitions(); parts != len(goldenRoots) {
+		t.Fatalf("%d partitions, want %d", parts, len(goldenRoots))
+	}
+	for p := range goldenRoots {
+		for _, id := range node0.PartitionOwners(p) {
+			d, ok := lc.Node(id).digestPartition(p)
+			if !ok {
+				t.Fatalf("%s cannot digest partition %d", id, p)
+			}
+			view, _, _ := lc.Node(id).livePart(p).snapshot()
+			if d.Root != goldenRoots[p] || summaryHash(view) != goldenSummaries[p] {
+				t.Errorf("partition %d on %s: root %s summaries %#x, want %s %#x",
+					p, id, d.Root, summaryHash(view), goldenRoots[p], goldenSummaries[p])
+			}
 		}
 	}
 }

@@ -456,27 +456,24 @@ func (n *Node) Load(rows []storage.Row) error {
 	n.absorbedVer.Store(n.version.Load()) // bulk load needs no model absorb
 	n.mu.Unlock()
 
-	rowsHeld := 0
-	for _, pt := range owned {
-		if n.cfg.DataDir != "" {
-			l, err := n.openLog(pt.id)
-			if err != nil {
-				return fmt.Errorf("dist: node %s: %w", n.id, err)
-			}
-			replayErr := l.Replay(func(e ingest.Entry) error {
-				return n.applyBatch(pt, true, e.Seq, e.Rows, nil)
-			})
-			// Attached only now: replay reads the log, so its batches
-			// must not be appended to it again.
-			pt.wal.Store(l)
-			if replayErr != nil {
-				return fmt.Errorf("dist: node %s: replay partition %d: %w", n.id, pt.id, replayErr)
-			}
-		}
-		view, _, _ := pt.snapshot()
-		rowsHeld += view.Len()
+	if n.cfg.DataDir == "" {
+		return nil
 	}
-	n.logger.Info("loaded", "partitions", len(owned), "rows", rowsHeld, "wal", n.cfg.DataDir != "")
+	for _, pt := range owned {
+		l, err := n.openLog(pt.id)
+		if err != nil {
+			return fmt.Errorf("dist: node %s: %w", n.id, err)
+		}
+		replayErr := l.Replay(func(e ingest.Entry) error {
+			return n.applyBatch(pt, true, e.Seq, e.Rows, nil)
+		})
+		// Attached only now: replay reads the log, so its batches must
+		// not be appended to it again.
+		pt.wal.Store(l)
+		if replayErr != nil {
+			return fmt.Errorf("dist: node %s: replay partition %d: %w", n.id, pt.id, replayErr)
+		}
+	}
 	return nil
 }
 

@@ -9,7 +9,10 @@
 // intersect a selection at all.
 package storage
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // ErrNoColumns is returned by ScanColumns when a partition has no
 // usable columnar projection (its rows became ragged through an
@@ -212,36 +215,61 @@ func BuildColStore(width int, rows []Row) *ColStore {
 	return c
 }
 
-// Append adds rows to the projection, extending the zone map and
-// summarising every block the rows fill. A row of the wrong width
-// poisons the store (Ragged) rather than corrupting the layout.
+// Append adds rows to the projection. It is the one way rows enter a
+// store: it grows the key and value columns once for the whole batch,
+// writes the rows by index, widens the zone map, then summarises every
+// block the batch completed. A row of the wrong width poisons the store
+// (Ragged) rather than corrupting the layout: the rows before it land,
+// it and every row after it do not.
 func (c *ColStore) Append(rows ...Row) {
-	for _, r := range rows {
-		if c.width < 0 {
-			c.adopt(len(r.Vec))
-		}
-		if c.ragged {
-			return
-		}
+	if len(rows) == 0 || c.ragged {
+		return
+	}
+	if c.width < 0 {
+		c.adopt(len(rows[0].Vec))
+	}
+	n := len(rows)
+	for i, r := range rows {
 		if len(r.Vec) != c.width {
-			c.ragged = true
-			return
+			n = i
+			break
 		}
-		c.keys = append(c.keys, r.Key)
-		for j := range c.cols {
-			c.cols[j] = append(c.cols[j], r.Vec[j])
-		}
-		if c.mins == nil {
-			c.mins = append([]float64(nil), r.Vec...)
-			c.maxs = append([]float64(nil), r.Vec...)
+	}
+	ragged := n < len(rows)
+	rows = rows[:n]
+	at := len(c.keys)
+	c.keys = extend(c.keys, n)
+	cols := c.cols
+	for j := range cols {
+		cols[j] = extend(cols[j], n)
+	}
+	if c.mins == nil && n > 0 {
+		c.mins = append([]float64(nil), rows[0].Vec...)
+		c.maxs = append([]float64(nil), rows[0].Vec...)
+	}
+	keys := c.keys[at:]
+	for i, r := range rows {
+		keys[i] = r.Key
+		for j, v := range r.Vec {
+			cols[j][at+i] = v
 		}
 		if widen(c.mins, c.maxs, r.Vec) {
 			c.unbounded = true
 		}
-		if len(c.keys)%BlockRows == 0 {
-			c.summariseBlock()
-		}
 	}
+	for lo := len(c.blockDirty) * BlockRows; lo+BlockRows <= at+n; lo += BlockRows {
+		c.summariseBlock(lo)
+	}
+	c.ragged = ragged
+}
+
+// extend lengthens s by n elements, reallocating only when its capacity
+// is short.
+func extend[E any](s []E, n int) []E {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, n)
+	}
+	return s[:len(s)+n]
 }
 
 // widen grows the box [mins, maxs] to cover vec and reports whether vec
@@ -261,14 +289,14 @@ func widen(mins, maxs, vec []float64) (nan bool) {
 	return nan
 }
 
-// summariseBlock writes the summary of the block the last appended row
-// completed, one column at a time, and folds its box into the block's
-// chunk entry. Every sum runs in row order with the block's first row
-// as the pivot, so a summary is a pure function of the resident order:
-// two stores holding the same rows in the same order hold the same bits.
-func (c *ColStore) summariseBlock() {
-	w, lo := c.width, len(c.keys)-BlockRows
-	b := lo / BlockRows
+// summariseBlock writes the summary of the full block whose first row is
+// lo, one column at a time, and folds its box into the block's chunk
+// entry; blocks are summarised in order, each once. Every sum runs in
+// row order with the block's first row as the pivot, so a summary is a
+// pure function of the resident order: two stores holding the same rows
+// in the same order hold the same bits, however they were batched.
+func (c *ColStore) summariseBlock(lo int) {
+	w, b := c.width, lo/BlockRows
 	c.blockMins = append(c.blockMins, make([]float64, w)...)
 	c.blockMaxs = append(c.blockMaxs, make([]float64, w)...)
 	c.blockMoments = append(c.blockMoments, make([]float64, MomentStride(w))...)

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // Clustered layout. Rows dealt to a partition by key or round-robin
 // arrive spread over the whole value range; left in arrival order every
@@ -25,51 +21,102 @@ const (
 	zBits = 16
 )
 
-// zEntry is one row on the curve: its Morton key and its index in the
-// caller's slice (the tie-break, and the way back to the row).
-type zEntry struct {
-	key uint64
-	idx int32
-}
-
 // AppendClustered appends rows[first], rows[first+stride],
 // rows[first+2*stride], ... in Z-order over their (at most zDims
-// leading) value columns. It sorts a compact (key, index) slice and
-// reads the rows in place: rows is neither copied nor reordered.
+// leading) value columns; rows itself is neither reordered nor kept.
+// It gathers the subset once into a flat row-major copy, computes the
+// bounds and Morton keys from that copy, orders the copy with a stable
+// radix sort on the keys (ties keep arrival order) and hands the
+// ordered rows to Append.
 func (c *ColStore) AppendClustered(rows []Row, first, stride int) {
-	order := zOrder(rows, first, stride)
-	if len(order) == 0 {
+	if first >= len(rows) {
 		return
 	}
 	if c.width < 0 {
 		c.adopt(len(rows[first].Vec))
 	}
-	c.keys = slices.Grow(c.keys, len(order))
-	for j := range c.cols {
-		c.cols[j] = slices.Grow(c.cols[j], len(order))
-	}
-	for _, e := range order {
-		c.Append(rows[e.idx])
-	}
+	c.Append(gather(rows, first, stride, c.width).sorted()...)
 }
 
-// zOrder returns the strided subset of rows in clustered order.
-func zOrder(rows []Row, first, stride int) []zEntry {
-	if first >= len(rows) {
-		return nil
-	}
-	dims := min(len(rows[first].Vec), zDims)
-	// The subset's own finite bounds per curve column (v-v is 0 only for
-	// a finite v), and the scale that maps them onto [0, 65535]. A column
-	// with no two distinct finite values keeps scale 0.
-	var lo, scale [zDims]float64
-	for j := 0; j < dims; j++ {
-		mn, mx := math.Inf(1), math.Inf(-1)
-		for i := first; i < len(rows); i += stride {
-			if j >= len(rows[i].Vec) {
-				continue
+// dealt is the strided subset of a batch, gathered: keys[i] and the
+// width values at vals[i*stride:] are the subset's i-th row. A row of
+// the wrong width keeps its own vector in odd[i] (Append stops there);
+// its slot holds the values the curve reads, NaN where it has none.
+type dealt struct {
+	keys                []uint64
+	vals                []float64
+	width, stride, dims int
+	odd                 map[int][]float64
+}
+
+// gather copies rows[first], rows[first+stride], ... for a store of the
+// given width. The curve reads the leading min(len(rows[first].Vec),
+// zDims) columns, so the slots are wide enough for both.
+func gather(rows []Row, first, stride, width int) *dealt {
+	n := (len(rows) - first + stride - 1) / stride
+	d := &dealt{width: width, dims: min(len(rows[first].Vec), zDims)}
+	d.stride = max(width, d.dims)
+	d.keys = make([]uint64, n)
+	d.vals = make([]float64, n*d.stride)
+	for i := range n {
+		r := rows[first+i*stride]
+		d.keys[i] = r.Key
+		slot := d.vals[i*d.stride : (i+1)*d.stride]
+		if len(r.Vec) == width && width == d.stride {
+			copy(slot, r.Vec)
+			continue
+		}
+		if len(r.Vec) != width {
+			if d.odd == nil {
+				d.odd = make(map[int][]float64)
 			}
-			if v := rows[i].Vec[j]; v-v == 0 {
+			d.odd[i] = r.Vec
+		}
+		for j := range slot {
+			slot[j] = math.NaN()
+			if j < len(r.Vec) {
+				slot[j] = r.Vec[j]
+			}
+		}
+	}
+	return d
+}
+
+// sorted returns the gathered rows in clustered order, their vectors
+// aliasing the flat copy.
+func (d *dealt) sorted() []Row {
+	order := radixSort(d.mortonKeys())
+	out := make([]Row, len(order))
+	for k, e := range order {
+		i := int(e.idx)
+		vec, odd := d.odd[i]
+		if !odd {
+			vec = d.vals[i*d.stride : i*d.stride+d.width : i*d.stride+d.width]
+		}
+		out[k] = Row{Key: d.keys[i], Vec: vec}
+	}
+	return out
+}
+
+// zEntry is one row on the curve: its Morton key and its index in the
+// gathered subset (the tie-break, and the way back to the row).
+type zEntry struct {
+	key uint64
+	idx int32
+}
+
+// mortonKeys quantises every gathered row onto the curve. A cell is the
+// value's place between the subset's own finite per-column min and max,
+// scaled onto [0, 65535]; a column with no two distinct finite values
+// keeps scale 0.
+func (d *dealt) mortonKeys() []zEntry {
+	n, s, dims := len(d.keys), d.stride, d.dims
+	var lo, scale [zDims]float64
+	for j := range dims {
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for i := j; i < len(d.vals); i += s {
+			// v-v is 0 only for a finite v.
+			if v := d.vals[i]; v-v == 0 {
 				mn, mx = min(mn, v), max(mx, v)
 			}
 		}
@@ -78,36 +125,71 @@ func zOrder(rows []Row, first, stride int) []zEntry {
 			scale[j] = (1<<zBits - 1) / w
 		}
 	}
-	order := make([]zEntry, 0, (len(rows)-first+stride-1)/stride)
-	for i := first; i < len(rows); i += stride {
-		var cell [zDims]uint64
-		for j := 0; j < dims && j < len(rows[i].Vec); j++ {
+	spread := &spreadBits[dims]
+	es := make([]zEntry, n)
+	for i := range es {
+		row := d.vals[i*s : i*s+dims]
+		var key uint64
+		for j, v := range row {
 			// +Inf lands in the top cell; -Inf, NaN and every value of a
 			// scale-0 column (the product is 0 or NaN) in cell 0. The
 			// conversion only ever sees (0, 65535].
-			if f := (rows[i].Vec[j] - lo[j]) * scale[j]; f > 0 {
-				cell[j] = uint64(min(f, 1<<zBits-1))
+			var cell uint64
+			if f := (v - lo[j]) * scale[j]; f > 0 {
+				cell = uint64(min(f, 1<<zBits-1))
 			}
+			key |= (spread[cell&0xff] | spread[cell>>8]<<(8*dims)) << (dims - 1 - j)
 		}
-		order = append(order, zEntry{key: interleave(cell, dims), idx: int32(i)})
+		es[i] = zEntry{key: key, idx: int32(i)}
 	}
-	slices.SortFunc(order, func(a, b zEntry) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	return order
+	return es
 }
 
-// interleave builds a row's Morton key from its per-column cells, top
-// bits first and column 0 leading within each round of bits.
-func interleave(cell [zDims]uint64, dims int) uint64 {
-	var key uint64
-	for b := zBits - 1; b >= 0; b-- {
-		for j := 0; j < dims; j++ {
-			key = key<<1 | cell[j]>>b&1
+// spreadBits[d][b] is byte b with its bits d apart: bit i moves to bit
+// i*d. Spreading every cell of a row this way and shifting cell j left
+// by d-1-j interleaves them into the Morton key, top bits first and
+// column 0 leading within each round of bits.
+var spreadBits = func() (t [zDims + 1][256]uint64) {
+	for d := 1; d <= zDims; d++ {
+		for b := range 256 {
+			for i := range 8 {
+				t[d][b] |= uint64(b>>i&1) << (i * d)
+			}
 		}
 	}
-	return key
+	return t
+}()
+
+// radixSort orders es by key with a least-significant-digit radix sort,
+// one byte per pass. Every pass is stable, so entries with equal keys
+// keep their order in es: by index, the arrival order. A pass whose
+// byte is the same for every entry moves nothing and is skipped.
+func radixSort(es []zEntry) []zEntry {
+	if len(es) == 0 {
+		return es
+	}
+	var counts [8][256]int
+	for _, e := range es {
+		for p := range counts {
+			counts[p][byte(e.key>>(8*p))]++
+		}
+	}
+	src, dst := es, make([]zEntry, len(es))
+	for p := range counts {
+		c := &counts[p]
+		if c[byte(src[0].key>>(8*p))] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for _, e := range src {
+			b := byte(e.key >> (8 * p))
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

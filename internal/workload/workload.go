@@ -56,16 +56,19 @@ type MixtureComponent struct {
 // GaussianMixture generates n rows with d attributes drawn from the given
 // mixture. This models the clustered real-world distributions the paper's
 // operators exploit ("known properties of real-world data sets (e.g.,
-// their distributions)", RT2).
+// their distributions)", RT2). The row vectors are carved, in row order,
+// from one backing array, each with its capacity pinned to its own d
+// values.
 func GaussianMixture(rng *rand.Rand, n, d int, comps []MixtureComponent, firstKey uint64) []storage.Row {
 	var totalW float64
 	for _, c := range comps {
 		totalW += c.Weight
 	}
 	rows := make([]storage.Row, n)
+	flat := make([]float64, n*d)
 	for i := range rows {
 		c := pickComponent(rng, comps, totalW)
-		vec := make([]float64, d)
+		vec := flat[i*d : (i+1)*d : (i+1)*d]
 		for j := 0; j < d; j++ {
 			mu := 0.0
 			if j < len(c.Center) {
