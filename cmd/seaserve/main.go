@@ -1,32 +1,38 @@
-// Command seaserve runs the SEA serving layer: it loads a synthetic
-// clustered table, trains one or more SEA agents on a mixed analyst
-// query stream, and serves the agent API over HTTP/JSON.
+// Command seaserve runs the SEA serving layer: one member of a serving
+// cluster (internal/dist). It loads a synthetic clustered table, keeps
+// the data partitions the ring assigns it, and serves the agent API over
+// HTTP/JSON. There is one mode: every member mounts every route, and a
+// process started without -peers or -join is a one-member cluster.
 //
-// Single-node mode (the default) serves internal/serve:
+//	seaserve [-addr :8080] [-rows 20000] [-training 300] [-agents 1]
+//	         [-workers 8] [-queue 256] [-tenant-inflight 64] [-data-dir DIR]
 //
-//	seaserve [-addr :8080] [-rows 20000] [-nodes 8] [-training 300]
-//	         [-agents 1] [-workers 8] [-queue 256] [-tenant-inflight 64]
+// A lone member's view is {-node-id: self URL}: the id defaults to
+// "local", and the URL is -advertise or else http://<-addr> (an empty
+// host reads as localhost). Its replication factor and write quorum are
+// 1, so its /v1/ingest is durable with -data-dir like any member's.
 //
-// Cluster mode joins a distributed serving cluster (internal/dist): a
+// A larger cluster lists its members on every one of them: a
 // consistent-hash ring shards the query space across the members with
 // R-way replication, exact answers scatter-gather across the data
-// partitions, and replicas warm up by model-snapshot shipping. Every
-// member runs the same command with its own -node-id:
+// partitions, and replicas warm up by model-snapshot shipping:
 //
-//	seaserve -addr :8080 -node-id n0 -replicas 2 \
+//	seaserve -addr :8080 -node-id n0 \
 //	         -peers n0=http://host0:8080,n1=http://host1:8080,n2=http://host2:8080
 //	seaserve -addr :8080 -node-id n1 -peers ... &   # on host1
 //	seaserve -addr :8080 -node-id n2 -peers ... \
 //	         -warm-from http://host0:8080           # ship n0's models in
 //
+// -replicas defaults to 2, or to the member count when that is smaller.
 // Every member loads the same deterministic synthetic dataset (same
-// -rows/-seed) and keeps only the partitions the ring assigns it.
+// -rows/-seed) and keeps only the partitions the ring assigns it. The
+// agents learn from their first -training live queries; nothing is
+// trained before serving, since a member's peers may not be up yet.
 //
-// In both modes the boot ends, just before serving, by returning its
-// scratch memory to the OS: the generated table (unless the single-node
-// table keeps it) and the load's scratch are garbage by then. The
-// "loaded" log line splits the boot into gen_ms (generating the table),
-// load_ms (loading it) and free_ms (that release).
+// The boot ends, just before serving, by returning its scratch memory to
+// the OS: the generated table and the load's scratch are garbage by
+// then. The "loaded" log line splits the boot into gen_ms (generating
+// the table), load_ms (loading it) and free_ms (that release).
 //
 // Elastic membership: a new member can also join a RUNNING cluster
 // without restarting anybody — instead of -peers it names any live
@@ -48,68 +54,65 @@
 // primary and heal silent divergence by snapshot ship (repairs export
 // as sea_antientropy_repairs_total and surface in /v1/debug/cluster).
 //
-// Cluster mode is also a live system: -data-dir enables the WAL-durable
+// Every member is also a live system: -data-dir enables the WAL-durable
 // write path (POST /v1/ingest appends replicated, quorum-acked row
 // batches; a restarted member replays its WAL and catches up the log
 // tail from peers), -write-quorum sets the ack threshold, and
 // -drift-budget/-requant-check tune the drift-aware online model
 // maintenance.
 //
-// Observability (both modes): -trace-sample traces a fraction of
-// queries into span trees (POST /v1/query?trace=1 forces one inline),
-// -trace-ring bounds the debug ring behind GET /v1/debug/trace/<id>,
-// -slow-query logs outliers to GET /v1/debug/slow, and -audit-sample
-// shadow-audits model answers against exact ground truth (error
-// histograms land in /v1/metrics).
+// Observability: -trace-sample traces a fraction of queries into span
+// trees (POST /v1/query?trace=1 forces one inline), -trace-ring bounds
+// the debug ring behind GET /v1/debug/trace/<id>, -slow-query logs
+// outliers to GET /v1/debug/slow, and -audit-sample shadow-audits model
+// answers against exact ground truth (error histograms land in
+// /v1/metrics).
 //
-// The introspection plane (both modes): -log-level selects the leveled
-// JSON-line logging on stderr (debug|info|warn|error|off) and -log-rate
-// caps its lines/sec (token bucket; suppressed lines are counted, the
-// hot path pays one atomic load). -slo-latency arms the per-tenant-class
-// SLO engine: multi-window burn rates against that p99 objective export
-// as sea_slo_burn_rate / sea_slo_state in /v1/metrics. -runtime-sample
+// The introspection plane: -log-level selects the leveled JSON-line
+// logging on stderr (debug|info|warn|error|off) and -log-rate caps its
+// lines/sec (token bucket; suppressed lines are counted, the hot path
+// pays one atomic load). -slo-latency arms the per-tenant-class SLO
+// engine: multi-window burn rates against that p99 objective export as
+// sea_slo_burn_rate / sea_slo_state in /v1/metrics. -runtime-sample
 // sets the background runtime-telemetry period (heap, GC pauses,
 // goroutines; sea_go_* gauges). -pprof mounts Go's net/http/pprof
-// handlers under /debug/pprof/ — off by default, enable only on
-// trusted networks. Cluster mode adds GET /v1/status (this member's
-// introspection snapshot: ring, per-partition replication lag, cache,
-// scheduler, SLO, runtime) and GET /v1/debug/cluster (fan-out to every
-// peer with cross-checked health findings; -lag-threshold tunes when a
-// lagging replica turns critical). cmd/seatop renders that aggregator
-// as a live dashboard.
+// handlers under /debug/pprof/ — off by default, enable only on trusted
+// networks. GET /v1/status is this member's introspection snapshot
+// (ring, per-partition replication lag, cache, scheduler, SLO, runtime)
+// and GET /v1/debug/cluster fans out to every peer with cross-checked
+// health findings (-lag-threshold tunes when a lagging replica turns
+// critical). cmd/seatop renders that aggregator as a live dashboard.
 //
-// The flight recorder (both modes): -flight samples every series of
-// the metrics registry plus key histogram quantiles into in-memory ring
-// buffers at two resolutions (~10 min at 1 s, ~6 h at 30 s) behind
+// The flight recorder: -flight samples every series of the metrics
+// registry plus key histogram quantiles into in-memory ring buffers at
+// two resolutions (~10 min at 1 s, ~6 h at 30 s) behind
 // GET /v1/history?metric=&window=, and captures diagnostic bundles
 // (goroutine dump, short CPU + heap profiles, trace rings, status
-// snapshot) into a bounded spool (<-flight-spool>/<node id>, node
-// "local" in single-node mode) when the SLO engine turns critical or
-// -anomaly's robust z-score detector fires; browse them via
-// GET /v1/debug/bundles and /v1/debug/bundle/<id>/<file>. A registry
-// series named x is sea_x on /v1/metrics (sea_x_total for a counter)
-// and x on /v1/history: sea_sched_queue_depth is sched_queue_depth,
-// sea_go_gc_cycles_total is go_gc_cycles.
+// snapshot) into a bounded spool (<-flight-spool>/<node id>) when the
+// SLO engine turns critical or -anomaly's robust z-score detector
+// fires; browse them via GET /v1/debug/bundles and
+// /v1/debug/bundle/<id>/<file>. A registry series named x is sea_x on
+// /v1/metrics (sea_x_total for a counter) and x on /v1/history:
+// sea_sched_queue_depth is sched_queue_depth, sea_go_gc_cycles_total is
+// go_gc_cycles.
 //
-// Both modes wire these instruments through the same function
-// (serve.NewPlane), so the flags mean the same thing in either.
-//
-// Endpoints (both modes):
+// Endpoints, on every member:
 //
 //	POST /v1/query    {"agg":"count","los":[20,20],"his":[30,30]}
+//	POST /v1/explain  same body; piecewise-linear answer explanation
+//	GET  /v1/stats    agent + serving counters
 //	GET  /v1/metrics  Prometheus text (QPS, per-path latency histograms,
 //	                  ingest/drift gauges, audit error histograms,
 //	                  SLO burn rates, runtime telemetry)
 //	GET  /healthz     liveness (also used by failover probing)
 //
-// Single-node adds POST /v1/explain and GET /v1/stats; cluster mode adds
-// POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partials, /v1/join,
-// /v1/leave, /v1/digest, GET /v1/snapshot, /v1/cluster, /v1/membership,
-// /v1/status and /v1/debug/cluster.
+// and POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partials,
+// /v1/join, /v1/leave, /v1/digest, GET /v1/snapshot, /v1/cluster,
+// /v1/membership, /v1/status and /v1/debug/cluster.
 //
 // Flag combinations are validated at startup (replication factor vs
-// cluster size, quorum vs replicas, cluster-only flags in single-node
-// mode) and fail fast with a clear error instead of degrading silently.
+// cluster size, quorum vs replicas, -join vs -peers) and fail fast with
+// a clear error instead of degrading silently.
 //
 // The process traps SIGINT/SIGTERM and shuts down gracefully: the
 // listener stops accepting, in-flight queries drain (up to -drain), and
@@ -124,6 +127,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -135,21 +139,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/explain"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/storage"
 	"repro/internal/workload"
-	"repro/sea"
 )
+
+// defaultNodeID is a lone member's id when -node-id is not given.
+const defaultNodeID = "local"
 
 // options is the parsed and validated flag set.
 type options struct {
 	addr           string
 	rows           int
-	nodes          int
 	training       int
 	agents         int
 	workers        int
@@ -183,38 +187,32 @@ type options struct {
 	flight         bool
 	flightSpool    string
 	anomaly        bool
-	// set records which flags were given explicitly (flag.Visit):
-	// cluster-only flags with non-zero defaults (-replicas,
-	// -requant-check) can only be rejected in single-node mode when we
-	// know the user actually set them.
-	set map[string]bool
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&o.rows, "rows", 20_000, "synthetic rows to load")
-	flag.IntVar(&o.nodes, "nodes", 8, "simulated cluster size (single-node mode)")
-	flag.IntVar(&o.training, "training", 300, "training queries per agent")
+	flag.IntVar(&o.training, "training", 300, "live queries each agent answers exactly while it learns")
 	flag.IntVar(&o.agents, "agents", 1, "agent pool size (affinity-sharded)")
 	flag.IntVar(&o.workers, "workers", 8, "serving worker goroutines")
 	flag.IntVar(&o.queue, "queue", 256, "pending-query queue depth")
 	flag.IntVar(&o.tenantInflight, "tenant-inflight", 64, "max in-flight queries per tenant")
-	flag.Int64Var(&o.seed, "seed", 1, "data/workload RNG seed (must match across members)")
+	flag.Int64Var(&o.seed, "seed", 1, "data RNG seed (must match across members)")
 	flag.IntVar(&o.answerCache, "answer-cache", dist.DefaultAnswerCache,
 		"versioned answer-cache capacity in entries (0 disables)")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown drain deadline")
-	flag.StringVar(&o.nodeID, "node-id", "", "cluster member id (enables cluster mode)")
-	flag.StringVar(&o.peerList, "peers", "", "cluster members as id=url,id=url,... (cluster mode)")
-	flag.IntVar(&o.replicas, "replicas", dist.DefaultReplicas, "replication factor (cluster mode)")
-	flag.StringVar(&o.warmFrom, "warm-from", "", "peer URL to import agent snapshots from at start (cluster mode)")
-	flag.StringVar(&o.join, "join", "", "live member URL to join a running cluster through (cluster mode; replaces -peers)")
-	flag.StringVar(&o.advertise, "advertise", "", "this member's externally reachable URL (required with -join)")
-	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "background replica-repair cadence (cluster mode; 0 disables)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "WAL directory for the live write path (cluster mode; empty = no durability)")
-	flag.IntVar(&o.writeQuorum, "write-quorum", 0, "owners that must apply an ingest batch before ack (cluster mode; 0 = majority of -replicas)")
-	flag.IntVar(&o.driftBudget, "drift-budget", 200, "ingested rows a quantum absorbs before its models re-earn trust (0 = legacy wholesale invalidation)")
-	flag.DurationVar(&o.requantCheck, "requant-check", 2*time.Second, "background drift-maintainer poll period (cluster mode; 0 disables re-quantisation)")
+	flag.StringVar(&o.nodeID, "node-id", defaultNodeID, "this member's id")
+	flag.StringVar(&o.peerList, "peers", "", "cluster members as id=url,id=url,... (empty: a one-member cluster)")
+	flag.IntVar(&o.replicas, "replicas", 0, "replication factor (0: 2, or the member count when smaller)")
+	flag.StringVar(&o.warmFrom, "warm-from", "", "peer URL to import agent snapshots from at start")
+	flag.StringVar(&o.join, "join", "", "live member URL to join a running cluster through (replaces -peers)")
+	flag.StringVar(&o.advertise, "advertise", "", "this member's externally reachable URL (required with -join; default http://<-addr> without -peers)")
+	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "background replica-repair cadence (0 disables)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "WAL directory for the live write path (empty = no durability)")
+	flag.IntVar(&o.writeQuorum, "write-quorum", 0, "owners that must apply an ingest batch before ack (0 = majority of the replicas)")
+	flag.IntVar(&o.driftBudget, "drift-budget", 200, "ingested rows a quantum absorbs before its models re-earn trust (>= 1)")
+	flag.DurationVar(&o.requantCheck, "requant-check", 2*time.Second, "background drift-maintainer poll period (0 disables re-quantisation)")
 	flag.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of queries to trace (0 disables sampling; ?trace=1 always works)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0, "finished traces kept for /v1/debug/trace (0 = default ring)")
 	flag.DurationVar(&o.slowQuery, "slow-query", 0, "log queries slower than this to /v1/debug/slow (0 disables)")
@@ -223,14 +221,12 @@ func main() {
 	flag.Float64Var(&o.logRate, "log-rate", 0, "max structured log lines/sec (token bucket; 0 = unlimited)")
 	flag.DurationVar(&o.sloLatency, "slo-latency", 0, "per-tenant-class p99 latency objective; arms SLO burn-rate tracking (0 disables)")
 	flag.DurationVar(&o.runtimeSample, "runtime-sample", 10*time.Second, "runtime telemetry sampling period (0 = on-demand only)")
-	flag.Uint64Var(&o.lagThreshold, "lag-threshold", 0, "replication lag in batches before a /v1/debug/cluster finding turns critical (cluster mode; 0 = default 1)")
+	flag.Uint64Var(&o.lagThreshold, "lag-threshold", 0, "replication lag in batches before a /v1/debug/cluster finding turns critical (0 = default 1)")
 	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; trusted networks only)")
 	flag.BoolVar(&o.flight, "flight", false, "arm the flight recorder: in-memory metric history behind GET /v1/history plus triggered diagnostic bundles")
-	flag.StringVar(&o.flightSpool, "flight-spool", "", "diagnostic-bundle spool directory (default: under the OS temp dir; requires -flight)")
+	flag.StringVar(&o.flightSpool, "flight-spool", "", "diagnostic-bundle spool directory (default: under -data-dir, else the OS temp dir; requires -flight)")
 	flag.BoolVar(&o.anomaly, "anomaly", false, "arm robust z-score anomaly detection over watched flight series (requires -flight)")
 	flag.Parse()
-	o.set = make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 
 	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "seaserve:", err)
@@ -239,14 +235,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	var err error
-	if o.nodeID != "" {
-		err = runCluster(ctx, o)
-	} else {
-		err = runSingle(ctx, o)
-	}
-	if err != nil {
+	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "seaserve:", err)
 		os.Exit(1)
 	}
@@ -254,13 +243,10 @@ func main() {
 
 // validate fails fast on flag combinations that would otherwise degrade
 // silently (a replication factor the cluster cannot honour, warm-up
-// with nobody to warm from, durability flags outside cluster mode).
+// with nobody to warm from), and resolves the member map.
 func (o *options) validate() error {
 	if o.rows < 1 {
 		return fmt.Errorf("-rows must be >= 1, got %d", o.rows)
-	}
-	if o.nodes < 1 {
-		return fmt.Errorf("-nodes must be >= 1, got %d", o.nodes)
 	}
 	if o.training < 0 {
 		return fmt.Errorf("-training must be >= 0, got %d", o.training)
@@ -271,8 +257,8 @@ func (o *options) validate() error {
 	if o.workers < 1 || o.queue < 1 {
 		return fmt.Errorf("-workers and -queue must be >= 1, got %d and %d", o.workers, o.queue)
 	}
-	if o.driftBudget < 0 {
-		return fmt.Errorf("-drift-budget must be >= 0, got %d", o.driftBudget)
+	if o.driftBudget < 1 {
+		return fmt.Errorf("-drift-budget must be >= 1, got %d", o.driftBudget)
 	}
 	if o.answerCache < 0 {
 		return fmt.Errorf("-answer-cache must be >= 0, got %d", o.answerCache)
@@ -306,33 +292,17 @@ func (o *options) validate() error {
 			return fmt.Errorf("-anomaly requires -flight")
 		}
 	}
-
-	cluster := o.nodeID != ""
-	if !cluster {
-		// Single-node mode: reject cluster-only flags instead of
-		// silently ignoring them. Flags with non-zero defaults
-		// (-replicas, -requant-check) count only when explicitly set.
-		for flagName, set := range map[string]bool{
-			"-peers":         o.peerList != "",
-			"-warm-from":     o.warmFrom != "",
-			"-data-dir":      o.dataDir != "",
-			"-write-quorum":  o.writeQuorum != 0,
-			"-replicas":      o.set["replicas"],
-			"-requant-check": o.set["requant-check"],
-			"-lag-threshold": o.lagThreshold != 0,
-			"-join":          o.join != "",
-			"-advertise":     o.advertise != "",
-			"-anti-entropy":  o.antiEntropy != 0,
-		} {
-			if set {
-				return fmt.Errorf("%s requires cluster mode (set -node-id)", flagName)
-			}
-		}
-		return nil
+	if o.nodeID == "" {
+		return fmt.Errorf("-node-id must not be empty")
 	}
-
 	if o.antiEntropy < 0 {
 		return fmt.Errorf("-anti-entropy must be >= 0, got %v", o.antiEntropy)
+	}
+	if o.replicas < 0 {
+		return fmt.Errorf("-replicas must be >= 0, got %d", o.replicas)
+	}
+	if o.writeQuorum < 0 {
+		return fmt.Errorf("-write-quorum must be >= 0, got %d", o.writeQuorum)
 	}
 	if o.join != "" {
 		// Elastic join: the cluster's shape (partition count, replicas,
@@ -344,48 +314,70 @@ func (o *options) validate() error {
 		if o.peerList != "" {
 			return fmt.Errorf("-join and -peers are mutually exclusive: the membership view comes from the seed")
 		}
-		if o.set["replicas"] {
+		if o.replicas != 0 {
 			return fmt.Errorf("-replicas comes from the seed's view with -join")
 		}
 		if o.warmFrom != "" {
 			return fmt.Errorf("-warm-from is redundant with -join: the join migration ships state in")
 		}
-		if o.writeQuorum < 0 {
-			return fmt.Errorf("-write-quorum must be >= 0, got %d", o.writeQuorum)
-		}
 		o.peers = map[string]string{o.nodeID: o.advertise}
 		return nil
 	}
-	if o.advertise != "" {
-		return fmt.Errorf("-advertise requires -join")
+	if o.peerList == "" {
+		self, err := selfURL(o.advertise, o.addr)
+		if err != nil {
+			return err
+		}
+		o.peers = map[string]string{o.nodeID: self}
+	} else {
+		if o.advertise != "" {
+			return fmt.Errorf("-advertise and -peers are mutually exclusive: -peers names this member's URL")
+		}
+		peers, err := parsePeers(o.peerList)
+		if err != nil {
+			return err
+		}
+		o.peers = peers
 	}
-	peers, err := parsePeers(o.peerList)
-	if err != nil {
-		return err
-	}
-	o.peers = peers
-	if _, ok := peers[o.nodeID]; !ok {
+	if _, ok := o.peers[o.nodeID]; !ok {
 		return fmt.Errorf("-node-id %q is not listed in -peers (members: %s)",
-			o.nodeID, strings.Join(peerIDs(peers), ", "))
+			o.nodeID, strings.Join(peerIDs(o.peers), ", "))
 	}
-	if o.replicas < 1 {
-		return fmt.Errorf("-replicas must be >= 1, got %d", o.replicas)
+	if o.replicas > len(o.peers) {
+		return fmt.Errorf("-replicas %d exceeds the cluster size %d", o.replicas, len(o.peers))
 	}
-	if o.replicas > len(peers) {
-		return fmt.Errorf("-replicas %d exceeds the cluster size %d", o.replicas, len(peers))
+	replicas := o.replicas
+	if replicas == 0 {
+		replicas = min(dist.DefaultReplicas, len(o.peers))
 	}
-	if o.writeQuorum < 0 || o.writeQuorum > o.replicas {
-		return fmt.Errorf("-write-quorum must be in [0, -replicas=%d], got %d", o.replicas, o.writeQuorum)
+	if o.writeQuorum > replicas {
+		return fmt.Errorf("-write-quorum must be in [0, replicas=%d], got %d", replicas, o.writeQuorum)
 	}
 	if o.warmFrom != "" {
-		if len(peers) < 2 {
+		if len(o.peers) < 2 {
 			return fmt.Errorf("-warm-from needs at least one peer besides this node")
 		}
-		if o.warmFrom == peers[o.nodeID] {
+		if o.warmFrom == o.peers[o.nodeID] {
 			return fmt.Errorf("-warm-from %q is this node's own URL", o.warmFrom)
 		}
 	}
 	return nil
+}
+
+// selfURL is a lone member's URL: advertise, or else addr over http with
+// an empty host read as localhost.
+func selfURL(advertise, addr string) (string, error) {
+	if advertise != "" {
+		return advertise, nil
+	}
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", fmt.Errorf("-addr %q: %v", addr, err)
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port), nil
 }
 
 func peerIDs(peers map[string]string) []string {
@@ -411,79 +403,7 @@ func newLogger(o options) *obs.Logger {
 	return lg
 }
 
-func runSingle(ctx context.Context, o options) error {
-	lg := newLogger(o)
-	sys, err := sea.NewSystem(sea.SystemConfig{Nodes: o.nodes, Columns: []string{"x", "y", "z"}})
-	if err != nil {
-		return err
-	}
-	boot, err := loadStandard(o, sys.Load)
-	if err != nil {
-		return err
-	}
-
-	agents := make([]*core.Agent, o.agents)
-	for i := range agents {
-		ag, err := sys.NewAgent(sea.AgentConfig{
-			Dims: 2, TrainingQueries: o.training, UseMapReduceOracle: true,
-			DriftRowBudget: o.driftBudget,
-		})
-		if err != nil {
-			return err
-		}
-		if err := pretrain(ag, o.training, o.seed+int64(i)); err != nil {
-			return err
-		}
-		st := ag.Stats()
-		lg.Info("agent trained", "agent", i, "queries", st.Queries, "quanta", st.Quanta)
-		agents[i] = ag.Inner()
-	}
-	boot.free()
-	lg.Info("loaded", append([]any{"rows", sys.Rows(), "nodes", o.nodes}, boot.fields()...)...)
-
-	pool, err := serve.NewPool(agents, nil)
-	if err != nil {
-		return err
-	}
-	if o.answerCache > 0 {
-		pool.EnableCache(o.answerCache)
-	}
-	sched := serve.NewScheduler(pool, serve.SchedulerConfig{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		TenantInflight: o.tenantInflight,
-	})
-	var sloCfg *metrics.SLOConfig
-	if o.sloLatency > 0 {
-		sloCfg = &metrics.SLOConfig{LatencyObjective: o.sloLatency}
-	}
-	plane := serve.NewPlane(pool, serve.PlaneConfig{
-		Node:          "local",
-		TraceSample:   o.traceSample,
-		TraceRing:     o.traceRing,
-		SlowQuery:     o.slowQuery,
-		AuditSample:   o.auditSample,
-		Logger:        lg,
-		SLO:           sloCfg,
-		RuntimeSample: o.runtimeSample,
-		Pprof:         o.pprof,
-		Flight:        o.flight,
-		FlightSpool:   o.flightSpool,
-		Anomaly:       o.anomaly,
-	})
-	defer plane.Close()
-	if o.pprof {
-		lg.Warn("pprof endpoints mounted under /debug/pprof/ — do not expose publicly")
-	}
-	if fr := plane.Flight; fr != nil {
-		lg.Info("flight recorder armed", "spool", fr.Config().SpoolDir, "anomaly", o.anomaly)
-	}
-	lg.Info("serving", "addr", o.addr, "agents", o.agents, "workers", o.workers,
-		"queue", o.queue, "tenant_inflight", o.tenantInflight, "scan_kernels", query.KernelTier())
-	return serve.NewServer(sched, explain.New(agents[0])).Run(ctx, o.addr, o.drain)
-}
-
-func runCluster(ctx context.Context, o options) error {
+func run(ctx context.Context, o options) error {
 	lg := newLogger(o)
 	agentCfg := core.DefaultConfig(2)
 	agentCfg.TrainingQueries = o.training
@@ -710,26 +630,4 @@ func parsePeers(s string) (map[string]string, error) {
 		return nil, fmt.Errorf("cluster mode needs -peers id=url,...")
 	}
 	return out, nil
-}
-
-// pretrain feeds the agent a mixed analyst stream (count, avg, corr over
-// the standard interest regions) so every aggregate family has warm
-// models before traffic arrives.
-func pretrain(ag *sea.Agent, training int, seed int64) error {
-	streams := []*workload.QueryStream{
-		workload.NewQueryStream(workload.NewRNG(seed), workload.DefaultRegions(2), query.Count),
-		workload.NewQueryStream(workload.NewRNG(seed+100), workload.DefaultRegions(2), query.Avg),
-		workload.NewQueryStream(workload.NewRNG(seed+200), workload.DefaultRegions(2), query.Corr),
-	}
-	streams[1].Col = 2
-	streams[2].Col, streams[2].Col2 = 0, 2
-	// Train past the configured training prefix so post-training
-	// fallbacks have matured the per-quantum error estimates too.
-	n := training + training/2
-	for i := 0; i < n; i++ {
-		if _, err := ag.Answer(streams[i%len(streams)].Next()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

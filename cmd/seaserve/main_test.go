@@ -8,19 +8,35 @@ import (
 
 func clusterOpts() options {
 	return options{
-		addr: ":0", rows: 1000, nodes: 4, training: 10, agents: 1,
-		workers: 2, queue: 16, seed: 1, drain: time.Second,
+		addr: ":0", rows: 1000, training: 10, agents: 1,
+		workers: 2, queue: 16, seed: 1, drain: time.Second, driftBudget: 200,
 		nodeID:   "n0",
 		peerList: "n0=http://a:1,n1=http://b:1,n2=http://c:1",
 		replicas: 2,
 	}
 }
 
+// loneOpts is a member started without -peers or -join, flags at their
+// defaults.
+func loneOpts() options {
+	o := clusterOpts()
+	o.addr, o.nodeID, o.peerList, o.replicas = ":8080", defaultNodeID, "", 0
+	return o
+}
+
 func TestValidateAcceptsSaneConfigs(t *testing.T) {
-	single := clusterOpts()
-	single.nodeID, single.peerList, single.replicas = "", "", 2
-	if err := single.validate(); err != nil {
-		t.Fatalf("single-node config rejected: %v", err)
+	lone := loneOpts()
+	lone.dataDir = "/tmp/wal"
+	if err := lone.validate(); err != nil {
+		t.Fatalf("lone member rejected: %v", err)
+	}
+	if got := lone.peers[defaultNodeID]; len(lone.peers) != 1 || got != "http://localhost:8080" {
+		t.Fatalf("lone member view %v, want {%s: http://localhost:8080}", lone.peers, defaultNodeID)
+	}
+	advertised := loneOpts()
+	advertised.advertise = "http://10.0.0.9:8080"
+	if err := advertised.validate(); err != nil || advertised.peers[defaultNodeID] != advertised.advertise {
+		t.Fatalf("lone member with -advertise: view %v, err %v", advertised.peers, err)
 	}
 	cl := clusterOpts()
 	cl.dataDir = "/tmp/wal"
@@ -38,14 +54,18 @@ func TestValidateFailsFast(t *testing.T) {
 		want string
 	}{
 		{"replicas exceed cluster", func(o *options) { o.replicas = 5 }, "exceeds the cluster size"},
+		{"replicas exceed a lone member", func(o *options) { *o = loneOpts(); o.replicas = 2 }, "exceeds the cluster size 1"},
+		{"quorum above a lone member", func(o *options) { *o = loneOpts(); o.writeQuorum = 2 }, "-write-quorum"},
 		{"node not in peers", func(o *options) { o.nodeID = "n9" }, "not listed in -peers"},
 		{"quorum above replicas", func(o *options) { o.writeQuorum = 3 }, "-write-quorum"},
 		{"bad peers entry", func(o *options) { o.peerList = "n0" }, "bad -peers entry"},
 		{"warm-from self", func(o *options) { o.warmFrom = "http://a:1" }, "own URL"},
 		{"zero rows", func(o *options) { o.rows = 0 }, "-rows"},
 		{"negative drift budget", func(o *options) { o.driftBudget = -1 }, "-drift-budget"},
-		{"peers without node-id", func(o *options) { o.nodeID = "" }, "requires cluster mode"},
-		{"data-dir without cluster", func(o *options) { o.nodeID = ""; o.peerList = ""; o.dataDir = "/tmp/x" }, "requires cluster mode"},
+		{"zero drift budget", func(o *options) { o.driftBudget = 0 }, "-drift-budget"},
+		{"peers without node-id", func(o *options) { o.nodeID = defaultNodeID }, "not listed in -peers"},
+		{"advertise with peers", func(o *options) { o.advertise = "http://a:1" }, "mutually exclusive"},
+		{"bad lone addr", func(o *options) { *o = loneOpts(); o.addr = "8080" }, "-addr"},
 		{"warm-from without peers", func(o *options) {
 			o.peerList = "n0=http://a:1"
 			o.warmFrom = "http://b:1"
@@ -64,17 +84,5 @@ func TestValidateFailsFast(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestValidateRejectsExplicitClusterFlagsInSingleMode(t *testing.T) {
-	for _, name := range []string{"replicas", "requant-check"} {
-		o := clusterOpts()
-		o.nodeID, o.peerList = "", ""
-		o.set = map[string]bool{name: true}
-		err := o.validate()
-		if err == nil || !strings.Contains(err.Error(), "requires cluster mode") {
-			t.Fatalf("explicitly-set -%s accepted in single-node mode: %v", name, err)
-		}
 	}
 }

@@ -127,8 +127,8 @@ type Config struct {
 	// the same map so their rings agree.
 	Peers map[string]string
 	// Replicas is the R-way replication factor for both query ownership
-	// and data partitions (default DefaultReplicas, clamped to the
-	// member count).
+	// and data partitions (default DefaultReplicas, or the member count
+	// when that is smaller, so a lone member is its own quorum).
 	Replicas int
 	// Partitions is the data-partition count (default 2x members).
 	Partitions int
@@ -281,7 +281,11 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
+		members := len(c.Peers)
+		if c.InitialView != nil {
+			members = len(c.InitialView.Members)
+		}
+		c.Replicas = max(1, min(DefaultReplicas, members))
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = 2 * len(c.Peers)

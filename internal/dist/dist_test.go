@@ -37,6 +37,11 @@ func exactCluster(t *testing.T, nodes int) (*LocalCluster, []storage.Row) {
 	return lc, rows
 }
 
+// ownersOf returns the ring owners n's /v1/query places q on.
+func ownersOf(n *Node, q query.Query) []string {
+	return n.Ring().queryOwners(nil, serve.KeyHash(q), n.cfg.Replicas)
+}
+
 // aggStreams returns one query stream per supported aggregate.
 func aggStreams(seed int64) []*workload.QueryStream {
 	mk := func(off int64, agg query.Agg) *workload.QueryStream {
@@ -121,7 +126,7 @@ func TestClusterForwardsToOwners(t *testing.T) {
 	forwarded := 0
 	for i := 0; i < 30 && forwarded == 0; i++ {
 		q := qs.Next()
-		owners := lc.Node("n0").owners(q)
+		owners := ownersOf(lc.Node("n0"), q)
 		isOwner := map[string]bool{}
 		for _, o := range owners {
 			isOwner[o] = true
@@ -294,6 +299,10 @@ func TestQueryKeyRoutingIsStable(t *testing.T) {
 		for _, id := range lc.IDs() {
 			if got := lc.Node(id).Ring().Owners(key, 2); !equalStrings(got, want) {
 				t.Fatalf("node %s owners %v != client owners %v", id, got, want)
+			}
+			// The node's /v1/query places q by its key hash alone.
+			if got := ownersOf(lc.Node(id), q); !equalStrings(got, want) {
+				t.Fatalf("node %s places the query on %v, the client on %v", id, got, want)
 			}
 		}
 	}

@@ -149,7 +149,7 @@ func (n *Node) Handler() http.Handler {
 			"/v1/ingest", "/v1/replicate", "/v1/walfetch":
 			n.dataRPCs.Add(1)
 		}
-		envelope{epoch: n.epoch()}.write(w.Header())
+		w.Header()[hdrEpoch] = n.members().epochHeader
 		env, err := readEnvelope(r.Header)
 		if err != nil {
 			serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))

@@ -43,7 +43,7 @@ func holderQuery(t *testing.T, holder *Node) query.Query {
 	t.Helper()
 	qs := aggStreams(5)[0]
 	for i := 0; i < 500; i++ {
-		if q := qs.Next(); containsStr(holder.owners(q), holder.ID()) {
+		if q := qs.Next(); containsStr(ownersOf(holder, q), holder.ID()) {
 			return q
 		}
 	}

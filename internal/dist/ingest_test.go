@@ -281,7 +281,7 @@ func TestQueryForwardAntiBounceAnswersLocally(t *testing.T) {
 	found := false
 	for i := 0; i < 200; i++ {
 		cand := qs.Next()
-		owners := node0.owners(cand)
+		owners := ownersOf(node0, cand)
 		isOwner := false
 		for _, o := range owners {
 			if o == node0.ID() {
@@ -325,7 +325,7 @@ func TestQueryForwardAntiBounceAnswersLocally(t *testing.T) {
 	if proxied.Node == node0.ID() {
 		t.Fatalf("non-owner answered an owned query locally without the forward header")
 	}
-	owners := node0.owners(q)
+	owners := ownersOf(node0, q)
 	isOwner := false
 	for _, o := range owners {
 		if o == proxied.Node {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/serve"
@@ -78,6 +79,10 @@ type memberState struct {
 	view View
 	ring *Ring
 	urls map[string]string
+	// epochHeader is the X-Sea-Epoch value every response under this
+	// view carries, built once and shared read-only: setting it per
+	// response would allocate it per response.
+	epochHeader []string
 }
 
 // newMemberState resolves a view into a routable state.
@@ -86,7 +91,8 @@ func newMemberState(v View, vnodes int) *memberState {
 	for _, m := range v.Members {
 		urls[m.ID] = m.URL
 	}
-	return &memberState{view: v, ring: NewRing(vnodes, v.ids()...), urls: urls}
+	return &memberState{view: v, ring: NewRing(vnodes, v.ids()...), urls: urls,
+		epochHeader: []string{strconv.FormatInt(v.Epoch, 10)}}
 }
 
 // viewFromPeers derives the boot view from a static peer map (epoch 1,

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/explain"
 	"repro/internal/flight"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
@@ -301,6 +302,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.mux.HandleFunc("GET /v1/debug/cluster", n.handleDebugCluster)
 	n.mux.HandleFunc("POST /v1/debug/chaos", n.handleChaosSet)
 	n.mux.HandleFunc("GET /v1/debug/chaos", n.handleChaosGet)
+	serve.MountInspect(n.mux, n.sched, explain.New(agents[0]))
 	n.plane.Mount(n.mux)
 	return n, nil
 }
@@ -613,20 +615,20 @@ func (n *Node) Answer(tenant string, q query.Query) (core.Answer, error) {
 // the ?trace=1 entry point. A nil trace leaves the pool free to make
 // its own background sampling decision.
 func (n *Node) AnswerTraced(tenant string, q query.Query, tr *trace.Trace) (core.Answer, error) {
+	return n.answer(tenant, q, serve.KeyHash(q), tr)
+}
+
+// answer is AnswerTraced for a query whose serve.KeyHash is keyHash.
+func (n *Node) answer(tenant string, q query.Query, keyHash uint32, tr *trace.Trace) (core.Answer, error) {
 	if len(n.maints) > 0 {
 		// Remember the query as rebuild training material for the agent
 		// that owns its key slice (background drift maintenance).
-		n.maints[n.pool.RouteIndex(serve.Key(q))].Record(q)
+		n.maints[n.pool.RouteHash(keyHash)].Record(q)
 	}
 	if tr == nil {
 		return n.sched.Answer(tenant, q)
 	}
 	return n.sched.AnswerTraced(tenant, q, tr)
-}
-
-// owners returns the ring owners for q's canonical key.
-func (n *Node) owners(q query.Query) []string {
-	return n.members().ring.Owners(serve.Key(q), n.cfg.Replicas)
 }
 
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -660,28 +662,31 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req.Tenant = tenant
 	env.trace = env.trace || serve.TraceRequested(r)
 
-	owners := n.owners(q)
+	// One key hash places the query on the ring and picks its agent.
+	keyHash := serve.KeyHash(q)
+	var ownerBuf [4]string
+	owners := n.members().ring.queryOwners(ownerBuf[:], keyHash, n.cfg.Replicas)
 	// Forwarded queries are always answered locally (no bouncing); owned
 	// queries too. Everything else is proxied to the key's owners with
 	// failover, and answered locally as the last resort — any node can
 	// scatter-gather, so a fully-degraded ring still serves.
 	if env.hops > 0 || containsStr(owners, n.id) {
-		n.answerLocal(w, env.trace, tenant, q)
+		n.answerLocal(w, env.trace, tenant, q, keyHash)
 		return
 	}
 	env.hops = 1
 	if n.forward(w, owners, req, env) {
 		return
 	}
-	n.answerLocal(w, env.trace, tenant, q)
+	n.answerLocal(w, env.trace, tenant, q, keyHash)
 }
 
-func (n *Node) answerLocal(w http.ResponseWriter, traced bool, tenant string, q query.Query) {
+func (n *Node) answerLocal(w http.ResponseWriter, traced bool, tenant string, q query.Query, keyHash uint32) {
 	var tr *trace.Trace
 	if traced {
 		tr = n.plane.Tracer.Force("query")
 	}
-	ans, err := n.AnswerTraced(tenant, q, tr)
+	ans, err := n.answer(tenant, q, keyHash, tr)
 	if err != nil {
 		serve.WriteError(w, err)
 		return

@@ -129,20 +129,33 @@ func (r *Ring) Digest() string {
 // owner list for the same key, which is what makes client-side routing,
 // node-side forwarding and replica failover agree without coordination.
 func (r *Ring) Owners(key string, n int) []string {
+	return r.ownersAt(nil, fnv32a(key), n)
+}
+
+// queryOwners is Owners for a query's canonical key, from its
+// serve.KeyHash: the ring's hash of a key finalises that same FNV-1a, so
+// a query is placed without building its key as a string. The owners
+// are built in buf's storage when it is large enough, so a caller's
+// stack array spares the allocation.
+func (r *Ring) queryOwners(buf []string, keyHash uint32, n int) []string {
+	return r.ownersAt(buf, avalanche(keyHash), n)
+}
+
+// ownersAt is Owners for a key whose ring hash is h, built in buf's
+// storage when it is large enough.
+func (r *Ring) ownersAt(buf []string, h uint32, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	n = min(n, len(r.nodes))
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]string, 0, n)
 	}
-	h := fnv32a(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
+		if !containsStr(out, p.node) {
 			out = append(out, p.node)
 		}
 	}
@@ -168,6 +181,11 @@ func fnv32a(s string) uint32 {
 		h ^= uint32(s[i])
 		h *= 16777619
 	}
+	return avalanche(h)
+}
+
+// avalanche is the murmur3 32-bit finalizer fnv32a applies to FNV-1a.
+func avalanche(h uint32) uint32 {
 	h ^= h >> 16
 	h *= 0x85ebca6b
 	h ^= h >> 13

@@ -53,7 +53,7 @@ type PlaneConfig struct {
 }
 
 // Plane is one serving front-end's observability, wired in one place
-// for single-node servers and cluster members alike: the tracer, the
+// for the library's Server and cluster members alike: the tracer, the
 // shadow audit, the logger, the SLO engine, the runtime sampler and the
 // flight recorder over the pool's series registry, plus the routes
 // that expose them. Build it after every series is registered.

@@ -20,7 +20,10 @@
 //     bound.
 //
 //   - Server exposes the agent API (count/sum/avg/var/corr/slope,
-//     explanations, stats) over HTTP/JSON; cmd/seaserve is the binary.
+//     explanations, stats) over HTTP/JSON for library callers
+//     (sea.NewServer). cmd/seaserve serves through internal/dist's
+//     cluster member instead, which mounts the same inspection routes
+//     (MountInspect) beside its own /v1/query.
 //
 // Throughput and latency are instrumented through
 // metrics.ServeRecorder: QPS, p50/p90/p99 latency, fallback and
@@ -57,6 +60,14 @@ var ErrNoAgents = errors.New("serve: pool needs at least one agent")
 // on junk column values.
 func Key(q query.Query) string {
 	return string(AppendKey(nil, q))
+}
+
+// KeyHash is the 32-bit FNV-1a hash of q's canonical key: what the pool
+// routes by (RouteHash) and what a cluster ring places queries by. The
+// key is built in a stack buffer, so the hash allocates nothing.
+func KeyHash(q query.Query) uint32 {
+	var buf [128]byte
+	return fnv32Bytes(AppendKey(buf[:0], q))
 }
 
 // AppendKey appends q's canonical key bytes to dst and returns it —
@@ -323,20 +334,10 @@ func (p *Pool) FlushCache() {
 // Agents returns the pooled agents (for stats aggregation).
 func (p *Pool) Agents() []*core.Agent { return p.agents }
 
-// route picks the agent responsible for key.
-func (p *Pool) route(key string) *core.Agent {
-	return p.agents[p.RouteIndex(key)]
-}
-
-// RouteIndex returns the index of the agent Answer would route key to
-// (maintenance layers use it to attribute recorded queries and drift
-// rebuilds to the right pooled agent).
-func (p *Pool) RouteIndex(key string) int {
-	return p.routeHash(fnv32(key))
-}
-
-// routeHash is RouteIndex over a precomputed key hash.
-func (p *Pool) routeHash(h uint32) int {
+// RouteHash returns the index of the agent Answer routes a query to,
+// from its KeyHash (maintenance layers use it to attribute recorded
+// queries and drift rebuilds to the right pooled agent).
+func (p *Pool) RouteHash(h uint32) int {
 	if len(p.agents) == 1 {
 		return 0
 	}
@@ -363,7 +364,7 @@ func (p *Pool) AnswerTraced(q query.Query, tr *trace.Trace) (core.Answer, error)
 	kb := p.getKeyBuf()
 	kb.b = AppendKey(kb.b[:0], q)
 	h := fnv32Bytes(kb.b)
-	agIdx := p.routeHash(h)
+	agIdx := p.RouteHash(h)
 	ag := p.agents[agIdx]
 	sp.SetAttrInt("agent", int64(agIdx))
 	// ver is read before the answer is computed, and stamps whatever

@@ -232,16 +232,16 @@ func TestPoolAffinityRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := countAt(3, 9)
-	first := pool.route(Key(q))
+	first := pool.RouteHash(KeyHash(q))
 	for i := 0; i < 10; i++ {
-		if pool.route(Key(q)) != first {
+		if pool.RouteHash(KeyHash(q)) != first {
 			t.Fatal("identical query routed to different agents")
 		}
 	}
 	// Distinct queries must spread across agents eventually.
-	seen := map[*core.Agent]bool{}
+	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		seen[pool.route(Key(countAt(float64(i), 0)))] = true
+		seen[pool.RouteHash(KeyHash(countAt(float64(i), 0)))] = true
 	}
 	if len(seen) != 2 {
 		t.Errorf("routing used %d of 2 agents", len(seen))

@@ -146,33 +146,50 @@ func (r QueryRequest) Query() (query.Query, error) {
 //
 //	POST /v1/query             {tenant?, agg, los/his | center/radius, col?, col2?}
 //	                           ?trace=1 forces a trace, inlined in the answer
-//	POST /v1/explain           same body; piecewise-linear answer explanation
-//	GET  /v1/stats             agent + serving counters
 //
-// plus the observability routes of the pool's Plane (Plane.Mount).
+// plus the inspection routes (MountInspect) and the observability
+// routes of the pool's Plane (Plane.Mount).
 //
 // Overload maps to 429, malformed queries to 400, oracle failures
 // to 502.
 type Server struct {
-	sched   *Scheduler
-	explain *explain.Engine
-	mux     *http.ServeMux
+	sched *Scheduler
+	mux   *http.ServeMux
 }
 
 // NewServer builds the front-end. exp may be nil to disable /v1/explain.
 // The observability routes come from the pool's Plane; a pool without
 // one gets a default plane here.
 func NewServer(sched *Scheduler, exp *explain.Engine) *Server {
-	s := &Server{sched: sched, explain: exp, mux: http.NewServeMux()}
+	s := &Server{sched: sched, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	MountInspect(s.mux, sched, exp)
 	plane := sched.pool.plane
 	if plane == nil {
 		plane = NewPlane(sched.pool, PlaneConfig{Node: "local"})
 	}
 	plane.Mount(s.mux)
 	return s
+}
+
+// MountInspect serves, on mux, the routes that read a scheduler's
+// agents without answering a query:
+//
+//	POST /v1/explain   a /v1/query body; piecewise-linear answer explanation
+//	GET  /v1/stats     agent + serving counters (StatsResponse)
+//
+// exp may be nil, and /v1/explain then answers 501. Server mounts them
+// beside its /v1/query, a cluster member (internal/dist) beside its own.
+func MountInspect(mux *http.ServeMux, sched *Scheduler, exp *explain.Engine) {
+	in := &inspect{sched: sched, explain: exp}
+	mux.HandleFunc("POST /v1/explain", in.handleExplain)
+	mux.HandleFunc("GET /v1/stats", in.handleStats)
+}
+
+// inspect holds what the inspection routes read.
+type inspect struct {
+	sched   *Scheduler
+	explain *explain.Engine
 }
 
 // ServeHTTP implements http.Handler.
@@ -282,7 +299,7 @@ func TraceRequested(r *http.Request) bool {
 	return r.URL.Query().Get("trace") == "1"
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+func (s *inspect) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.explain == nil {
 		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "explanations disabled"})
 		return
@@ -313,28 +330,22 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *inspect) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Agent:   s.sched.pool.Stats(),
 		Serving: s.sched.pool.rec.Snapshot(),
 	})
 }
 
-// Run serves on addr until ctx is cancelled, then shuts down gracefully.
-// cmd/seaserve wires ctx to SIGINT/SIGTERM so the process never dies
-// mid-request.
-func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) error {
-	return RunHTTP(ctx, addr, s, drain, s.sched.Close)
-}
-
-// ServeListener is Run over an existing listener.
+// ServeListener serves on l until ctx is cancelled, then shuts down
+// gracefully (RunListener) and drains the scheduler.
 func (s *Server) ServeListener(ctx context.Context, l net.Listener, drain time.Duration) error {
 	return RunListener(ctx, l, s, drain, s.sched.Close)
 }
 
 // RunHTTP serves h on addr until ctx is cancelled, then shuts down
 // gracefully (see RunListener). onStopped runs once serving has ended
-// either way — the serving front-ends pass their scheduler drain here.
+// either way — cmd/seaserve passes its node's Close here.
 func RunHTTP(ctx context.Context, addr string, h http.Handler, drain time.Duration, onStopped func()) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
