@@ -148,11 +148,12 @@ func (n *Node) AntiEntropyTick() int {
 			continue // primary is ground truth; nothing to compare against
 		}
 		purl := ms.urls[owners[0]]
-		if purl == "" || !n.health.available(purl) {
+		if purl == "" || !n.health.admit(purl) {
 			continue
 		}
 		n.aeChecked.Add(1)
 		remote, err := n.fetchDigest(purl, p)
+		n.health.observe(purl, err)
 		if err != nil {
 			continue
 		}

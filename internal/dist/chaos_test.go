@@ -38,94 +38,6 @@ func postJSON(t *testing.T, url string, v any, out any) int {
 	return resp.StatusCode
 }
 
-// TestBreakerLifecycle walks one breaker through closed -> open ->
-// half-open -> closed, including the probe-failure re-open and the
-// single-probe admission rule.
-func TestBreakerLifecycle(t *testing.T) {
-	cfg := breakerConfig{minVolume: 4, failureRate: 0.5, openFor: time.Second}
-	b := newBreaker(cfg)
-	now := time.Now()
-
-	for i := 0; i < 4; i++ {
-		if !b.allow(now) {
-			t.Fatalf("closed breaker rejected call %d", i)
-		}
-		b.failure(now)
-	}
-	if got := b.snapshot(); got != breakerOpen {
-		t.Fatalf("after %d failures state = %s, want open", 4, breakerStateName(got))
-	}
-	if b.allow(now) {
-		t.Fatal("open breaker admitted a call before openFor elapsed")
-	}
-
-	probeAt := now.Add(cfg.openFor + time.Millisecond)
-	if !b.allow(probeAt) {
-		t.Fatal("breaker did not admit the half-open probe after openFor")
-	}
-	if got := b.snapshot(); got != breakerHalfOpen {
-		t.Fatalf("state = %s, want half-open", breakerStateName(got))
-	}
-	if b.allow(probeAt) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.failure(probeAt)
-	if got := b.snapshot(); got != breakerOpen {
-		t.Fatalf("probe failure left state %s, want open", breakerStateName(got))
-	}
-
-	probe2 := probeAt.Add(cfg.openFor + time.Millisecond)
-	if !b.allow(probe2) {
-		t.Fatal("re-opened breaker did not admit a second probe")
-	}
-	b.success(probe2)
-	if got := b.snapshot(); got != breakerClosed {
-		t.Fatalf("probe success left state %s, want closed", breakerStateName(got))
-	}
-	if !b.allow(probe2) {
-		t.Fatal("closed breaker rejected a call after recovery")
-	}
-}
-
-// fakeTimeout satisfies net.Error with Timeout() == true: the shape of
-// a blackholed or wedged peer's failure as seen through http.Client.
-type fakeTimeout struct{}
-
-func (fakeTimeout) Error() string   { return "fake: i/o timeout" }
-func (fakeTimeout) Timeout() bool   { return true }
-func (fakeTimeout) Temporary() bool { return true }
-
-// TestBreakerVetoesAlivePeer: the breaker trips on unreachability —
-// timeouts, where every attempt costs the full RPC timeout — and vetoes
-// the peer in health.available. HTTP error statuses feed neither the
-// quarantine (the peer answered, it is alive) nor the breaker (the
-// retry layer masks them at per-request cost), so a 500-bursting peer
-// stays admitted.
-func TestBreakerVetoesAlivePeer(t *testing.T) {
-	h := newHealth(time.Hour, time.Second,
-		breakerConfig{minVolume: 4, failureRate: 0.5, openFor: time.Hour})
-	url := "http://127.0.0.1:1"
-	for i := 0; i < 8; i++ {
-		h.observe(url, fmt.Errorf("%w: HTTP 500", errPeerResponded))
-	}
-	if !h.available(url) {
-		t.Fatal("peer answering with error statuses was vetoed: 500s must not trip the breaker")
-	}
-	for i := 0; i < 4; i++ {
-		h.observe(url, fakeTimeout{})
-	}
-	if h.available(url) {
-		t.Fatal("peer timing out 100% of calls still admitted by available()")
-	}
-	if got := h.worstBreaker(); got != breakerOpen {
-		t.Fatalf("worstBreaker = %d, want open", got)
-	}
-	states := h.breakerStates()
-	if states[url] != "open" {
-		t.Fatalf("breakerStates[%s] = %q, want open", url, states[url])
-	}
-}
-
 // TestScatterDegradesWhenHoldersGone: with replication 1, killing a
 // member makes its partitions unreachable; the exact path must then
 // return an honest degraded answer over the covered partitions instead

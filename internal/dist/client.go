@@ -46,7 +46,7 @@ type Client struct {
 	refreshMu sync.Mutex // single-flight for refresh()
 
 	hc      *http.Client
-	health  *health
+	health  *peerHealth
 	budget  int
 	backoff time.Duration
 	// Tenant is sent with every query for the nodes' admission control
@@ -86,7 +86,7 @@ func NewClientVNodes(members map[string]string, replicas int, timeout time.Durat
 		vnodes:   ring.VNodes(),
 		replicas: replicas,
 		hc:       newHTTPClient(timeout, nil),
-		health:   newHealth(DefaultCooldown, timeout, breakerConfig{}),
+		health:   newPeerHealth(DefaultCooldown, 0),
 		budget:   DefaultRetryBudget,
 		backoff:  DefaultRetryBackoff,
 	}
@@ -124,7 +124,7 @@ func (c *Client) refresh(target int64) {
 	c.mu.RUnlock()
 	var best MembershipResponse
 	for _, url := range urls {
-		if url == "" || !c.health.available(url) {
+		if url == "" || !c.health.admit(url) {
 			continue
 		}
 		mr, err := fetchMembership(c.hc, url)
@@ -205,7 +205,7 @@ func (c *Client) answer(q query.Query) (QueryResponse, error) {
 		ring, urls := c.snapshot()
 		for _, id := range c.candidates(ring, key) {
 			url := urls[id]
-			if url == "" || !c.health.available(url) {
+			if url == "" || !c.health.admit(url) {
 				continue
 			}
 			var r QueryResponse
@@ -288,7 +288,7 @@ func (c *Client) Ingest(rows []storage.Row) (IngestResponse, error) {
 		ring, urls := c.snapshot()
 		for _, id := range ring.Nodes() {
 			url := urls[id]
-			if url == "" || !c.health.available(url) {
+			if url == "" || !c.health.admit(url) {
 				continue
 			}
 			var r IngestResponse
@@ -318,7 +318,7 @@ func (c *Client) Status() (ClusterStatus, error) {
 	ring, urls := c.snapshot()
 	for _, id := range ring.Nodes() {
 		url := urls[id]
-		if url == "" || !c.health.available(url) {
+		if url == "" || !c.health.admit(url) {
 			continue
 		}
 		var st ClusterStatus

@@ -99,11 +99,14 @@ const (
 	// (applied or forwarded ingest); the TTL bounds staleness for
 	// writes that land entirely on other members.
 	DefaultAnswerCacheTTL = 500 * time.Millisecond
-	// DefaultGatherFanout bounds the scatter-gather worker pool.
+	// DefaultGatherFanout bounds the scatter-gather worker pool: at most
+	// this many concurrent local partition evaluations and per-holder
+	// batched partial RPCs per query.
 	DefaultGatherFanout = 8
 	// DefaultRetryBudget is the per-query RPC retry allowance.
 	DefaultRetryBudget = 3
-	// DefaultRetryBackoff is the base delay before the first retry.
+	// DefaultRetryBackoff is the base delay before the first retry; each
+	// later retry doubles it (jittered, clamped to the deadline).
 	DefaultRetryBackoff = 10 * time.Millisecond
 	// DefaultHedgeQuantile is the partials-latency quantile after which
 	// a scatter RPC is hedged to a second holder.
@@ -155,26 +158,12 @@ type Config struct {
 	// before it is acknowledged (default: a majority of Replicas;
 	// clamped to [1, Replicas]).
 	WriteQuorum int
-	// WALSyncEvery batches WAL fsyncs: the log fsyncs after every N
-	// appended batches (default 1 — every acknowledged batch is
-	// durable; larger values trade a bounded loss window for
-	// throughput).
-	WALSyncEvery int
 	// AnswerCache sizes the node's versioned answer cache (entries):
 	// answered queries are cached by canonical key and data version, so
 	// repeated queries are served without touching the agents, and every
 	// applied ingest batch invalidates affected entries through the
 	// version stamp. 0 takes DefaultAnswerCache; negative disables.
 	AnswerCache int
-	// AnswerCacheTTL bounds a cached answer's age, covering writes
-	// this node never observes (they can land entirely on remote
-	// partition holders). 0 takes DefaultAnswerCacheTTL; negative
-	// disables age expiry.
-	AnswerCacheTTL time.Duration
-	// GatherFanout bounds the scatter-gather worker pool: at most this
-	// many concurrent local partition evaluations and per-holder batched
-	// partial RPCs per query (default DefaultGatherFanout).
-	GatherFanout int
 	// RequantCheck, when positive, runs a background drift maintainer
 	// per pooled agent: recently served queries are recorded, and when
 	// ingest pressure outgrows the incremental maintenance path
@@ -185,9 +174,9 @@ type Config struct {
 	// Timeout bounds each node-to-node HTTP call (default
 	// DefaultTimeout).
 	Timeout time.Duration
-	// Cooldown is how long a peer stays suspected-down after a failed
-	// call before /healthz probing may reinstate it (default
-	// DefaultCooldown).
+	// Cooldown is how long an open peer — one that refused a
+	// connection, or timed out too often — is skipped before one real
+	// call is admitted as its probe (default DefaultCooldown).
 	Cooldown time.Duration
 	// TraceSample is the background trace-sampling fraction: roughly
 	// this share of served queries records a full span tree into the
@@ -246,22 +235,16 @@ type Config struct {
 	// scatter/failover calls, with exponential backoff + jitter between
 	// attempts. 0 takes DefaultRetryBudget; negative disables retries.
 	RetryBudget int
-	// RetryBackoff is the base backoff before the first retry; each
-	// subsequent retry doubles it (jittered, clamped to the remaining
-	// deadline). 0 takes DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// HedgeQuantile picks the scatter hedging delay: when a batched
 	// /v1/partials RPC is still unanswered after this quantile of the
 	// node's observed partials latency, a second copy is fired at the
 	// next replica holder and the first answer wins. 0 takes
 	// DefaultHedgeQuantile; negative disables hedging.
 	HedgeQuantile float64
-	// BreakerMinVolume / BreakerFailureRate / BreakerOpenFor tune the
-	// per-peer circuit breakers (defaults: 8 calls, 0.5, Cooldown).
-	// BreakerFailureRate < 0 keeps breakers permanently closed.
-	BreakerMinVolume   int64
+	// BreakerFailureRate is the share of timed-out calls, over at least
+	// 8 in a 10 s window, that opens a peer (default 0.5). Negative
+	// turns this rate rule off; a refused connection still opens a peer.
 	BreakerFailureRate float64
-	BreakerOpenFor     time.Duration
 	// InitialView, when set, is the membership view the node boots
 	// with instead of deriving an epoch-1 view from Peers. A joiner
 	// fetches a live member's view (FetchMembership) and passes it
@@ -314,12 +297,6 @@ func (c Config) withDefaults() Config {
 	if c.AnswerCache == 0 {
 		c.AnswerCache = DefaultAnswerCache
 	}
-	if c.AnswerCacheTTL == 0 {
-		c.AnswerCacheTTL = DefaultAnswerCacheTTL
-	}
-	if c.GatherFanout <= 0 {
-		c.GatherFanout = DefaultGatherFanout
-	}
 	if c.LagThreshold == 0 {
 		c.LagThreshold = 1
 	}
@@ -329,31 +306,10 @@ func (c Config) withDefaults() Config {
 	if c.RetryBudget < 0 {
 		c.RetryBudget = 0
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
 	if c.HedgeQuantile == 0 {
 		c.HedgeQuantile = DefaultHedgeQuantile
 	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = c.Cooldown
-	}
 	return c
-}
-
-// breakerCfg maps the Config knobs onto the breaker tunables. A
-// negative BreakerFailureRate yields a rate above 1 — unreachable, so
-// breakers never open.
-func (c Config) breakerCfg() breakerConfig {
-	rate := c.BreakerFailureRate
-	if rate < 0 {
-		rate = 2
-	}
-	return breakerConfig{
-		minVolume:   c.BreakerMinVolume,
-		failureRate: rate,
-		openFor:     c.BreakerOpenFor,
-	}
 }
 
 // newHTTPClient builds the node-to-node/client HTTP client: generous
@@ -480,10 +436,12 @@ type SnapshotResponse struct {
 
 // MemberStatus is one member's view in ClusterStatus.
 type MemberStatus struct {
-	ID    string `json:"id"`
-	URL   string `json:"url"`
-	Self  bool   `json:"self"`
-	Alive bool   `json:"alive"`
+	ID   string `json:"id"`
+	URL  string `json:"url"`
+	Self bool   `json:"self"`
+	// Alive is false while this member's peer tracker holds the
+	// member open; reading it changes nothing.
+	Alive bool `json:"alive"`
 }
 
 // ClusterStatus is the GET /v1/cluster body.

@@ -87,7 +87,7 @@ func TestScatterGatherFailoverRebatches(t *testing.T) {
 	var got query.Result
 	var err error
 	// The first attempt may spend its error budget discovering the dead
-	// peer; the health tracker then quarantines it.
+	// peer; the peer tracker then holds it open.
 	for attempt := 0; attempt < 3; attempt++ {
 		got, _, err = entry.ScatterGather(q)
 		if err == nil {

@@ -361,7 +361,7 @@ func (n *Node) replicateBatch(pt *partition, ms *memberState, owners []string, s
 				continue
 			}
 			url, ok := ms.urls[o]
-			if !ok || url == "" || !n.health.available(url) {
+			if !ok || url == "" || !n.health.admit(url) {
 				continue
 			}
 			lastSeq, err := n.replicateTo(url, p, seq, rows)
@@ -470,7 +470,7 @@ func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey
 		primary := owners[0]
 		tried[primary] = true
 		url, ok := n.members().urls[primary]
-		if !ok || url == "" || !n.health.available(url) {
+		if !ok || url == "" || !n.health.admit(url) {
 			lastMsg = fmt.Sprintf("dist: primary %s of partition %d is unreachable", primary, p)
 			continue
 		}
@@ -645,7 +645,7 @@ func (n *Node) catchUpLocked(pt *partition, live bool) (int, error) {
 			continue
 		}
 		url, ok := ms.urls[holder]
-		if !ok || url == "" || !n.health.available(url) {
+		if !ok || url == "" || n.health.state(url) == peerOpen {
 			continue
 		}
 		// A bounded fetch may truncate a long tail: keep fetching from

@@ -157,10 +157,11 @@ func (n *Node) refreshMembership() {
 	ms := n.members()
 	var best View
 	for _, m := range ms.view.Members {
-		if m.ID == n.id || m.URL == "" || !n.health.available(m.URL) {
+		if m.ID == n.id || m.URL == "" || !n.health.admit(m.URL) {
 			continue
 		}
 		mr, err := fetchMembership(n.hc, m.URL)
+		n.health.observe(m.URL, err)
 		if err != nil {
 			continue
 		}

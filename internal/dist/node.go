@@ -41,7 +41,7 @@ var errNodeClosing = fmt.Errorf("dist: node closing")
 type Node struct {
 	cfg     Config
 	id      string
-	health  *health
+	health  *peerHealth
 	hc      *http.Client
 	mux     *http.ServeMux
 	started time.Time
@@ -172,7 +172,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		id:      cfg.ID,
-		health:  newHealth(cfg.Cooldown, cfg.Timeout, cfg.breakerCfg()),
+		health:  newPeerHealth(cfg.Cooldown, cfg.BreakerFailureRate),
 		hc:      newHTTPClient(cfg.Timeout, fault),
 		fault:   fault,
 		started: time.Now(),
@@ -208,9 +208,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.AnswerCache > 0 {
 		pool.EnableCache(cfg.AnswerCache)
-		if cfg.AnswerCacheTTL > 0 {
-			pool.Cache().SetTTL(cfg.AnswerCacheTTL)
-		}
+		pool.Cache().SetTTL(DefaultAnswerCacheTTL)
 		pool.SetCacheVersion(n.cacheVersion)
 	}
 	n.pool = pool
@@ -223,7 +221,10 @@ func NewNode(cfg Config) (*Node, error) {
 		{Name: "ingest_epoch", Help: "Ingest batches this node forwarded to other primaries.",
 			Read: func() float64 { return float64(n.ingestEpoch.Load()) }},
 		{Name: "breaker_state", Help: "Worst per-peer circuit-breaker state (0 closed, 1 half-open, 2 open).",
-			Watch: true, Read: func() float64 { return float64(n.health.worstBreaker()) }},
+			Watch: true, Read: func() float64 {
+				_, worst := n.health.snapshot()
+				return float64(worst)
+			}},
 		{Name: "membership_epoch", Help: "Current membership view epoch (advances on every join/leave).",
 			Read: func() float64 { return float64(n.epoch()) }},
 		{Name: "antientropy_repairs", Help: "Divergent replicas healed by the anti-entropy repair loop.",
@@ -481,8 +482,7 @@ func (n *Node) Load(rows []storage.Row) error {
 
 // openLog opens partition p's write-ahead log under the node's DataDir.
 func (n *Node) openLog(p int) (*ingest.Log, error) {
-	return ingest.Open(filepath.Join(n.cfg.DataDir, fmt.Sprintf("part-%d", p)),
-		ingest.Options{SyncEvery: n.cfg.WALSyncEvery})
+	return ingest.Open(filepath.Join(n.cfg.DataDir, fmt.Sprintf("part-%d", p)), ingest.Options{})
 }
 
 // notHeld is the error text for a partition this node has no copy of.
@@ -721,7 +721,7 @@ func (n *Node) forward(w http.ResponseWriter, owners []string, req serve.QueryRe
 	urls := n.members().urls
 	for _, o := range owners {
 		url, ok := urls[o]
-		if !ok || url == "" || o == n.id || !n.health.available(url) {
+		if !ok || url == "" || o == n.id || !n.health.admit(url) {
 			continue
 		}
 		var raw json.RawMessage
@@ -882,7 +882,7 @@ func (n *Node) Status() ClusterStatus {
 		url := ms.urls[id]
 		m := MemberStatus{ID: id, URL: url, Self: id == n.id, Alive: true}
 		if !m.Self {
-			m.Alive = n.health.available(url)
+			m.Alive = n.health.state(url) != peerOpen
 		}
 		st.Members = append(st.Members, m)
 	}

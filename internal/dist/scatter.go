@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -69,7 +68,7 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // The fan-out is message-minimal and bounded: missing partitions are
 // grouped by holder and fetched with ONE batched POST /v1/partials per
 // holder (not one RPC per partition), all work runs on a worker pool of
-// at most Config.GatherFanout goroutines, and a holder failure
+// at most DefaultGatherFanout goroutines, and a holder failure
 // re-batches just its leftover partitions onto the next replicas. Cost
 // accounting reflects the batched shape: Messages counts 2 per RPC
 // round trip, BytesLAN the actual request+response payload bytes, and
@@ -133,7 +132,7 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 		}()
 	}
 	lsp := sp.Child("local_scan")
-	runBounded(n.cfg.GatherFanout, len(held), func(i int) {
+	runBounded(DefaultGatherFanout, len(held), func(i int) {
 		partial, scanned, summarised := held[i].partial(q)
 		results[held[i].id] = partialResult{partial: partial, rows: scanned, summarised: summarised, holder: n.id}
 	})
@@ -218,13 +217,13 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 	var rpcs int
 	var lastErr error
 	budget := n.cfg.RetryBudget
-	backoff := n.cfg.RetryBackoff
+	backoff := DefaultRetryBackoff
 	unresolved := append([]int(nil), missing...)
 	for len(unresolved) > 0 {
 		groups := make(map[string][]int)
 		var exhausted, abandoned []int
 		for _, p := range unresolved {
-			if holder := n.nextHolder(cand[p], next, p); holder != "" {
+			if holder := n.nextHolder(ms.urls, groups, cand[p], next, p); holder != "" {
 				groups[holder] = append(groups[holder], p)
 			} else {
 				exhausted = append(exhausted, p)
@@ -244,7 +243,7 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 				sleepBackoff(&backoff, q.Deadline)
 				for _, p := range exhausted {
 					next[p] = 0
-					if holder := n.nextHolder(cand[p], next, p); holder != "" {
+					if holder := n.nextHolder(ms.urls, groups, cand[p], next, p); holder != "" {
 						groups[holder] = append(groups[holder], p)
 					} else {
 						abandoned = append(abandoned, p)
@@ -271,11 +270,11 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 			outs = append(outs, rpcOut{holder: h, parts: ps})
 		}
 		sort.Slice(outs, func(i, j int) bool { return outs[i].holder < outs[j].holder })
-		runBounded(n.cfg.GatherFanout, len(outs), func(i int) {
+		runBounded(DefaultGatherFanout, len(outs), func(i int) {
 			o := &outs[i]
 			url := ms.urls[o.holder]
 			// A hedge candidate: the first abandoned-free partition's
-			// next untried available holder (cursor not advanced — a
+			// next untried closed holder (cursor not advanced — a
 			// hedge is speculative, not a failover).
 			hedgeURL := n.hedgeCandidate(o.parts, cand, next, o.holder)
 			// Span.Child is safe under concurrent workers; a nil sp
@@ -325,15 +324,20 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 	return bytesMoved, rpcs, lastErr
 }
 
-// nextHolder advances partition p's candidate cursor to the next
-// available holder (health + breaker) and returns it ("" = exhausted).
-func (n *Node) nextHolder(cands []string, next map[int]int, p int) string {
-	urls := n.members().urls
+// nextHolder advances partition p's candidate cursor to the next holder
+// the peer tracker admits and returns it ("" = exhausted). A holder
+// already in this round's groups was admitted for the one batched RPC
+// it is about to get, so it is taken without a second admission: one
+// admission per reported RPC, and a half-open holder's probe carries
+// every partition it holds.
+func (n *Node) nextHolder(urls map[string]string, groups map[string][]int, cands []string, next map[int]int, p int) string {
 	for next[p] < len(cands) {
 		h := cands[next[p]]
 		next[p]++
-		url, ok := urls[h]
-		if ok && url != "" && n.health.available(url) {
+		if _, admitted := groups[h]; admitted {
+			return h
+		}
+		if url := urls[h]; url != "" && n.health.admit(url) {
 			return h
 		}
 	}
@@ -341,9 +345,12 @@ func (n *Node) nextHolder(cands []string, next map[int]int, p int) string {
 }
 
 // hedgeCandidate picks a holder to hedge a batched RPC to: the first
-// still-untried available candidate of any partition in the batch that
-// is not the primary holder. Cursors are NOT advanced — if the primary
-// answers first the candidate stays fresh for real failovers.
+// still-untried closed candidate of any partition in the batch that is
+// not the primary holder. It reads the peer tracker without admitting —
+// most hedges never fire, and an unfired hedge reports nothing — so a
+// half-open peer's probe slot is left to a call that will report.
+// Cursors are NOT advanced — if the primary answers first the candidate
+// stays fresh for real failovers.
 func (n *Node) hedgeCandidate(parts []int, cand map[int][]string, next map[int]int, primary string) string {
 	if n.hedgeDelay() <= 0 {
 		return ""
@@ -355,7 +362,7 @@ func (n *Node) hedgeCandidate(parts []int, cand map[int][]string, next map[int]i
 			if h == primary {
 				continue
 			}
-			if url, ok := urls[h]; ok && url != "" && n.health.available(url) {
+			if url, ok := urls[h]; ok && url != "" && n.health.state(url) == peerClosed {
 				return url
 			}
 		}
@@ -419,24 +426,20 @@ func (n *Node) fetchPartialsHedged(url, hedgeURL string, parts []int, wq serve.Q
 	})
 	ps, b, err := n.fetchPartials(priCtx, url, parts, wq, sp, false)
 	hedgeLaunched := !tm.Stop()
+	// The primary was admitted, so its outcome is reported on every
+	// path; the winning hedge's cancellation of it reads as no verdict.
+	n.health.observe(url, err)
 	if err == nil {
 		// The primary won (or tied). A launched hedge dies with the
-		// deferred cancel; its outcome is dropped unobserved (a
-		// cancellation says nothing about the hedge peer's health).
-		n.health.observe(url, nil)
+		// deferred cancel; its outcome is dropped unobserved (it was
+		// never admitted, and a cancellation says nothing).
 		return ps, b, nil
 	}
 	if !hedgeLaunched {
 		// The primary failed before the delay: the caller's normal
 		// failover handles the next replica — a fast failure needs no
 		// hedge.
-		n.health.observe(url, err)
 		return nil, 0, err
-	}
-	// The primary's failure may be the winning hedge's own cancellation;
-	// only a failure of its own making says anything about its health.
-	if !errors.Is(err, context.Canceled) {
-		n.health.observe(url, err)
 	}
 	o := <-ch
 	n.health.observe(hedgeURL, o.err)

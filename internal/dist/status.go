@@ -149,7 +149,7 @@ func (n *Node) NodeStatus() NodeStatus {
 		url := ms.urls[id]
 		m := MemberStatus{ID: id, URL: url, Self: id == n.id, Alive: true}
 		if !m.Self {
-			m.Alive = n.health.available(url)
+			m.Alive = n.health.state(url) != peerOpen
 		}
 		st.Ring.Members = append(st.Ring.Members, m)
 	}
@@ -192,9 +192,10 @@ func (n *Node) NodeStatus() NodeStatus {
 
 	st.SLO = n.plane.SLO.States()
 
+	breakers, worst := n.health.snapshot()
 	st.Resilience = ResilienceStatus{
-		Breakers:        n.health.breakerStates(),
-		WorstBreaker:    n.health.worstBreaker(),
+		Breakers:        breakers,
+		WorstBreaker:    worst,
 		RPCRetries:      snap.RPCRetries,
 		Hedges:          snap.Hedges,
 		DegradedAnswers: snap.DegradedAnswers,

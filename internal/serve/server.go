@@ -294,9 +294,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // TraceRequested reports whether the request asked for a forced inline
-// trace (?trace=1).
+// trace (?trace=1). Most requests carry no query string: those are
+// answered without building Query()'s url.Values map.
 func TraceRequested(r *http.Request) bool {
-	return r.URL.Query().Get("trace") == "1"
+	return r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
 }
 
 func (s *inspect) handleExplain(w http.ResponseWriter, r *http.Request) {

@@ -308,3 +308,36 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceRequested pins ?trace=1 detection to Query().Get("trace")
+// == "1" and holds the common request, with no query string, to zero
+// allocations.
+func TestTraceRequested(t *testing.T) {
+	for raw, want := range map[string]bool{
+		"":                false,
+		"trace=1":         true,
+		"trace=0":         false,
+		"trace=":          false,
+		"x=2&trace=1":     true,
+		"trace=1&trace=0": true,
+		"trace=0&trace=1": false,
+		"trace=%31":       true,
+		"tracex=1":        false,
+		"trace=1;x=2":     false,
+		"TRACE=1":         false,
+		"trace=1&x=%zz":   true,
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+		r.URL.RawQuery = raw
+		if got := TraceRequested(r); got != want {
+			t.Errorf("TraceRequested(?%s) = %v, want %v", raw, got, want)
+		}
+		if got := r.URL.Query().Get("trace") == "1"; got != want {
+			t.Errorf("Query().Get(trace) on ?%s = %v, the table says %v", raw, got, want)
+		}
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+	if n := testing.AllocsPerRun(100, func() { TraceRequested(r) }); n != 0 {
+		t.Fatalf("TraceRequested allocates %v times with no query string, want 0", n)
+	}
+}
