@@ -104,7 +104,7 @@
 //	GET  /v1/metrics  Prometheus text (QPS, per-path latency histograms,
 //	                  ingest/drift gauges, audit error histograms,
 //	                  SLO burn rates, runtime telemetry)
-//	GET  /healthz     liveness (also used by failover probing)
+//	GET  /healthz     liveness (readiness when booting or joining)
 //
 // and POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partials,
 // /v1/join, /v1/leave, /v1/digest, GET /v1/snapshot, /v1/cluster,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/geo"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -29,7 +28,7 @@ func run() error {
 	// The core data centre.
 	cl := cluster.New(8, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "core", []string{"x", "y", "z"}, 16)
+	tbl, err := cluster.NewTable(cl, "core", []string{"x", "y", "z"}, 16)
 	if err != nil {
 		return err
 	}

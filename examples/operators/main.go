@@ -13,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/knn"
 	"repro/internal/rankjoin"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -30,11 +29,11 @@ func run() error {
 	rng := workload.NewRNG(21)
 
 	// --- Rank-join (ref [30], claim C2) ---
-	r, err := storage.NewTable(cl, "R", []string{"score"}, 16)
+	r, err := cluster.NewTable(cl, "R", []string{"score"}, 16)
 	if err != nil {
 		return err
 	}
-	s, err := storage.NewTable(cl, "S", []string{"score"}, 16)
+	s, err := cluster.NewTable(cl, "S", []string{"score"}, 16)
 	if err != nil {
 		return err
 	}
@@ -64,7 +63,7 @@ func run() error {
 		float64(mrCost.Time)/float64(thCost.Time))
 
 	// --- kNN (ref [33], claim C3) ---
-	pts, err := storage.NewTable(cl, "pts", []string{"x", "y", "z"}, 16)
+	pts, err := cluster.NewTable(cl, "pts", []string{"x", "y", "z"}, 16)
 	if err != nil {
 		return err
 	}

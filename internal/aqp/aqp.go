@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -31,7 +32,7 @@ var ErrUnsupported = errors.New("aqp: unsupported aggregate")
 // Engine is the AQP engine: a sampled replica of one table.
 type Engine struct {
 	eng    *engine.Engine
-	sample *storage.Table
+	sample *cluster.Table
 	// weight is the inverse sampling fraction applied to every sampled
 	// row (uniform sampling keeps one weight; stratified sampling stores
 	// per-row weights in an extra column).
@@ -44,14 +45,14 @@ type Engine struct {
 // over the first two columns — BlinkDB's trick for keeping rare strata
 // represented. The sample is itself a distributed table (that is the
 // paper's architectural complaint).
-func Build(eng *engine.Engine, t *storage.Table, fraction float64, stratify bool, seed int64) (*Engine, metrics.Cost, error) {
+func Build(eng *engine.Engine, t *cluster.Table, fraction float64, stratify bool, seed int64) (*Engine, metrics.Cost, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, metrics.Cost{}, fmt.Errorf("%w: %v", ErrBadFraction, fraction)
 	}
 	rng := workload.NewRNG(seed)
 	cols := t.Columns()
 	weightCol := len(cols)
-	sampleTbl, err := storage.NewTable(eng.Cluster(), t.Name()+"_sample",
+	sampleTbl, err := cluster.NewTable(eng.Cluster(), t.Name()+"_sample",
 		append(cols, "_weight"), t.Partitions())
 	if err != nil {
 		return nil, metrics.Cost{}, fmt.Errorf("aqp build: %w", err)
@@ -75,9 +76,6 @@ func Build(eng *engine.Engine, t *storage.Table, fraction float64, stratify bool
 		}
 	} else {
 		// Strata = 8x8 grid over the first two columns' observed range.
-		type stratum struct {
-			rows []storage.Row
-		}
 		const cells = 8
 		var mins, maxs [2]float64
 		first := true
@@ -101,7 +99,6 @@ func Build(eng *engine.Engine, t *storage.Table, fraction float64, stratify bool
 				first = false
 			}
 		}
-		strata := make(map[int]*stratum)
 		cellOf := func(r storage.Row) int {
 			id := 0
 			for j := 0; j < 2 && j < len(r.Vec); j++ {
@@ -117,27 +114,32 @@ func Build(eng *engine.Engine, t *storage.Table, fraction float64, stratify bool
 			}
 			return id
 		}
+		// Strata are indexed, and drawn from, in ascending cell id, so
+		// one seed always draws one sample.
+		strata := make([][]storage.Row, cells*cells)
+		nStrata := 0
 		for _, r := range all {
 			id := cellOf(r)
-			st, ok := strata[id]
-			if !ok {
-				st = &stratum{}
-				strata[id] = st
+			if len(strata[id]) == 0 {
+				nStrata++
 			}
-			st.rows = append(st.rows, r)
+			strata[id] = append(strata[id], r)
 		}
 		// Budget per stratum: proportional floor + equal share of the
 		// rest, so small strata stay represented.
 		budget := int(fraction * float64(len(all)))
-		if budget < len(strata) {
-			budget = len(strata)
+		if budget < nStrata {
+			budget = nStrata
 		}
-		perStratum := budget / len(strata)
+		perStratum := budget / nStrata
 		if perStratum < 1 {
 			perStratum = 1
 		}
-		for _, st := range strata {
-			n := len(st.rows)
+		for _, rows := range strata {
+			n := len(rows)
+			if n == 0 {
+				continue
+			}
 			take := perStratum
 			if take > n {
 				take = n
@@ -146,9 +148,9 @@ func Build(eng *engine.Engine, t *storage.Table, fraction float64, stratify bool
 			// Partial Fisher-Yates for the first `take` positions.
 			for i := 0; i < take; i++ {
 				j := i + rng.Intn(n-i)
-				st.rows[i], st.rows[j] = st.rows[j], st.rows[i]
+				rows[i], rows[j] = rows[j], rows[i]
 			}
-			for _, r := range st.rows[:take] {
+			for _, r := range rows[:take] {
 				vec := append(append([]float64(nil), r.Vec...), w)
 				sampled = append(sampled, storage.Row{Key: r.Key, Vec: vec})
 			}
@@ -202,7 +204,7 @@ func (e *Engine) Answer(q query.Query) (query.Result, float64, metrics.Cost, err
 	task := func(p int) ([][]float64, int64, error) {
 		view, _, err := e.sample.ScanColumns(p)
 		if err != nil {
-			if !errors.Is(err, storage.ErrNoColumns) {
+			if !errors.Is(err, cluster.ErrNoColumns) {
 				return nil, 0, err
 			}
 			rows, _, err := e.sample.ScanPartition(p)

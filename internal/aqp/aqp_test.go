@@ -3,6 +3,7 @@ package aqp
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,11 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-func buildBase(t *testing.T, nRows int) (*engine.Engine, *storage.Table, *exec.Executor) {
+func buildBase(t *testing.T, nRows int) (*engine.Engine, *cluster.Table, *exec.Executor) {
 	t.Helper()
 	cl := cluster.New(4, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "base", []string{"x", "y", "z"}, 8)
+	tbl, err := cluster.NewTable(cl, "base", []string{"x", "y", "z"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,30 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, _, err := Build(eng, tbl, 1.5, false, 1); !errors.Is(err, ErrBadFraction) {
 		t.Errorf("fraction 1.5 err = %v", err)
+	}
+}
+
+// TestStratifiedSampleIsSeeded: two builds from one seed hold the same
+// rows with the same weights, partition by partition, so an experiment
+// that samples reads the same on every run.
+func TestStratifiedSampleIsSeeded(t *testing.T) {
+	eng, tbl, _ := buildBase(t, 5000)
+	var samples [2][][]storage.Row
+	for i := range samples {
+		aq, _, err := Build(eng, tbl, 0.05, true, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < aq.sample.Partitions(); p++ {
+			rows, _, err := aq.sample.ScanPartition(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples[i] = append(samples[i], rows)
+		}
+	}
+	if !reflect.DeepEqual(samples[0], samples[1]) {
+		t.Fatal("two stratified samples drawn from one seed differ")
 	}
 }
 

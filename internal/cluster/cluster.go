@@ -1,7 +1,8 @@
 // Package cluster simulates the machine layer of a Big Data Analytics
 // Stack: a set of data-server nodes connected by an intra-datacentre LAN,
 // optionally grouped into geo-distributed regions connected by WAN links
-// (paper Fig. 1 and Fig. 3).
+// (paper Fig. 1 and Fig. 3), and the partitioned, replicated tables
+// stored on them (Table).
 //
 // The simulator is a deterministic discrete-cost model, not a wall-clock
 // one: operations return metrics.Cost values computed from configurable

@@ -29,7 +29,7 @@ func newHarness(t *testing.T, nRows int, cfg Config) *testHarness {
 	// Columns: x, y spatial (clustered); z = 2x + 5 + noise (dependent
 	// attribute). Selections constrain only (x, y), so the spatial
 	// clustering the query stream targets stays intact.
-	tbl, err := storage.NewTable(cl, "data", []string{"x", "y", "z"}, 8)
+	tbl, err := cluster.NewTable(cl, "data", []string{"x", "y", "z"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

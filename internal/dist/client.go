@@ -23,9 +23,10 @@ import (
 // not surfaced as an error. Once every candidate has been tried, the
 // client re-walks the list under a bounded retry budget with
 // exponential backoff + jitter (transient storms heal in milliseconds;
-// a hard outage still fails fast once the budget is spent). Per-peer
-// circuit breakers shed calls to members failing at a sustained rate
-// even when they still answer /healthz.
+// a hard outage still fails fast once the budget is spent). The per-peer
+// health tracker sheds calls to members that refuse connections or time
+// out at a sustained rate, and re-admits one after its cooldown through
+// a single real call that serves as the probe.
 //
 // The client is membership-aware: every node response carries the
 // membership epoch it was served under (the X-Sea-Epoch envelope
@@ -165,15 +166,6 @@ func (c *Client) Answer(q query.Query) (core.Answer, error) {
 		return core.Answer{}, err
 	}
 	return resp.Answer(), nil
-}
-
-// AnswerNode additionally reports which member produced the answer.
-func (c *Client) AnswerNode(q query.Query) (core.Answer, string, error) {
-	resp, err := c.answer(q)
-	if err != nil {
-		return core.Answer{}, "", err
-	}
-	return resp.Answer(), resp.Node, nil
 }
 
 // retryLoop drives walk — one full pass over the candidate list —

@@ -19,8 +19,10 @@
 //     per-shard moments).
 //
 //   - Replica failover: clients and forwarding nodes try a key's ring
-//     owners in order, skipping nodes that recently failed (recovery is
-//     probed through /healthz); the scatter path does the same per data
+//     owners in order, skipping peers their per-peer health tracker holds
+//     open (a refused connection, or timeouts at a sustained rate); after
+//     the cooldown one real call is admitted as the probe that closes or
+//     re-opens the peer. The scatter path does the same per data
 //     partition, so one dead node is masked by its replicas with no
 //     client-visible errors.
 //
@@ -64,7 +66,7 @@
 //	GET  /v1/debug/bundles  triggered diagnostic-bundle spool listing;
 //	                   /v1/debug/bundle/{id}/{file} fetches one member
 //	GET  /v1/metrics   Prometheus text exposition
-//	GET  /healthz      liveness (failover probing)
+//	GET  /healthz      liveness (boot and join readiness)
 //
 // cmd/seaserve exposes a node via -node-id/-peers/-replicas.
 package dist

@@ -34,9 +34,9 @@ import (
 // with the default fsync policy a batch is on stable storage at every
 // acking owner before the client sees the ack.
 
-// partitionForKey routes an ingested row to its data partition with the
-// row-placement hash shared with storage.Table, so sequential keys
-// spread uniformly.
+// partitionForKey routes an ingested row to its data partition with
+// storage.MixKey, the row-placement hash the simulator's hash-partitioned
+// tables also use, so sequential keys spread uniformly.
 func (n *Node) partitionForKey(key uint64) int {
 	return int(storage.MixKey(key) % uint64(n.cfg.Partitions))
 }

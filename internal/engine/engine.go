@@ -62,7 +62,7 @@ type Reducer func(key uint64, values [][]float64) [][]float64
 //   - reducers (spread over the same nodes) pay per-pair compute,
 //   - virtual time is the max over parallel nodes plus the shuffle and
 //     reduce critical path.
-func (e *Engine) MapReduce(t *storage.Table, m Mapper, r Reducer) ([]KV, metrics.Cost, error) {
+func (e *Engine) MapReduce(t *cluster.Table, m Mapper, r Reducer) ([]KV, metrics.Cost, error) {
 	var mapPhase metrics.Cost // parallel across nodes
 	intermediate := make(map[uint64][][]float64)
 	var shuffleBytes int64
@@ -143,7 +143,7 @@ type CohortResult struct {
 // its partition (paying only for the rows the task actually reads), and
 // the results stream back. Virtual time = request RTT + max per-node work
 // + response transfer.
-func (e *Engine) CoordinatorGather(t *storage.Table, partitions []int, task CohortTask) ([]CohortResult, metrics.Cost, error) {
+func (e *Engine) CoordinatorGather(t *cluster.Table, partitions []int, task CohortTask) ([]CohortResult, metrics.Cost, error) {
 	var nodeWork metrics.Cost // parallel across cohort nodes
 	var respBytes int64
 	var out []CohortResult
@@ -200,7 +200,7 @@ type PartTask func(p int) (results [][]float64, rowsRead int64, err error)
 // one request message per node plus the response transfer) and is
 // assembled in partition order, so costs and results are deterministic
 // regardless of goroutine scheduling.
-func (e *Engine) CoordinatorGatherParallel(t *storage.Table, partitions []int, task PartTask) ([]CohortResult, metrics.Cost, error) {
+func (e *Engine) CoordinatorGatherParallel(t *cluster.Table, partitions []int, task PartTask) ([]CohortResult, metrics.Cost, error) {
 	type partOut struct {
 		results  [][]float64
 		rowsRead int64
@@ -276,7 +276,7 @@ func (e *Engine) CoordinatorGatherParallel(t *storage.Table, partitions []int, t
 // CoordinatorPrefixGather is CoordinatorGather for sorted-run access: for
 // each (partition, depth) request it reads only the first depth rows —
 // the access pattern of threshold-algorithm rank joins (ref [30]).
-func (e *Engine) CoordinatorPrefixGather(t *storage.Table, depths map[int]int) (map[int][]storage.Row, metrics.Cost, error) {
+func (e *Engine) CoordinatorPrefixGather(t *cluster.Table, depths map[int]int) (map[int][]storage.Row, metrics.Cost, error) {
 	out := make(map[int][]storage.Row, len(depths))
 	var nodeWork metrics.Cost
 	var respBytes int64
@@ -326,7 +326,7 @@ type Segment struct {
 // CoordinatorSegmentGather reads one row segment per partition — the
 // incremental round of a threshold algorithm: each round deepens the read
 // into each sorted run by a delta, paying only for the delta.
-func (e *Engine) CoordinatorSegmentGather(t *storage.Table, segs map[int]Segment) (map[int][]storage.Row, metrics.Cost, error) {
+func (e *Engine) CoordinatorSegmentGather(t *cluster.Table, segs map[int]Segment) (map[int][]storage.Row, metrics.Cost, error) {
 	out := make(map[int][]storage.Row, len(segs))
 	var nodeWork metrics.Cost
 	var respBytes int64
@@ -368,7 +368,7 @@ func (e *Engine) CoordinatorSegmentGather(t *storage.Table, segs map[int]Segment
 
 // PointGet is a coordinator-side point lookup helper that wraps
 // storage.Get with the request/response message costs.
-func (e *Engine) PointGet(t *storage.Table, key uint64) (storage.Row, bool, metrics.Cost, error) {
+func (e *Engine) PointGet(t *cluster.Table, key uint64) (storage.Row, bool, metrics.Cost, error) {
 	row, ok, c, err := t.Get(key)
 	if err != nil {
 		return storage.Row{}, false, c, fmt.Errorf("point get on %q: %w", t.Name(), err)

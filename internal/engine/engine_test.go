@@ -7,9 +7,9 @@ import (
 	"repro/internal/storage"
 )
 
-func buildTable(t *testing.T, cl *cluster.Cluster, nRows, nParts int) *storage.Table {
+func buildTable(t *testing.T, cl *cluster.Cluster, nRows, nParts int) *cluster.Table {
 	t.Helper()
-	tbl, err := storage.NewTable(cl, "t", []string{"v"}, nParts)
+	tbl, err := cluster.NewTable(cl, "t", []string{"v"}, nParts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,10 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -30,7 +32,7 @@ import (
 // Executor runs exact analytical queries over one table.
 type Executor struct {
 	eng   *engine.Engine
-	table *storage.Table
+	table *cluster.Table
 
 	// grid is an optional density synopsis for selectivity estimates.
 	grid *sketch.GridHistogram
@@ -39,12 +41,12 @@ type Executor struct {
 // New builds an executor for table t on engine eng. Partition pruning
 // metadata (zone maps) lives in the storage layer and is maintained on
 // every mutation, so there is no index-build step.
-func New(eng *engine.Engine, t *storage.Table) (*Executor, error) {
+func New(eng *engine.Engine, t *cluster.Table) (*Executor, error) {
 	return &Executor{eng: eng, table: t}, nil
 }
 
 // Table returns the executor's table.
-func (ex *Executor) Table() *storage.Table { return ex.table }
+func (ex *Executor) Table() *cluster.Table { return ex.table }
 
 // Engine returns the executor's engine.
 func (ex *Executor) Engine() *engine.Engine { return ex.eng }
@@ -79,10 +81,18 @@ func (ex *Executor) ExactMapReduce(q query.Query) (query.Result, metrics.Cost, e
 }
 
 // CandidatePartitions returns the partitions whose zone maps intersect
-// the selection. Zone maps are maintained by the storage layer on every
-// mutation, so the answer is always current.
+// the selection. Zone maps are maintained by the table on every
+// mutation, so the answer is always current; for range-partitioned
+// tables they subsume the partition bounds, since they bound the actual
+// data. The zone test runs against live bounds under the table's read
+// lock (ZoneScan), so the only allocation is the candidate list itself.
 func (ex *Executor) CandidatePartitions(s query.Selection) []int {
-	parts, _ := query.Prune(ex.table, s)
+	parts := make([]int, 0, ex.table.Partitions())
+	ex.table.ZoneScan(func(p int, zm storage.ZoneMap) {
+		if query.ZoneCanMatch(s, zm) {
+			parts = append(parts, p)
+		}
+	})
 	return parts
 }
 
@@ -102,7 +112,7 @@ func (ex *Executor) ExactCohort(q query.Query) (query.Result, metrics.Cost, erro
 	}
 	parts := ex.CandidatePartitions(q.Select)
 	task := func(p int) ([][]float64, int64, error) {
-		partial, rowsRead, err := query.PartialForPartition(q, ex.table, p)
+		partial, rowsRead, err := partialForPartition(q, ex.table, p)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -117,6 +127,24 @@ func (ex *Executor) ExactCohort(q query.Query) (query.Result, metrics.Cost, erro
 		partials = append(partials, r.Results...)
 	}
 	return query.MergeEval(q, partials), cost, nil
+}
+
+// partialForPartition computes q's mergeable aggregate state over
+// partition p of t: the columnar batch kernels when the projection is
+// available, the row-at-a-time reference otherwise.
+func partialForPartition(q query.Query, t *cluster.Table, p int) (partial []float64, rowsRead int64, err error) {
+	view, _, err := t.ScanColumns(p)
+	if err == nil {
+		return query.PartialEvalView(q, view), int64(view.Len()), nil
+	}
+	if !errors.Is(err, cluster.ErrNoColumns) {
+		return nil, 0, err
+	}
+	rows, _, err := t.ScanPartition(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	return query.PartialEval(q, rows), int64(len(rows)), nil
 }
 
 // BuildGrid installs a density synopsis with cellsPer cells per dimension

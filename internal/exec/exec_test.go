@@ -15,7 +15,7 @@ func buildExec(t *testing.T, nRows, nNodes, nParts int) *Executor {
 	t.Helper()
 	cl := cluster.New(nNodes, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "data", []string{"x", "y"}, nParts)
+	tbl, err := cluster.NewTable(cl, "data", []string{"x", "y"}, nParts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestCandidatePartitionsPruning(t *testing.T) {
 	// Range-partitioned table on x: a narrow query must prune partitions.
 	cl := cluster.New(4, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "ranged", []string{"x", "y"}, 4,
-		storage.WithRangePartitioning([]float64{25, 50, 75}))
+	tbl, err := cluster.NewTable(cl, "ranged", []string{"x", "y"}, 4,
+		cluster.WithRangePartitioning([]float64{25, 50, 75}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPruningFollowsUpdateWhere(t *testing.T) {
 func TestEmptyTableGridError(t *testing.T) {
 	cl := cluster.New(1, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, _ := storage.NewTable(cl, "empty", []string{"x"}, 1)
+	tbl, _ := cluster.NewTable(cl, "empty", []string{"x"}, 1)
 	ex, err := New(eng, tbl)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ import (
 type Env struct {
 	Cluster  *cluster.Cluster
 	Engine   *engine.Engine
-	Table    *storage.Table
+	Table    *cluster.Table
 	Executor *exec.Executor
 	Rows     []storage.Row
 }
@@ -44,7 +44,7 @@ type Env struct {
 func NewEnv(nRows, nodes int, seed int64) (*Env, error) {
 	cl := cluster.New(nodes, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "data", []string{"x", "y", "z"}, 2*nodes)
+	tbl, err := cluster.NewTable(cl, "data", []string{"x", "y", "z"}, 2*nodes)
 	if err != nil {
 		return nil, fmt.Errorf("experiments env: %w", err)
 	}

@@ -118,11 +118,11 @@ func E4RankJoin(nRows, k int) (E4Row, error) {
 		return E4Row{}, err
 	}
 	rng := workload.NewRNG(22)
-	r, err := storage.NewTable(env.Cluster, "R", []string{"score"}, 16)
+	r, err := cluster.NewTable(env.Cluster, "R", []string{"score"}, 16)
 	if err != nil {
 		return E4Row{}, err
 	}
-	s, err := storage.NewTable(env.Cluster, "S", []string{"score"}, 16)
+	s, err := cluster.NewTable(env.Cluster, "S", []string{"score"}, 16)
 	if err != nil {
 		return E4Row{}, err
 	}
@@ -402,7 +402,7 @@ func clusterOf(n int) *cluster.Cluster {
 
 // rankjoinNew builds a rank-join operator over env's engine (shared by
 // E4 and ablation A4).
-func rankjoinNew(env *Env, r, s *storage.Table) (*rankjoin.Operator, error) {
+func rankjoinNew(env *Env, r, s *cluster.Table) (*rankjoin.Operator, error) {
 	return rankjoin.New(env.Engine, r, s, 0)
 }
 

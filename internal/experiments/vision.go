@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/explain"
@@ -152,7 +153,7 @@ type E12Row struct {
 // trend-structured entity attribute.
 func E12Polystore(nEntities int) (E12Row, error) {
 	cl := clusterOf(8)
-	tbl, err := storage.NewTable(cl, "entities", []string{"x"}, 8)
+	tbl, err := cluster.NewTable(cl, "entities", []string{"x"}, 8)
 	if err != nil {
 		return E12Row{}, err
 	}
@@ -293,11 +294,11 @@ func A4RankJoinBatch(nRows int, batches []int) ([]AblationRow, error) {
 		return nil, err
 	}
 	rng := workload.NewRNG(106)
-	r, err := storage.NewTable(env.Cluster, "R", []string{"score"}, 16)
+	r, err := cluster.NewTable(env.Cluster, "R", []string{"score"}, 16)
 	if err != nil {
 		return nil, err
 	}
-	s, err := storage.NewTable(env.Cluster, "S", []string{"score"}, 16)
+	s, err := cluster.NewTable(env.Cluster, "S", []string{"score"}, 16)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -19,7 +18,7 @@ func trainedAgent(t *testing.T) (*core.Agent, core.Oracle, *workload.QueryStream
 	t.Helper()
 	cl := cluster.New(4, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "data", []string{"x", "y", "z"}, 8)
+	tbl, err := cluster.NewTable(cl, "data", []string{"x", "y", "z"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -16,7 +15,7 @@ func buildCore(t *testing.T, nRows int) *exec.Executor {
 	t.Helper()
 	cl := cluster.New(8, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "core", []string{"x", "y", "z"}, 16)
+	tbl, err := cluster.NewTable(cl, "core", []string{"x", "y", "z"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

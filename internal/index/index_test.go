@@ -174,7 +174,7 @@ func TestGridIndexEmpty(t *testing.T) {
 
 func TestRankIndexDepths(t *testing.T) {
 	cl := cluster.New(2, cluster.DefaultConfig())
-	tbl, err := storage.NewTable(cl, "scores", []string{"score"}, 4)
+	tbl, err := cluster.NewTable(cl, "scores", []string{"score"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/sketch"
 	"repro/internal/storage"
 )
@@ -23,7 +24,7 @@ type RankIndex struct {
 // BuildRankIndex sorts every partition of t descending by score column
 // col and builds per-partition histograms with the given bucket count.
 // Index building is offline and uncharged (like any DBMS index build).
-func BuildRankIndex(t *storage.Table, col int, buckets int) (*RankIndex, error) {
+func BuildRankIndex(t *cluster.Table, col int, buckets int) (*RankIndex, error) {
 	t.SortPartitions(func(a, b storage.Row) bool {
 		return scoreOf(a, col) > scoreOf(b, col)
 	})

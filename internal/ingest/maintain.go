@@ -72,7 +72,6 @@ type Maintainer struct {
 	lastUnattr int64
 	lastInval  int64
 	rebuilds   int64
-	lastErr    error
 	stop       chan struct{}
 	done       chan struct{}
 }
@@ -129,7 +128,6 @@ func (m *Maintainer) CheckNow() (bool, error) {
 	if err == nil {
 		m.rebuilds++
 	}
-	m.lastErr = err
 	m.mu.Unlock()
 	if m.cfg.OnRebuild != nil {
 		m.cfg.OnRebuild(err)
@@ -182,12 +180,4 @@ func (m *Maintainer) Rebuilds() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rebuilds
-}
-
-// LastError returns the most recent rebuild error (nil when the last
-// rebuild succeeded or none ran).
-func (m *Maintainer) LastError() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastErr
 }

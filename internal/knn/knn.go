@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/metrics"
@@ -43,14 +44,14 @@ type Result struct {
 // Dims columns as coordinates.
 type Operator struct {
 	eng  *engine.Engine
-	tbl  *storage.Table
+	tbl  *cluster.Table
 	dims int
 	grid *index.GridIndex
 }
 
 // New builds the operator and its coordinator-side grid index over the
 // first dims columns (offline step).
-func New(eng *engine.Engine, tbl *storage.Table, dims, gridCells int) (*Operator, error) {
+func New(eng *engine.Engine, tbl *cluster.Table, dims, gridCells int) (*Operator, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("knn: dims must be >= 1, got %d", dims)
 	}

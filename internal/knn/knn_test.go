@@ -16,7 +16,7 @@ func buildOp(t *testing.T, nRows int) (*Operator, []storage.Row) {
 	t.Helper()
 	cl := cluster.New(8, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "pts", []string{"x", "y", "label"}, 16)
+	tbl, err := cluster.NewTable(cl, "pts", []string{"x", "y", "label"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBadInputs(t *testing.T) {
 	}
 	cl := cluster.New(1, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, _ := storage.NewTable(cl, "e", []string{"x"}, 1)
+	tbl, _ := cluster.NewTable(cl, "e", []string{"x"}, 1)
 	if _, err := New(eng, tbl, 0, 4); err == nil {
 		t.Error("dims=0 accepted")
 	}

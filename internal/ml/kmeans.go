@@ -17,7 +17,6 @@ type KMeans struct {
 	MaxIter int
 
 	centroids [][]float64
-	sizes     []int
 }
 
 // Fit clusters xs. rng drives the k-means++ seeding; deterministic for a
@@ -37,7 +36,6 @@ func (km *KMeans) Fit(xs [][]float64, rng *rand.Rand) error {
 	if maxIter <= 0 {
 		maxIter = 50
 	}
-	d := len(xs[0])
 	centroids := kmeansPlusPlusSeed(xs, k, rng)
 	assign := make([]int, len(xs))
 	for iter := 0; iter < maxIter; iter++ {
@@ -72,15 +70,7 @@ func (km *KMeans) Fit(xs [][]float64, rng *rand.Rand) error {
 			}
 			Scale(1/float64(counts[c]), centroids[c])
 		}
-		km.sizes = counts
 	}
-	if km.sizes == nil {
-		km.sizes = make([]int, k)
-		for _, a := range assign {
-			km.sizes[a]++
-		}
-	}
-	_ = d
 	km.centroids = centroids
 	return nil
 }
@@ -91,13 +81,6 @@ func (km *KMeans) Centroids() [][]float64 {
 	for i, c := range km.centroids {
 		out[i] = CopyVec(c)
 	}
-	return out
-}
-
-// Sizes returns the final cluster populations.
-func (km *KMeans) Sizes() []int {
-	out := make([]int, len(km.sizes))
-	copy(out, km.sizes)
 	return out
 }
 

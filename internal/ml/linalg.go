@@ -56,11 +56,6 @@ func SquaredDistance(a, b []float64) float64 {
 	return s
 }
 
-// Distance returns the Euclidean distance between a and b.
-func Distance(a, b []float64) float64 {
-	return math.Sqrt(SquaredDistance(a, b))
-}
-
 // AXPY computes y[i] += alpha*x[i] in place.
 func AXPY(alpha float64, x, y []float64) {
 	n := len(x)
@@ -106,19 +101,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// MulVec computes m * x and returns a new vector.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("%w: matrix %dx%d times vector %d",
-			ErrDimensionMismatch, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out, nil
-}
 
 // CholeskySolve solves the symmetric positive-definite system A x = b in
 // place using a Cholesky factorisation. A must be n x n and is destroyed.
@@ -196,9 +178,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Correlation returns the Pearson correlation coefficient of paired
 // samples x and y (using the shorter length), or 0 when undefined.

@@ -80,9 +80,6 @@ func (lr *LinearRegression) Weights() []float64 { return CopyVec(lr.weights) }
 // Intercept returns the fitted intercept.
 func (lr *LinearRegression) Intercept() float64 { return lr.intercept }
 
-// Fitted reports whether Fit has succeeded.
-func (lr *LinearRegression) Fitted() bool { return lr.fitted }
-
 // RLS is a recursive-least-squares online linear model with an intercept
 // and exponential forgetting. It is the workhorse of the SEA agent's
 // per-quantum answer models (RT1.3): each (query, answer) pair observed in
@@ -304,15 +301,6 @@ func (s *StandardScaler) Transform(x []float64) []float64 {
 	}
 	for j := 0; j < len(out) && j < len(s.mean); j++ {
 		out[j] = (out[j] - s.mean[j]) / s.std[j]
-	}
-	return out
-}
-
-// TransformAll maps Transform over a dataset.
-func (s *StandardScaler) TransformAll(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = s.Transform(x)
 	}
 	return out
 }

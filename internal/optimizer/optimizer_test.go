@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -17,7 +16,7 @@ func buildExec(t *testing.T, nRows, nNodes int) *exec.Executor {
 	t.Helper()
 	cl := cluster.New(nNodes, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "data", []string{"x", "y"}, nNodes*2)
+	tbl, err := cluster.NewTable(cl, "data", []string{"x", "y"}, nNodes*2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/ml"
-	"repro/internal/storage"
 )
 
 // ErrNoOverlap is returned when the two systems share no keys in the
@@ -35,7 +34,7 @@ var ErrNoOverlap = errors.New("polystore: no overlapping keys")
 // TableSystem holds entity attribute x (column xCol of its table).
 type TableSystem struct {
 	// Table is the relational store.
-	Table *storage.Table
+	Table *cluster.Table
 	// XCol is the attribute column.
 	XCol int
 }

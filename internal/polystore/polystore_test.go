@@ -16,7 +16,7 @@ import (
 func buildSystems(t *testing.T, n int) (*Analytics, map[uint64]float64, map[uint64]float64) {
 	t.Helper()
 	cl := cluster.New(4, cluster.DefaultConfig())
-	tbl, err := storage.NewTable(cl, "entities", []string{"x"}, 8)
+	tbl, err := cluster.NewTable(cl, "entities", []string{"x"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCrossSystemWAN(t *testing.T) {
 
 func TestNoOverlap(t *testing.T) {
 	cl := cluster.New(1, cluster.DefaultConfig())
-	tbl, _ := storage.NewTable(cl, "t", []string{"x"}, 1)
+	tbl, _ := cluster.NewTable(cl, "t", []string{"x"}, 1)
 	if err := tbl.Load([]storage.Row{{Key: 1, Vec: []float64{1}}}); err != nil {
 		t.Fatal(err)
 	}

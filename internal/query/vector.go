@@ -51,7 +51,6 @@
 package query
 
 import (
-	"errors"
 	"math"
 	"sync"
 
@@ -564,43 +563,4 @@ func ZoneCanMatch(s Selection, zm storage.ZoneMap) bool {
 		return false
 	}
 	return classifyBox(&s, zm.Mins, zm.Maxs) != boxMiss
-}
-
-// Prune partitions t's zone maps against sel: it returns the partitions
-// whose zone maps (and, for range-partitioned tables, partition bounds
-// — subsumed by the zone maps, which bound the actual data) can
-// intersect the selection, plus how many were skipped. The zone test
-// runs against live bounds under the table's read lock (ZoneScan), so
-// the only allocation is the candidate list itself.
-func Prune(t *storage.Table, sel Selection) (candidates []int, pruned int) {
-	candidates = make([]int, 0, t.Partitions())
-	t.ZoneScan(func(p int, zm storage.ZoneMap) {
-		if ZoneCanMatch(sel, zm) {
-			candidates = append(candidates, p)
-		} else {
-			pruned++
-		}
-	})
-	return candidates, pruned
-}
-
-// PartialForPartition computes q's mergeable aggregate state over
-// partition p of t: the columnar batch kernels when the projection is
-// available, the row-at-a-time reference otherwise. It is THE fallback
-// contract for table partials — callers that need raw mergeable states
-// (e.g. the cohort executor) share it instead of reimplementing the
-// try-columns-else-rows dance.
-func PartialForPartition(q Query, t *storage.Table, p int) (partial []float64, rowsRead int64, err error) {
-	view, _, err := t.ScanColumns(p)
-	if err == nil {
-		return PartialEvalView(q, view), int64(view.Len()), nil
-	}
-	if !errors.Is(err, storage.ErrNoColumns) {
-		return nil, 0, err
-	}
-	rows, _, err := t.ScanPartition(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return PartialEval(q, rows), int64(len(rows)), nil
 }

@@ -6,30 +6,59 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/storage"
 )
 
 var allAggs = []Agg{Count, Sum, Avg, Var, Corr, RegSlope}
 
-func vecTestTable(t *testing.T, rng *rand.Rand, nRows, width, nParts int, ranged bool) *storage.Table {
-	t.Helper()
-	cl := cluster.New(4, cluster.DefaultConfig())
-	cols := make([]string, width)
-	for j := range cols {
-		cols[j] = string(rune('a' + j))
+// testTable holds rows the way a serving member does: each partition's
+// rows beside its column store. Rows are placed by MixKey, or by ranges
+// of the first column when bounds is set (partition i holds values
+// below bounds[i]; the last partition holds the rest, NaN included).
+type testTable struct {
+	width int
+	rows  [][]storage.Row
+	cols  []*storage.ColStore
+}
+
+func newTestTable(width, nParts int, bounds []float64, rows []storage.Row) *testTable {
+	tt := &testTable{width: width, rows: make([][]storage.Row, nParts), cols: make([]*storage.ColStore, nParts)}
+	for _, r := range rows {
+		p := int(storage.MixKey(r.Key) % uint64(nParts))
+		if bounds != nil {
+			p = nParts - 1
+			for i, b := range bounds {
+				if r.Vec[0] < b {
+					p = i
+					break
+				}
+			}
+		}
+		tt.rows[p] = append(tt.rows[p], r)
 	}
-	var opts []storage.Option
+	for p := range tt.cols {
+		tt.cols[p] = storage.BuildColStore(width, tt.rows[p])
+	}
+	return tt
+}
+
+// view returns partition p's column view.
+func (tt *testTable) view(t testing.TB, p int) storage.ColumnView {
+	t.Helper()
+	v, ok := tt.cols[p].View()
+	if !ok {
+		t.Fatalf("partition %d has no columnar view", p)
+	}
+	return v
+}
+
+func vecTestTable(rng *rand.Rand, nRows, width, nParts int, ranged bool) *testTable {
+	var bounds []float64
 	if ranged {
-		bounds := make([]float64, nParts-1)
+		bounds = make([]float64, nParts-1)
 		for i := range bounds {
 			bounds[i] = 100 * float64(i+1) / float64(nParts)
 		}
-		opts = append(opts, storage.WithRangePartitioning(bounds))
-	}
-	tbl, err := storage.NewTable(cl, "vec", cols, nParts, opts...)
-	if err != nil {
-		t.Fatal(err)
 	}
 	rows := make([]storage.Row, nRows)
 	for i := range rows {
@@ -39,10 +68,7 @@ func vecTestTable(t *testing.T, rng *rand.Rand, nRows, width, nParts int, ranged
 		}
 		rows[i] = storage.Row{Key: uint64(i + 1), Vec: vec}
 	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return newTestTable(width, nParts, bounds, rows)
 }
 
 func randSelection(rng *rand.Rand, width int) Selection {
@@ -72,14 +98,9 @@ func randSelection(rng *rand.Rand, width int) Selection {
 // rowReference computes the row-at-a-time reference answer and the
 // per-partition reference partials (PartialEval merged with MergeEval —
 // the retained correctness oracle).
-func rowReference(t *testing.T, q Query, tbl *storage.Table) (Result, [][]float64) {
-	t.Helper()
-	partials := make([][]float64, tbl.Partitions())
-	for p := 0; p < tbl.Partitions(); p++ {
-		rows, _, err := tbl.ScanPartition(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+func rowReference(q Query, tbl *testTable) (Result, [][]float64) {
+	partials := make([][]float64, len(tbl.rows))
+	for p, rows := range tbl.rows {
 		partials[p] = PartialEval(q, rows)
 	}
 	return MergeEval(q, partials), partials
@@ -91,22 +112,18 @@ func rowReference(t *testing.T, q Query, tbl *storage.Table) (Result, [][]float6
 // the partials merge through the wire format (MergeEval). A partition
 // whose zone map cannot meet the selection is left out, and must hold no
 // match: pruning never drops a row.
-func tableEval(t *testing.T, q Query, tbl *storage.Table) (Result, error) {
+func tableEval(t *testing.T, q Query, tbl *testTable) (Result, error) {
 	t.Helper()
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := q.ValidateCols(tbl.Width()); err != nil {
+	if err := q.ValidateCols(tbl.width); err != nil {
 		return Result{}, err
 	}
 	var partials [][]float64
-	for p, zone := range tbl.ZoneMaps() {
-		view, _, err := tbl.ScanColumns(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partial := PartialEvalView(q, view)
-		if !ZoneCanMatch(q.Select, zone) {
+	for p, cs := range tbl.cols {
+		partial := PartialEvalView(q, tbl.view(t, p))
+		if !ZoneCanMatch(q.Select, cs.Zone()) {
 			if partial[0] != 0 {
 				t.Fatalf("partition %d was pruned but holds %v rows matching %+v", p, partial[0], q.Select)
 			}
@@ -134,22 +151,19 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 		width := 2 + rng.Intn(3)
 		nParts := 2 + rng.Intn(6)
 		ranged := rng.Intn(2) == 0
-		tbl := vecTestTable(t, rng, 300+rng.Intn(1200), width, nParts, ranged)
+		tbl := vecTestTable(rng, 300+rng.Intn(1200), width, nParts, ranged)
 		q := Query{
 			Select:    randSelection(rng, width),
 			Aggregate: allAggs[rng.Intn(len(allAggs))],
 			Col:       rng.Intn(width),
 			Col2:      rng.Intn(width),
 		}
-		ref, refPartials := rowReference(t, q, tbl)
+		ref, refPartials := rowReference(q, tbl)
 
 		// Per-partition: vectorized partials against the reference.
 		var absSum float64 // Σ|x| over the selected rows of the table
-		for p := 0; p < tbl.Partitions(); p++ {
-			view, _, err := tbl.ScanColumns(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for p := range tbl.cols {
+			view := tbl.view(t, p)
 			got := PartialEvalView(q, view)
 			want := refPartials[p]
 			if got[0] != want[0] {
@@ -222,7 +236,7 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 func TestZoneMapPruningComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nParts = 8
-	tbl := vecTestTable(t, rng, 4000, 3, nParts, true)
+	tbl := vecTestTable(rng, 4000, 3, nParts, true)
 
 	sels := []Selection{
 		{Los: []float64{10, 0, 0}, His: []float64{20, 100, 100}},       // one range stripe
@@ -232,19 +246,8 @@ func TestZoneMapPruningComplete(t *testing.T) {
 		{Los: []float64{0, 0, 0, 0}, His: []float64{100, 100, 100, 0}}, // wider than rows: prune all
 	}
 	for si, sel := range sels {
-		candidates, pruned := Prune(tbl, sel)
-		if len(candidates)+pruned != nParts {
-			t.Fatalf("sel %d: %d candidates + %d pruned != %d", si, len(candidates), pruned, nParts)
-		}
-		inCand := make(map[int]bool, len(candidates))
-		for _, p := range candidates {
-			inCand[p] = true
-		}
-		for p := 0; p < nParts; p++ {
-			rows, _, err := tbl.ScanPartition(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for p, rows := range tbl.rows {
+			kept := ZoneCanMatch(sel, tbl.cols[p].Zone())
 			// Geometric intersection with the partition's actual data box.
 			intersects := zoneFromRows(rows, sel)
 			hasMatch := false
@@ -254,10 +257,10 @@ func TestZoneMapPruningComplete(t *testing.T) {
 					break
 				}
 			}
-			if hasMatch && !inCand[p] {
+			if hasMatch && !kept {
 				t.Fatalf("sel %d: partition %d holds matches but was pruned", si, p)
 			}
-			if !intersects && inCand[p] {
+			if !intersects && kept {
 				t.Fatalf("sel %d: partition %d cannot intersect but was kept", si, p)
 			}
 		}
@@ -305,14 +308,7 @@ func TestShiftedFrameStability(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, y)
 	}
-	cl := cluster.New(2, cluster.DefaultConfig())
-	tbl, err := storage.NewTable(cl, "highmean", []string{"x", "y"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
+	tbl := newTestTable(2, 3, nil, rows)
 	sel := Selection{Los: []float64{0, 0}, His: []float64{2 * mean, 2 * mean}}
 
 	trueVar := twoPassVar(xs)
@@ -438,21 +434,12 @@ func TestPivotIgnoresUnselectedRows(t *testing.T) {
 // partitions must stop pruning (min/max cannot bound NaN).
 func TestNaNParity(t *testing.T) {
 	nan := math.NaN()
-	cl := cluster.New(2, cluster.DefaultConfig())
-	tbl, err := storage.NewTable(cl, "nan", []string{"x", "y"}, 2,
-		storage.WithRangePartitioning([]float64{50}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []storage.Row{
+	tbl := newTestTable(2, 2, []float64{50}, []storage.Row{
 		{Key: 1, Vec: []float64{10, 10}},
-		{Key: 2, Vec: []float64{nan, 10}}, // NaN routes to partition 0 (comparisons false)
+		{Key: 2, Vec: []float64{nan, 10}}, // NaN routes to the last partition (comparisons false)
 		{Key: 3, Vec: []float64{90, 90}},
 		{Key: 4, Vec: []float64{90, nan}},
-	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
+	})
 	sels := []Selection{
 		{Los: []float64{80, 80}, His: []float64{95, 95}},     // away from partition 0's numbers
 		{Los: []float64{0, 0}, His: []float64{20, 20}},       //
@@ -462,7 +449,7 @@ func TestNaNParity(t *testing.T) {
 	for si, sel := range sels {
 		for _, agg := range allAggs {
 			q := Query{Select: sel, Aggregate: agg, Col: 1, Col2: 0}
-			ref, _ := rowReference(t, q, tbl)
+			ref, _ := rowReference(q, tbl)
 			got, err := tableEval(t, q, tbl)
 			if err != nil {
 				t.Fatal(err)
@@ -514,7 +501,7 @@ func TestValidateCols(t *testing.T) {
 
 	// The evaluation boundary rejects, rather than silently answering 0.
 	rng := rand.New(rand.NewSource(3))
-	tbl := vecTestTable(t, rng, 100, 3, 2, false)
+	tbl := vecTestTable(rng, 100, 3, 2, false)
 	_, err := tableEval(t, Query{Select: Selection{Los: []float64{0, 0}, His: []float64{100, 100}}, Aggregate: Sum, Col: 7}, tbl)
 	if !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("err = %v, want ErrBadQuery", err)
@@ -529,25 +516,13 @@ func FuzzSelectIndices(f *testing.F) {
 	f.Add(-5.0, 5.0, 90.0, 120.0, 3.0, true)
 
 	rng := rand.New(rand.NewSource(99))
-	cl := cluster.New(2, cluster.DefaultConfig())
-	tbl, err := storage.NewTable(cl, "fuzz", []string{"x", "y"}, 1)
-	if err != nil {
-		f.Fatal(err)
+	scanned := make([]storage.Row, 3000)
+	for i := range scanned {
+		scanned[i] = storage.Row{Key: uint64(i), Vec: []float64{rng.Float64() * 100, rng.Float64() * 100}}
 	}
-	rows := make([]storage.Row, 3000)
-	for i := range rows {
-		rows[i] = storage.Row{Key: uint64(i), Vec: []float64{rng.Float64() * 100, rng.Float64() * 100}}
-	}
-	if err := tbl.Load(rows); err != nil {
-		f.Fatal(err)
-	}
-	view, _, err := tbl.ScanColumns(0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	scanned, _, err := tbl.ScanPartition(0)
-	if err != nil {
-		f.Fatal(err)
+	view, ok := storage.BuildColStore(2, scanned).View()
+	if !ok {
+		f.Fatal("no columnar view")
 	}
 
 	f.Fuzz(func(t *testing.T, a, b, c, d, r float64, radius bool) {

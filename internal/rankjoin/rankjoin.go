@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/metrics"
@@ -47,7 +48,7 @@ func (p Pair) Combined() float64 { return p.ScoreR + p.ScoreS }
 // the given column.
 type Operator struct {
 	eng      *engine.Engine
-	r, s     *storage.Table
+	r, s     *cluster.Table
 	scoreCol int
 	idxR     *index.RankIndex
 	idxS     *index.RankIndex
@@ -58,7 +59,7 @@ type Operator struct {
 
 // New builds the operator and its rank indexes (offline step: sorts
 // partitions by score and builds histograms).
-func New(eng *engine.Engine, r, s *storage.Table, scoreCol int) (*Operator, error) {
+func New(eng *engine.Engine, r, s *cluster.Table, scoreCol int) (*Operator, error) {
 	idxR, err := index.BuildRankIndex(r, scoreCol, 64)
 	if err != nil {
 		return nil, fmt.Errorf("rankjoin: index R: %w", err)
@@ -119,7 +120,7 @@ func (o *Operator) MapReduce(k int) ([]Pair, metrics.Cost, error) {
 	// outputs are unioned before reduction; costs add sequentially, as a
 	// real two-input Hadoop join would schedule them.
 	union := make(map[uint64][][]float64)
-	collect := func(t *storage.Table, tag float64) (metrics.Cost, error) {
+	collect := func(t *cluster.Table, tag float64) (metrics.Cost, error) {
 		m := mkMapper(tag)
 		passThrough := func(key uint64, values [][]float64) [][]float64 { return values }
 		out, cost, err := o.eng.MapReduce(t, m, passThrough)
@@ -180,7 +181,7 @@ func (o *Operator) Threshold(k int) ([]Pair, metrics.Cost, error) {
 	}
 	var total metrics.Cost
 
-	mk := func(t *storage.Table, ri *index.RankIndex) *side {
+	mk := func(t *cluster.Table, ri *index.RankIndex) *side {
 		s := &side{
 			t: t, idx: ri,
 			depth:  make([]int, t.Partitions()),
@@ -305,7 +306,7 @@ func (o *Operator) Threshold(k int) ([]Pair, metrics.Cost, error) {
 // side is one input stream of the threshold algorithm: a table with its
 // rank index, per-partition pull depths, and the rows seen so far.
 type side struct {
-	t      *storage.Table
+	t      *cluster.Table
 	idx    *index.RankIndex
 	depth  []int                // rows pulled so far per partition
 	seen   map[uint64][]float64 // key -> scores seen on this side

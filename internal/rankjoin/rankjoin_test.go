@@ -19,11 +19,11 @@ func buildOp(t *testing.T, nRows int) (*Operator, func(k int) []Pair) {
 	t.Helper()
 	cl := cluster.New(8, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	r, err := storage.NewTable(cl, "R", []string{"score"}, 8)
+	r, err := cluster.NewTable(cl, "R", []string{"score"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := storage.NewTable(cl, "S", []string{"score"}, 8)
+	s, err := cluster.NewTable(cl, "S", []string{"score"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestThresholdKLargerThanJoin(t *testing.T) {
 	// everything.
 	cl := cluster.New(2, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	r, _ := storage.NewTable(cl, "R", []string{"score"}, 2)
-	s, _ := storage.NewTable(cl, "S", []string{"score"}, 2)
+	r, _ := cluster.NewTable(cl, "R", []string{"score"}, 2)
+	s, _ := cluster.NewTable(cl, "S", []string{"score"}, 2)
 	if err := r.Load([]storage.Row{
 		{Key: 1, Vec: []float64{0.9}},
 		{Key: 2, Vec: []float64{0.5}},

@@ -12,7 +12,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -23,7 +22,7 @@ func newTrainedAgent(t *testing.T, nRows, training int, dataSeed, streamSeed int
 	t.Helper()
 	cl := cluster.New(4, cluster.DefaultConfig())
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "data", []string{"x", "y", "z"}, 8)
+	tbl, err := cluster.NewTable(cl, "data", []string{"x", "y", "z"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

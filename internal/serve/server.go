@@ -338,12 +338,6 @@ func (s *inspect) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// ServeListener serves on l until ctx is cancelled, then shuts down
-// gracefully (RunListener) and drains the scheduler.
-func (s *Server) ServeListener(ctx context.Context, l net.Listener, drain time.Duration) error {
-	return RunListener(ctx, l, s, drain, s.sched.Close)
-}
-
 // RunHTTP serves h on addr until ctx is cancelled, then shuts down
 // gracefully (see RunListener). onStopped runs once serving has ended
 // either way — cmd/seaserve passes its node's Close here.

@@ -236,7 +236,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
-	go func() { runDone <- srv.ServeListener(ctx, l, 5*time.Second) }()
+	go func() { runDone <- RunListener(ctx, l, srv, 5*time.Second, sched.Close) }()
 	url := "http://" + l.Addr().String()
 
 	// Park one request inside the (blocked) oracle fallback.

@@ -9,16 +9,7 @@
 // intersect a selection at all.
 package storage
 
-import (
-	"errors"
-	"slices"
-)
-
-// ErrNoColumns is returned by ScanColumns when a partition has no
-// usable columnar projection (its rows became ragged through an
-// UpdateWhere that resized vectors); callers fall back to the
-// row-at-a-time path.
-var ErrNoColumns = errors.New("storage: no columnar projection for partition")
+import "slices"
 
 // ColumnView is a read-only, zero-copy columnar snapshot of one
 // partition: Cols[j][i] is row i's value in column j, Keys[i] its key.

@@ -1,25 +1,12 @@
 package storage
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
-
-	"repro/internal/cluster"
 )
-
-func colTestTable(t *testing.T, nParts int, opts ...Option) *Table {
-	t.Helper()
-	cl := cluster.New(4, cluster.DefaultConfig())
-	tbl, err := NewTable(cl, "cols", []string{"x", "y", "z"}, nParts, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
-}
 
 func randRows(n int, seed int64) []Row {
 	rng := rand.New(rand.NewSource(seed))
@@ -31,253 +18,6 @@ func randRows(n int, seed int64) []Row {
 		}
 	}
 	return rows
-}
-
-// checkProjection asserts every partition's columnar view mirrors its
-// rows exactly and its zone map bounds them tightly.
-func checkProjection(t *testing.T, tbl *Table) {
-	t.Helper()
-	zones := tbl.ZoneMaps()
-	for p := 0; p < tbl.Partitions(); p++ {
-		rows, _, err := tbl.ScanPartition(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		view, _, err := tbl.ScanColumns(p)
-		if err != nil {
-			t.Fatalf("partition %d: %v", p, err)
-		}
-		if view.Len() != len(rows) || view.Width() != 3 {
-			t.Fatalf("partition %d: view %dx%d, rows %d", p, view.Len(), view.Width(), len(rows))
-		}
-		for i, r := range rows {
-			if view.Keys[i] != r.Key {
-				t.Fatalf("partition %d row %d: key %d != %d", p, i, view.Keys[i], r.Key)
-			}
-			for j, v := range r.Vec {
-				if view.Cols[j][i] != v {
-					t.Fatalf("partition %d row %d col %d: %v != %v", p, i, j, view.Cols[j][i], v)
-				}
-			}
-		}
-		zm := zones[p]
-		if zm.Rows != len(rows) {
-			t.Fatalf("partition %d: zone rows %d != %d", p, zm.Rows, len(rows))
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		for j := 0; j < 3; j++ {
-			lo, hi := rows[0].Vec[j], rows[0].Vec[j]
-			for _, r := range rows[1:] {
-				if r.Vec[j] < lo {
-					lo = r.Vec[j]
-				}
-				if r.Vec[j] > hi {
-					hi = r.Vec[j]
-				}
-			}
-			if zm.Mins[j] != lo || zm.Maxs[j] != hi {
-				t.Fatalf("partition %d col %d: zone [%v,%v], want [%v,%v]",
-					p, j, zm.Mins[j], zm.Maxs[j], lo, hi)
-			}
-		}
-	}
-}
-
-func TestColumnarProjectionTracksMutations(t *testing.T) {
-	tbl := colTestTable(t, 4)
-	if err := tbl.Load(randRows(500, 1)); err != nil {
-		t.Fatal(err)
-	}
-	checkProjection(t, tbl)
-
-	if _, err := tbl.Append(Row{Key: 9001, Vec: []float64{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.AppendBatch(randRows(100, 2)); err != nil {
-		t.Fatal(err)
-	}
-	checkProjection(t, tbl)
-
-	if _, _, err := tbl.UpdateWhere(
-		func(r Row) bool { return r.Vec[0] < 50 },
-		func(r *Row) { r.Vec[2] += 1000 },
-	); err != nil {
-		t.Fatal(err)
-	}
-	checkProjection(t, tbl)
-
-	tbl.SortPartitions(func(a, b Row) bool { return a.Vec[2] < b.Vec[2] })
-	checkProjection(t, tbl)
-}
-
-func TestScanSnapshotSemantics(t *testing.T) {
-	tbl := colTestTable(t, 2)
-	if err := tbl.Load(randRows(200, 3)); err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := tbl.ScanPartition(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, _, err := tbl.ScanColumns(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := len(rows)
-	wantFirst := rows[0].Vec[2]
-	wantCol := view.Cols[2][0]
-
-	// Appends must not grow an already-taken snapshot.
-	if _, err := tbl.AppendBatch(randRows(50, 4)); err != nil {
-		t.Fatal(err)
-	}
-	// Updates must not mutate it either (copy-on-write epochs).
-	if _, _, err := tbl.UpdateWhere(
-		func(Row) bool { return true },
-		func(r *Row) { r.Vec[2] = -12345 },
-	); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != wantLen || view.Len() != wantLen {
-		t.Fatalf("snapshot grew: rows %d, view %d, want %d", len(rows), view.Len(), wantLen)
-	}
-	if rows[0].Vec[2] != wantFirst {
-		t.Fatalf("row snapshot mutated: %v != %v", rows[0].Vec[2], wantFirst)
-	}
-	if view.Cols[2][0] != wantCol {
-		t.Fatalf("column snapshot mutated: %v != %v", view.Cols[2][0], wantCol)
-	}
-	// The table itself sees the update.
-	fresh, _, err := tbl.ScanPartition(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh[0].Vec[2] != -12345 {
-		t.Fatalf("update not visible in fresh scan: %v", fresh[0].Vec[2])
-	}
-}
-
-// TestScanWhileIngest is the -race regression for the scan-aliasing
-// hazard: readers scan (rows and columns) while writers append batches
-// and run in-place updates. Every observed snapshot must be internally
-// consistent (keys match the mirrored columns) and the race detector
-// must stay quiet.
-func TestScanWhileIngest(t *testing.T) {
-	tbl := colTestTable(t, 4)
-	if err := tbl.Load(randRows(1000, 5)); err != nil {
-		t.Fatal(err)
-	}
-	const writers, readers, batches = 2, 4, 50
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			for b := 0; b < batches; b++ {
-				rows := randRows(20, seed*1000+int64(b))
-				for i := range rows {
-					rows[i].Key = uint64(seed)*1_000_000 + uint64(b)*100 + uint64(i)
-				}
-				if _, err := tbl.AppendBatch(rows); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(int64(w + 10))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if _, _, err := tbl.UpdateWhere(
-				func(r Row) bool { return r.Key%97 == uint64(i) },
-				func(r *Row) { r.Vec[1] += 1 },
-			); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				p := i % tbl.Partitions()
-				rows, _, err := tbl.ScanPartition(p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				view, _, err := tbl.ScanColumns(p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				// A view is a consistent epoch: keys mirror rows written
-				// together with their vectors.
-				for i := 0; i < view.Len(); i++ {
-					_ = view.Keys[i]
-					for j := 0; j < view.Width(); j++ {
-						_ = view.Cols[j][i]
-					}
-				}
-				for _, r := range rows {
-					_ = r.Vec[0]
-				}
-				if _, _, _, err := tbl.Get(uint64(i + 1)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	checkProjection(t, tbl)
-	if got, want := tbl.Rows(), int64(1000+writers*batches*20); got != want {
-		t.Fatalf("rows = %d, want %d", got, want)
-	}
-}
-
-// TestRaggedPartitionFallsBack poisons a partition's projection by
-// resizing row vectors through UpdateWhere and asserts ScanColumns
-// reports ErrNoColumns while ScanPartition and zone maps stay usable.
-func TestRaggedPartitionFallsBack(t *testing.T) {
-	tbl := colTestTable(t, 2)
-	if err := tbl.Load(randRows(100, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tbl.UpdateWhere(
-		func(r Row) bool { return true },
-		func(r *Row) { r.Vec = r.Vec[:2] },
-	); err != nil {
-		t.Fatal(err)
-	}
-	raggedSeen := false
-	for p := 0; p < tbl.Partitions(); p++ {
-		_, _, err := tbl.ScanColumns(p)
-		rows, _, serr := tbl.ScanPartition(p)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		if !errors.Is(err, ErrNoColumns) {
-			t.Fatalf("partition %d: err = %v, want ErrNoColumns", p, err)
-		}
-		raggedSeen = true
-		zm := tbl.ZoneMaps()[p]
-		if zm.Rows != len(rows) || zm.Mins != nil {
-			t.Fatalf("partition %d: ragged zone = %+v, want rows=%d nil bounds", p, zm, len(rows))
-		}
-	}
-	if !raggedSeen {
-		t.Fatal("no non-empty partition exercised the ragged path")
-	}
 }
 
 // TestColumnViewRows: Rows materialises the suffix [from:] in insertion

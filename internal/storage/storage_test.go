@@ -1,305 +1,10 @@
 package storage
 
-import (
-	"errors"
-	"math"
-	"testing"
-	"testing/quick"
-
-	"repro/internal/cluster"
-)
-
-func testCluster(n int) *cluster.Cluster {
-	return cluster.New(n, cluster.DefaultConfig())
-}
-
-func mkRows(n int, d int) []Row {
-	rows := make([]Row, n)
-	for i := range rows {
-		vec := make([]float64, d)
-		for j := range vec {
-			vec[j] = float64(i*d + j)
-		}
-		rows[i] = Row{Key: uint64(i), Vec: vec}
-	}
-	return rows
-}
-
-func TestNewTableValidation(t *testing.T) {
-	cl := testCluster(2)
-	if _, err := NewTable(cl, "t", nil, 2); err == nil {
-		t.Error("want error for empty schema")
-	}
-	if _, err := NewTable(cl, "t", []string{"a"}, 0); err == nil {
-		t.Error("want error for zero partitions")
-	}
-	if _, err := NewTable(cl, "t", []string{"a"}, 3, WithRangePartitioning([]float64{1})); err == nil {
-		t.Error("want error for wrong bound count")
-	}
-}
-
-func TestLoadAndScan(t *testing.T) {
-	cl := testCluster(4)
-	tbl, err := NewTable(cl, "t", []string{"a", "b"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Load(mkRows(1000, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 1000 {
-		t.Fatalf("Rows = %d", tbl.Rows())
-	}
-	var total int
-	for p := 0; p < tbl.Partitions(); p++ {
-		rows, cost, err := tbl.ScanPartition(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(rows)
-		if cost.RowsRead != int64(len(rows)) {
-			t.Errorf("partition %d cost rows %d != %d", p, cost.RowsRead, len(rows))
-		}
-		if len(rows) > 0 && cost.NodesTouched != 1 {
-			t.Errorf("partition %d touched %d nodes", p, cost.NodesTouched)
-		}
-	}
-	if total != 1000 {
-		t.Errorf("scanned %d rows total", total)
-	}
-	// Hash partitioning should be reasonably balanced.
-	for p := 0; p < tbl.Partitions(); p++ {
-		rows, _, _ := tbl.ScanPartition(p)
-		if len(rows) < 60 || len(rows) > 200 {
-			t.Errorf("partition %d badly skewed: %d rows", p, len(rows))
-		}
-	}
-}
-
-func TestSchemaMismatch(t *testing.T) {
-	cl := testCluster(1)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 1)
-	err := tbl.Load([]Row{{Key: 1, Vec: []float64{1, 2}}})
-	if !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("err = %v, want ErrSchemaMismatch", err)
-	}
-	if _, err := tbl.Append(Row{Key: 2, Vec: nil}); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("Append err = %v", err)
-	}
-}
-
-func TestRangePartitioning(t *testing.T) {
-	cl := testCluster(3)
-	tbl, err := NewTable(cl, "t", []string{"v"}, 3, WithRangePartitioning([]float64{10, 20}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []Row{
-		{Key: 1, Vec: []float64{5}},
-		{Key: 2, Vec: []float64{15}},
-		{Key: 3, Vec: []float64{25}},
-	}
-	if err := tbl.Load(rows); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 3; p++ {
-		got, _, err := tbl.ScanPartition(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0].Key != uint64(p+1) {
-			t.Errorf("partition %d = %v", p, got)
-		}
-	}
-}
-
-func TestGetHashRouted(t *testing.T) {
-	cl := testCluster(4)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 8)
-	if err := tbl.Load(mkRows(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	row, ok, cost, err := tbl.Get(42)
-	if err != nil || !ok {
-		t.Fatalf("Get(42): ok=%v err=%v", ok, err)
-	}
-	if row.Key != 42 {
-		t.Errorf("Get returned key %d", row.Key)
-	}
-	if cost.RowsRead != 1 {
-		t.Errorf("point lookup read %d rows, want 1", cost.RowsRead)
-	}
-	_, ok, _, err = tbl.Get(10_000)
-	if err != nil || ok {
-		t.Errorf("Get(missing): ok=%v err=%v", ok, err)
-	}
-}
-
-func TestAppendBumpsVersion(t *testing.T) {
-	cl := testCluster(2)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 2)
-	v0 := tbl.Version()
-	if _, err := tbl.Append(Row{Key: 1, Vec: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Version() != v0+1 {
-		t.Errorf("version %d, want %d", tbl.Version(), v0+1)
-	}
-	if tbl.Rows() != 1 {
-		t.Errorf("Rows = %d", tbl.Rows())
-	}
-}
-
-func TestUpdateWhere(t *testing.T) {
-	cl := testCluster(2)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 4)
-	if err := tbl.Load(mkRows(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	v0 := tbl.Version()
-	n, cost, err := tbl.UpdateWhere(
-		func(r Row) bool { return r.Vec[0] < 50 },
-		func(r *Row) { r.Vec[0] += 1000 },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Errorf("changed %d rows, want 50", n)
-	}
-	if cost.RowsRead != 100 {
-		t.Errorf("update scanned %d rows", cost.RowsRead)
-	}
-	if tbl.Version() != v0+1 {
-		t.Error("version not bumped")
-	}
-}
-
-func TestFailoverToReplica(t *testing.T) {
-	cl := testCluster(4)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 4)
-	if err := tbl.Load(mkRows(40, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Partition 0's primary is node 0; fail it.
-	if err := cl.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tbl.ScanPartition(0); err != nil {
-		t.Errorf("scan with replica available failed: %v", err)
-	}
-	node, err := tbl.HostNode(0)
-	if err != nil || node != 1 {
-		t.Errorf("HostNode = %d, %v; want replica node 1", node, err)
-	}
-	// Fail the replica too.
-	if err := cl.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tbl.ScanPartition(0); !errors.Is(err, ErrAllReplicasDown) {
-		t.Errorf("err = %v, want ErrAllReplicasDown", err)
-	}
-}
-
-func TestScanPartitionPrefix(t *testing.T) {
-	cl := testCluster(1)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 1)
-	if err := tbl.Load(mkRows(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	rows, cost, err := tbl.ScanPartitionPrefix(0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 || cost.RowsRead != 10 {
-		t.Errorf("prefix scan returned %d rows, cost %d", len(rows), cost.RowsRead)
-	}
-	// Prefix larger than partition clamps.
-	rows, _, err = tbl.ScanPartitionPrefix(0, 1000)
-	if err != nil || len(rows) != 100 {
-		t.Errorf("oversized prefix = %d rows, err %v", len(rows), err)
-	}
-	if _, _, err := tbl.ScanPartition(99); !errors.Is(err, ErrNoSuchPartition) {
-		t.Errorf("bad partition err = %v", err)
-	}
-}
-
-func TestSortPartitions(t *testing.T) {
-	cl := testCluster(1)
-	tbl, _ := NewTable(cl, "t", []string{"score"}, 2)
-	if err := tbl.Load(mkRows(50, 1)); err != nil {
-		t.Fatal(err)
-	}
-	tbl.SortPartitions(func(a, b Row) bool { return a.Vec[0] > b.Vec[0] })
-	for p := 0; p < tbl.Partitions(); p++ {
-		rows, _, _ := tbl.ScanPartition(p)
-		for i := 1; i < len(rows); i++ {
-			if rows[i].Vec[0] > rows[i-1].Vec[0] {
-				t.Fatalf("partition %d not sorted desc at %d", p, i)
-			}
-		}
-	}
-}
+import "testing"
 
 func TestRowBytes(t *testing.T) {
 	r := Row{Key: 1, Vec: []float64{1, 2, 3}}
 	if r.Bytes() != 8+24 {
 		t.Errorf("Bytes = %d", r.Bytes())
-	}
-}
-
-// Property: every loaded row is found in exactly one partition, and
-// PartitionFor is stable.
-func TestPartitioningProperty(t *testing.T) {
-	cl := testCluster(4)
-	tbl, _ := NewTable(cl, "t", []string{"a"}, 8)
-	f := func(key uint64) bool {
-		v := float64(key % 1000)
-		if math.IsNaN(v) {
-			return true
-		}
-		p1 := tbl.PartitionFor(key, []float64{v})
-		p2 := tbl.PartitionFor(key, []float64{v})
-		return p1 == p2 && p1 >= 0 && p1 < tbl.Partitions()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAppendBatchSingleVersionBump(t *testing.T) {
-	cl := testCluster(4)
-	tbl, err := NewTable(cl, "t", []string{"a", "b"}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Load(mkRows(100, 2)); err != nil {
-		t.Fatal(err)
-	}
-	v0 := tbl.Version()
-	batch := make([]Row, 50)
-	for i := range batch {
-		batch[i] = Row{Key: uint64(1000 + i), Vec: []float64{1, 2}}
-	}
-	cost, err := tbl.AppendBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Version() != v0+1 {
-		t.Fatalf("batch bumped version by %d, want 1", tbl.Version()-v0)
-	}
-	if tbl.Rows() != 150 {
-		t.Fatalf("Rows = %d, want 150", tbl.Rows())
-	}
-	if cost.RowsRead == 0 {
-		t.Fatalf("batch append charged no work")
-	}
-	// A schema-mismatched batch is rejected atomically.
-	bad := []Row{{Key: 1, Vec: []float64{1, 2}}, {Key: 2, Vec: []float64{1}}}
-	if _, err := tbl.AppendBatch(bad); err == nil {
-		t.Fatalf("mismatched batch accepted")
-	}
-	if tbl.Rows() != 150 || tbl.Version() != v0+1 {
-		t.Fatalf("failed batch mutated the table")
 	}
 }

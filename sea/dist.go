@@ -1,11 +1,11 @@
 package sea
 
-// This file re-exports the distributed serving cluster (internal/dist):
-// a consistent-hash ring shards the query space and the data partitions
-// across process-level HTTP/JSON nodes with R-way replication, exact
+// This file starts the distributed serving cluster (internal/dist)
+// in-process: a consistent-hash ring shards the query space and the data
+// partitions across HTTP/JSON members with R-way replication, exact
 // answers scatter-gather the distributable aggregate kernels, replica
-// failover masks dead nodes, and new replicas warm up by model-snapshot
-// shipping. See cmd/seaserve for multi-node launch and DESIGN.md's
+// failover masks dead members, and new replicas warm up by model-snapshot
+// shipping. See cmd/seaserve for multi-process launch and DESIGN.md's
 // "Distributed cluster" section for the architecture.
 
 import (
@@ -14,20 +14,8 @@ import (
 	"repro/internal/storage"
 )
 
-// ClusterNode is one distributed serving member (see dist.Node).
-type ClusterNode = dist.Node
-
 // ClusterConfig describes a member (see dist.Config).
 type ClusterConfig = dist.Config
-
-// ClusterClient is the ring-aware failover client (see dist.Client).
-type ClusterClient = dist.Client
-
-// ClusterStatus is the /v1/cluster status body (see dist.ClusterStatus).
-type ClusterStatus = dist.ClusterStatus
-
-// Ring is the consistent-hash placement ring (see dist.Ring).
-type Ring = dist.Ring
 
 // LocalCluster runs N members in-process on loopback HTTP (tests,
 // demos; see dist.LocalCluster).
@@ -36,16 +24,6 @@ type LocalCluster = dist.LocalCluster
 // AgentSnapshot is the serialisable agent state used for model shipping
 // (see core.AgentSnapshot).
 type AgentSnapshot = core.AgentSnapshot
-
-// NewClusterNode builds a cluster member. Load data into it, then serve
-// its Handler().
-func NewClusterNode(cfg ClusterConfig) (*ClusterNode, error) { return dist.NewNode(cfg) }
-
-// NewClusterClient builds a ring-aware cluster client over the members
-// (id -> base URL) with the given replication factor.
-func NewClusterClient(members map[string]string, replicas int) *ClusterClient {
-	return dist.NewClient(members, replicas, 0)
-}
 
 // StartLocalCluster boots n in-process members over rows.
 func StartLocalCluster(n int, cfg ClusterConfig, rows []storage.Row) (*LocalCluster, error) {

@@ -98,7 +98,7 @@ type SystemConfig struct {
 type System struct {
 	cl    *cluster.Cluster
 	eng   *engine.Engine
-	table *storage.Table
+	table *cluster.Table
 	ex    *exec.Executor
 }
 
@@ -118,7 +118,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	cl := cluster.New(cfg.Nodes, cfg.Cluster)
 	eng := engine.New(cl)
-	tbl, err := storage.NewTable(cl, "data", cfg.Columns, cfg.Partitions)
+	tbl, err := cluster.NewTable(cl, "data", cfg.Columns, cfg.Partitions)
 	if err != nil {
 		return nil, fmt.Errorf("sea: %w", err)
 	}
@@ -143,7 +143,7 @@ func (s *System) Rows() int64 { return s.table.Rows() }
 
 // Table exposes the underlying table (for advanced use: updates,
 // operators from the internal packages).
-func (s *System) Table() *storage.Table { return s.table }
+func (s *System) Table() *cluster.Table { return s.table }
 
 // Engine exposes the execution engine.
 func (s *System) Engine() *engine.Engine { return s.eng }
