@@ -22,6 +22,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -319,8 +320,9 @@ func BenchmarkAblationGeoRouting(b *testing.B) {
 
 // BenchmarkE17HotPath proves the serving hot path's allocation
 // contract with -benchmem precision: the steady-state TryPredict tier
-// (indexed quantum lookup + scratch-arena features) and the versioned
-// cache-hit tier must both report 0 allocs/op (CI greps both lines).
+// (indexed quantum lookup + scratch-arena features), the versioned
+// cache-hit tier, and the same cache hit through the scheduler's
+// admission gate must all report 0 allocs/op (CI greps the three lines).
 func BenchmarkE17HotPath(b *testing.B) {
 	fix, err := experiments.NewE17Fixture(20_000, 300)
 	if err != nil {
@@ -342,6 +344,20 @@ func BenchmarkE17HotPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := fix.Pool.Answer(fix.Query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Scheduled", func(b *testing.B) {
+		sched := serve.NewScheduler(fix.Pool, serve.SchedulerConfig{})
+		defer sched.Close()
+		if _, err := sched.Answer("", fix.Query); err != nil { // prime
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sched.Answer("", fix.Query); err != nil {
 				b.Fatal(err)
 			}
 		}

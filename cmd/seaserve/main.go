@@ -4,8 +4,13 @@
 // HTTP/JSON. There is one mode: every member mounts every route, and a
 // process started without -peers or -join is a one-member cluster.
 //
-//	seaserve [-addr :8080] [-rows 20000] [-training 300] [-agents 1]
+//	seaserve [-addr :8080] [-rows 20000] [-training 300]
 //	         [-workers 8] [-queue 256] [-tenant-inflight 64] [-data-dir DIR]
+//
+// Each member runs one SEA agent in front of its data, and each query
+// runs on its own request goroutine from socket to model: -workers caps
+// the queries that run at once, -queue the ones that wait for a slot,
+// and -tenant-inflight one tenant's share of both.
 //
 // A lone member's view is {-node-id: self URL}: the id defaults to
 // "local", and the URL is -advertise or else http://<-addr> (an empty
@@ -25,8 +30,8 @@
 //
 // -replicas defaults to 2, or to the member count when that is smaller.
 // Every member loads the same deterministic synthetic dataset (same
-// -rows/-seed) and keeps only the partitions the ring assigns it. The
-// agents learn from their first -training live queries; nothing is
+// -rows/-seed) and keeps only the partitions the ring assigns it. Each
+// member's agent learns from its first -training live queries; nothing is
 // trained before serving, since a member's peers may not be up yet.
 //
 // The boot ends, just before serving, by returning its scratch memory to
@@ -116,7 +121,7 @@
 //
 // The process traps SIGINT/SIGTERM and shuts down gracefully: the
 // listener stops accepting, in-flight queries drain (up to -drain), and
-// the scheduler's workers exit cleanly.
+// the scheduler refuses new calls once the admitted ones have finished.
 package main
 
 import (
@@ -155,7 +160,6 @@ type options struct {
 	addr           string
 	rows           int
 	training       int
-	agents         int
 	workers        int
 	queue          int
 	tenantInflight int
@@ -193,10 +197,9 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&o.rows, "rows", 20_000, "synthetic rows to load")
-	flag.IntVar(&o.training, "training", 300, "live queries each agent answers exactly while it learns")
-	flag.IntVar(&o.agents, "agents", 1, "agent pool size (affinity-sharded)")
-	flag.IntVar(&o.workers, "workers", 8, "serving worker goroutines")
-	flag.IntVar(&o.queue, "queue", 256, "pending-query queue depth")
+	flag.IntVar(&o.training, "training", 300, "live queries the agent answers exactly while it learns")
+	flag.IntVar(&o.workers, "workers", 8, "queries that run at once")
+	flag.IntVar(&o.queue, "queue", 256, "queries that may wait for a running slot")
 	flag.IntVar(&o.tenantInflight, "tenant-inflight", 64, "max in-flight queries per tenant")
 	flag.Int64Var(&o.seed, "seed", 1, "data RNG seed (must match across members)")
 	flag.IntVar(&o.answerCache, "answer-cache", dist.DefaultAnswerCache,
@@ -205,7 +208,7 @@ func main() {
 	flag.StringVar(&o.nodeID, "node-id", defaultNodeID, "this member's id")
 	flag.StringVar(&o.peerList, "peers", "", "cluster members as id=url,id=url,... (empty: a one-member cluster)")
 	flag.IntVar(&o.replicas, "replicas", 0, "replication factor (0: 2, or the member count when smaller)")
-	flag.StringVar(&o.warmFrom, "warm-from", "", "peer URL to import agent snapshots from at start")
+	flag.StringVar(&o.warmFrom, "warm-from", "", "peer URL to import the agent snapshot from at start")
 	flag.StringVar(&o.join, "join", "", "live member URL to join a running cluster through (replaces -peers)")
 	flag.StringVar(&o.advertise, "advertise", "", "this member's externally reachable URL (required with -join; default http://<-addr> without -peers)")
 	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "background replica-repair cadence (0 disables)")
@@ -250,9 +253,6 @@ func (o *options) validate() error {
 	}
 	if o.training < 0 {
 		return fmt.Errorf("-training must be >= 0, got %d", o.training)
-	}
-	if o.agents < 1 {
-		return fmt.Errorf("-agents must be >= 1, got %d", o.agents)
 	}
 	if o.workers < 1 || o.queue < 1 {
 		return fmt.Errorf("-workers and -queue must be >= 1, got %d and %d", o.workers, o.queue)
@@ -416,7 +416,6 @@ func run(ctx context.Context, o options) error {
 		ID:             o.nodeID,
 		Peers:          o.peers,
 		Replicas:       o.replicas,
-		Agents:         o.agents,
 		Agent:          agentCfg,
 		Workers:        o.workers,
 		QueueDepth:     o.queue,

@@ -8,7 +8,7 @@ import (
 
 func clusterOpts() options {
 	return options{
-		addr: ":0", rows: 1000, training: 10, agents: 1,
+		addr: ":0", rows: 1000, training: 10,
 		workers: 2, queue: 16, seed: 1, drain: time.Second, driftBudget: 200,
 		nodeID:   "n0",
 		peerList: "n0=http://a:1,n1=http://b:1,n2=http://c:1",

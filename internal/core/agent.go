@@ -548,6 +548,17 @@ func (a *Agent) TryPredict(q query.Query) (Answer, bool) {
 			return Answer{}, false
 		}
 	}
+	ans, ok := a.predictLocked(q)
+	if ok {
+		a.count(ans, a.quantizer.Len())
+	}
+	return ans, ok
+}
+
+// predictLocked routes q to its quantum's model and, when q lies within
+// learned coverage and the model is trustworthy, returns the model's
+// answer. The caller holds a.mu (either side); nothing is mutated.
+func (a *Agent) predictLocked(q query.Query) (Answer, bool) {
 	s := a.getScratch()
 	defer a.scratch.Put(s)
 	qv := q.VectorizeInto(s.qvec[:0], a.cfg.Dims)
@@ -559,30 +570,42 @@ func (a *Agent) TryPredict(q query.Query) (Answer, bool) {
 		return Answer{}, false // outside learned query-space coverage
 	}
 	ms := a.models[a.key(q)]
-	if quantum >= len(ms) || ms[quantum] == nil {
+	if quantum >= len(ms) || !ms[quantum].trustworthy(a.cfg) {
 		return Answer{}, false
 	}
-	m := ms[quantum]
-	if !m.trustworthy(a.cfg) {
-		return Answer{}, false
-	}
-	pred := m.correct(q.Aggregate, invTransform(q.Aggregate, m.rls.Predict(a.featuresFrom(s, qv, q))))
-	pred = clampPrediction(q.Aggregate, pred)
-	ans := Answer{
-		Value:     pred,
+	return a.predicted(ms[quantum], q, quantum, a.featuresFrom(s, qv, q)), true
+}
+
+// predicted is the answer model m of quantum gives for q from its
+// features feat: the model-space prediction mapped back to answer
+// space, growth-corrected and clamped to the aggregate's range.
+func (a *Agent) predicted(m *quantumModel, q query.Query, quantum int, feat []float64) Answer {
+	pred := m.correct(q.Aggregate, invTransform(q.Aggregate, m.rls.Predict(feat)))
+	return Answer{
+		Value:     clampPrediction(q.Aggregate, pred),
 		Predicted: true,
 		EstError:  m.estError(),
 		Quantum:   quantum,
 		FreshRows: a.freshRows[quantum],
 		Cost:      metrics.Cost{Time: a.cfg.PredictCPU, CPUTime: a.cfg.PredictCPU},
 	}
+}
+
+// count folds one served answer into the lifetime statistics; quanta
+// is the quantiser's size when it was answered. An exact answer's cost
+// is also charged to the oracle.
+func (a *Agent) count(ans Answer, quanta int) {
 	a.statsMu.Lock()
 	a.stats.Queries++
-	a.stats.Predicted++
 	a.stats.TotalCost = a.stats.TotalCost.Add(ans.Cost)
-	a.stats.Quanta = a.quantizer.Len()
+	if ans.Predicted {
+		a.stats.Predicted++
+	} else {
+		a.stats.Exact++
+		a.stats.OracleCost = a.stats.OracleCost.Add(ans.Cost)
+	}
+	a.stats.Quanta = quanta
 	a.statsMu.Unlock()
-	return ans, true
 }
 
 // answerSlow is the full Fig. 2 pipeline. The decision phase (change
@@ -626,23 +649,10 @@ func (a *Agent) answerSlow(q query.Query, sp *trace.Span) (Answer, error) {
 	m := a.model(k, quantum)
 
 	if !inTraining && !outOfCoverage && m.trustworthy(a.cfg) {
-		pred := m.correct(q.Aggregate, invTransform(q.Aggregate, m.rls.Predict(feat)))
-		pred = clampPrediction(q.Aggregate, pred)
-		ans := Answer{
-			Value:     pred,
-			Predicted: true,
-			EstError:  m.estError(),
-			Quantum:   quantum,
-			FreshRows: a.freshRows[quantum],
-			Cost:      metrics.Cost{Time: a.cfg.PredictCPU, CPUTime: a.cfg.PredictCPU},
-		}
+		ans := a.predicted(m, q, quantum, feat)
+		quanta := a.quantizer.Len()
 		a.mu.Unlock()
-		a.statsMu.Lock()
-		a.stats.Queries++
-		a.stats.Predicted++
-		a.stats.TotalCost = a.stats.TotalCost.Add(ans.Cost)
-		a.stats.Quanta = a.quantizer.Len()
-		a.statsMu.Unlock()
+		a.count(ans, quanta)
 		return ans, nil
 	}
 
@@ -692,13 +702,7 @@ func (a *Agent) answerSlow(q query.Query, sp *trace.Span) (Answer, error) {
 			Degraded: true,
 			Coverage: res.Coverage,
 		}
-		a.statsMu.Lock()
-		a.stats.Queries++
-		a.stats.Exact++
-		a.stats.TotalCost = a.stats.TotalCost.Add(cost)
-		a.stats.OracleCost = a.stats.OracleCost.Add(cost)
-		a.stats.Quanta = quanta
-		a.statsMu.Unlock()
+		a.count(ans, quanta)
 		return ans, nil
 	}
 
@@ -744,13 +748,7 @@ func (a *Agent) answerSlow(q query.Query, sp *trace.Span) (Answer, error) {
 		Quantum: quantum,
 		Cost:    cost,
 	}
-	a.statsMu.Lock()
-	a.stats.Queries++
-	a.stats.Exact++
-	a.stats.TotalCost = a.stats.TotalCost.Add(cost)
-	a.stats.OracleCost = a.stats.OracleCost.Add(cost)
-	a.stats.Quanta = quanta
-	a.statsMu.Unlock()
+	a.count(ans, quanta)
 	return ans, nil
 }
 
@@ -913,27 +911,8 @@ func (a *Agent) PredictOnly(q query.Query) (value, estErr float64, ok bool) {
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	s := a.getScratch()
-	defer a.scratch.Put(s)
-	qv := q.VectorizeInto(s.qvec[:0], a.cfg.Dims)
-	quantum, d2 := a.quantizer.Assign(qv)
-	if quantum < 0 {
-		return 0, 0, false
-	}
-	if a.cfg.SpawnDistance > 0 && d2 > a.cfg.SpawnDistance {
-		return 0, 0, false // outside learned query-space coverage
-	}
-	k := a.key(q)
-	ms := a.models[k]
-	if quantum >= len(ms) || ms[quantum] == nil {
-		return 0, 0, false
-	}
-	m := ms[quantum]
-	if !m.trustworthy(a.cfg) {
-		return 0, 0, false
-	}
-	pred := m.correct(q.Aggregate, invTransform(q.Aggregate, m.rls.Predict(a.featuresFrom(s, qv, q))))
-	return clampPrediction(q.Aggregate, pred), m.estError(), true
+	ans, ok := a.predictLocked(q)
+	return ans.Value, ans.EstError, ok
 }
 
 // ExactProbe evaluates q on the exact oracle without touching models,

@@ -16,7 +16,7 @@ import (
 )
 
 // Client is a ring-aware cluster client: it routes each query to the
-// key's ring owners (so it lands on the node whose agents learned that
+// key's ring owners (so it lands on the node whose agent learned that
 // query region) and fails over to the next replica — and then to any
 // other member — when a node is unreachable. One node dying mid-stream
 // is therefore invisible to callers: the request is retried elsewhere,

@@ -8,7 +8,7 @@
 //     ("part:<i>" keys) across N nodes with R-way replication.
 //
 //   - Each Node holds the data partitions the ring assigns it and runs
-//     its own agent pool (serve.Pool + serve.Scheduler) over them, so
+//     one agent in front of them (serve.Pool + serve.Scheduler), so
 //     model predictions are node-local and the serving capacity scales
 //     with the node count.
 //
@@ -43,7 +43,7 @@
 //	POST /v1/walfetch  log-tail fetch for recovering replicas
 //	POST /v1/partials  batched per-partition aggregate states for
 //	                   scatter-gather (one round trip per holder)
-//	GET  /v1/snapshot  agent snapshots for model shipping
+//	GET  /v1/snapshot  the agent's snapshot for model shipping
 //	GET  /v1/cluster   membership, partitions held, serving health
 //	GET  /v1/membership  the node's current membership view (epoch +
 //	                   members); POST installs a newer view (gossip)
@@ -55,8 +55,6 @@
 //	POST /v1/partsnap  one partition's full row snapshot for staging
 //	POST /v1/digest    per-partition Merkle-style content digest for
 //	                   anti-entropy comparison
-//	GET  /v1/rebalance rebalance/repair progress (epoch, staged parts,
-//	                   retired parts, anti-entropy counters)
 //	GET  /v1/status    versioned introspection snapshot: ring view,
 //	                   per-partition replication lag, drift, cache,
 //	                   scheduler, audit and SLO state
@@ -140,10 +138,12 @@ type Config struct {
 	// VNodes is the ring's virtual-node count per member (default
 	// DefaultVNodes).
 	VNodes int
-	// Agents is the node's agent-pool size (default 1).
+	// Agents must be 0 or 1: a node runs one agent, and NewNode rejects
+	// more. The field stays only because the benchmark harness sets it
+	// (bench/trace.go:436, Agents: 1).
 	Agents int
-	// Agent configures each agent (zero value takes core.DefaultConfig
-	// for 2 dims).
+	// Agent configures the node's agent (zero value takes
+	// core.DefaultConfig for 2 dims).
 	Agent core.Config
 	// Workers/QueueDepth/TenantInflight size the node's scheduler (zero
 	// values take serve's defaults; TenantInflight < 0 disables).
@@ -162,7 +162,7 @@ type Config struct {
 	WriteQuorum int
 	// AnswerCache sizes the node's versioned answer cache (entries):
 	// answered queries are cached by canonical key and data version, so
-	// repeated queries are served without touching the agents, and every
+	// repeated queries are served without touching the agent, and every
 	// applied ingest batch invalidates affected entries through the
 	// version stamp. 0 takes DefaultAnswerCache; negative disables.
 	AnswerCache int
@@ -277,9 +277,6 @@ func (c Config) withDefaults() Config {
 		if c.Partitions == 0 {
 			c.Partitions = 2
 		}
-	}
-	if c.Agents <= 0 {
-		c.Agents = 1
 	}
 	if c.Agent.Dims < 1 {
 		c.Agent = core.DefaultConfig(2)
@@ -430,10 +427,10 @@ type PartialsResponse struct {
 	Spans []trace.WireSpan `json:"spans,omitempty"`
 }
 
-// SnapshotResponse ships a node's agent states for replica warm-up.
+// SnapshotResponse ships a node's agent state for replica warm-up.
 type SnapshotResponse struct {
-	Node   string                `json:"node"`
-	Agents []*core.AgentSnapshot `json:"agents"`
+	Node  string              `json:"node"`
+	Agent *core.AgentSnapshot `json:"agent"`
 }
 
 // MemberStatus is one member's view in ClusterStatus.

@@ -226,7 +226,7 @@ func TestSnapshotShippingWarmsReplica(t *testing.T) {
 		}
 	}
 
-	donor := lc.Node("n0").Pool().Agents()[0]
+	donor := lc.Node("n0").Pool().Agent()
 	if donor.Stats().Predicted == 0 {
 		t.Fatal("donor never reached the prediction path; shipping test proves nothing")
 	}
@@ -242,7 +242,7 @@ func TestSnapshotShippingWarmsReplica(t *testing.T) {
 		t.Fatal("snapshot ship moved zero bytes")
 	}
 
-	revived := lc.Node("n2").Pool().Agents()[0]
+	revived := lc.Node("n2").Pool().Agent()
 	probe := workload.NewQueryStream(workload.NewRNG(501), workload.DefaultRegions(2), query.Count)
 	var predictions int
 	for i := 0; i < 100; i++ {

@@ -44,7 +44,7 @@ func (n *Node) partitionForKey(key uint64) int {
 // applyBatch makes one sequenced batch part of copy pt via
 // partition.append (the caller holds its ingest lock; replay runs before
 // serving). On a live copy the node data version advances with
-// visibility and the agents' incremental-maintenance state follows; a
+// visibility and the agent's incremental-maintenance state follows; a
 // staged or retired copy only keeps rows and sequence current — models
 // absorb a batch where it is live. A non-nil parent span gets
 // wal_append/absorb children (traced ingest).
@@ -62,11 +62,9 @@ func (n *Node) applyBatch(pt *partition, live bool, seq uint64, rows []storage.R
 	for i, r := range rows {
 		vecs[i] = r.Vec
 	}
-	for _, ag := range n.pool.Agents() {
-		res := ag.AbsorbRows(ver, vecs)
-		n.pool.Recorder().DriftInvalidate(res.InvalidatedQuanta)
-	}
-	// Only now — with the agents' models caught up — may answer-cache
+	res := n.pool.Agent().AbsorbRows(ver, vecs)
+	n.pool.Recorder().DriftInvalidate(res.InvalidatedQuanta)
+	// Only now — with the agent's models caught up — may answer-cache
 	// entries be stamped with this version.
 	n.publishAbsorbed(ver)
 	n.pool.Recorder().IngestBatch(len(rows))

@@ -34,14 +34,14 @@ func loneMember(t *testing.T, cfg Config, rows []storage.Row) (*Node, *httptest.
 	return n, ts
 }
 
-// trustedCount feeds the node COUNT queries through h until its first
-// agent predicts one, and returns that query.
+// trustedCount feeds the node COUNT queries through h until its agent
+// predicts one, and returns that query.
 func trustedCount(t *testing.T, n *Node, h http.Handler) query.Query {
 	t.Helper()
 	qs := workload.NewQueryStream(workload.NewRNG(82), workload.DefaultRegions(2), query.Count)
 	for i := 0; i < 2000; i++ {
 		q := qs.Next()
-		if _, _, ok := n.Pool().Agents()[0].PredictOnly(q); ok && i >= 400 {
+		if _, _, ok := n.Pool().Agent().PredictOnly(q); ok && i >= 400 {
 			return q
 		}
 		if code := serveQuery(h, q); code != http.StatusOK {
@@ -135,7 +135,7 @@ func TestLoneMemberServesEveryRoute(t *testing.T) {
 }
 
 // TestNodeQueryAllocsMatchServer holds a cluster member's /v1/query to
-// the library front-end's allocation count: the same agents answer the
+// the library front-end's allocation count: the same agent answers the
 // same predicted query through Node.Handler, with the drift maintainer
 // armed, and through serve.NewServer.
 func TestNodeQueryAllocsMatchServer(t *testing.T) {
@@ -169,5 +169,13 @@ func TestNodeQueryAllocsMatchServer(t *testing.T) {
 	t.Logf("allocations per predicted query: node %v, server %v", nodeAllocs, serverAllocs)
 	if nodeAllocs > serverAllocs {
 		t.Fatalf("node allocates %v per predicted query, the library server %v", nodeAllocs, serverAllocs)
+	}
+}
+
+// TestNewNodeRunsOneAgent: a member runs one agent in front of its
+// data, so a config asking for more is refused rather than ignored.
+func TestNewNodeRunsOneAgent(t *testing.T) {
+	if _, err := NewNode(Config{ID: "solo", Agents: 2}); err == nil {
+		t.Fatal("NewNode with Agents 2 must fail")
 	}
 }

@@ -35,7 +35,7 @@ const maxIngestHops = 2
 var errNodeClosing = fmt.Errorf("dist: node closing")
 
 // Node is one cluster member: the data partitions the ring assigns it,
-// an agent pool over them (predictions are node-local; exact fallbacks
+// one agent in front of them (predictions are node-local; exact fallbacks
 // scatter-gather across the partition holders), and the node-to-node
 // HTTP API. Construct with NewNode, Load the data, then serve Handler().
 type Node struct {
@@ -112,9 +112,9 @@ type Node struct {
 	// sampler and flight recorder over the pool's series registry.
 	plane *serve.Plane
 
-	// maints are the per-agent background drift maintainers (nil when
+	// maint is the agent's background drift maintainer (nil when
 	// RequantCheck is disabled).
-	maints []*ingest.Maintainer
+	maint *ingest.Maintainer
 
 	// mu guards the three lookups from partition id to the node's copy
 	// of that fragment, one per lifecycle state (partition.go). Load
@@ -139,8 +139,8 @@ type Node struct {
 	// partitions), yet the node knows about it — so it must expire its
 	// cached cluster-wide answers. Folded into cacheVersion.
 	ingestEpoch atomic.Int64
-	// absorbedVer is the highest data version whose batch the agents
-	// have fully absorbed. The answer cache stamps with THIS, not the
+	// absorbedVer is the highest data version whose batch the agent
+	// has fully absorbed. The answer cache stamps with THIS, not the
 	// live version: between a batch's apply (version visible) and its
 	// AbsorbRows (models updated), an answer computed from the
 	// pre-batch models must not be cached at the post-batch version —
@@ -153,6 +153,9 @@ func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("dist: config needs a node ID")
+	}
+	if cfg.Agents > 1 {
+		return nil, fmt.Errorf("dist: a node runs one agent, got Agents %d", cfg.Agents)
 	}
 	// A joiner boots from a fetched view rather than a peer map, so the
 	// self-in-peers invariant only binds the static-config path.
@@ -194,18 +197,11 @@ func NewNode(cfg Config) (*Node, error) {
 		n.aeStop = make(chan struct{})
 		go n.antiEntropyLoop(cfg.AntiEntropy)
 	}
-	agents := make([]*core.Agent, cfg.Agents)
-	for i := range agents {
-		ag, err := core.NewAgent(scatterOracle{n: n}, cfg.Agent)
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		agents[i] = ag
-	}
-	pool, err := serve.NewPool(agents, nil)
+	ag, err := core.NewAgent(scatterOracle{n: n}, cfg.Agent)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
+	pool := serve.NewPool(ag, nil)
 	if cfg.AnswerCache > 0 {
 		pool.EnableCache(cfg.AnswerCache)
 		pool.Cache().SetTTL(DefaultAnswerCacheTTL)
@@ -216,7 +212,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for _, s := range []metrics.Series{
 		{Name: "wal_segments", Help: "WAL segment files across this node's owned partitions.",
 			Read: func() float64 { return float64(n.walSegments()) }},
-		{Name: "absorbed_version", Help: "Highest data version the agents' models have fully absorbed.",
+		{Name: "absorbed_version", Help: "Highest data version the agent's models have fully absorbed.",
 			Read: func() float64 { return float64(n.absorbedVer.Load()) }},
 		{Name: "ingest_epoch", Help: "Ingest batches this node forwarded to other primaries.",
 			Read: func() float64 { return float64(n.ingestEpoch.Load()) }},
@@ -231,8 +227,8 @@ func NewNode(cfg Config) (*Node, error) {
 			Kind: metrics.KindCounter, Read: func() float64 { return float64(n.aeRepairs.Load()) }},
 		{Name: "rebalance_moves", Help: "Partition replicas this node moved as a rebalance coordinator.",
 			Kind: metrics.KindCounter, Read: func() float64 { return float64(n.movesTotal.Load()) }},
-		{Name: "probation_quanta", Help: "Quanta serving under post-invalidation probation across the node's agents.",
-			Read: func() float64 { return float64(n.probationQuanta()) }},
+		{Name: "probation_quanta", Help: "Quanta serving under post-invalidation probation in the node's agent.",
+			Read: func() float64 { return float64(ag.ProbationQuanta()) }},
 		{Name: "replication_lag", Help: "Worst gap, in batches, any live partition saw among the replicas that answered its latest replicated batch.",
 			Watch: true, Read: func() float64 { return float64(n.replicationLag()) }},
 	} {
@@ -264,24 +260,21 @@ func NewNode(cfg Config) (*Node, error) {
 		StatusFn:      func() any { return n.NodeStatus() },
 	})
 	if cfg.RequantCheck > 0 {
-		for _, ag := range agents {
-			m := ingest.NewMaintainer(ag, ingest.MaintainerConfig{
-				Interval: cfg.RequantCheck,
-				OnRebuild: func(err error) {
-					if err != nil {
-						n.logger.Warn("model rebuild failed", "err", err)
-						return
-					}
-					rec.Rebuild()
-					// The swapped-in models predict differently at
-					// the same data version: drop cached answers.
-					pool.FlushCache()
-					n.logger.Debug("model rebuilt, cache flushed")
-				},
-			})
-			m.Start()
-			n.maints = append(n.maints, m)
-		}
+		n.maint = ingest.NewMaintainer(ag, ingest.MaintainerConfig{
+			Interval: cfg.RequantCheck,
+			OnRebuild: func(err error) {
+				if err != nil {
+					n.logger.Warn("model rebuild failed", "err", err)
+					return
+				}
+				rec.Rebuild()
+				// The swapped-in models predict differently at the
+				// same data version: drop cached answers.
+				pool.FlushCache()
+				n.logger.Debug("model rebuilt, cache flushed")
+			},
+		})
+		n.maint.Start()
 	}
 	n.mux = http.NewServeMux()
 	n.mux.HandleFunc("POST /v1/query", n.handleQuery)
@@ -296,14 +289,13 @@ func NewNode(cfg Config) (*Node, error) {
 	n.mux.HandleFunc("POST /v1/migrate", n.handleMigrate)
 	n.mux.HandleFunc("POST /v1/partsnap", n.handlePartSnap)
 	n.mux.HandleFunc("POST /v1/digest", n.handleDigest)
-	n.mux.HandleFunc("GET /v1/rebalance", n.handleRebalance)
 	n.mux.HandleFunc("GET /v1/snapshot", n.handleSnapshot)
 	n.mux.HandleFunc("GET /v1/cluster", n.handleCluster)
 	n.mux.HandleFunc("GET /v1/status", n.handleStatus)
 	n.mux.HandleFunc("GET /v1/debug/cluster", n.handleDebugCluster)
 	n.mux.HandleFunc("POST /v1/debug/chaos", n.handleChaosSet)
 	n.mux.HandleFunc("GET /v1/debug/chaos", n.handleChaosGet)
-	serve.MountInspect(n.mux, n.sched, explain.New(agents[0]))
+	serve.MountInspect(n.mux, n.sched, explain.New(ag))
 	n.plane.Mount(n.mux)
 	return n, nil
 }
@@ -315,7 +307,7 @@ func (n *Node) ID() string { return n.id }
 // change swaps in a freshly built ring).
 func (n *Node) Ring() *Ring { return n.members().ring }
 
-// Pool returns the node's agent pool (for stats and warm-up).
+// Pool returns the node's serving pool (its agent, cache and stats).
 func (n *Node) Pool() *serve.Pool { return n.pool }
 
 // Tracer returns the node's tracer (debug endpoints, tests).
@@ -384,8 +376,8 @@ func (n *Node) Close() {
 	if !n.closing.CompareAndSwap(false, true) {
 		return
 	}
-	for _, m := range n.maints {
-		m.Stop()
+	if n.maint != nil {
+		n.maint.Stop()
 	}
 	n.plane.Close()
 	if n.aeStop != nil {
@@ -571,16 +563,6 @@ func (n *Node) replicationLag() uint64 {
 	return worst
 }
 
-// probationQuanta counts quanta serving under post-invalidation
-// probation across the node's agents.
-func (n *Node) probationQuanta() int {
-	total := 0
-	for _, ag := range n.pool.Agents() {
-		total += ag.ProbationQuanta()
-	}
-	return total
-}
-
 // schemaWidth returns the row width this node has observed (adopted by
 // its partitions from the data), or -1 when unknown.
 func (n *Node) schemaWidth() int {
@@ -615,18 +597,10 @@ func (n *Node) Answer(tenant string, q query.Query) (core.Answer, error) {
 // the ?trace=1 entry point. A nil trace leaves the pool free to make
 // its own background sampling decision.
 func (n *Node) AnswerTraced(tenant string, q query.Query, tr *trace.Trace) (core.Answer, error) {
-	return n.answer(tenant, q, serve.KeyHash(q), tr)
-}
-
-// answer is AnswerTraced for a query whose serve.KeyHash is keyHash.
-func (n *Node) answer(tenant string, q query.Query, keyHash uint32, tr *trace.Trace) (core.Answer, error) {
-	if len(n.maints) > 0 {
-		// Remember the query as rebuild training material for the agent
-		// that owns its key slice (background drift maintenance).
-		n.maints[n.pool.RouteHash(keyHash)].Record(q)
-	}
-	if tr == nil {
-		return n.sched.Answer(tenant, q)
+	if n.maint != nil {
+		// Remember the query as rebuild training material (background
+		// drift maintenance).
+		n.maint.Record(q)
 	}
 	return n.sched.AnswerTraced(tenant, q, tr)
 }
@@ -662,31 +636,29 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req.Tenant = tenant
 	env.trace = env.trace || serve.TraceRequested(r)
 
-	// One key hash places the query on the ring and picks its agent.
-	keyHash := serve.KeyHash(q)
 	var ownerBuf [4]string
-	owners := n.members().ring.queryOwners(ownerBuf[:], keyHash, n.cfg.Replicas)
+	owners := n.members().ring.queryOwners(ownerBuf[:], serve.KeyHash(q), n.cfg.Replicas)
 	// Forwarded queries are always answered locally (no bouncing); owned
 	// queries too. Everything else is proxied to the key's owners with
 	// failover, and answered locally as the last resort — any node can
 	// scatter-gather, so a fully-degraded ring still serves.
 	if env.hops > 0 || containsStr(owners, n.id) {
-		n.answerLocal(w, env.trace, tenant, q, keyHash)
+		n.answerLocal(w, env.trace, tenant, q)
 		return
 	}
 	env.hops = 1
 	if n.forward(w, owners, req, env) {
 		return
 	}
-	n.answerLocal(w, env.trace, tenant, q, keyHash)
+	n.answerLocal(w, env.trace, tenant, q)
 }
 
-func (n *Node) answerLocal(w http.ResponseWriter, traced bool, tenant string, q query.Query, keyHash uint32) {
+func (n *Node) answerLocal(w http.ResponseWriter, traced bool, tenant string, q query.Query) {
 	var tr *trace.Trace
 	if traced {
 		tr = n.plane.Tracer.Force("query")
 	}
-	ans, err := n.answer(tenant, q, keyHash, tr)
+	ans, err := n.AnswerTraced(tenant, q, tr)
 	if err != nil {
 		serve.WriteError(w, err)
 		return
@@ -799,12 +771,7 @@ func (n *Node) PartialRPCsServed() int64 { return n.partialsServed.Load() }
 func (n *Node) PartialRPCsSent() int64 { return n.partialsSent.Load() }
 
 func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	agents := n.pool.Agents()
-	resp := SnapshotResponse{Node: n.id, Agents: make([]*core.AgentSnapshot, len(agents))}
-	for i, ag := range agents {
-		resp.Agents[i] = ag.Snapshot()
-	}
-	serve.WriteJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, SnapshotResponse{Node: n.id, Agent: n.pool.Agent().Snapshot()})
 }
 
 func (n *Node) handleCluster(w http.ResponseWriter, _ *http.Request) {
@@ -817,7 +784,7 @@ func (n *Node) DataVersion() int64 { return n.version.Load() }
 
 // cacheVersion is the answer cache's freshness stamp: the highest
 // fully-absorbed local data version (advanced once a batch this node
-// applies has also reached the agents' models) plus the ingest epoch
+// applies has also reached the agent's models) plus the ingest epoch
 // (advanced by every batch it forwards elsewhere). Both only grow, so
 // the sum strictly increases on every write this node observes;
 // writes it cannot observe are bounded by the cache TTL.
@@ -875,7 +842,7 @@ func (n *Node) Status() ClusterStatus {
 		Epoch:           ms.view.Epoch,
 		Replicas:        n.cfg.Replicas,
 		PartitionsTotal: n.cfg.Partitions,
-		Agent:           n.pool.Stats(),
+		Agent:           n.pool.Agent().Stats(),
 		Serving:         n.pool.Recorder().Snapshot(),
 	}
 	for _, id := range ms.ring.Nodes() {
@@ -894,7 +861,7 @@ func (n *Node) Status() ClusterStatus {
 	return st
 }
 
-// WarmFrom imports a peer's agent snapshots (GET /v1/snapshot), the
+// WarmFrom imports a peer's agent snapshot (GET /v1/snapshot), the
 // model-shipping warm-up path for new or recovering replicas: the node
 // predicts immediately instead of re-paying its training queries. It
 // returns the shipped snapshot size in bytes.
@@ -904,12 +871,9 @@ func (n *Node) WarmFrom(peerURL string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("dist: warm from %s: %w", peerURL, err)
 	}
-	for i, ag := range n.pool.Agents() {
-		if i >= len(snap.Agents) || snap.Agents[i] == nil {
-			break
-		}
-		if err := ag.Restore(snap.Agents[i]); err != nil {
-			return rep.bytes, fmt.Errorf("dist: warm agent %d from %s: %w", i, peerURL, err)
+	if snap.Agent != nil {
+		if err := n.pool.Agent().Restore(snap.Agent); err != nil {
+			return rep.bytes, fmt.Errorf("dist: warm agent from %s: %w", peerURL, err)
 		}
 	}
 	return rep.bytes, nil

@@ -53,10 +53,7 @@ func planeFrontEnds(t *testing.T) []frontEnd {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := serve.NewPool([]*core.Agent{ag}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := serve.NewPool(ag, nil)
 	sched := serve.NewScheduler(pool, serve.SchedulerConfig{})
 	t.Cleanup(sched.Close)
 	plane := serve.NewPlane(pool, serve.PlaneConfig{

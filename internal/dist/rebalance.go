@@ -99,8 +99,8 @@ type PartSnapResponse struct {
 	Rows    []WireRow `json:"rows"`
 }
 
-// RebalanceStatus is the GET /v1/rebalance body and the "rebalance"
-// block of /v1/status: where this node stands in the elastic plane.
+// RebalanceStatus is the "rebalance" block of /v1/status: where this
+// node stands in the elastic plane.
 type RebalanceStatus struct {
 	Epoch        int64 `json:"epoch"`
 	Staged       int   `json:"staged"`
@@ -171,10 +171,6 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (n *Node) handleRebalance(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, n.RebalanceStatus())
 }
 
 // RebalanceStatus snapshots the node's elastic-plane progress.

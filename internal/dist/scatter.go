@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// scatterOracle is the exact engine behind each node's agents: a query
+// scatterOracle is the exact engine behind each node's agent: a query
 // that needs the exact path is scatter-gathered across the cluster's
 // data partitions and merged with the distributable aggregate kernels
 // in internal/query. The agent serialises oracle calls under its write

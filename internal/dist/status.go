@@ -173,7 +173,7 @@ func (n *Node) NodeStatus() NodeStatus {
 	}
 
 	st.Drift = DriftStatus{
-		ProbationQuanta: n.probationQuanta(),
+		ProbationQuanta: n.pool.Agent().ProbationQuanta(),
 		Invalidations:   snap.DriftInvalidations,
 		Rebuilds:        snap.Rebuilds,
 	}

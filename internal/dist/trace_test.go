@@ -262,10 +262,7 @@ func TestServeTraceRaceHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := serve.NewPool([]*core.Agent{ag}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := serve.NewPool(ag, nil)
 	pool.EnableCache(256)
 	tracer := trace.NewTracer("test", 8)
 	pool.EnableTracing(tracer)

@@ -38,10 +38,7 @@ func NewE17Fixture(nRows, training int) (*E17Fixture, error) {
 			return nil, err
 		}
 	}
-	pool, err := serve.NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		return nil, err
-	}
+	pool := serve.NewPool(agent, nil)
 	pool.EnableCache(4096)
 	// Pin a query the warm agent predicts: the steady-state population
 	// of the fast path.

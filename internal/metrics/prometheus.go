@@ -144,8 +144,7 @@ func (r *ServeRecorder) WriteRecorder(w io.Writer) error {
 		if hs.Count == 0 {
 			return
 		}
-		labels := Label("agent", fmt.Sprint(k.Agent)) + "," +
-			Label("agg", k.Agg) + "," + Label("source", k.Source)
+		labels := Label("agg", k.Agg) + "," + Label("source", k.Source)
 		histErr = writeHist(w, "sea_audit_error", labels, hs, errMinOctave, errMaxOctave, 1/ErrScale)
 	})
 	if histErr != nil {

@@ -520,17 +520,15 @@ func (r *ServeRecorder) Snapshot() ServeSnapshot {
 	return s
 }
 
-// AuditKey identifies one accuracy-audit error histogram: which pooled
-// agent, which aggregate, and which sampling source filled it.
+// AuditKey identifies one accuracy-audit error histogram: which
+// aggregate, and which sampling source filled it.
 type AuditKey struct {
-	Agent  int
 	Agg    string
 	Source string // "fallback" (free, truth already computed) or "shadow" (forced exact probe)
 }
 
 // AuditSnap is one audit histogram's summary.
 type AuditSnap struct {
-	Agent  int     `json:"agent"`
 	Agg    string  `json:"agg"`
 	Source string  `json:"source"`
 	Count  int64   `json:"count"`
@@ -539,7 +537,7 @@ type AuditSnap struct {
 }
 
 // AuditRecorder accumulates predicted-vs-truth relative errors into
-// per-(agent, aggregate, source) histograms: the paper's accuracy
+// per-(aggregate, source) histograms: the paper's accuracy
 // claim as a continuously monitored production signal.
 type AuditRecorder struct {
 	mu      sync.RWMutex
@@ -548,8 +546,8 @@ type AuditRecorder struct {
 }
 
 // Record adds one relative-error observation.
-func (a *AuditRecorder) Record(agent int, agg, source string, rel float64) {
-	key := AuditKey{Agent: agent, Agg: agg, Source: source}
+func (a *AuditRecorder) Record(agg, source string, rel float64) {
+	key := AuditKey{Agg: agg, Source: source}
 	a.mu.RLock()
 	h := a.m[key]
 	a.mu.RUnlock()
@@ -603,7 +601,6 @@ func (a *AuditRecorder) Snapshot() []AuditSnap {
 			continue
 		}
 		out = append(out, AuditSnap{
-			Agent:  k.Agent,
 			Agg:    k.Agg,
 			Source: k.Source,
 			Count:  hs.Count,
@@ -612,9 +609,6 @@ func (a *AuditRecorder) Snapshot() []AuditSnap {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Agent != out[j].Agent {
-			return out[i].Agent < out[j].Agent
-		}
 		if out[i].Agg != out[j].Agg {
 			return out[i].Agg < out[j].Agg
 		}
@@ -634,9 +628,6 @@ func (a *AuditRecorder) Hists(fn func(AuditKey, *Histogram)) {
 	hists := make([]*Histogram, len(keys))
 	sort.Slice(keys, func(i, j int) bool {
 		ki, kj := keys[i], keys[j]
-		if ki.Agent != kj.Agent {
-			return ki.Agent < kj.Agent
-		}
 		if ki.Agg != kj.Agg {
 			return ki.Agg < kj.Agg
 		}

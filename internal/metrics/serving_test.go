@@ -129,9 +129,9 @@ func TestTenantClassStats(t *testing.T) {
 func TestAuditRecorder(t *testing.T) {
 	r := NewServeRecorder()
 	a := r.Audit()
-	a.Record(0, "avg", "fallback", 0.10)
-	a.Record(0, "avg", "fallback", 0.30)
-	a.Record(1, "sum", "shadow", 0.05)
+	a.Record("avg", "fallback", 0.10)
+	a.Record("avg", "fallback", 0.30)
+	a.Record("sum", "shadow", 0.05)
 	if n := a.Samples(); n != 3 {
 		t.Fatalf("samples = %d, want 3", n)
 	}
@@ -268,7 +268,7 @@ func TestWriteRecorderHistograms(t *testing.T) {
 	ts.Queries.Add(1)
 	ts.Lat.RecordDur(3 * time.Millisecond)
 	r.TenantReject("client")
-	r.Audit().Record(0, "avg", "shadow", 0.02)
+	r.Audit().Record("avg", "shadow", 0.02)
 	r.Register(Series{Name: "wal_segments", Help: "WAL segment files.", Read: func() float64 { return 4 }})
 
 	var buf strings.Builder
@@ -284,7 +284,7 @@ func TestWriteRecorderHistograms(t *testing.T) {
 		`sea_tenant_rejected_total{class="client"} 1`,
 		"# TYPE sea_tenant_latency_seconds histogram",
 		"# TYPE sea_audit_error histogram",
-		`sea_audit_error_count{agent="0",agg="avg",source="shadow"} 1`,
+		`sea_audit_error_count{agg="avg",source="shadow"} 1`,
 		"sea_audit_samples_total 1",
 		"sea_wal_segments 4",
 	} {

@@ -148,10 +148,7 @@ func TestPoolCacheDedupsEquivalentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 	pool.EnableCache(128)
 	q1 := countAt(1, 2)
 	q1.Col, q1.Col2 = 7, 8 // junk columns COUNT never reads

@@ -98,7 +98,7 @@ func NewPlane(pool *Pool, cfg PlaneConfig) *Plane {
 		}
 		status := cfg.StatusFn
 		if status == nil {
-			status = func() any { return pool.Stats() }
+			status = func() any { return pool.agent.Stats() }
 		}
 		p.Flight = flight.New(flight.Config{
 			Node:     cfg.Node,

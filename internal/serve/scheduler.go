@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -14,7 +15,8 @@ import (
 // Admission-control errors. Callers (and the HTTP layer) treat these as
 // retryable overload, not query failures.
 var (
-	// ErrQueueFull is returned when the shared queue is at capacity.
+	// ErrQueueFull is returned when every slot is taken and QueueDepth
+	// calls already wait for one.
 	ErrQueueFull = errors.New("serve: queue full")
 	// ErrTenantThrottled is returned when one tenant already has its
 	// maximum number of queries in flight.
@@ -25,12 +27,12 @@ var (
 
 // SchedulerConfig sizes the scheduler. Zero values take defaults.
 type SchedulerConfig struct {
-	// Workers is the number of worker goroutines draining the queue
-	// (default 8).
+	// Workers is the number of calls that run at once (default 8).
 	Workers int
-	// QueueDepth bounds the shared pending-job queue (default 256).
+	// QueueDepth bounds the calls waiting for a running slot (default
+	// 256).
 	QueueDepth int
-	// TenantInflight caps one tenant's queued+running queries; further
+	// TenantInflight caps one tenant's waiting+running calls; further
 	// submissions are rejected with ErrTenantThrottled (default 64,
 	// negative = unlimited).
 	TenantInflight int
@@ -49,141 +51,144 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	return c
 }
 
-type job struct {
-	run  func() (any, error)
-	done chan jobResult
-}
-
-type jobResult struct {
-	v   any
-	err error
-}
-
-// Scheduler runs queries through a Pool under bounded concurrency: a
-// fixed worker pool drains a bounded queue, and per-tenant admission
-// control keeps any one tenant from occupying the whole system.
-// Overload fails fast so callers can shed or retry elsewhere.
+// Scheduler is the admission gate in front of a Pool. Each call runs on
+// its caller's goroutine (net/http already gives every request its
+// own): at most Workers calls run at once, at most QueueDepth more wait
+// for a slot, and per-tenant admission control keeps any one tenant
+// from occupying the whole gate. Overload fails fast so callers can
+// shed or retry elsewhere.
 type Scheduler struct {
 	pool *Pool
 	cfg  SchedulerConfig
-	jobs chan *job
-	wg   sync.WaitGroup
+	// slots is the running semaphore: one token per running call.
+	slots chan struct{}
+	// waiting counts the admitted calls blocked on slots.
+	waiting atomic.Int64
+	// calls tracks every admitted call, so Close can wait them out.
+	calls sync.WaitGroup
 
-	mu     sync.Mutex
-	tenant map[string]int
-	closed bool
+	mu       sync.Mutex
+	admitted int // waiting + running calls
+	tenant   map[string]int
+	closed   bool
 }
 
-// NewScheduler builds and starts a scheduler over pool.
+// NewScheduler builds a scheduler over pool. It starts no goroutine.
 func NewScheduler(pool *Pool, cfg SchedulerConfig) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		pool:   pool,
 		cfg:    cfg,
-		jobs:   make(chan *job, cfg.QueueDepth),
+		slots:  make(chan struct{}, cfg.Workers),
 		tenant: make(map[string]int),
 	}
 	// A second scheduler over the same pool keeps the first one's series:
 	// the registry holds one per name.
 	pool.rec.Register(metrics.Series{Name: "sched_queue_depth",
-		Help: "Jobs waiting in the shared scheduler queue.",
-		Read: func() float64 { return float64(len(s.jobs)) }})
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
+		Help: "Calls waiting for a scheduler slot.",
+		Read: func() float64 { return float64(s.QueueDepth()) }})
 	return s
 }
 
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for j := range s.jobs {
-		v, err := j.run()
-		j.done <- jobResult{v: v, err: err}
-	}
-}
-
-// Answer submits q on behalf of tenant and waits for the result.
-// It returns ErrTenantThrottled or ErrQueueFull immediately under
-// overload.
-func (s *Scheduler) Answer(tenant string, q query.Query) (core.Answer, error) {
-	v, err := s.Do(tenant, func() (any, error) { return s.pool.Answer(q) })
-	if err != nil {
-		return core.Answer{}, err
-	}
-	return v.(core.Answer), nil
-}
-
-// Do runs fn on the worker pool under the same admission control as
-// Answer: the tenant's in-flight cap and the bounded queue apply, and
-// rejections are recorded — globally and per tenant class, so one
-// noisy tenant's throttling is visible in the metrics as its own
-// series. The serving front-end routes every non-trivial operation
-// (queries, explanations) through here so no endpoint can bypass
-// overload protection.
-func (s *Scheduler) Do(tenant string, fn func() (any, error)) (any, error) {
-	start := time.Now()
+// acquire admits one call for tenant and blocks until it holds a
+// running slot, or rejects it: ErrClosed after Close, ErrTenantThrottled
+// at the tenant's cap, ErrQueueFull when Workers calls run and
+// QueueDepth more wait. Rejections are recorded globally and per tenant
+// class, so one noisy tenant's throttling shows as its own series. An
+// admitted caller must call release with the returned tenant series.
+func (s *Scheduler) acquire(tenant string) (*metrics.TenantStats, error) {
 	class := metrics.ClassOf(tenant)
-	j := &job{run: fn, done: make(chan jobResult, 1)}
-
 	s.mu.Lock()
-	if s.closed {
+	var err error
+	switch {
+	case s.closed:
 		s.mu.Unlock()
 		return nil, ErrClosed
+	case s.cfg.TenantInflight > 0 && s.tenant[tenant] >= s.cfg.TenantInflight:
+		err = ErrTenantThrottled
+	case s.admitted >= s.cfg.Workers+s.cfg.QueueDepth:
+		err = ErrQueueFull
 	}
-	if s.cfg.TenantInflight > 0 && s.tenant[tenant] >= s.cfg.TenantInflight {
+	if err != nil {
 		s.mu.Unlock()
 		s.pool.rec.Reject()
 		s.pool.rec.TenantReject(class)
-		return nil, ErrTenantThrottled
+		return nil, err
 	}
-	// The non-blocking enqueue happens under mu so Close cannot close
-	// the channel between the closed check and the send.
-	select {
-	case s.jobs <- j:
-	default:
-		s.mu.Unlock()
-		s.pool.rec.Reject()
-		s.pool.rec.TenantReject(class)
-		return nil, ErrQueueFull
-	}
+	s.admitted++
 	s.tenant[tenant]++
+	// Added under mu, so Close (which flips closed under mu first)
+	// never waits on a call it did not see admitted.
+	s.calls.Add(1)
 	s.mu.Unlock()
 	ts := s.pool.rec.Tenant(class)
 	ts.Inflight.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		s.waiting.Add(1)
+		s.slots <- struct{}{}
+		s.waiting.Add(-1)
+	}
+	return ts, nil
+}
 
-	r := <-j.done
-
+// release ends an admitted call that arrived at start.
+func (s *Scheduler) release(tenant string, ts *metrics.TenantStats, start time.Time) {
+	<-s.slots
 	ts.Inflight.Add(-1)
 	ts.Queries.Add(1)
 	ts.Lat.RecordDur(time.Since(start))
 	s.mu.Lock()
+	s.admitted--
 	if s.tenant[tenant]--; s.tenant[tenant] <= 0 {
 		delete(s.tenant, tenant)
 	}
 	s.mu.Unlock()
-	return r.v, r.err
+	s.calls.Done()
 }
 
-// AnswerTraced submits q under a caller-provided (possibly nil) trace:
-// the queue wait gets its own span, measured from submission to the
-// moment a worker picks the job up, and the pool threads the rest of
-// the tree. ?trace=1 front-ends use this with a forced trace.
+// Answer serves q on behalf of tenant on the calling goroutine, under
+// the gate's limits. It returns ErrTenantThrottled or ErrQueueFull
+// immediately under overload.
+func (s *Scheduler) Answer(tenant string, q query.Query) (core.Answer, error) {
+	return s.AnswerTraced(tenant, q, nil)
+}
+
+// AnswerTraced is Answer under a caller-provided trace: the wait for a
+// slot gets its own span, from arrival until the slot is taken, and the
+// pool threads the rest of the tree. ?trace=1 front-ends use this with
+// a forced trace; a nil trace leaves the pool free to make its own
+// background sampling decision.
 func (s *Scheduler) AnswerTraced(tenant string, q query.Query, tr *trace.Trace) (core.Answer, error) {
-	enq := time.Now()
-	v, err := s.Do(tenant, func() (any, error) {
-		if tr != nil {
-			tr.Root().ChildAt("sched_wait", enq).End()
-		}
-		return s.pool.AnswerTraced(q, tr)
-	})
+	start := time.Now()
+	ts, err := s.acquire(tenant)
 	if err != nil {
 		return core.Answer{}, err
 	}
-	return v.(core.Answer), nil
+	defer s.release(tenant, ts, start)
+	if tr == nil {
+		return s.pool.Answer(q)
+	}
+	tr.Root().ChildAt("sched_wait", start).End()
+	return s.pool.AnswerTraced(q, tr)
 }
 
-// TenantInflight reports tenant's current queued+running count.
+// Do runs fn on the calling goroutine under the same gate as Answer.
+// The serving front-end routes every non-trivial operation (queries,
+// explanations) through the gate so no endpoint can bypass overload
+// protection.
+func (s *Scheduler) Do(tenant string, fn func() (any, error)) (any, error) {
+	start := time.Now()
+	ts, err := s.acquire(tenant)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release(tenant, ts, start)
+	return fn()
+}
+
+// TenantInflight reports tenant's current waiting+running count.
 func (s *Scheduler) TenantInflight(tenant string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -193,20 +198,14 @@ func (s *Scheduler) TenantInflight(tenant string) int {
 // Pool returns the underlying agent pool.
 func (s *Scheduler) Pool() *Pool { return s.pool }
 
-// QueueDepth returns the number of jobs currently queued (admitted but
-// not yet picked up by a worker).
-func (s *Scheduler) QueueDepth() int { return len(s.jobs) }
+// QueueDepth returns the number of admitted calls waiting for a slot.
+func (s *Scheduler) QueueDepth() int { return int(s.waiting.Load()) }
 
-// Close drains the queue and stops the workers. In-flight queries
-// complete; subsequent Answer calls return ErrClosed.
+// Close refuses new calls (they return ErrClosed) and returns once
+// every admitted call, running or waiting, has finished.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	close(s.jobs)
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.calls.Wait()
 }

@@ -1,23 +1,24 @@
-// Package serve is the concurrent query-serving layer: it multiplexes
-// many clients over a pool of SEA agents (internal/core) so the
+// Package serve is the concurrent query-serving layer: it serves many
+// clients from one thread-safe SEA agent (internal/core), the one agent
+// a member runs in front of its data (the paper's Fig. 3), so the
 // reproduction can serve analyst traffic instead of single-goroutine
 // simulations.
 //
 // The layer has three pieces, stacked:
 //
-//   - Pool fans queries out over one or more thread-safe agents with
-//     affinity routing (identical queries always hit the same agent) and
-//     single-flight deduplication: when several clients ask the same
-//     question and the answer needs the expensive exact-oracle fallback,
-//     only one fallback runs and everyone shares its result. Cheap
-//     model predictions bypass the dedup entirely via core.Agent's
-//     read-mostly TryPredict fast path.
+//   - Pool answers queries from its agent through a versioned answer
+//     cache and single-flight deduplication: when several clients ask
+//     the same question and the answer needs the expensive exact-oracle
+//     fallback, only one fallback runs and everyone shares its result.
+//     Cheap model predictions bypass the dedup entirely via
+//     core.Agent's read-mostly TryPredict fast path.
 //
-//   - Scheduler bounds concurrency: a fixed worker pool drains a bounded
-//     queue, and per-tenant admission control caps how much of the
-//     system one tenant can occupy. Overload is rejected immediately
-//     (ErrQueueFull, ErrTenantThrottled) instead of queueing without
-//     bound.
+//   - Scheduler is an admission gate: every call runs on its caller's
+//     goroutine, at most Workers calls run at once, at most QueueDepth
+//     more wait for a slot, and per-tenant admission control caps how
+//     much of the gate one tenant can occupy. Overload is rejected
+//     immediately (ErrQueueFull, ErrTenantThrottled) instead of
+//     queueing without bound.
 //
 //   - Server exposes the agent API (count/sum/avg/var/corr/slope,
 //     explanations, stats) over HTTP/JSON for library callers
@@ -34,7 +35,6 @@
 package serve
 
 import (
-	"errors"
 	"math"
 	"strconv"
 	"sync"
@@ -49,9 +49,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrNoAgents is returned when a Pool is built without agents.
-var ErrNoAgents = errors.New("serve: pool needs at least one agent")
-
 // Key canonicalises a query for routing, caching and single-flight
 // deduplication: two queries with the same key are the same question.
 // Columns the aggregate never reads are canonicalised away — COUNT uses
@@ -62,8 +59,8 @@ func Key(q query.Query) string {
 	return string(AppendKey(nil, q))
 }
 
-// KeyHash is the 32-bit FNV-1a hash of q's canonical key: what the pool
-// routes by (RouteHash) and what a cluster ring places queries by. The
+// KeyHash is the 32-bit FNV-1a hash of q's canonical key: what the
+// answer cache shards by and what a cluster ring places queries by. The
 // key is built in a stack buffer, so the hash allocates nothing.
 func KeyHash(q query.Query) uint32 {
 	var buf [128]byte
@@ -125,19 +122,16 @@ func keyCols(q query.Query) (int, int) {
 	}
 }
 
-// Pool answers queries over a set of thread-safe agents. Routing is by
-// query-key hash, so identical queries always land on the same agent:
-// that keeps each agent's learned state consistent for its slice of the
-// query space and makes single-flight dedup exact.
+// Pool answers queries from one thread-safe agent.
 type Pool struct {
-	agents []*core.Agent
-	sf     group
-	rec    *metrics.ServeRecorder
+	agent *core.Agent
+	sf    group
+	rec   *metrics.ServeRecorder
 	// cache, when enabled, is the first hot-path tier: answers keyed by
-	// canonical query key and stamped with the routed agent's data
-	// version are returned without touching the agent at all.
+	// canonical query key and stamped with the agent's data version are
+	// returned without touching the agent at all.
 	cache *AnswerCache
-	// verFn overrides the per-agent cache-version source. Distributed
+	// verFn overrides the agent's cache-version source. Distributed
 	// nodes install one that also folds in cluster-visible write
 	// signals (forwarded ingest) the agent's own oracle version cannot
 	// see.
@@ -186,27 +180,20 @@ func (p *Pool) getKeyBuf() *keyBuf {
 	return &keyBuf{b: make([]byte, 0, 128)}
 }
 
-// NewPool builds a pool over the given agents, instrumented through rec
-// (which may be shared with a Scheduler/Server; nil allocates one).
-func NewPool(agents []*core.Agent, rec *metrics.ServeRecorder) (*Pool, error) {
-	if len(agents) == 0 {
-		return nil, ErrNoAgents
-	}
+// NewPool builds a pool over ag, instrumented through rec (which may be
+// shared with a Scheduler/Server; nil allocates one).
+func NewPool(ag *core.Agent, rec *metrics.ServeRecorder) *Pool {
 	if rec == nil {
 		rec = metrics.NewServeRecorder()
 	}
-	p := &Pool{agents: agents, rec: rec}
 	// Continuous accuracy audit, free half: every exact fallback whose
 	// model had enough support to answer records predicted-vs-truth
 	// error (the truth is already computed, so this costs nothing
-	// extra). Keyed by pooled agent index and aggregate.
-	for i, ag := range agents {
-		idx := i
-		ag.SetAuditor(func(agg query.Agg, pred, truth float64) {
-			rec.Audit().Record(idx, agg.String(), "fallback", core.NormError(agg, pred, truth))
-		})
-	}
-	return p, nil
+	// extra). Keyed by aggregate.
+	ag.SetAuditor(func(agg query.Agg, pred, truth float64) {
+		rec.Audit().Record(agg.String(), "fallback", core.NormError(agg, pred, truth))
+	})
+	return &Pool{agent: ag, rec: rec}
 }
 
 // Recorder returns the pool's serving-metrics recorder.
@@ -254,9 +241,9 @@ func (p *Pool) DrainAudits() { p.auditWG.Wait() }
 
 // maybeShadowAudit samples the model-served answer stream: when the
 // counter fires, ground truth for q is computed on a background
-// goroutine via the routed agent's ExactProbe and the realised error
+// goroutine via the agent's ExactProbe and the realised error
 // recorded. Disabled cost: one atomic load per model answer.
-func (p *Pool) maybeShadowAudit(agIdx int, q query.Query, ans core.Answer) {
+func (p *Pool) maybeShadowAudit(q query.Query, ans core.Answer) {
 	every := p.auditEvery.Load()
 	if every <= 0 {
 		return
@@ -272,11 +259,11 @@ func (p *Pool) maybeShadowAudit(agIdx int, q query.Query, ans core.Answer) {
 	p.auditWG.Add(1)
 	go func() {
 		defer func() { <-p.auditSem; p.auditWG.Done() }()
-		truth, err := p.agents[agIdx].ExactProbe(q)
+		truth, err := p.agent.ExactProbe(q)
 		if err != nil {
 			return
 		}
-		p.rec.Audit().Record(agIdx, q.Aggregate.String(), "shadow",
+		p.rec.Audit().Record(q.Aggregate.String(), "shadow",
 			core.NormError(q.Aggregate, ans.Value, truth))
 	}()
 }
@@ -309,17 +296,17 @@ func (p *Pool) EnableCache(capacity int) {
 func (p *Pool) Cache() *AnswerCache { return p.cache }
 
 // SetCacheVersion overrides the cache's version source (nil restores
-// the default, the routed agent's CacheVersion). The function must be
-// cheap, lock-light and monotone: every data change the caller can
-// observe must change its value. Configure before serving.
+// the default, the agent's CacheVersion). The function must be cheap,
+// lock-light and monotone: every data change the caller can observe
+// must change its value. Configure before serving.
 func (p *Pool) SetCacheVersion(fn func() int64) { p.verFn = fn }
 
-// cacheVersion reads the freshness stamp for entries routed to ag.
-func (p *Pool) cacheVersion(ag *core.Agent) int64 {
+// cacheVersion reads the cache entries' freshness stamp.
+func (p *Pool) cacheVersion() int64 {
 	if p.verFn != nil {
 		return p.verFn()
 	}
-	return ag.CacheVersion()
+	return p.agent.CacheVersion()
 }
 
 // FlushCache drops every cached answer. Maintenance paths that change
@@ -331,18 +318,13 @@ func (p *Pool) FlushCache() {
 	}
 }
 
-// Agents returns the pooled agents (for stats aggregation).
-func (p *Pool) Agents() []*core.Agent { return p.agents }
+// Agent returns the pool's agent.
+func (p *Pool) Agent() *core.Agent { return p.agent }
 
-// RouteHash returns the index of the agent Answer routes a query to,
-// from its KeyHash (maintenance layers use it to attribute recorded
-// queries and drift rebuilds to the right pooled agent).
-func (p *Pool) RouteHash(h uint32) int {
-	if len(p.agents) == 1 {
-		return 0
-	}
-	return int(h % uint32(len(p.agents)))
-}
+// Agents returns the pool's one agent as a one-element slice. It is
+// kept only for the benchmark harness (bench/trace.go:599 and :720 read
+// Agents()[0]); code in this module calls Agent.
+func (p *Pool) Agents() []*core.Agent { return []*core.Agent{p.agent} }
 
 // Answer serves one query through the tiered hot path: a versioned
 // cache hit (cheapest — no agent touched), then the read-locked model
@@ -364,15 +346,12 @@ func (p *Pool) AnswerTraced(q query.Query, tr *trace.Trace) (core.Answer, error)
 	kb := p.getKeyBuf()
 	kb.b = AppendKey(kb.b[:0], q)
 	h := fnv32Bytes(kb.b)
-	agIdx := p.RouteHash(h)
-	ag := p.agents[agIdx]
-	sp.SetAttrInt("agent", int64(agIdx))
 	// ver is read before the answer is computed, and stamps whatever
 	// gets cached below: a write racing the computation can only make
 	// the entry expire early, never serve past its data version.
 	var ver int64
 	if p.cache != nil {
-		ver = p.cacheVersion(ag)
+		ver = p.cacheVersion()
 		csp := sp.Child("cache_lookup")
 		ans, ok := p.cache.lookup(kb.b, h, ver)
 		csp.End()
@@ -407,7 +386,7 @@ func (p *Pool) AnswerTraced(q query.Query, tr *trace.Trace) (core.Answer, error)
 		return c.ans, nil
 	}
 	psp := sp.Child("try_predict")
-	ans, ok := ag.TryPredict(q)
+	ans, ok := p.agent.TryPredict(q)
 	psp.End()
 	if ok {
 		if p.cache != nil {
@@ -417,7 +396,7 @@ func (p *Pool) AnswerTraced(q query.Query, tr *trace.Trace) (core.Answer, error)
 		lat := time.Since(start)
 		p.rec.ObservePath(lat, metrics.PathModel)
 		p.finishQuery(tr, q, metrics.PathModel, lat)
-		p.maybeShadowAudit(agIdx, q, ans)
+		p.maybeShadowAudit(q, ans)
 		return ans, nil
 	}
 	// Expensive path: identical in-flight fallbacks collapse to one
@@ -426,7 +405,7 @@ func (p *Pool) AnswerTraced(q query.Query, tr *trace.Trace) (core.Answer, error)
 	p.keys.Put(kb)
 	fsp := sp.Child("agent_answer")
 	ans, shared, err := p.sf.do(key, func() (core.Answer, error) {
-		return ag.AnswerSpan(q, fsp)
+		return p.agent.AnswerSpan(q, fsp)
 	})
 	fsp.End()
 	if err != nil {
@@ -451,7 +430,7 @@ func (p *Pool) AnswerTraced(q query.Query, tr *trace.Trace) (core.Answer, error)
 		}
 		p.rec.ObservePath(lat, path)
 		if path == metrics.PathModel {
-			p.maybeShadowAudit(agIdx, q, ans)
+			p.maybeShadowAudit(q, ans)
 		}
 	}
 	p.finishQuery(tr, q, path, lat)
@@ -483,24 +462,10 @@ func (p *Pool) finishQuery(tr *trace.Trace, q query.Query, path metrics.Path, la
 	}
 }
 
-// Stats sums the lifetime counters across the pooled agents.
-func (p *Pool) Stats() core.Stats {
-	var out core.Stats
-	for _, ag := range p.agents {
-		s := ag.Stats()
-		out.Queries += s.Queries
-		out.Predicted += s.Predicted
-		out.Exact += s.Exact
-		out.Quanta += s.Quanta
-		out.TotalCost = out.TotalCost.Add(s.TotalCost)
-		out.OracleCost = out.OracleCost.Add(s.OracleCost)
-	}
-	return out
-}
-
 // fnv32 is the 32-bit FNV-1a hash (inline to avoid an import for four
-// lines). fnv32(s) == fnv32Bytes([]byte(s)), so routing is identical
-// whether the key was built as a string or in a scratch buffer.
+// lines). fnv32(s) == fnv32Bytes([]byte(s)), so a cache entry lands in
+// the same shard whether its key was built as a string or in a scratch
+// buffer.
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

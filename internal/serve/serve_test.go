@@ -122,10 +122,7 @@ func TestKeyCanonical(t *testing.T) {
 
 func TestSchedulerQueueFullAndTenantThrottle(t *testing.T) {
 	agent, oracle := blockedAgent(t)
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 1, QueueDepth: 1, TenantInflight: 2})
 
 	results := make(chan error, 4)
@@ -136,11 +133,11 @@ func TestSchedulerQueueFullAndTenantThrottle(t *testing.T) {
 		}()
 	}
 
-	// Job 1 reaches the single worker and blocks in the oracle.
+	// Call 1 takes the single slot and blocks in the oracle.
 	submit("a", countAt(1, 1))
 	<-oracle.started
 
-	// Job 2 occupies the queue slot.
+	// Call 2 waits for the slot.
 	submit("a", countAt(2, 2))
 	waitFor(t, func() bool { return sched.TenantInflight("a") == 2 })
 
@@ -148,8 +145,8 @@ func TestSchedulerQueueFullAndTenantThrottle(t *testing.T) {
 	if _, err := sched.Answer("a", countAt(3, 3)); err != ErrTenantThrottled {
 		t.Errorf("tenant over cap: err = %v, want ErrTenantThrottled", err)
 	}
-	// Another tenant is admitted past the cap check but the queue is
-	// full: reject immediately.
+	// Another tenant passes the cap check, but the slot is taken and
+	// the one waiting place too: reject immediately.
 	if _, err := sched.Answer("b", countAt(4, 4)); err != ErrQueueFull {
 		t.Errorf("queue full: err = %v, want ErrQueueFull", err)
 	}
@@ -173,10 +170,7 @@ func TestSchedulerQueueFullAndTenantThrottle(t *testing.T) {
 
 func TestPoolDedupsIdenticalInflightFallbacks(t *testing.T) {
 	agent, oracle := blockedAgent(t)
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 
 	const clients = 10
 	q := countAt(7, 7)
@@ -223,39 +217,12 @@ func TestPoolDedupsIdenticalInflightFallbacks(t *testing.T) {
 	}
 }
 
-func TestPoolAffinityRouting(t *testing.T) {
-	a1, _ := blockedAgent(t)
-	a2, _ := blockedAgent(t)
-	pool, err := NewPool([]*core.Agent{a1, a2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := countAt(3, 9)
-	first := pool.RouteHash(KeyHash(q))
-	for i := 0; i < 10; i++ {
-		if pool.RouteHash(KeyHash(q)) != first {
-			t.Fatal("identical query routed to different agents")
-		}
-	}
-	// Distinct queries must spread across agents eventually.
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		seen[pool.RouteHash(KeyHash(countAt(float64(i), 0)))] = true
-	}
-	if len(seen) != 2 {
-		t.Errorf("routing used %d of 2 agents", len(seen))
-	}
-}
-
 // TestConcurrentServing32Clients is the acceptance scenario: >= 32
 // concurrent clients hammer one shared trained agent through the
 // scheduler, race-free, with every query answered.
 func TestConcurrentServing32Clients(t *testing.T) {
 	agent, _ := newTrainedAgent(t, 4_000, 200, 21, 22)
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 8, QueueDepth: 128, TenantInflight: -1})
 	defer sched.Close()
 

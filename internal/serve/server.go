@@ -173,7 +173,7 @@ func NewServer(sched *Scheduler, exp *explain.Engine) *Server {
 }
 
 // MountInspect serves, on mux, the routes that read a scheduler's
-// agents without answering a query:
+// agent without answering a query:
 //
 //	POST /v1/explain   a /v1/query body; piecewise-linear answer explanation
 //	GET  /v1/stats     agent + serving counters (StatsResponse)
@@ -265,13 +265,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var tr *trace.Trace
-	var ans core.Answer
 	if TraceRequested(r) {
 		tr = s.sched.pool.Tracer().Force("query")
-		ans, err = s.sched.AnswerTraced(tenant, q, tr)
-	} else {
-		ans, err = s.sched.Answer(tenant, q)
 	}
+	ans, err := s.sched.AnswerTraced(tenant, q, tr)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -311,7 +308,7 @@ func (s *inspect) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Explanations run ~dozens of model probes, so they go through the
-	// same admission control and worker pool as queries — no endpoint
+	// same admission gate as queries — no endpoint
 	// bypasses overload protection. A successful explanation is pure
 	// model work and is recorded as a predicted observation.
 	v, err := s.sched.Do(tenant, func() (any, error) {
@@ -333,7 +330,7 @@ func (s *inspect) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *inspect) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Agent:   s.sched.pool.Stats(),
+		Agent:   s.sched.pool.agent.Stats(),
 		Serving: s.sched.pool.rec.Snapshot(),
 	})
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -81,10 +80,7 @@ func TestServerEndToEndMatchesSingleThreaded(t *testing.T) {
 	served, _ := newTrainedAgent(t, 4_000, 200, 21, 22)
 	direct, _ := newTrainedAgent(t, 4_000, 200, 21, 22)
 
-	pool, err := NewPool([]*core.Agent{served}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(served, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 4})
 	defer sched.Close()
 	ts := httptest.NewServer(NewServer(sched, nil))
@@ -106,18 +102,15 @@ func TestServerEndToEndMatchesSingleThreaded(t *testing.T) {
 			t.Fatalf("query %d diverged:\n  http   = %+v\n  direct = %+v", i, got, want)
 		}
 	}
-	if pool.Stats().Queries != direct.Stats().Queries {
+	if pool.Agent().Stats().Queries != direct.Stats().Queries {
 		t.Errorf("served agent answered %d queries, direct %d",
-			pool.Stats().Queries, direct.Stats().Queries)
+			pool.Agent().Stats().Queries, direct.Stats().Queries)
 	}
 }
 
 func TestServerConcurrentClients(t *testing.T) {
 	agent, _ := newTrainedAgent(t, 4_000, 200, 21, 22)
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 8, QueueDepth: 256, TenantInflight: -1})
 	defer sched.Close()
 	ts := httptest.NewServer(NewServer(sched, nil))
@@ -161,10 +154,7 @@ func TestServerConcurrentClients(t *testing.T) {
 
 func TestServerErrorMapping(t *testing.T) {
 	agent, _ := newTrainedAgent(t, 2_000, 100, 21, 22)
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 2})
 	defer sched.Close()
 	ts := httptest.NewServer(NewServer(sched, nil))
@@ -223,10 +213,7 @@ func TestServerErrorMapping(t *testing.T) {
 // finish with 200 instead of killing it, then close the scheduler.
 func TestServerGracefulShutdown(t *testing.T) {
 	agent, oracle := blockedAgent(t)
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 2})
 	srv := NewServer(sched, nil)
 
@@ -264,10 +251,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 
 func TestServerMetricsEndpoint(t *testing.T) {
 	served, _ := newTrainedAgent(t, 4_000, 200, 21, 22)
-	pool, err := NewPool([]*core.Agent{served}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(served, nil)
 	sched := NewScheduler(pool, SchedulerConfig{Workers: 4})
 	defer sched.Close()
 	ts := httptest.NewServer(NewServer(sched, nil))

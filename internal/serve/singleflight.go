@@ -10,7 +10,7 @@ import (
 
 // ErrFallbackPanic is returned (to the leader and every parked waiter)
 // when an oracle fallback panics mid-flight. Converting the panic into an
-// error keeps the serving workers alive and, critically, guarantees the
+// error keeps the serving goroutines alive and, critically, guarantees the
 // flight is removed from the group: before this, a panicking fallback
 // left its call registered forever, so every later query with the same
 // key parked behind a flight that could never finish.

@@ -72,10 +72,7 @@ func TestSingleflightFailurePropagatesToAllWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 
 	const clients = 8
 	q := countAt(5, 5)
@@ -144,10 +141,7 @@ func TestSingleflightPanicDoesNotStrandWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool([]*core.Agent{agent}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(agent, nil)
 
 	const clients = 4
 	q := countAt(9, 3)

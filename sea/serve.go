@@ -1,12 +1,12 @@
 package sea
 
 // This file re-exports the concurrent serving layer (internal/serve):
-// a bounded-concurrency scheduler with per-tenant admission control and
-// an HTTP/JSON front-end over a pool of thread-safe agents. The
-// underlying core.Agent is safe for concurrent use, so a single Agent
-// may also be shared across goroutines directly; the serving layer adds
-// overload protection, single-flight dedup of identical in-flight
-// oracle fallbacks, and throughput/latency instrumentation.
+// an admission gate with per-tenant limits and an HTTP/JSON front-end
+// over one thread-safe agent. The underlying core.Agent is safe for
+// concurrent use, so an Agent may also be shared across goroutines
+// directly; the serving layer adds overload protection, single-flight
+// dedup of identical in-flight oracle fallbacks, and throughput/latency
+// instrumentation.
 //
 // See cmd/seaserve for the runnable server binary and DESIGN.md for the
 // serving architecture.
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 )
@@ -23,10 +22,10 @@ import (
 // Server is the HTTP/JSON serving front-end (see serve.Server).
 type Server = serve.Server
 
-// Scheduler bounds serving concurrency (see serve.Scheduler).
+// Scheduler is the serving layer's admission gate (see serve.Scheduler).
 type Scheduler = serve.Scheduler
 
-// Pool multiplexes queries over thread-safe agents (see serve.Pool).
+// Pool answers queries from one thread-safe agent (see serve.Pool).
 type Pool = serve.Pool
 
 // ServeSnapshot is the serving-layer health view (QPS, p50/p99,
@@ -40,18 +39,18 @@ var (
 )
 
 // ServeOptions sizes the serving layer. Zero values take defaults
-// (8 workers, queue depth 256, 64 in-flight queries per tenant).
+// (8 calls at once, 256 waiting, 64 in-flight queries per tenant).
 type ServeOptions struct {
-	// Workers is the worker-goroutine count.
+	// Workers is the number of calls that run at once.
 	Workers int
-	// QueueDepth bounds the shared pending queue.
+	// QueueDepth bounds the calls waiting for a running slot.
 	QueueDepth int
 	// TenantInflight caps one tenant's concurrent queries (negative =
 	// unlimited).
 	TenantInflight int
 	// AnswerCache, when positive, enables a bounded versioned answer
 	// cache of roughly that many entries: repeated queries are served
-	// without touching the agents, and any data-version advance
+	// without touching the agent, and any data-version advance
 	// invalidates affected entries.
 	AnswerCache int
 	// TraceSample is the background trace-sampling fraction: roughly
@@ -77,20 +76,14 @@ type ServeOptions struct {
 // would need the expensive exact path.
 func (a *Agent) TryPredict(q Query) (Answer, bool) { return a.inner.TryPredict(q) }
 
-// NewScheduler builds a bounded-concurrency scheduler over the given
-// agents (typically one; more shard the query space by affinity hash).
+// NewScheduler builds the admission gate over one agent. agents must
+// hold exactly that agent: the slice stays only because the benchmark
+// harness passes one (bench/trace.go:357, through NewServer).
 func NewScheduler(agents []*Agent, opt ServeOptions) (*Scheduler, error) {
-	if len(agents) == 0 {
-		return nil, fmt.Errorf("sea: NewScheduler needs at least one agent")
+	if len(agents) != 1 {
+		return nil, fmt.Errorf("sea: NewScheduler serves one agent, got %d", len(agents))
 	}
-	cores := make([]*core.Agent, len(agents))
-	for i, a := range agents {
-		cores[i] = a.inner
-	}
-	pool, err := serve.NewPool(cores, nil)
-	if err != nil {
-		return nil, fmt.Errorf("sea: %w", err)
-	}
+	pool := serve.NewPool(agents[0].inner, nil)
 	if opt.AnswerCache > 0 {
 		pool.EnableCache(opt.AnswerCache)
 	}
@@ -111,8 +104,9 @@ func NewScheduler(agents []*Agent, opt ServeOptions) (*Scheduler, error) {
 	return sched, nil
 }
 
-// NewServer builds the HTTP/JSON front-end over the given agents. The
-// first agent's explanation engine backs /v1/explain.
+// NewServer builds the HTTP/JSON front-end over one agent, whose
+// explanation engine backs /v1/explain. Like NewScheduler it takes a
+// one-element slice.
 func NewServer(agents []*Agent, opt ServeOptions) (*Server, error) {
 	sched, err := NewScheduler(agents, opt)
 	if err != nil {

@@ -110,3 +110,23 @@ func TestNewSchedulerServesSharedAgent(t *testing.T) {
 		t.Error("NewServer with no agents must fail")
 	}
 }
+
+// TestNewSchedulerServesOneAgent: a member runs one agent, so the
+// serving constructors refuse a second one instead of sharding over it.
+func TestNewSchedulerServesOneAgent(t *testing.T) {
+	sys := newLoadedSystem(t, 500)
+	var agents []*sea.Agent
+	for i := 0; i < 2; i++ {
+		ag, err := sys.NewAgent(sea.AgentConfig{Dims: 2, TrainingQueries: 10, UseMapReduceOracle: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents = append(agents, ag)
+	}
+	if _, err := sea.NewScheduler(agents, sea.ServeOptions{}); err == nil {
+		t.Error("NewScheduler with two agents must fail")
+	}
+	if _, err := sea.NewServer(agents, sea.ServeOptions{}); err == nil {
+		t.Error("NewServer with two agents must fail")
+	}
+}
