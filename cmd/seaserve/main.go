@@ -67,11 +67,10 @@
 // maintenance.
 //
 // Observability: -trace-sample traces a fraction of queries into span
-// trees (POST /v1/query?trace=1 forces one inline), -trace-ring bounds
-// the debug ring behind GET /v1/debug/trace/<id>, -slow-query logs
-// outliers to GET /v1/debug/slow, and -audit-sample shadow-audits model
-// answers against exact ground truth (error histograms land in
-// /v1/metrics).
+// trees kept for GET /v1/debug/trace/<id> (POST /v1/query?trace=1
+// forces one inline), -slow-query logs outliers to GET /v1/debug/slow,
+// and -audit-sample shadow-audits model answers against exact ground
+// truth (error histograms land in /v1/metrics).
 //
 // The introspection plane: -log-level selects the leveled JSON-line
 // logging on stderr (debug|info|warn|error|off) and -log-rate caps its
@@ -179,7 +178,6 @@ type options struct {
 	driftBudget    int
 	requantCheck   time.Duration
 	traceSample    float64
-	traceRing      int
 	slowQuery      time.Duration
 	auditSample    float64
 	logLevel       string
@@ -217,7 +215,6 @@ func main() {
 	flag.IntVar(&o.driftBudget, "drift-budget", 200, "ingested rows a quantum absorbs before its models re-earn trust (>= 1)")
 	flag.DurationVar(&o.requantCheck, "requant-check", 2*time.Second, "background drift-maintainer poll period (0 disables re-quantisation)")
 	flag.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of queries to trace (0 disables sampling; ?trace=1 always works)")
-	flag.IntVar(&o.traceRing, "trace-ring", 0, "finished traces kept for /v1/debug/trace (0 = default ring)")
 	flag.DurationVar(&o.slowQuery, "slow-query", 0, "log queries slower than this to /v1/debug/slow (0 disables)")
 	flag.Float64Var(&o.auditSample, "audit-sample", 0, "fraction of model-served answers to shadow-audit against exact truth (0 disables)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured JSON log level: debug|info|warn|error|off")
@@ -268,9 +265,6 @@ func (o *options) validate() error {
 	}
 	if o.auditSample < 0 || o.auditSample > 1 {
 		return fmt.Errorf("-audit-sample must be in [0,1], got %g", o.auditSample)
-	}
-	if o.traceRing < 0 {
-		return fmt.Errorf("-trace-ring must be >= 0, got %d", o.traceRing)
 	}
 	if o.slowQuery < 0 {
 		return fmt.Errorf("-slow-query must be >= 0, got %v", o.slowQuery)
@@ -425,7 +419,6 @@ func run(ctx context.Context, o options) error {
 		WriteQuorum:    o.writeQuorum,
 		RequantCheck:   o.requantCheck,
 		TraceSample:    o.traceSample,
-		TraceRing:      o.traceRing,
 		SlowQuery:      o.slowQuery,
 		AuditSample:    o.auditSample,
 		Logger:         lg,

@@ -56,14 +56,9 @@ type Client struct {
 }
 
 // NewClient builds a client over the cluster members (id -> base URL).
-// replicas and timeout <= 0 take the defaults; the vnode count must
-// match the cluster's (use NewClientVNodes otherwise).
-func NewClient(members map[string]string, replicas int, timeout time.Duration) *Client {
-	return NewClientVNodes(members, replicas, timeout, 0)
-}
-
-// NewClientVNodes is NewClient with an explicit ring vnode count.
-func NewClientVNodes(members map[string]string, replicas int, timeout time.Duration, vnodes int) *Client {
+// replicas, timeout and vnodes <= 0 take the defaults; the vnode count
+// must match the cluster's.
+func NewClient(members map[string]string, replicas int, timeout time.Duration, vnodes int) *Client {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}

@@ -185,9 +185,6 @@ type Config struct {
 	// node's trace ring (GET /v1/debug/trace/<id>). 0 disables
 	// background sampling; ?trace=1 requests are always traced.
 	TraceSample float64
-	// TraceRing bounds how many finished traces the node retains
-	// (default trace.DefaultRing).
-	TraceRing int
 	// SlowQuery, when positive, logs every query slower than this
 	// threshold into the slow-query ring (GET /v1/debug/slow).
 	SlowQuery time.Duration

@@ -153,7 +153,7 @@ func (lc *LocalCluster) URL(id string) string {
 // Client builds a ring-aware client over the cluster.
 func (lc *LocalCluster) Client() *Client {
 	cfg := lc.base.withDefaults()
-	return NewClientVNodes(lc.Members(), cfg.Replicas, cfg.Timeout, cfg.VNodes)
+	return NewClient(lc.Members(), cfg.Replicas, cfg.Timeout, cfg.VNodes)
 }
 
 // Join boots a brand-new member on a fresh loopback listener and joins

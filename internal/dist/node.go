@@ -246,7 +246,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n.plane = serve.NewPlane(pool, serve.PlaneConfig{
 		Node:          cfg.ID,
 		TraceSample:   cfg.TraceSample,
-		TraceRing:     cfg.TraceRing,
 		SlowQuery:     cfg.SlowQuery,
 		AuditSample:   cfg.AuditSample,
 		Logger:        n.logger,

@@ -187,7 +187,7 @@ func (n *Node) NodeStatus() NodeStatus {
 
 	st.Sched = SchedStatus{QueueDepth: n.sched.QueueDepth(), Classes: snap.Tenants}
 
-	mape, samples := rec.Audit().MAPE("")
+	mape, samples := rec.AuditMAPE("")
 	st.Audit = AuditStatus{Samples: samples, MAPE: mape}
 
 	st.SLO = n.plane.SLO.States()

@@ -119,7 +119,7 @@ func E18TraceOverhead(nRows, training, queries, sampleEvery int) (E18Row, error)
 	tracer.SetSlowThreshold(0)
 	row.SlowLogged = len(tracer.SlowLog())
 	rec := fix.Pool.Recorder()
-	row.AuditMAPE, row.AuditSamples = rec.Audit().MAPE("shadow")
+	row.AuditMAPE, row.AuditSamples = rec.AuditMAPE("shadow")
 	if len(preds) == 0 {
 		return row, fmt.Errorf("E18: trained agent predicted none of the catalog")
 	}

@@ -22,8 +22,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/learn"
 	"repro/internal/metrics"
-	"repro/internal/ml"
 	"repro/internal/storage"
 )
 
@@ -187,7 +187,7 @@ func (im *Imputer) Centroid(rows []storage.Row, seed int64) (Result, metrics.Cos
 	if kc < 1 {
 		kc = 16
 	}
-	km := ml.KMeans{K: kc}
+	km := learn.KMeans{K: kc}
 	if err := km.Fit(vecs, rand.New(rand.NewSource(seed))); err != nil {
 		return Result{}, metrics.Cost{}, fmt.Errorf("impute centroid: %w", err)
 	}

@@ -1,8 +1,10 @@
-package ml
+package learn
 
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/ml"
 )
 
 // KNNRegressor predicts by averaging the targets of the k nearest
@@ -25,7 +27,7 @@ type KNNRegressor struct {
 // datasets are immutable by construction).
 func (k *KNNRegressor) Fit(xs [][]float64, ys []float64) error {
 	if len(xs) == 0 || len(ys) < len(xs) {
-		return fmt.Errorf("knn regressor fit: %w", ErrNoData)
+		return fmt.Errorf("knn regressor fit: %w", ml.ErrNoData)
 	}
 	k.xs = xs
 	k.ys = ys[:len(xs)]
@@ -73,7 +75,7 @@ func (k *KNNRegressor) neighbours(x []float64) ([]int, []float64) {
 	}
 	all := make([]nd, n)
 	for i, p := range k.xs {
-		all[i] = nd{i, SquaredDistance(p, x)}
+		all[i] = nd{i, ml.SquaredDistance(p, x)}
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].d2 < all[b].d2 })
 	idx := make([]int, kk)
@@ -98,7 +100,7 @@ type KNNClassifier struct {
 // Fit stores the training set.
 func (k *KNNClassifier) Fit(xs [][]float64, labels []int) error {
 	if len(xs) == 0 || len(labels) < len(xs) {
-		return fmt.Errorf("knn classifier fit: %w", ErrNoData)
+		return fmt.Errorf("knn classifier fit: %w", ml.ErrNoData)
 	}
 	k.xs = xs
 	k.labels = labels[:len(xs)]

@@ -1,8 +1,7 @@
 package metrics
 
 import (
-	"sort"
-	"sync"
+	"iter"
 	"sync/atomic"
 	"time"
 )
@@ -16,11 +15,6 @@ const (
 	PathCache Path = iota
 	// PathModel: served by a learned model's prediction.
 	PathModel
-	// PathAQP: served by an approximate (sampling) engine. Reserved —
-	// the serving pool does not currently route through internal/aqp,
-	// but the path is part of the exposition contract so dashboards
-	// need not change when the planner starts using it.
-	PathAQP
 	// PathExactLocal: exact oracle fallback served from local data.
 	PathExactLocal
 	// PathExactScatter: exact fallback that scatter-gathered partials
@@ -37,8 +31,6 @@ func (p Path) String() string {
 		return "cache"
 	case PathModel:
 		return "model"
-	case PathAQP:
-		return "aqp"
 	case PathExactLocal:
 		return "exact_local"
 	case PathExactScatter:
@@ -67,7 +59,7 @@ func ClassOf(tenant string) string {
 	return tenant
 }
 
-// maxTenantClasses bounds the per-class map; overflow classes collapse
+// maxTenantClasses bounds the per-class table; overflow classes collapse
 // into "other" so a tenant-id cardinality bug cannot grow metrics
 // memory without bound.
 const maxTenantClasses = 64
@@ -96,48 +88,6 @@ type TenantSnap struct {
 	Inflight int64         `json:"inflight"`
 	P50      time.Duration `json:"p50_ns"`
 	P99      time.Duration `json:"p99_ns"`
-}
-
-// Kind says how a registry series accumulates. A counter only grows:
-// its exposition name gains `_total`, and the flight recorder keeps its
-// last value when it downsamples and scores its rate. A gauge is an
-// instantaneous reading.
-type Kind uint8
-
-const (
-	KindGauge Kind = iota
-	KindCounter
-)
-
-// String returns the Prometheus TYPE word.
-func (k Kind) String() string {
-	if k == KindCounter {
-		return "counter"
-	}
-	return "gauge"
-}
-
-// Series is one scalar series of a recorder's registry, the single list
-// both /v1/metrics and the flight recorder walk. It is exported as
-// sea_<Name> (sea_<Name>_total for a counter) and recorded as <Name>.
-type Series struct {
-	Name string
-	Help string
-	Kind Kind
-	// Read samples the current value; it must be cheap, safe to call
-	// concurrently and allocation-free (the flight recorder calls it every
-	// tick).
-	Read func() float64
-	// Watch arms the flight recorder's anomaly detector on the series.
-	Watch bool
-}
-
-// ExpoName is the series' family name on /v1/metrics.
-func (s Series) ExpoName() string {
-	if s.Kind == KindCounter {
-		return "sea_" + s.Name + "_total"
-	}
-	return "sea_" + s.Name
 }
 
 // ServeSnapshot is a point-in-time view of serving-layer health: the
@@ -205,7 +155,9 @@ type ServeSnapshot struct {
 // ServeRecorder accumulates serving-layer measurements. It is safe for
 // concurrent use: every worker in the serving pool observes into one
 // shared recorder. Counters are lock-free atomics and latencies land in
-// mergeable per-path histograms, so the hot path never takes a lock.
+// mergeable histograms, so the hot path never takes a lock. Its
+// registry lists every measurement: /v1/metrics writes it and the
+// flight recorder samples its scalar series.
 type ServeRecorder struct {
 	start time.Time
 
@@ -226,29 +178,35 @@ type ServeRecorder struct {
 	hedges     atomic.Int64
 	degraded   atomic.Int64
 
-	paths [NumPaths]Histogram
+	paths   [NumPaths]Histogram
+	classes cellTable[string, TenantStats]
 
-	tenantMu sync.RWMutex
-	tenants  map[string]*TenantStats
-
-	audit AuditRecorder
+	// audit holds the accuracy audit's predicted-vs-truth relative
+	// errors per (aggregate, source): the paper's accuracy claim as a
+	// continuously monitored signal.
+	audit        cellTable[auditKey, Histogram]
+	auditSamples atomic.Int64
 
 	slo atomic.Pointer[SLOEngine]
 
-	// series is the scalar registry, copied on write so readers never
-	// lock.
-	seriesMu sync.Mutex
-	series   atomic.Pointer[[]Series]
+	reg registry
 }
 
+// auditKey identifies one audit cell: which aggregate, and which
+// sampling source filled it ("fallback": the truth was computed anyway;
+// "shadow": a forced exact probe).
+type auditKey struct{ agg, source string }
+
 // NewServeRecorder builds a recorder whose registry holds its own
-// counters and the lifetime rates derived from them.
+// counters, the lifetime rates derived from them and the labelled
+// families over its histograms and tenant classes.
 func NewServeRecorder() *ServeRecorder {
-	r := &ServeRecorder{
-		start:   time.Now(),
-		tenants: make(map[string]*TenantStats),
-	}
-	r.series.Store(&[]Series{})
+	r := &ServeRecorder{start: time.Now()}
+	r.classes.max = maxTenantClasses
+	r.classes.overflow = "other"
+	r.classes.values = func(class string) []string { return []string{class} }
+	r.audit.values = func(k auditKey) []string { return []string{k.agg, k.source} }
+
 	for _, c := range []struct {
 		name, help string
 		v          *atomic.Int64
@@ -268,13 +226,12 @@ func NewServeRecorder() *ServeRecorder {
 		{"rpc_retries", "Retried inter-node RPC attempts.", &r.rpcRetries, true},
 		{"hedges", "Hedged scatter RPCs fired against a second holder.", &r.hedges, true},
 		{"degraded_answers", "Queries answered with partial partition coverage.", &r.degraded, true},
+		{"audit_samples", "Model answers audited against an exact evaluation.", &r.auditSamples, false},
 	} {
 		v := c.v
 		r.Register(Series{Name: c.name, Help: c.help, Kind: KindCounter, Watch: c.watch,
 			Read: func() float64 { return float64(v.Load()) }})
 	}
-	r.Register(Series{Name: "audit_samples", Help: "Model answers audited against an exact evaluation.",
-		Kind: KindCounter, Read: func() float64 { return float64(r.audit.Samples()) }})
 	r.Register(Series{Name: "qps", Help: "Lifetime queries per second.", Read: func() float64 {
 		return rate(r.queries.Load(), time.Since(r.start).Seconds())
 	}})
@@ -284,6 +241,47 @@ func NewServeRecorder() *ServeRecorder {
 	r.Register(Series{Name: "uptime_seconds", Help: "Recorder uptime.", Read: func() float64 {
 		return time.Since(r.start).Seconds()
 	}})
+
+	r.RegisterFamily(Family{Name: "sea_latency_seconds",
+		Help:   "Query latency quantiles from the merged answer-path histograms.",
+		Labels: []string{"quantile"},
+		Cells: func(yield func(Cell) bool) {
+			_, all := r.pathSnapshots()
+			_ = yield(Cell{Values: []string{"0.5"}, Value: quantileSeconds(all, 0.50)}) &&
+				yield(Cell{Values: []string{"0.9"}, Value: quantileSeconds(all, 0.90)}) &&
+				yield(Cell{Values: []string{"0.99"}, Value: quantileSeconds(all, 0.99)}) &&
+				yield(Cell{Values: []string{"1"}, Value: time.Duration(all.Max).Seconds()})
+		}})
+	r.RegisterFamily(Family{Name: "sea_path_latency_seconds", Help: "Query latency by answer path.",
+		Kind: KindHistogram, Labels: []string{"path"}, Buckets: latencyBuckets,
+		Cells: func(yield func(Cell) bool) {
+			for p := range NumPaths {
+				if !yield(Cell{Values: []string{p.String()}, Hist: r.paths[p].Snapshot()}) {
+					return
+				}
+			}
+		}})
+	for _, f := range []struct {
+		name, help string
+		kind       Kind
+		read       func(*TenantStats) Cell
+	}{
+		{"sea_tenant_queries_total", "Completed queries by tenant class.", KindCounter,
+			func(ts *TenantStats) Cell { return Cell{Value: float64(ts.Queries.Load())} }},
+		{"sea_tenant_rejected_total", "Admission rejections by tenant class.", KindCounter,
+			func(ts *TenantStats) Cell { return Cell{Value: float64(ts.Rejected.Load())} }},
+		{"sea_tenant_inflight", "Queued plus running queries by tenant class.", KindGauge,
+			func(ts *TenantStats) Cell { return Cell{Value: float64(ts.Inflight.Load())} }},
+		{"sea_tenant_latency_seconds", "Query latency (queue wait + execution) by tenant class.", KindHistogram,
+			func(ts *TenantStats) Cell { return Cell{Hist: ts.Lat.Snapshot()} }},
+	} {
+		r.RegisterFamily(Family{Name: f.name, Help: f.help, Kind: f.kind, Labels: []string{"class"},
+			Buckets: latencyBuckets, Cells: cellsOf(&r.classes, f.read)})
+	}
+	r.RegisterFamily(Family{Name: "sea_audit_error",
+		Help: "Predicted-vs-truth relative error of audited model answers.",
+		Kind: KindHistogram, Labels: []string{"agg", "source"}, Buckets: errorBuckets,
+		Cells: cellsOf(&r.audit, func(h *Histogram) Cell { return Cell{Hist: h.Snapshot()} })})
 	return r
 }
 
@@ -295,35 +293,15 @@ func rate(n int64, d float64) float64 {
 	return float64(n) / d
 }
 
-// Register adds s to the scalar registry. The first registration of a
-// name wins and later ones are dropped, so two schedulers over one pool
-// export one queue-depth series. Register at wiring time.
-func (r *ServeRecorder) Register(s Series) {
-	r.seriesMu.Lock()
-	defer r.seriesMu.Unlock()
-	old := *r.series.Load()
-	for _, have := range old {
-		if have.Name == s.Name {
-			return
-		}
-	}
-	next := append(old[:len(old):len(old)], s)
-	r.series.Store(&next)
-}
-
-// Series returns the scalar registry in registration order. The slice is
-// shared: callers must not modify it.
-func (r *ServeRecorder) Series() []Series { return *r.series.Load() }
-
 // ObservePath records one answered query under the path that served
-// it. Cache hits count toward CacheHits, model/AQP answers toward
+// it. Cache hits count toward CacheHits, model answers toward
 // Predicted, exact paths toward Fallbacks.
 func (r *ServeRecorder) ObservePath(lat time.Duration, p Path) {
 	r.queries.Add(1)
 	switch p {
 	case PathCache:
 		r.cacheHits.Add(1)
-	case PathModel, PathAQP:
+	case PathModel:
 		r.predicted.Add(1)
 	default:
 		r.fallbacks.Add(1)
@@ -391,28 +369,7 @@ func (r *ServeRecorder) DegradedAnswer() {
 // Tenant returns (creating on first use) the stats cell for a tenant
 // class. The class table is bounded: past maxTenantClasses new classes
 // collapse into "other".
-func (r *ServeRecorder) Tenant(class string) *TenantStats {
-	r.tenantMu.RLock()
-	ts := r.tenants[class]
-	r.tenantMu.RUnlock()
-	if ts != nil {
-		return ts
-	}
-	r.tenantMu.Lock()
-	defer r.tenantMu.Unlock()
-	if ts = r.tenants[class]; ts != nil {
-		return ts
-	}
-	if len(r.tenants) >= maxTenantClasses {
-		class = "other"
-		if ts = r.tenants[class]; ts != nil {
-			return ts
-		}
-	}
-	ts = &TenantStats{}
-	r.tenants[class] = ts
-	return ts
-}
+func (r *ServeRecorder) Tenant(class string) *TenantStats { return r.classes.get(class) }
 
 // TenantReject records an admission rejection attributed to a tenant
 // class (on top of the global Reject the caller also records).
@@ -428,18 +385,48 @@ func (r *ServeRecorder) TenantObserve(class string, lat time.Duration) {
 	ts.Lat.RecordDur(lat)
 }
 
-// Audit returns the accuracy-audit recorder.
-func (r *ServeRecorder) Audit() *AuditRecorder { return &r.audit }
+// tenants yields every tenant class and its cell, in class order.
+func (r *ServeRecorder) tenants() iter.Seq2[string, *TenantStats] { return r.classes.all() }
 
-// SetSLO attaches an SLO engine whose burn-rate series WriteRecorder
-// exports alongside the recorder's own metrics.
-func (r *ServeRecorder) SetSLO(e *SLOEngine) { r.slo.Store(e) }
+// RecordAudit adds one audited model answer's predicted-vs-truth
+// relative error to the (agg, source) cell.
+func (r *ServeRecorder) RecordAudit(agg, source string, rel float64) {
+	r.audit.get(auditKey{agg, source}).RecordErr(rel)
+	r.auditSamples.Add(1)
+}
+
+// AuditMAPE returns the mean relative error and sample count across the
+// audit cells whose source matches ("" = all).
+func (r *ServeRecorder) AuditMAPE(source string) (float64, int64) {
+	var sum float64
+	var n int64
+	for k, h := range r.audit.all() {
+		if source != "" && k.source != source {
+			continue
+		}
+		hs := h.Snapshot()
+		sum += float64(hs.Sum) / ErrScale
+		n += hs.Count
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return sum / float64(n), n
+}
+
+// SetSLO attaches an SLO engine and registers its burn-rate and state
+// families.
+func (r *ServeRecorder) SetSLO(e *SLOEngine) {
+	r.slo.Store(e)
+	for _, f := range sloFamilies(r) {
+		r.RegisterFamily(f)
+	}
+}
 
 // SLO returns the attached engine (nil when none is wired).
 func (r *ServeRecorder) SLO() *SLOEngine { return r.slo.Load() }
 
-// PathHist returns the latency histogram for one answer path (the
-// Prometheus writer reads bucket data straight from it).
+// PathHist returns the latency histogram for one answer path.
 func (r *ServeRecorder) PathHist(p Path) *Histogram { return &r.paths[p] }
 
 // CacheHitRate returns the lifetime cache-hit fraction of answered
@@ -448,25 +435,22 @@ func (r *ServeRecorder) CacheHitRate() float64 {
 	return rate(r.cacheHits.Load(), float64(r.queries.Load()))
 }
 
-// tenantSnapshot copies the per-class table.
-func (r *ServeRecorder) tenantSnapshot() map[string]TenantSnap {
-	r.tenantMu.RLock()
-	defer r.tenantMu.RUnlock()
-	if len(r.tenants) == 0 {
-		return nil
+// pathSnapshots snapshots every answer path and their merge.
+func (r *ServeRecorder) pathSnapshots() (per [NumPaths]HistSnapshot, all HistSnapshot) {
+	for p := range per {
+		per[p] = r.paths[p].Snapshot()
+		all.Merge(per[p])
 	}
-	out := make(map[string]TenantSnap, len(r.tenants))
-	for class, ts := range r.tenants {
-		hs := ts.Lat.Snapshot()
-		out[class] = TenantSnap{
-			Queries:  ts.Queries.Load(),
-			Rejected: ts.Rejected.Load(),
-			Inflight: ts.Inflight.Load(),
-			P50:      time.Duration(hs.Quantile(0.50)),
-			P99:      time.Duration(hs.Quantile(0.99)),
-		}
+	return per, all
+}
+
+// quantileSeconds is hs's q-quantile of nanosecond samples, in seconds
+// (0 for an empty snapshot).
+func quantileSeconds(hs HistSnapshot, q float64) float64 {
+	if hs.Count == 0 {
+		return 0
 	}
-	return out
+	return time.Duration(hs.Quantile(q)).Seconds()
 }
 
 // Snapshot computes the current view: lifetime counters plus latency
@@ -492,22 +476,20 @@ func (r *ServeRecorder) Snapshot() ServeSnapshot {
 	s.QPS = rate(s.Queries, s.Uptime.Seconds())
 	s.FallbackRate = rate(s.Fallbacks, float64(s.Queries))
 
-	var all HistSnapshot
-	paths := make(map[string]PathStats, NumPaths)
-	for p := Path(0); p < NumPaths; p++ {
-		hs := r.paths[p].Snapshot()
-		if hs.Count > 0 {
-			paths[p.String()] = PathStats{
-				Count: hs.Count,
-				P50:   time.Duration(hs.Quantile(0.50)),
-				P99:   time.Duration(hs.Quantile(0.99)),
-				Max:   time.Duration(hs.Max),
-			}
+	per, all := r.pathSnapshots()
+	for p, hs := range per {
+		if hs.Count == 0 {
+			continue
 		}
-		all.Merge(hs)
-	}
-	if len(paths) > 0 {
-		s.Paths = paths
+		if s.Paths == nil {
+			s.Paths = make(map[string]PathStats, NumPaths)
+		}
+		s.Paths[Path(p).String()] = PathStats{
+			Count: hs.Count,
+			P50:   time.Duration(hs.Quantile(0.50)),
+			P99:   time.Duration(hs.Quantile(0.99)),
+			Max:   time.Duration(hs.Max),
+		}
 	}
 	if all.Count > 0 {
 		s.P50 = time.Duration(all.Quantile(0.50))
@@ -515,129 +497,34 @@ func (r *ServeRecorder) Snapshot() ServeSnapshot {
 		s.P99 = time.Duration(all.Quantile(0.99))
 		s.Max = time.Duration(all.Max)
 	}
-	s.Tenants = r.tenantSnapshot()
-	s.Audit = r.audit.Snapshot()
+	for class, ts := range r.tenants() {
+		if s.Tenants == nil {
+			s.Tenants = make(map[string]TenantSnap)
+		}
+		hs := ts.Lat.Snapshot()
+		s.Tenants[class] = TenantSnap{
+			Queries:  ts.Queries.Load(),
+			Rejected: ts.Rejected.Load(),
+			Inflight: ts.Inflight.Load(),
+			P50:      time.Duration(hs.Quantile(0.50)),
+			P99:      time.Duration(hs.Quantile(0.99)),
+		}
+	}
+	for k, h := range r.audit.all() {
+		hs := h.Snapshot()
+		if hs.Count > 0 {
+			s.Audit = append(s.Audit, AuditSnap{Agg: k.agg, Source: k.source, Count: hs.Count,
+				MAPE: hs.Mean() / ErrScale, P99: float64(hs.Quantile(0.99)) / ErrScale})
+		}
+	}
 	return s
 }
 
-// AuditKey identifies one accuracy-audit error histogram: which
-// aggregate, and which sampling source filled it.
-type AuditKey struct {
-	Agg    string
-	Source string // "fallback" (free, truth already computed) or "shadow" (forced exact probe)
-}
-
-// AuditSnap is one audit histogram's summary.
+// AuditSnap is one audit cell's summary.
 type AuditSnap struct {
 	Agg    string  `json:"agg"`
 	Source string  `json:"source"`
 	Count  int64   `json:"count"`
 	MAPE   float64 `json:"mape"`
 	P99    float64 `json:"p99"`
-}
-
-// AuditRecorder accumulates predicted-vs-truth relative errors into
-// per-(aggregate, source) histograms: the paper's accuracy
-// claim as a continuously monitored production signal.
-type AuditRecorder struct {
-	mu      sync.RWMutex
-	m       map[AuditKey]*Histogram
-	samples atomic.Int64
-}
-
-// Record adds one relative-error observation.
-func (a *AuditRecorder) Record(agg, source string, rel float64) {
-	key := AuditKey{Agg: agg, Source: source}
-	a.mu.RLock()
-	h := a.m[key]
-	a.mu.RUnlock()
-	if h == nil {
-		a.mu.Lock()
-		if a.m == nil {
-			a.m = make(map[AuditKey]*Histogram)
-		}
-		if h = a.m[key]; h == nil {
-			h = &Histogram{}
-			a.m[key] = h
-		}
-		a.mu.Unlock()
-	}
-	h.RecordErr(rel)
-	a.samples.Add(1)
-}
-
-// Samples returns the lifetime number of audited answers.
-func (a *AuditRecorder) Samples() int64 { return a.samples.Load() }
-
-// MAPE returns the mean relative error and sample count across every
-// histogram whose source matches (""=all).
-func (a *AuditRecorder) MAPE(source string) (float64, int64) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	var sum float64
-	var n int64
-	for k, h := range a.m {
-		if source != "" && k.Source != source {
-			continue
-		}
-		hs := h.Snapshot()
-		sum += float64(hs.Sum) / ErrScale
-		n += hs.Count
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / float64(n), n
-}
-
-// Snapshot summarises every audit histogram, sorted for stable output.
-func (a *AuditRecorder) Snapshot() []AuditSnap {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]AuditSnap, 0, len(a.m))
-	for k, h := range a.m {
-		hs := h.Snapshot()
-		if hs.Count == 0 {
-			continue
-		}
-		out = append(out, AuditSnap{
-			Agg:    k.Agg,
-			Source: k.Source,
-			Count:  hs.Count,
-			MAPE:   hs.Mean() / ErrScale,
-			P99:    float64(hs.Quantile(0.99)) / ErrScale,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Agg != out[j].Agg {
-			return out[i].Agg < out[j].Agg
-		}
-		return out[i].Source < out[j].Source
-	})
-	return out
-}
-
-// Hists exposes the audit histograms for Prometheus exposition,
-// invoking fn per (key, histogram) in sorted key order.
-func (a *AuditRecorder) Hists(fn func(AuditKey, *Histogram)) {
-	a.mu.RLock()
-	keys := make([]AuditKey, 0, len(a.m))
-	for k := range a.m {
-		keys = append(keys, k)
-	}
-	hists := make([]*Histogram, len(keys))
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.Agg != kj.Agg {
-			return ki.Agg < kj.Agg
-		}
-		return ki.Source < kj.Source
-	})
-	for i, k := range keys {
-		hists[i] = a.m[k]
-	}
-	a.mu.RUnlock()
-	for i, k := range keys {
-		fn(k, hists[i])
-	}
 }

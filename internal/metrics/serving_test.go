@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -79,12 +81,11 @@ func TestServeRecorderPerPath(t *testing.T) {
 	r := NewServeRecorder()
 	r.ObservePath(1*time.Millisecond, PathCache)
 	r.ObservePath(2*time.Millisecond, PathModel)
-	r.ObservePath(40*time.Millisecond, PathExactLocal)
 	r.ObservePath(80*time.Millisecond, PathExactScatter)
 	r.ObservePath(90*time.Millisecond, PathExactScatter)
 
 	s := r.Snapshot()
-	if s.Queries != 5 || s.CacheHits != 1 || s.Predicted != 1 || s.Fallbacks != 3 {
+	if s.Queries != 4 || s.CacheHits != 1 || s.Predicted != 1 || s.Fallbacks != 2 {
 		t.Fatalf("path-derived counters: %+v", s)
 	}
 	ps, ok := s.Paths[PathExactScatter.String()]
@@ -98,8 +99,8 @@ func TestServeRecorderPerPath(t *testing.T) {
 		t.Fatalf("cache path stats = %+v", got)
 	}
 	// Unused paths stay out of the snapshot map.
-	if _, ok := s.Paths[PathAQP.String()]; ok {
-		t.Fatalf("snapshot has stats for the unused aqp path")
+	if _, ok := s.Paths[PathExactLocal.String()]; ok {
+		t.Fatalf("snapshot has stats for the unused exact_local path")
 	}
 }
 
@@ -128,14 +129,13 @@ func TestTenantClassStats(t *testing.T) {
 
 func TestAuditRecorder(t *testing.T) {
 	r := NewServeRecorder()
-	a := r.Audit()
-	a.Record("avg", "fallback", 0.10)
-	a.Record("avg", "fallback", 0.30)
-	a.Record("sum", "shadow", 0.05)
-	if n := a.Samples(); n != 3 {
+	r.RecordAudit("avg", "fallback", 0.10)
+	r.RecordAudit("avg", "fallback", 0.30)
+	r.RecordAudit("sum", "shadow", 0.05)
+	if n := r.auditSamples.Load(); n != 3 {
 		t.Fatalf("samples = %d, want 3", n)
 	}
-	mape, fn := a.MAPE("fallback")
+	mape, fn := r.AuditMAPE("fallback")
 	if fn != 2 {
 		t.Fatalf("fallback sample count = %d, want 2", fn)
 	}
@@ -163,15 +163,31 @@ func TestServeRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				observe(r, time.Microsecond, i%2 == 0)
+				r.TenantObserve(fmt.Sprintf("c%d", (w+i)%8), time.Microsecond)
+				r.RecordAudit("avg", "shadow", 0.01)
 				if i%50 == 0 {
 					_ = r.Snapshot()
+					if err := r.WriteRecorder(io.Discard); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if s := r.Snapshot(); s.Queries != workers*each {
+	s := r.Snapshot()
+	if s.Queries != workers*each {
 		t.Errorf("queries = %d, want %d", s.Queries, workers*each)
+	}
+	var tenantQueries int64
+	for _, ts := range s.Tenants {
+		tenantQueries += ts.Queries
+	}
+	if len(s.Tenants) != 8 || tenantQueries != workers*each {
+		t.Errorf("tenants = %d classes, %d queries; want 8, %d", len(s.Tenants), tenantQueries, workers*each)
+	}
+	if len(s.Audit) != 1 || s.Audit[0].Count != workers*each {
+		t.Errorf("audit = %+v, want one cell of %d", s.Audit, workers*each)
 	}
 }
 
@@ -268,7 +284,7 @@ func TestWriteRecorderHistograms(t *testing.T) {
 	ts.Queries.Add(1)
 	ts.Lat.RecordDur(3 * time.Millisecond)
 	r.TenantReject("client")
-	r.Audit().Record("avg", "shadow", 0.02)
+	r.RecordAudit("avg", "shadow", 0.02)
 	r.Register(Series{Name: "wal_segments", Help: "WAL segment files.", Read: func() float64 { return 4 }})
 
 	var buf strings.Builder

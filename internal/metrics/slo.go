@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -135,8 +133,7 @@ func (e *SLOEngine) Tick(now time.Time) {
 	}
 	obj := int64(e.cfg.LatencyObjective)
 	classes := make(map[string]sloCounts)
-	e.rec.tenantMu.RLock()
-	for class, ts := range e.rec.tenants {
+	for class, ts := range e.rec.tenants() {
 		hs := ts.Lat.Snapshot()
 		classes[class] = sloCounts{
 			queries:  hs.Count,
@@ -144,7 +141,6 @@ func (e *SLOEngine) Tick(now time.Time) {
 			rejected: ts.Rejected.Load(),
 		}
 	}
-	e.rec.tenantMu.RUnlock()
 
 	e.mu.Lock()
 	e.samples = append(e.samples, sloSample{t: now, classes: classes})
@@ -308,38 +304,29 @@ func sloStateValue(state string) int {
 	return 0
 }
 
-// WritePrometheus emits sea_slo_burn_rate{class,window} and
-// sea_slo_state{class} (0=ok 1=warn 2=critical) for every class.
-func (e *SLOEngine) WritePrometheus(w io.Writer) error {
-	states := e.States()
-	if len(states) == 0 {
-		return nil
+// sloFamilies are sea_slo_burn_rate{class,window} and
+// sea_slo_state{class} (0=ok 1=warn 2=critical) over the engine
+// attached to r, one cell per evaluated class.
+func sloFamilies(r *ServeRecorder) []Family {
+	return []Family{
+		{Name: "sea_slo_burn_rate", Help: "Error-budget burn rate by tenant class and window.",
+			Labels: []string{"class", "window"},
+			Cells: func(yield func(Cell) bool) {
+				for _, st := range r.SLO().States() {
+					if !yield(Cell{Values: []string{st.Class, "fast"}, Value: st.FastBurn}) ||
+						!yield(Cell{Values: []string{st.Class, "slow"}, Value: st.SlowBurn}) {
+						return
+					}
+				}
+			}},
+		{Name: "sea_slo_state", Help: "Objective state by tenant class (0=ok 1=warn 2=critical).",
+			Labels: []string{"class"},
+			Cells: func(yield func(Cell) bool) {
+				for _, st := range r.SLO().States() {
+					if !yield(Cell{Values: []string{st.Class}, Value: float64(sloStateValue(st.State))}) {
+						return
+					}
+				}
+			}},
 	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP sea_slo_burn_rate Error-budget burn rate by tenant class and window.\n"+
-			"# TYPE sea_slo_burn_rate gauge\n"); err != nil {
-		return err
-	}
-	for _, st := range states {
-		if _, err := fmt.Fprintf(w, "sea_slo_burn_rate{%s,window=\"fast\"} %g\n",
-			Label("class", st.Class), st.FastBurn); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "sea_slo_burn_rate{%s,window=\"slow\"} %g\n",
-			Label("class", st.Class), st.SlowBurn); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP sea_slo_state Objective state by tenant class (0=ok 1=warn 2=critical).\n"+
-			"# TYPE sea_slo_state gauge\n"); err != nil {
-		return err
-	}
-	for _, st := range states {
-		if _, err := fmt.Fprintf(w, "sea_slo_state{%s} %d\n",
-			Label("class", st.Class), sloStateValue(st.State)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -109,9 +109,8 @@ func TestSLOEngineNilSafe(t *testing.T) {
 	if s := eng.States(); s != nil {
 		t.Fatalf("nil engine States = %+v", s)
 	}
-	var b strings.Builder
-	if err := eng.WritePrometheus(&b); err != nil || b.Len() != 0 {
-		t.Fatalf("nil engine WritePrometheus wrote %q err %v", b.String(), err)
+	if f, s := eng.WorstBurn(); f != 0 || s != 0 || eng.WorstState() != 0 {
+		t.Fatalf("nil engine worst = %g/%g state %d", f, s, eng.WorstState())
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/exec"
+	"repro/internal/learn"
 	"repro/internal/metrics"
 	"repro/internal/ml"
 	"repro/internal/query"
@@ -86,7 +87,7 @@ type Sample struct {
 
 // CostModel predicts task cost per paradigm.
 type CostModel struct {
-	models map[Paradigm]ml.Regressor
+	models map[Paradigm]learn.Regressor
 }
 
 // Train fits one gradient-boosted cost model per paradigm present in the
@@ -99,7 +100,7 @@ func Train(samples []Sample) (*CostModel, error) {
 	for _, s := range samples {
 		byP[s.Paradigm] = append(byP[s.Paradigm], s)
 	}
-	cm := &CostModel{models: make(map[Paradigm]ml.Regressor, len(byP))}
+	cm := &CostModel{models: make(map[Paradigm]learn.Regressor, len(byP))}
 	for p, ss := range byP {
 		xs := make([][]float64, len(ss))
 		ys := make([]float64, len(ss))
@@ -107,7 +108,7 @@ func Train(samples []Sample) (*CostModel, error) {
 			xs[i] = s.F.vec()
 			ys[i] = math.Log1p(s.Seconds)
 		}
-		m := &ml.GradientBoosting{Rounds: 60, LearningRate: 0.15, MaxDepth: 3}
+		m := &learn.GradientBoosting{Rounds: 60, LearningRate: 0.15, MaxDepth: 3}
 		if err := m.Fit(xs, ys); err != nil {
 			return nil, fmt.Errorf("optimizer train %v: %w", p, err)
 		}
@@ -233,20 +234,20 @@ func Accuracy(cm *CostModel, fs []Features, pairs []map[Paradigm]float64) float6
 // StandardRegressorFamilies returns the candidate inference-model
 // families of RT3.3 (linear, quadratic via polynomial features, kNN,
 // boosted trees) for query-driven model selection (ref [48]).
-func StandardRegressorFamilies() map[string]func() ml.Regressor {
-	return map[string]func() ml.Regressor{
-		"linear": func() ml.Regressor { return &ml.LinearRegression{Ridge: 1e-6} },
-		"quadratic": func() ml.Regressor {
-			return &polyRegressor{inner: &ml.LinearRegression{Ridge: 1e-6}}
+func StandardRegressorFamilies() map[string]func() learn.Regressor {
+	return map[string]func() learn.Regressor{
+		"linear": func() learn.Regressor { return &learn.LinearRegression{Ridge: 1e-6} },
+		"quadratic": func() learn.Regressor {
+			return &polyRegressor{inner: &learn.LinearRegression{Ridge: 1e-6}}
 		},
-		"knn":     func() ml.Regressor { return &ml.KNNRegressor{K: 7, Weighted: true} },
-		"boosted": func() ml.Regressor { return &ml.GradientBoosting{Rounds: 40, MaxDepth: 2} },
+		"knn":     func() learn.Regressor { return &learn.KNNRegressor{K: 7, Weighted: true} },
+		"boosted": func() learn.Regressor { return &learn.GradientBoosting{Rounds: 40, MaxDepth: 2} },
 	}
 }
 
 // polyRegressor lifts a linear model onto degree-2 polynomial features.
 type polyRegressor struct {
-	inner *ml.LinearRegression
+	inner *learn.LinearRegression
 }
 
 // Fit expands features and fits the inner model.
@@ -266,5 +267,5 @@ func (p *polyRegressor) Predict(x []float64) float64 {
 // SelectInferenceModel picks the best regressor family for the given
 // training pairs by k-fold cross-validation (RT3.3 / ref [48]).
 func SelectInferenceModel(xs [][]float64, ys []float64, folds int, rng *rand.Rand) (string, map[string]float64, error) {
-	return ml.SelectModel(StandardRegressorFamilies(), xs, ys, folds, rng)
+	return learn.SelectModel(StandardRegressorFamilies(), xs, ys, folds, rng)
 }

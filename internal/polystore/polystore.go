@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/learn"
 	"repro/internal/metrics"
 	"repro/internal/ml"
 )
@@ -129,7 +130,7 @@ func (a *Analytics) tableRows(loKey, hiKey uint64) (map[uint64]float64, metrics.
 
 // corr computes the Pearson correlation over paired values.
 func corr(xs, ys []float64) float64 {
-	return ml.Correlation(xs, ys)
+	return learn.Correlation(xs, ys)
 }
 
 // ShipData answers corr(x, y) over keys in [loKey, hiKey] by shipping

@@ -20,11 +20,9 @@ import (
 type PlaneConfig struct {
 	// Node names the front-end in traces, bundles and the spool path.
 	Node string
-	// TraceSample is the background trace-sampling fraction, TraceRing
-	// the retained finished traces (0 = trace.DefaultRing), and
+	// TraceSample is the background trace-sampling fraction and
 	// SlowQuery the slow-query log threshold (0 disables).
 	TraceSample float64
-	TraceRing   int
 	SlowQuery   time.Duration
 	// AuditSample is the share of model answers shadow-audited against
 	// an exact evaluation (0 disables).
@@ -70,7 +68,7 @@ type Plane struct {
 // NewPlane wires cfg's instruments onto pool and starts the background
 // ones. The pool's Server mounts the plane's routes.
 func NewPlane(pool *Pool, cfg PlaneConfig) *Plane {
-	p := &Plane{pool: pool, cfg: cfg, Tracer: trace.NewTracer(cfg.Node, cfg.TraceRing)}
+	p := &Plane{pool: pool, cfg: cfg, Tracer: trace.NewTracer(cfg.Node, trace.DefaultRing)}
 	p.Tracer.SetSampleRate(cfg.TraceSample)
 	if cfg.SlowQuery > 0 {
 		p.Tracer.SetSlowThreshold(cfg.SlowQuery)

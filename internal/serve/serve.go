@@ -191,7 +191,7 @@ func NewPool(ag *core.Agent, rec *metrics.ServeRecorder) *Pool {
 	// error (the truth is already computed, so this costs nothing
 	// extra). Keyed by aggregate.
 	ag.SetAuditor(func(agg query.Agg, pred, truth float64) {
-		rec.Audit().Record(agg.String(), "fallback", core.NormError(agg, pred, truth))
+		rec.RecordAudit(agg.String(), "fallback", core.NormError(agg, pred, truth))
 	})
 	return &Pool{agent: ag, rec: rec}
 }
@@ -263,7 +263,7 @@ func (p *Pool) maybeShadowAudit(q query.Query, ans core.Answer) {
 		if err != nil {
 			return
 		}
-		p.rec.Audit().Record(q.Aggregate.String(), "shadow",
+		p.rec.RecordAudit(q.Aggregate.String(), "shadow",
 			core.NormError(q.Aggregate, ans.Value, truth))
 	}()
 }

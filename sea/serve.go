@@ -58,9 +58,6 @@ type ServeOptions struct {
 	// ring (GET /v1/debug/trace/<id>). 0 disables background sampling;
 	// ?trace=1 requests are always traced regardless.
 	TraceSample float64
-	// TraceRing bounds the retained finished traces (0 takes
-	// trace.DefaultRing).
-	TraceRing int
 	// SlowQuery, when positive, logs every query slower than this into
 	// the slow-query ring (GET /v1/debug/slow).
 	SlowQuery time.Duration
@@ -97,7 +94,6 @@ func NewScheduler(agents []*Agent, opt ServeOptions) (*Scheduler, error) {
 	serve.NewPlane(pool, serve.PlaneConfig{
 		Node:        "local",
 		TraceSample: opt.TraceSample,
-		TraceRing:   opt.TraceRing,
 		SlowQuery:   opt.SlowQuery,
 		AuditSample: opt.AuditSample,
 	})

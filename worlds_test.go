@@ -54,6 +54,7 @@ var (
 		"internal/impute",
 		"internal/index",
 		"internal/knn",
+		"internal/learn",
 		"internal/optimizer",
 		"internal/polystore",
 		"internal/rankjoin",
