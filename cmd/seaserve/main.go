@@ -59,10 +59,12 @@
 // primary and heal silent divergence by snapshot ship (repairs export
 // as sea_antientropy_repairs_total and surface in /v1/debug/cluster).
 //
-// Every member is also a live system: -data-dir enables the WAL-durable
-// write path (POST /v1/ingest appends replicated, quorum-acked row
-// batches; a restarted member replays its WAL and catches up the log
-// tail from peers), -write-quorum sets the ack threshold, and
+// Every member is also a live system: POST /v1/ingest applies
+// replicated, quorum-acked row batches, and a restarted member catches
+// up from its peers (their log tail, or a partition snapshot where no
+// tail continues its copy); -data-dir makes the write path WAL-durable
+// (a restarted member first replays its own WAL; without one, rows no
+// live holder kept are lost), -write-quorum sets the ack threshold, and
 // -drift-budget/-requant-check tune the drift-aware online model
 // maintenance.
 //
@@ -210,7 +212,7 @@ func main() {
 	flag.StringVar(&o.join, "join", "", "live member URL to join a running cluster through (replaces -peers)")
 	flag.StringVar(&o.advertise, "advertise", "", "this member's externally reachable URL (required with -join; default http://<-addr> without -peers)")
 	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "background replica-repair cadence (0 disables)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "WAL directory for the live write path (empty = no durability)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "WAL directory for the live write path (empty = no durability: a restarted or lagging replica still catches up from a peer's partition snapshot, but rows no live holder kept are lost)")
 	flag.IntVar(&o.writeQuorum, "write-quorum", 0, "owners that must apply an ingest batch before ack (0 = majority of the replicas)")
 	flag.IntVar(&o.driftBudget, "drift-budget", 200, "ingested rows a quantum absorbs before its models re-earn trust (>= 1)")
 	flag.DurationVar(&o.requantCheck, "requant-check", 2*time.Second, "background drift-maintainer poll period (0 disables re-quantisation)")
@@ -462,11 +464,12 @@ func run(ctx context.Context, o options) error {
 		"partitions_total", st.PartitionsTotal, "rows", st.RowsHeld,
 		"members", len(st.Members), "replicas", st.Replicas,
 		"data_version", node.DataVersion())
-	if o.dataDir != "" && len(o.peers) > 1 {
-		// Log-tail catch-up: close the gap this member missed while it
-		// was down (best effort — a cold cluster has no tail to fetch).
+	if len(o.peers) > 1 {
+		// Catch-up: close the gap this member missed while it was down,
+		// from the peers' log tails or, without one, their partition
+		// snapshots (best effort — a cold cluster has nothing to fetch).
 		if fetched, err := node.CatchUp(); err != nil {
-			lg.Warn("log-tail catch-up incomplete", "err", err)
+			lg.Warn("catch-up incomplete", "err", err)
 		} else if fetched > 0 {
 			lg.Info("caught up missed ingest batches", "batches", fetched)
 		}

@@ -162,9 +162,8 @@ func (n *Node) AntiEntropyTick() int {
 			continue // lost the partition mid-tick (view change)
 		}
 		if remote.LastSeq > local.LastSeq {
-			// Plain replication lag, not divergence: catch up through
-			// the WAL path first (it takes the partition lock itself),
-			// then re-compare.
+			// Plain replication lag, not divergence: catch up first (it
+			// takes the partition lock itself), then re-compare.
 			_, _ = n.catchUpPartition(p)
 			local, ok = n.digestPartition(p)
 			if !ok || remote.LastSeq > local.LastSeq {
@@ -196,11 +195,12 @@ func (n *Node) AntiEntropyTick() int {
 	return repaired
 }
 
-// repairPartition replaces partition p wholesale with the primary's
-// snapshot. Safe against the ingest path: it holds p's ingest lock for
-// the whole replace, and the donor's partsnap handler reads under the
-// copy's state lock only (no ingest lock), so mutual repair cannot
-// deadlock.
+// repairPartition installs the primary's snapshot of partition p at
+// the copy's own sequence or later: a divergent copy has every batch, so
+// no log tail can mend it. Safe against the ingest path: it holds p's
+// ingest lock for the whole replace, and the donor's partsnap handler
+// reads under the copy's state lock only (no ingest lock), so mutual
+// repair cannot deadlock.
 func (n *Node) repairPartition(p int, primaryURL string) error {
 	if !n.ingestGate() {
 		return errNodeClosing
@@ -211,11 +211,7 @@ func (n *Node) repairPartition(p int, primaryURL string) error {
 		return fmt.Errorf("dist: partition %d not held", p)
 	}
 	defer pt.ingest.Unlock()
-	fresh, err := n.fetchPart(primaryURL, p)
-	if err != nil {
-		return err
-	}
-	return n.replaceLocked(pt, fresh)
+	return n.replaceLocked(pt, primaryURL, pt.seq())
 }
 
 // AntiEntropyRepairs returns the lifetime count of successful repairs.

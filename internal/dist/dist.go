@@ -40,7 +40,7 @@
 //	POST /v1/ingest    client-facing row batches (replicated, quorum-
 //	                   acked, WAL-durable live write path)
 //	POST /v1/replicate primary-to-replica sequenced batch shipping
-//	POST /v1/walfetch  log-tail fetch for recovering replicas
+//	POST /v1/walfetch  log-tail fetch for catching-up copies
 //	POST /v1/partials  batched per-partition aggregate states for
 //	                   scatter-gather (one round trip per holder)
 //	GET  /v1/snapshot  the agent's snapshot for model shipping
@@ -51,8 +51,9 @@
 //	                   partitions on their gainers, cut the epoch over
 //	POST /v1/leave     retire a member gracefully (drain + rebalance)
 //	POST /v1/migrate   coordinator→gainer: stage listed partitions from
-//	                   donor holders (snapshot + WAL-tail catch-up)
-//	POST /v1/partsnap  one partition's full row snapshot for staging
+//	                   donor holders (snapshot + catch-up)
+//	POST /v1/partsnap  one partition's full row snapshot for staging,
+//	                   repair and catch-up without a continuing tail
 //	POST /v1/digest    per-partition Merkle-style content digest for
 //	                   anti-entropy comparison
 //	GET  /v1/status    versioned introspection snapshot: ring view,
@@ -154,7 +155,9 @@ type Config struct {
 	// path: every owned data partition appends its sequenced ingest
 	// batches to a write-ahead log under DataDir/part-<i>, and Load
 	// replays those segments on restart so acknowledged writes survive
-	// a crash. Empty disables durability (ingest is memory-only).
+	// a crash. Empty disables durability (ingest is memory-only): a
+	// replica without a WAL still catches up from a peer's partition
+	// snapshot, but rows no live holder kept are lost.
 	DataDir string
 	// WriteQuorum is how many ring owners must apply an ingest batch
 	// before it is acknowledged (default: a majority of Replicas;
@@ -252,8 +255,8 @@ type Config struct {
 	InitialView *View
 	// AntiEntropy, when positive, runs the background replica-repair
 	// loop at this cadence: each tick the node digests the partitions
-	// it replicates, compares against the partition primary, and heals
-	// any divergence via snapshot ship + WAL-tail catch-up. Negative
+	// it replicates, compares against the partition primary, catches
+	// up a copy that lags it and heals divergence by snapshot ship. Negative
 	// arms the machinery without the background loop (tests drive
 	// AntiEntropyTick manually). Zero disarms it entirely — a tick is
 	// then a single atomic load, which is the zero-allocation guarantee
@@ -555,8 +558,9 @@ type WALFetchResponse struct {
 	// Unfenced responses (the lock was contended) are still correct
 	// tails — just not a cutover guarantee.
 	Fenced bool `json:"fenced,omitempty"`
-	// NoWAL reports the holder has the partition in memory only (no
-	// durability configured); LastSeq is still authoritative and the
+	// NoWAL reports the holder cannot serve a tail that continues
+	// After: it keeps the partition in memory only, or its log starts
+	// with a seed past After. LastSeq is still authoritative and the
 	// caller falls back to a snapshot fetch for missing rows.
 	NoWAL bool `json:"no_wal,omitempty"`
 }

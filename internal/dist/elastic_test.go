@@ -243,6 +243,37 @@ func TestAntiEntropyRepairsCorruptReplica(t *testing.T) {
 	}
 }
 
+// TestAntiEntropyHealsMemoryOnlyLag: one tick brings a memory-only
+// replica that missed batches level with its primary. No holder keeps a
+// log, so the catch-up takes the primary's snapshot.
+func TestAntiEntropyHealsMemoryOnlyLag(t *testing.T) {
+	cfg := core.DefaultConfig(2)
+	cfg.TrainingQueries = 1 << 30
+	lc, err := StartLocal(3, Config{Agent: cfg, Replicas: 2, AntiEntropy: -1}, testRows(2_000, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	any := lc.Node(lc.IDs()[0])
+	owners := any.PartitionOwners(0)
+	primary, replica := lc.Node(owners[0]), lc.Node(owners[1])
+	pt := primary.livePart(0)
+	for seq := uint64(1); seq <= 2; seq++ {
+		rows := []storage.Row{{Key: 44_000_000 + seq, Vec: []float64{1, 2, float64(seq)}}}
+		if err := primary.applyBatch(pt, true, seq, rows, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if replica.PartLastSeq(0) != 0 {
+		t.Fatalf("replica unexpectedly has seq %d", replica.PartLastSeq(0))
+	}
+	replica.AntiEntropyTick()
+	if got, want := replica.livePart(0).digest(), pt.digest(); got.LastSeq != want.LastSeq || got.Root != want.Root {
+		t.Fatalf("replica at seq %d root %s after one tick, primary at seq %d root %s",
+			got.LastSeq, got.Root, want.LastSeq, want.Root)
+	}
+}
+
 func equalFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

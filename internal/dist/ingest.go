@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/ingest"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/storage"
@@ -29,10 +30,10 @@ import (
 // Replicas apply batches strictly in order (a gap is rejected, not
 // buffered), so every holder's partition content is a prefix of the
 // same log — which is what makes a restarted replica, after WAL replay
-// plus log-tail catch-up, answer bit-identically to one that never
-// died. Durability comes from the per-partition WAL (internal/ingest):
-// with the default fsync policy a batch is on stable storage at every
-// acking owner before the client sees the ack.
+// plus catch-up, answer bit-identically to one that never died.
+// Durability comes from the per-partition WAL (internal/ingest): with
+// the default fsync policy a batch is on stable storage at every acking
+// owner before the client sees the ack.
 
 // partitionForKey routes an ingested row to its data partition with
 // storage.MixKey, the row-placement hash the simulator's hash-partitioned
@@ -88,20 +89,6 @@ func (n *Node) offer(pt *partition, live bool, seq uint64, rows []storage.Row) (
 		return last, err
 	}
 	return seq, nil
-}
-
-// applyTail offers a fetched log tail to copy pt in order (the caller
-// holds its ingest lock; live says whether pt is the live copy),
-// skipping what is already applied and stopping at the first gap —
-// another holder may fill it. It returns how many batches were applied.
-func (n *Node) applyTail(pt *partition, live bool, entries []WALFetchEntry) (int, error) {
-	start := pt.seq()
-	for _, e := range entries {
-		if last, err := n.offer(pt, live, e.Seq, wireToRows(e.Rows)); err != nil || e.Seq > last {
-			return int(pt.seq() - start), err
-		}
-	}
-	return int(pt.seq() - start), nil
 }
 
 // idemCacheCap bounds the primary-side ingest idempotency cache: FIFO
@@ -526,15 +513,15 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// more): whatever lag it observed as one is history.
 	pt.repLag.Store(0)
 	if last := pt.seq(); req.Seq > last+1 {
-		// Sequence gap: this copy missed a batch. Heal inline by fetching
-		// the missing tail from the peer holders (the primary already has
-		// every earlier batch — including this one — in its WAL), then
-		// offer the batch against the healed sequence. A staged copy gaps
-		// whenever the primary adopts the new view first: the batches
-		// sequenced since its snapshot went to the old owners only.
+		// Sequence gap: this copy missed a batch. Heal inline from the
+		// peer holders (the primary has already applied every earlier
+		// batch, and this one), then offer the batch against the healed
+		// sequence. A staged copy gaps whenever the primary adopts the
+		// new view first: the batches sequenced since its snapshot went
+		// to the old owners only.
 		n.logger.Warn("replication gap, healing inline",
 			"part", req.Part, "applied", last, "incoming", req.Seq, "live", live)
-		_, _ = n.catchUpLocked(pt, live)
+		_, _, _ = n.catchUpLocked(pt, live, n.holders(pt.id))
 	}
 	last, err := n.offer(pt, live, req.Seq, wireToRows(req.Rows))
 	if err != nil {
@@ -572,16 +559,20 @@ func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	if fenced {
 		defer pt.ingest.Unlock()
 	}
-	resp := WALFetchResponse{Part: req.Part, LastSeq: pt.seq(), Fenced: fenced}
-	if l := pt.wal.Load(); l == nil {
-		resp.NoWAL = true
-	} else {
-		entries, truncated, err := l.EntriesAfterN(req.After, max)
+	resp := WALFetchResponse{Part: req.Part, LastSeq: pt.seq(), Fenced: fenced, NoWAL: true}
+	if l := pt.wal.Load(); l != nil {
+		// A log whose first entry is past seq 1 starts with a seed
+		// (seedLog), which is never a batch: serve only what follows it.
+		head, _, err := l.EntriesAfterN(0, 1)
+		var entries []ingest.Entry
+		if err == nil && (len(head) == 0 || head[0].Seq == 1 || req.After >= head[0].Seq) {
+			resp.NoWAL = false
+			entries, resp.Truncated, err = l.EntriesAfterN(req.After, max)
+		}
 		if err != nil {
 			serve.WriteError(w, err)
 			return
 		}
-		resp.Truncated = truncated
 		for _, e := range entries {
 			resp.Entries = append(resp.Entries, WALFetchEntry{Seq: e.Seq, Rows: rowsToWire(e.Rows)})
 		}
@@ -589,10 +580,10 @@ func (n *Node) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
-// CatchUp fetches every owned partition's missed log tail from peer
-// holders and applies it — the second half of snapshot-plus-log-replay
-// recovery: Load replays the local WAL, CatchUp closes the gap the node
-// missed while it was down. It returns how many batches were fetched.
+// CatchUp brings every live partition forward from its peer holders —
+// the second half of recovery: Load replays the local WAL, if any, and
+// CatchUp closes the gap the node missed while it was down. It returns
+// how many batches the copies advanced by.
 func (n *Node) CatchUp() (int, error) {
 	if !n.ingestGate() {
 		return 0, errNodeClosing
@@ -615,66 +606,88 @@ func (n *Node) CatchUp() (int, error) {
 	return fetched, lastErr
 }
 
-// catchUpPartition drains live partition p's missed log tail from its
-// peer holders (a no-op when the node does not hold p live).
+// catchUpPartition brings live partition p forward from its peer
+// holders (a no-op when the node does not hold p live).
 func (n *Node) catchUpPartition(p int) (int, error) {
 	pt := n.lockLive(p)
 	if pt == nil {
 		return 0, nil
 	}
 	defer pt.ingest.Unlock()
-	return n.catchUpLocked(pt, true)
+	advanced, _, err := n.catchUpLocked(pt, true, n.holders(p))
+	return advanced, err
 }
 
-// catchUpLocked is catchUpPartition for a caller that already holds
-// copy pt's ingest lock (live says whether pt is the live copy). The
-// holders consulted are the partition's owners under the node's current
-// view: for a staged copy the old owners, for a retired one the new.
-func (n *Node) catchUpLocked(pt *partition, live bool) (int, error) {
-	var applied int
-	var lastErr error
+// holders returns the URLs of partition p's other ring owners under the
+// node's current view (for a staged copy the old owners, for a retired
+// one the new), primary first, leaving out peers the tracker holds open.
+func (n *Node) holders(p int) []string {
 	ms := n.members()
-	// Consult EVERY reachable holder, not just the first: a holder can
-	// itself be behind (it missed a replication too), so stopping at
-	// one donor could silently strand acked batches that another
-	// holder still has.
-	for _, holder := range ms.ring.Owners(partKey(pt.id), n.cfg.Replicas) {
-		if holder == n.id {
+	var urls []string
+	for _, o := range ms.ring.Owners(partKey(p), n.cfg.Replicas) {
+		if url := ms.urls[o]; o != n.id && url != "" && n.health.state(url) != peerOpen {
+			urls = append(urls, url)
+		}
+	}
+	return urls
+}
+
+// catchUpLocked is the one routine that brings a copy forward (the
+// caller holds copy pt's ingest lock; live says whether pt is the live
+// copy). It consults EVERY donor: one can itself be behind, and stopping
+// there could strand acked batches another still has. From each it
+// applies the log tail after pt.seq() while the tail continues the
+// copy's sequence, fetching again while the donor truncated the tail
+// and the round made progress. A donor that is ahead but serves no such
+// tail — it keeps no log, its log starts with a seed past pt.seq(), or
+// the tail has a gap — ships its partition snapshot instead. It returns
+// how far pt's sequence advanced and the newest epoch at which a donor
+// served a fenced reply showing nothing missing (0 when none did).
+func (n *Node) catchUpLocked(pt *partition, live bool, donors []string) (advanced int, fencedAt int64, err error) {
+	start := pt.seq()
+	self := n.members().urls[n.id]
+	for _, url := range donors {
+		if url == "" || url == self {
 			continue
 		}
-		url, ok := ms.urls[holder]
-		if !ok || url == "" || n.health.state(url) == peerOpen {
-			continue
-		}
-		// A bounded fetch may truncate a long tail: keep fetching from
-		// this donor while each round applies at least one batch (the
-		// progress check stops a donor that is itself behind from
-		// looping us forever).
 		for {
-			// Fetch failures are NOT held against the peer: catch-up
-			// runs at boot, when the rest of the cluster may still be
-			// starting, and quarantining peers here would poison the
-			// first cooldown window of serving (ingest has no local
-			// fallback).
-			resp, _, err := n.fetchTail(url, pt.id, pt.seq())
-			if err != nil {
-				lastErr = err
+			// Fetch failures are NOT held against the peer: catch-up runs
+			// at boot, when the rest of the cluster may still be starting,
+			// and quarantining peers here would poison the first cooldown
+			// window of serving (ingest has no local fallback).
+			before := pt.seq()
+			resp, epoch, ferr := n.fetchTail(url, pt.id, before)
+			if ferr != nil {
+				err = ferr
 				break
 			}
-			if resp == nil || resp.NoWAL {
-				break // holder keeps no WAL; nothing to fetch
+			if resp == nil {
+				break // the donor holds no copy
 			}
-			roundApplied, err := n.applyTail(pt, live, resp.Entries)
-			applied += roundApplied
-			if err != nil {
-				return applied, err
+			for _, e := range resp.Entries {
+				last, aerr := n.offer(pt, live, e.Seq, wireToRows(e.Rows))
+				if aerr != nil {
+					return int(pt.seq() - start), fencedAt, aerr
+				}
+				if e.Seq > last {
+					break // a gap
+				}
 			}
-			if !resp.Truncated || roundApplied == 0 {
+			if pt.seq() == before && resp.LastSeq > before {
+				if ierr := n.replaceLocked(pt, url, before+1); ierr != nil {
+					err = ierr
+					break
+				}
+			}
+			if resp.Fenced && !resp.Truncated && resp.LastSeq <= pt.seq() {
+				fencedAt = max(fencedAt, epoch)
+			}
+			if !resp.Truncated || pt.seq() == before {
 				break
 			}
 		}
 	}
-	return applied, lastErr
+	return int(pt.seq() - start), fencedAt, err
 }
 
 // fetchTail fetches partition p's WAL tail after the given sequence

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -186,6 +187,76 @@ func TestIngestWALReplaySurvivesKill(t *testing.T) {
 	}
 }
 
+// TestMemoryOnlyReviveCatchesUp: without a WAL, a killed and revived
+// member boots behind its peers and catches up from their partition
+// snapshots — as a replica and as a primary — so every batch after the
+// revive is acked at quorum and every holder of a partition ends at the
+// same sequence and digest root.
+func TestMemoryOnlyReviveCatchesUp(t *testing.T) {
+	cfg := core.DefaultConfig(2)
+	cfg.TrainingQueries = 1 << 30
+	lc, err := StartLocal(3, Config{Agent: cfg, Replicas: 2, WriteQuorum: 2,
+		Cooldown: 50 * time.Millisecond}, testRows(2_000, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	client := lc.Client()
+	ingest := func(b int) IngestResponse {
+		t.Helper()
+		resp, err := client.Ingest(ingestRows(60, 5_000_000+uint64(b)*1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for b := 0; b < 3; b++ {
+		if resp := ingest(b); resp.FailedRows != 0 {
+			t.Fatalf("batch %d before the kill: %+v", b, resp.Parts)
+		}
+	}
+	victim := lc.IDs()[2]
+	lc.Kill(victim)
+	for b := 3; b < 5; b++ {
+		ingest(b) // partitions the victim holds miss quorum
+	}
+	if _, err := lc.Revive(victim, ""); err != nil {
+		t.Fatal(err)
+	}
+	// The survivors hold the victim open until their cooldown ends and
+	// then admit one probe call to it at a time, so the first batches
+	// after the revive may still miss it. Once one batch is acked in
+	// full, every later one must be.
+	time.Sleep(100 * time.Millisecond)
+	b := 5
+	for ; ingest(b).FailedRows != 0; b++ {
+		if b == 15 {
+			t.Fatal("no batch acked in full after the revive")
+		}
+	}
+	for end := b + 5; b < end; b++ {
+		if resp := ingest(b); resp.FailedRows != 0 {
+			t.Fatalf("batch %d after the revive acked %d of %d rows: %+v",
+				b, resp.AckedRows, resp.AckedRows+resp.FailedRows, resp.Parts)
+		}
+	}
+	any := lc.Node(lc.IDs()[0])
+	for p := 0; p < any.Partitions(); p++ {
+		var ref PartDigest
+		for i, id := range any.PartitionOwners(p) {
+			d, ok := lc.Node(id).digestPartition(p)
+			if !ok {
+				t.Fatalf("owner %s does not hold partition %d", id, p)
+			}
+			if i > 0 && (d.LastSeq != ref.LastSeq || d.Root != ref.Root) {
+				t.Fatalf("partition %d: holders disagree: seq %d root %s vs seq %d root %s",
+					p, d.LastSeq, d.Root, ref.LastSeq, ref.Root)
+			}
+			ref = d
+		}
+	}
+}
+
 func TestIngestNonPrimaryProxiesToPrimary(t *testing.T) {
 	lc, _ := liveCluster(t, 3, t.TempDir())
 	node0 := lc.Node(lc.IDs()[0])
@@ -344,61 +415,97 @@ func TestQueryForwardAntiBounceAnswersLocally(t *testing.T) {
 	}
 }
 
+// TestReplicateGapHealsInline: a replica that missed a batch heals the
+// gap inline when the next batch arrives, and acks it — from the
+// primary's log tail when one continues its copy, from the primary's
+// snapshot when none does (no WAL, or a log re-seeded past the gap).
+// Both copies end with the same rows, sequence and partial state.
 func TestReplicateGapHealsInline(t *testing.T) {
-	lc, _ := liveCluster(t, 3, t.TempDir())
-	node0 := lc.Node(lc.IDs()[0])
+	for _, tc := range []struct {
+		name        string
+		wal, reseed bool
+	}{
+		{"wal", true, false},
+		{"memory-only", false, false},
+		{"reseeded", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := ""
+			if tc.wal {
+				dir = t.TempDir()
+			}
+			lc, _ := liveCluster(t, 3, dir)
+			node0 := lc.Node(lc.IDs()[0])
 
-	// Pick a partition whose primary is n0 with a distinct replica.
-	part := -1
-	var replica *Node
-	for p := 0; p < node0.Partitions(); p++ {
-		owners := node0.PartitionOwners(p)
-		if len(owners) >= 2 && owners[0] == node0.ID() {
-			part, replica = p, lc.Node(owners[1])
-			break
-		}
-	}
-	if part < 0 || replica == nil {
-		t.Skip("no n0-primary partition with a replica")
-	}
+			// Pick a partition whose primary is n0 with a distinct replica.
+			part := -1
+			var replica *Node
+			for p := 0; p < node0.Partitions(); p++ {
+				owners := node0.PartitionOwners(p)
+				if len(owners) >= 2 && owners[0] == node0.ID() {
+					part, replica = p, lc.Node(owners[1])
+					break
+				}
+			}
+			if part < 0 || replica == nil {
+				t.Skip("no n0-primary partition with a replica")
+			}
+			batch := func(first uint64) []storage.Row {
+				var rows []storage.Row
+				for k := first; len(rows) < 3; k++ {
+					if node0.partitionForKey(k) == part {
+						rows = append(rows, storage.Row{Key: k, Vec: []float64{float64(k % 7), 5, 6}})
+					}
+				}
+				return rows
+			}
+			// Two acked batches first, so a seed covers more than one batch.
+			for b := uint64(0); b < 2; b++ {
+				if pr := node0.primaryIngest(part, batch(41_000_000+b*1000), "", envelope{}, nil); !pr.Acked {
+					t.Fatalf("ingest before the gap: %+v", pr)
+				}
+			}
 
-	// Create a replication gap: apply a batch on the primary only (as
-	// if the replica's connection dropped mid-replication).
-	seq := node0.PartLastSeq(part) + 1
-	gapRows := []storage.Row{{Key: 42_000_000, Vec: []float64{1, 2, 3}}}
-	if err := node0.applyBatch(node0.livePart(part), true, seq, gapRows, nil); err != nil {
-		t.Fatal(err)
-	}
-	if replica.PartLastSeq(part) != seq-1 {
-		t.Fatalf("replica unexpectedly has seq %d", replica.PartLastSeq(part))
-	}
+			// Create a replication gap: apply a batch on the primary only
+			// (as if the replica's connection dropped mid-replication).
+			pt := node0.livePart(part)
+			seq := pt.seq() + 1
+			if err := node0.applyBatch(pt, true, seq, batch(42_000_000), nil); err != nil {
+				t.Fatal(err)
+			}
+			if replica.PartLastSeq(part) != seq-1 {
+				t.Fatalf("replica unexpectedly has seq %d", replica.PartLastSeq(part))
+			}
+			if tc.reseed {
+				// An install or a repair re-seeds the log: one entry at
+				// seq holding every ingested row, which is no batch.
+				pt.ingest.Lock()
+				err := seedLog(pt.wal.Load(), pt)
+				pt.ingest.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Ingest the next batch through the normal path: the replica sees a
-	// sequence gap, heals inline from the primary's WAL, and acks.
-	var batch []storage.Row
-	for k := uint64(43_000_000); len(batch) == 0; k++ {
-		if node0.partitionForKey(k) == part {
-			batch = append(batch, storage.Row{Key: k, Vec: []float64{4, 5, 6}})
-		}
-	}
-	pr := node0.primaryIngest(part, batch, "", envelope{}, nil)
-	if !pr.Acked {
-		t.Fatalf("gapped replica did not heal: %+v", pr)
-	}
-	if got := replica.PartLastSeq(part); got != seq+1 {
-		t.Fatalf("replica lastSeq = %d after heal, want %d", got, seq+1)
-	}
-	// Both holders now hold identical state, including the gap batch.
-	probe := wholeSpace(query.Var, 2)
-	a, _ := node0.PartialState(part, probe)
-	b, _ := replica.PartialState(part, probe)
-	if len(a) != len(b) {
-		t.Fatalf("partial widths differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("healed replica diverges at %d: %v != %v", i, a[i], b[i])
-		}
+			// Ingest the next batch through the normal path: the replica
+			// sees a sequence gap, heals inline, and acks.
+			if pr := node0.primaryIngest(part, batch(43_000_000), "", envelope{}, nil); !pr.Acked {
+				t.Fatalf("gapped replica did not heal: %+v", pr)
+			}
+			if got := replica.PartLastSeq(part); got != seq+1 {
+				t.Fatalf("replica lastSeq = %d after heal, want %d", got, seq+1)
+			}
+			pd, rd := pt.digest(), replica.livePart(part).digest()
+			if pd.Rows != rd.Rows {
+				t.Fatalf("replica holds %d rows, primary %d", rd.Rows, pd.Rows)
+			}
+			probe := wholeSpace(query.Var, 2)
+			a, _ := node0.PartialState(part, probe)
+			b, _ := replica.PartialState(part, probe)
+			if !equalFloats(a, b) {
+				t.Fatalf("healed replica diverges: %v != %v", b, a)
+			}
+		})
 	}
 }
 

@@ -311,8 +311,9 @@ func (lc *LocalCluster) Kill(id string) {
 
 // Revive restarts a killed member on its original address with a fresh
 // node: it reloads the base data partitions, replays the member's own
-// WAL segments (when the cluster runs with a DataDir), fetches the log
-// tail it missed from peer holders, and — when warmFrom is a live
+// WAL segments (when the cluster runs with a DataDir), catches up what
+// it missed from peer holders (their log tail, or a snapshot where no
+// tail continues its copy), and — when warmFrom is a live
 // member id — imports that member's agent snapshots so the replica
 // predicts immediately (model snapshot + log tail instead of a full
 // retrain). It returns the shipped snapshot bytes.
@@ -335,11 +336,8 @@ func (lc *LocalCluster) Revive(id, warmFrom string) (int64, error) {
 	if err := lc.startNode(id, l); err != nil {
 		return 0, err
 	}
-	if lc.base.DataDir != "" {
-		// Log-tail catch-up: fetch the batches this member missed while
-		// it was down (best effort — dead peers are skipped).
-		_, _ = lc.Node(id).CatchUp()
-	}
+	// Best effort: dead peers are skipped.
+	_, _ = lc.Node(id).CatchUp()
 	if warmFrom == "" {
 		return 0, nil
 	}
@@ -350,7 +348,7 @@ func (lc *LocalCluster) Revive(id, warmFrom string) (int64, error) {
 }
 
 // ReviveCold restarts a killed member like Revive but WITHOUT the
-// log-tail catch-up or model warm-up: the node replays only its own
+// catch-up or model warm-up: the node replays only its own
 // surviving WAL segments, so batches ingested while it was down stay
 // missing until an explicit CatchUp. The introspection experiments use
 // this to observe nonzero replication lag in the status plane before

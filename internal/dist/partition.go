@@ -175,7 +175,9 @@ func (pt *partition) swap(cols *storage.ColStore, baseLen int, lastSeq uint64, v
 }
 
 // seedLog resets l to hold exactly copy pt's ingested tail — one entry,
-// rows[baseLen:] at lastSeq; logged base rows would replay twice.
+// rows[baseLen:] at lastSeq; logged base rows would replay twice. The
+// seed is a checkpoint for replay, never a batch: /v1/walfetch serves
+// only what follows it.
 func seedLog(l *ingest.Log, pt *partition) error {
 	view, baseLen, lastSeq := pt.snapshot()
 	if err := l.Reset(); err != nil || lastSeq == 0 {

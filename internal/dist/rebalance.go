@@ -15,7 +15,7 @@ import (
 
 // This file is the rebalance orchestrator: live join/leave with
 // minimal key movement, partition migration by snapshot-ship plus
-// WAL-tail catch-up, and the atomic ownership cutover.
+// catch-up, and the atomic ownership cutover.
 //
 // Migration state machine, per moving partition — each step moves one
 // *partition (partition.go) between the node's staged, live and retired
@@ -28,10 +28,11 @@ import (
 //	          live (WAL opened, reset and re-seeded with the ingested
 //	          tail), the member pointer swapped — new requests route to
 //	          the new owners
-//	synced    the gainer drained the cutover delta: it fetched the WAL
-//	          tail the donors accepted between staging and cutover,
-//	          finishing when a donor serves a FENCED tail at the new
-//	          epoch with nothing missing
+//	synced    the gainer drained the cutover delta the donors accepted
+//	          between staging and cutover (catchUpLocked: their log
+//	          tail, or a donor's snapshot when no tail continues the
+//	          copy), finishing when a donor serves a FENCED reply at the
+//	          new epoch with nothing missing
 //	retired   a losing owner moved its copy out of the live lookup; it
 //	          keeps answering /v1/replicate, /v1/walfetch and
 //	          /v1/partsnap (/v1/digest reads live copies only) until the
@@ -536,10 +537,20 @@ func (n *Node) goLive(pt *partition) error {
 	return nil
 }
 
-// replaceLocked overwrites live copy pt with a shipped snapshot (the
-// caller holds its ingest lock): WAL re-seeded first, then the fresh
-// columns swap in. Nothing is re-absorbed, for goLive's reason.
-func (n *Node) replaceLocked(pt, fresh *partition) error {
+// replaceLocked installs donor url's partition snapshot over copy pt
+// (the caller holds its ingest lock), refusing one older than sequence
+// minSeq: WAL re-seeded first, then the fresh columns swap in. A
+// snapshot install re-absorbs nothing into the models, for goLive's
+// reason: they absorbed these rows where the rows were first ingested.
+func (n *Node) replaceLocked(pt *partition, url string, minSeq uint64) error {
+	fresh, err := n.fetchPart(url, pt.id)
+	if err != nil {
+		return err
+	}
+	if fresh.lastSeq < minSeq {
+		return fmt.Errorf("dist: partsnap %d from %s is at seq %d, want %d or later",
+			pt.id, url, fresh.lastSeq, minSeq)
+	}
 	if l := pt.wal.Load(); l != nil {
 		if err := seedLog(l, fresh); err != nil {
 			return fmt.Errorf("dist: install partition %d: %w", pt.id, err)
@@ -571,53 +582,28 @@ func (n *Node) retirePartition(p int) {
 
 // finalSyncLocked drains live copy pt's cutover delta (the caller holds
 // its ingest lock): every batch the donors sequenced between the
-// staging snapshot and the donors adopting the new view. It finishes
-// when a donor serves a FENCED tail stamped at (or past) the new epoch
-// showing nothing missing — fenced means the donor held its ingest lock, so
-// its LastSeq cannot advance behind our back; at the new epoch the
-// donor also no longer sequences fresh batches for the partition. On
-// timeout it logs and returns: anti-entropy and gap-healing replication
-// converge the remainder.
+// staging snapshot and the donors adopting the new view. It repeats
+// catchUpLocked until a donor serves a FENCED reply stamped at (or past)
+// the new epoch showing nothing missing — fenced means the donor held
+// its ingest lock, so its LastSeq cannot advance behind our back; at the
+// new epoch the donor also no longer sequences fresh batches for the
+// partition. On timeout it logs and returns: anti-entropy and
+// gap-healing replication converge the remainder.
 func (n *Node) finalSyncLocked(pt *partition, donors []string, newEpoch int64) {
 	deadline := time.Now().Add(3 * n.cfg.Timeout)
-	self := n.members().urls[n.id]
+	var lastErr error
 	for time.Now().Before(deadline) {
-		progress := false
-		for _, durl := range donors {
-			if durl == "" || durl == self {
-				continue
-			}
-			resp, epoch, err := n.fetchTail(durl, pt.id, pt.seq())
-			if err != nil || resp == nil {
-				continue
-			}
-			if resp.NoWAL {
-				// Memory-only donor: no tail to fetch. If it is ahead,
-				// re-stage wholesale from its snapshot.
-				if resp.LastSeq > pt.seq() {
-					if fresh, err := n.fetchPart(durl, pt.id); err == nil && fresh.lastSeq > pt.seq() {
-						if err := n.replaceLocked(pt, fresh); err == nil {
-							progress = true
-						}
-					}
-				}
-			} else {
-				applied, err := n.applyTail(pt, true, resp.Entries)
-				if err != nil {
-					n.logger.Warn("final sync apply failed", "part", pt.id, "err", err)
-				}
-				progress = progress || applied > 0
-			}
-			if resp.Fenced && epoch >= newEpoch && resp.LastSeq <= pt.seq() && !resp.Truncated {
-				return
-			}
+		advanced, fencedAt, err := n.catchUpLocked(pt, true, donors)
+		if fencedAt >= newEpoch {
+			return
 		}
-		if !progress {
+		lastErr = err
+		if advanced == 0 {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	n.logger.Warn("final sync timed out; anti-entropy will converge the remainder",
-		"part", pt.id, "epoch", newEpoch)
+		"part", pt.id, "epoch", newEpoch, "err", lastErr)
 }
 
 // containsStr reports whether s contains v.

@@ -38,8 +38,8 @@ func goldenRecorder() *ServeRecorder {
 	t0 := time.Unix(1_700_000_000, 0)
 	eng.Tick(t0)
 	for i := 0; i < 20; i++ {
-		r.TenantObserve("interactive", time.Duration(i%5+1)*ms)
-		r.TenantObserve("batch", time.Duration(20*(i%3+1))*ms)
+		r.Tenant("interactive").Observe(time.Duration(i%5+1) * ms)
+		r.Tenant("batch").Observe(time.Duration(20*(i%3+1)) * ms)
 	}
 	r.TenantReject("batch")
 	eng.Tick(t0.Add(30 * time.Second))
@@ -95,7 +95,7 @@ func TestTenantClassBound(t *testing.T) {
 	eng.Tick(t0)
 	for i := 0; i < 70; i++ {
 		class := fmt.Sprintf("class%02d", i)
-		r.TenantObserve(class, time.Millisecond)
+		r.Tenant(class).Observe(time.Millisecond)
 		r.TenantReject(class)
 	}
 	eng.Tick(t0.Add(time.Second))

@@ -31,8 +31,8 @@ func TestLabelValue(t *testing.T) {
 func TestPrometheusLabelInjection(t *testing.T) {
 	r := NewServeRecorder()
 	hostile := "evil\"} 1\nsea_fake_metric{x=\"y"
-	r.TenantObserve(ClassOf(hostile), 5*time.Millisecond)
-	r.TenantObserve("good", time.Millisecond)
+	r.Tenant(ClassOf(hostile)).Observe(5 * time.Millisecond)
+	r.Tenant("good").Observe(time.Millisecond)
 
 	var b strings.Builder
 	if err := r.WriteRecorder(&b); err != nil {

@@ -81,6 +81,12 @@ type TenantStats struct {
 	Lat      Histogram
 }
 
+// Observe records one completed query (queue wait + execution).
+func (ts *TenantStats) Observe(lat time.Duration) {
+	ts.Queries.Add(1)
+	ts.Lat.RecordDur(lat)
+}
+
 // TenantSnap is the snapshot form of TenantStats.
 type TenantSnap struct {
 	Queries  int64         `json:"queries"`
@@ -375,14 +381,6 @@ func (r *ServeRecorder) Tenant(class string) *TenantStats { return r.classes.get
 // class (on top of the global Reject the caller also records).
 func (r *ServeRecorder) TenantReject(class string) {
 	r.Tenant(class).Rejected.Add(1)
-}
-
-// TenantObserve records one completed query (queue wait + execution)
-// for a tenant class.
-func (r *ServeRecorder) TenantObserve(class string, lat time.Duration) {
-	ts := r.Tenant(class)
-	ts.Queries.Add(1)
-	ts.Lat.RecordDur(lat)
 }
 
 // tenants yields every tenant class and its cell, in class order.

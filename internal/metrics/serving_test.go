@@ -163,7 +163,7 @@ func TestServeRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				observe(r, time.Microsecond, i%2 == 0)
-				r.TenantObserve(fmt.Sprintf("c%d", (w+i)%8), time.Microsecond)
+				r.Tenant(fmt.Sprintf("c%d", (w+i)%8)).Observe(time.Microsecond)
 				r.RecordAudit("avg", "shadow", 0.01)
 				if i%50 == 0 {
 					_ = r.Snapshot()

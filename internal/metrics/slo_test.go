@@ -38,13 +38,13 @@ func driveSLO(t *testing.T, cfg SLOConfig) (*ServeRecorder, *SLOEngine) {
 	base := time.Unix(1_700_000_000, 0)
 	eng.Tick(base)
 	for i := 0; i < 100; i++ {
-		rec.TenantObserve("fast", 1*time.Millisecond)
+		rec.Tenant("fast").Observe(1 * time.Millisecond)
 		// Half the slow class's queries blow the 10ms objective:
 		// bad fraction 0.5 against a 0.01 budget = burn rate ~50.
 		if i%2 == 0 {
-			rec.TenantObserve("slow", 100*time.Millisecond)
+			rec.Tenant("slow").Observe(100 * time.Millisecond)
 		} else {
-			rec.TenantObserve("slow", 1*time.Millisecond)
+			rec.Tenant("slow").Observe(1 * time.Millisecond)
 		}
 	}
 	eng.Tick(base.Add(30 * time.Second))
@@ -89,7 +89,7 @@ func TestSLOEngineRejectedBurn(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	eng.Tick(base)
 	for i := 0; i < 90; i++ {
-		rec.TenantObserve("busy", time.Millisecond)
+		rec.Tenant("busy").Observe(time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
 		rec.TenantReject("busy")
@@ -137,7 +137,7 @@ func TestSLOPrometheusExport(t *testing.T) {
 func TestSLOEngineStartStop(t *testing.T) {
 	rec := NewServeRecorder()
 	eng := NewSLOEngine(rec, SLOConfig{Interval: time.Millisecond})
-	rec.TenantObserve("c", time.Millisecond)
+	rec.Tenant("c").Observe(time.Millisecond)
 	eng.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {

@@ -137,8 +137,7 @@ func (s *Scheduler) acquire(tenant string) (*metrics.TenantStats, error) {
 func (s *Scheduler) release(tenant string, ts *metrics.TenantStats, start time.Time) {
 	<-s.slots
 	ts.Inflight.Add(-1)
-	ts.Queries.Add(1)
-	ts.Lat.RecordDur(time.Since(start))
+	ts.Observe(time.Since(start))
 	s.mu.Lock()
 	s.admitted--
 	if s.tenant[tenant]--; s.tenant[tenant] <= 0 {
