@@ -39,6 +39,16 @@
 // then. The "loaded" log line splits the boot into gen_ms (generating
 // the table), load_ms (loading it) and free_ms (that release).
 //
+// From then on the process paces its own garbage collector: the heap
+// goal is the resident column bytes plus twice the working heap (the
+// live heap without them, at least 4 MiB) — GOGC=100 applied to the
+// working heap alone — re-evaluated every second as ingest, installs
+// and retires move the columns. The column arrays hold no pointers and
+// never become garbage, so an allowance sized on them is memory spent
+// for nothing. Setting GOGC or GOMEMLIMIT turns the pacer off. What it
+// counted and chose shows on /v1/metrics as sea_resident_column_bytes,
+// sea_go_gc_percent and sea_go_heap_goal_bytes.
+//
 // Elastic membership: a new member can also join a RUNNING cluster
 // without restarting anybody — instead of -peers it names any live
 // member with -join and its own reachable URL with -advertise:
@@ -483,6 +493,12 @@ func run(ctx context.Context, o options) error {
 		}
 	}
 	boot.free()
+	pacerCtx, stopPacer := context.WithCancel(ctx)
+	paced := paceGC(pacerCtx, node.ResidentBytes)
+	defer func() {
+		stopPacer()
+		<-paced
+	}()
 	st = node.Status()
 	lg.Info("loaded", append([]any{"partitions", len(st.PartitionsHeld), "rows", st.RowsHeld,
 		"wal", o.dataDir != ""}, boot.fields()...)...)

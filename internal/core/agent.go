@@ -917,16 +917,14 @@ func (a *Agent) PredictOnly(q query.Query) (value, estErr float64, ok bool) {
 
 // ExactProbe evaluates q on the exact oracle without touching models,
 // statistics or the quantiser: the shadow-audit sampler uses it to
-// obtain ground truth for a model-served answer. It takes the write
-// lock for the oracle call — preserving the contract that only one
-// goroutine calls the oracle at a time — but leaves no trace in the
-// agent's learned state.
+// obtain ground truth for a model-served answer. Like answerSlow's
+// oracle call it runs without the agent's lock (the oracle is fixed at
+// construction and safe for concurrent calls), so a probe waiting on a
+// scatter-gather never stalls the predictions beside it.
 func (a *Agent) ExactProbe(q query.Query) (float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.oracle == nil {
 		return 0, ErrNoOracle
 	}

@@ -3,8 +3,11 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -169,5 +172,56 @@ func TestTryPredictRefusesAfterDataChange(t *testing.T) {
 	}
 	if _, ok := h.agent.TryPredict(q); ok {
 		t.Error("TryPredict served a prediction across a data-version change")
+	}
+}
+
+// gatedOracle holds every Answer call made while it is armed until
+// release is closed, announcing each on entered.
+type gatedOracle struct {
+	*liveOracle
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (o *gatedOracle) Answer(q query.Query) (query.Result, metrics.Cost, error) {
+	if o.armed.Load() {
+		o.entered <- struct{}{}
+		<-o.release
+	}
+	return o.liveOracle.Answer(q)
+}
+
+// TestExactProbeLeavesPredictionsRunning: a shadow-audit probe waiting
+// on its oracle call holds no agent lock, so TryPredict returns.
+func TestExactProbeLeavesPredictionsRunning(t *testing.T) {
+	o := &gatedOracle{liveOracle: newLiveOracle(workload.StandardRows(4000, 1)),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	ag, err := NewAgent(o, liveConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := trainCount(t, ag, 320, 7).Next()
+	o.armed.Store(true)
+	probed := make(chan error, 1)
+	go func() {
+		_, err := ag.ExactProbe(q)
+		probed <- err
+	}()
+	<-o.entered
+	predicted := make(chan struct{})
+	go func() {
+		ag.TryPredict(q)
+		close(predicted)
+	}()
+	select {
+	case <-predicted:
+		close(o.release)
+	case <-time.After(5 * time.Second):
+		close(o.release)
+		t.Fatal("TryPredict blocked behind a probe's oracle call")
+	}
+	if err := <-probed; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/query"
@@ -311,7 +312,7 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, env enve
 			// replica may be healthy again: offer it the stored sequence
 			// once more instead of replaying the miss forever (replicas
 			// dedup by sequence, so a copy that has it just says so).
-			pr.Acked = n.replicateBatch(pt, ms, owners, pr.Seq, rows, sp)
+			pr.Acked = n.replicateBatch(pt, ms, owners, pr.Seq, rows, env.deadlineTime(), sp)
 			n.idemPut(idemKey, p, pr)
 		}
 		n.logger.Debug("idempotent ingest replay", "part", p, "seq", pr.Seq, "key", idemKey)
@@ -323,7 +324,7 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, env enve
 	}
 	pr := PartIngestResult{
 		Part: p, Rows: len(rows), Seq: seq,
-		Acked: n.replicateBatch(pt, ms, owners, seq, rows, sp),
+		Acked: n.replicateBatch(pt, ms, owners, seq, rows, env.deadlineTime(), sp),
 	}
 	// The batch is applied (whatever the quorum verdict): remember its
 	// outcome so a retried delivery replays instead of re-applying.
@@ -334,8 +335,10 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, env enve
 // replicateBatch ships batch seq of live partition pt — already applied
 // here by this node as primary, which holds pt's ingest lock — to the
 // other ring owners and reports whether the write quorum now holds it.
-// A non-nil parent span gets a replicate child.
-func (n *Node) replicateBatch(pt *partition, ms *memberState, owners []string, seq uint64, rows []storage.Row, sp *trace.Span) bool {
+// A replica whose half-open probe another call holds is waited for
+// (peerHealth.admitWait), never past the batch's deadline. A non-nil
+// parent span gets a replicate child.
+func (n *Node) replicateBatch(pt *partition, ms *memberState, owners []string, seq uint64, rows []storage.Row, deadline time.Time, sp *trace.Span) bool {
 	p := pt.id
 	rsp := sp.Child("replicate")
 	var batchLag uint64
@@ -346,7 +349,7 @@ func (n *Node) replicateBatch(pt *partition, ms *memberState, owners []string, s
 				continue
 			}
 			url, ok := ms.urls[o]
-			if !ok || url == "" || !n.health.admit(url) {
+			if !ok || url == "" || !n.health.admitWait(url, deadline) {
 				continue
 			}
 			lastSeq, err := n.replicateTo(url, p, seq, rows)
@@ -423,7 +426,8 @@ func (n *Node) replicateTo(url string, p int, seq uint64, rows []storage.Row) (u
 // belongs to whichever node now owns the partition. A primary that
 // RESPONDS with an error is not retried — that is an application
 // outcome, not stale routing. The hop carries env's deadline, so a batch
-// the client stopped waiting for is not applied behind its back.
+// the client stopped waiting for is not applied behind its back; the
+// same deadline bounds the wait for a half-open primary's verdict.
 func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey string, env envelope, sp *trace.Span) PartIngestResult {
 	fail := func(msg string) PartIngestResult {
 		return PartIngestResult{Part: p, Rows: len(rows), Error: msg}
@@ -455,7 +459,7 @@ func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey
 		primary := owners[0]
 		tried[primary] = true
 		url, ok := n.members().urls[primary]
-		if !ok || url == "" || !n.health.admit(url) {
+		if !ok || url == "" || !n.health.admitWait(url, env.deadlineTime()) {
 			lastMsg = fmt.Sprintf("dist: primary %s of partition %d is unreachable", primary, p)
 			continue
 		}

@@ -303,3 +303,59 @@ func TestLoadLayoutGolden(t *testing.T) {
 		}
 	}
 }
+
+// copyBytes sums the column bytes of every copy n holds, read straight
+// off its three lookups, and counts the retired ones.
+func copyBytes(n *Node) (total uint64, retired int) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, pt := range n.live {
+		total += pt.bytes()
+	}
+	for _, st := range n.staged {
+		total += st.pt.bytes()
+	}
+	for _, pt := range n.retired {
+		total += pt.bytes()
+	}
+	return total, len(n.retired)
+}
+
+// TestResidentBytesCountsEveryCopy: a node's ResidentBytes is the column
+// bytes of every copy it holds after Load, grows with an ingest, and
+// keeps counting the copies a join retires (they stay resident as
+// donors until the node closes).
+func TestResidentBytesCountsEveryCopy(t *testing.T) {
+	lc, _ := liveCluster(t, 3, t.TempDir())
+	check := func(stage string) (retired int) {
+		t.Helper()
+		for _, id := range lc.IDs() {
+			n := lc.Node(id)
+			want, r := copyBytes(n)
+			if got := n.ResidentBytes(); got != want {
+				t.Fatalf("%s: node %s ResidentBytes %d, its copies hold %d", stage, id, got, want)
+			}
+			retired += r
+		}
+		return retired
+	}
+	check("after Load")
+	n0 := lc.Node(lc.IDs()[0])
+	if rows := n0.NodeStatus().RowsHeld; n0.ResidentBytes() < uint64(32*rows) {
+		t.Fatalf("n0 holds %d rows in %d resident bytes, below 4 columns of 8 bytes", rows, n0.ResidentBytes())
+	}
+	before := n0.ResidentBytes()
+	if _, err := lc.Client().Ingest(ingestRows(4*storage.BlockRows, 9_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	check("after ingest")
+	if n0.ResidentBytes() <= before {
+		t.Fatalf("n0 ResidentBytes %d after an ingest, %d before", n0.ResidentBytes(), before)
+	}
+	if err := lc.Join("n3"); err != nil {
+		t.Fatal(err)
+	}
+	if check("after a join") == 0 {
+		t.Fatal("the join retired no copy")
+	}
+}

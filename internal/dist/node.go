@@ -229,6 +229,8 @@ func NewNode(cfg Config) (*Node, error) {
 			Kind: metrics.KindCounter, Read: func() float64 { return float64(n.movesTotal.Load()) }},
 		{Name: "probation_quanta", Help: "Quanta serving under post-invalidation probation in the node's agent.",
 			Read: func() float64 { return float64(ag.ProbationQuanta()) }},
+		{Name: "resident_column_bytes", Help: "Column-array bytes of every partition copy this node holds (live, staged and retired).",
+			Read: func() float64 { return float64(n.ResidentBytes()) }},
 		{Name: "replication_lag", Help: "Worst gap, in batches, any live partition saw among the replicas that answered its latest replicated batch.",
 			Watch: true, Read: func() float64 { return float64(n.replicationLag()) }},
 	} {
@@ -548,6 +550,26 @@ func (n *Node) walSegments() int {
 	total := 0
 	for _, pt := range n.liveParts() {
 		total += pt.walSegments()
+	}
+	return total
+}
+
+// ResidentBytes is the column-array bytes (storage.ColStore.Bytes) of
+// every copy the node holds: live, staged and retired. Those arrays stay
+// live for as long as the copy is held, so a process that sizes its
+// garbage allowance on its live heap should leave them out.
+func (n *Node) ResidentBytes() uint64 {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	var total uint64
+	for _, pt := range n.live {
+		total += pt.bytes()
+	}
+	for _, st := range n.staged {
+		total += st.pt.bytes()
+	}
+	for _, pt := range n.retired {
+		total += pt.bytes()
 	}
 	return total
 }

@@ -110,6 +110,13 @@ func (pt *partition) width() int {
 	return pt.cols.Width()
 }
 
+// bytes returns the capacity bytes of the copy's column arrays.
+func (pt *partition) bytes() uint64 {
+	pt.mu.RLock()
+	defer pt.mu.RUnlock()
+	return pt.cols.Bytes()
+}
+
 // walSegments counts the write-ahead log's segment files (0 without one).
 func (pt *partition) walSegments() int {
 	if l := pt.wal.Load(); l != nil {

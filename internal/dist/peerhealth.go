@@ -48,7 +48,9 @@ var errPeerResponded = errors.New("dist: peer responded with an error status")
 //
 // Recovery. An open peer refuses calls for cooldown; then exactly one
 // admitted real call is the probe. Success closes the peer and resets
-// the window, failure re-opens it for another cooldown.
+// the window, failure re-opens it for another cooldown. A call that
+// admitWait admits waits out an in-flight probe instead of being
+// refused beside it.
 //
 // Invariant: only a call whose outcome is reported through observe may
 // be admitted. admit hands out the half-open probe slot, so a caller
@@ -75,7 +77,10 @@ type peerRecord struct {
 	idx      int
 	state    int
 	openedAt time.Time
-	probing  bool // the half-open probe slot is held
+	// probe is non-nil while the half-open probe slot is held (taken at
+	// probedAt), and is closed when the slot is freed, whatever the
+	// outcome: admitWait's callers wait on it.
+	probe    chan struct{}
 	probedAt time.Time
 }
 
@@ -116,21 +121,62 @@ func (h *peerHealth) record(url string) *peerRecord {
 // makes the caller the peer's one probe. The caller MUST report the
 // call's outcome through observe.
 func (h *peerHealth) admit(url string) bool {
+	ok, _ := h.try(h.record(url))
+	return ok
+}
+
+// admitWait is admit for a call that would rather wait for a half-open
+// peer's verdict than be refused beside its probe — one partition of a
+// multi-partition ingest batch whose sibling holds the slot. While
+// another call holds the slot it waits for that probe's outcome, at most
+// one cooldown and never past deadline (zero: none), and asks again: a
+// probe that closed the peer admits it, one that re-opened it refuses
+// it. The same contract as admit binds an admitted caller.
+func (h *peerHealth) admitWait(url string, deadline time.Time) bool {
 	r := h.record(url)
+	var bound *time.Timer
+	for {
+		ok, probe := h.try(r)
+		if ok || probe == nil {
+			return ok
+		}
+		if bound == nil {
+			wait := h.cooldown
+			if !deadline.IsZero() {
+				wait = min(wait, time.Until(deadline))
+			}
+			if wait <= 0 {
+				return false
+			}
+			bound = time.NewTimer(wait)
+			defer bound.Stop()
+		}
+		select {
+		case <-probe:
+		case <-bound.C:
+			return false
+		}
+	}
+}
+
+// try is admit on r. A refusal because another call holds the probe slot
+// also returns the channel its verdict closes.
+func (h *peerHealth) try(r *peerRecord) (ok bool, probe <-chan struct{}) {
 	now := h.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch r.at(now, h.cooldown) {
 	case peerClosed:
-		return true
+		return true, nil
 	case peerOpen:
-		return false
+		return false, nil
 	}
-	if r.probing && now.Sub(r.probedAt) <= h.cooldown {
-		return false
+	if r.probe != nil && now.Sub(r.probedAt) <= h.cooldown {
+		return false, r.probe
 	}
-	r.state, r.probing, r.probedAt = peerHalfOpen, true, now
-	return true
+	r.endProbe() // a holder that never reported
+	r.state, r.probe, r.probedAt = peerHalfOpen, make(chan struct{}), now
+	return true, nil
 }
 
 // state reads url's state without changing it: an open peer whose
@@ -163,12 +209,13 @@ func (h *peerHealth) observe(url string, err error) {
 		if r.state != peerClosed {
 			r.ok, r.fail = [peerBuckets]int64{}, [peerBuckets]int64{}
 			r.ok[r.idx] = 1
-			r.state, r.probing = peerClosed, false
+			r.state = peerClosed
+			r.endProbe()
 		}
 	case errors.Is(err, errPeerResponded) || errors.Is(err, context.Canceled):
 		// No verdict, but the probe slot is free for the next call:
 		// recovery proof is a round trip that actually succeeded.
-		r.probing = false
+		r.endProbe()
 	default:
 		r.fail[r.idx]++
 		// A deadline can surface without a Timeout() on the first
@@ -176,7 +223,8 @@ func (h *peerHealth) observe(url string, err error) {
 		// so it is checked by identity too.
 		timeout := errors.Is(err, context.DeadlineExceeded) || errors.As(err, &ne) && ne.Timeout()
 		if !timeout || r.state == peerHalfOpen || r.state == peerClosed && r.tripped(h.tripRate) {
-			r.state, r.openedAt, r.probing = peerOpen, now, false
+			r.state, r.openedAt = peerOpen, now
+			r.endProbe()
 		}
 	}
 }
@@ -218,6 +266,15 @@ func (r *peerRecord) at(now time.Time, cooldown time.Duration) int {
 		return peerHalfOpen
 	}
 	return r.state
+}
+
+// endProbe frees the probe slot and wakes the calls waiting on its
+// verdict. Caller holds r.mu.
+func (r *peerRecord) endProbe() {
+	if r.probe != nil {
+		close(r.probe)
+		r.probe = nil
+	}
 }
 
 // advance rotates the window to cover now, zeroing skipped buckets.

@@ -96,6 +96,47 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerWaitersFollowTheProbe: a call that admitWait holds back while
+// another call probes a half-open peer takes the probe's verdict —
+// admitted when it closed the peer, refused when it re-opened it — and
+// gives up at its deadline while the probe is still out.
+func TestBreakerWaitersFollowTheProbe(t *testing.T) {
+	h, clock := steppedHealth(time.Minute, 0)
+	probe := func() {
+		t.Helper()
+		h.observe(testPeer, refusedErr(t))
+		*clock = clock.Add(time.Minute)
+		if !h.admit(testPeer) {
+			t.Fatal("no probe admitted after the cooldown")
+		}
+	}
+	for _, c := range []struct {
+		verdict error
+		want    bool
+	}{{nil, true}, {fakeTimeout{}, false}} {
+		probe()
+		got := make(chan bool)
+		go func() { got <- h.admitWait(testPeer, time.Time{}) }()
+		select {
+		case ok := <-got:
+			t.Fatalf("admitWait returned %v before the probe's verdict", ok)
+		case <-time.After(20 * time.Millisecond):
+		}
+		h.observe(testPeer, c.verdict)
+		if ok := <-got; ok != c.want {
+			t.Fatalf("probe verdict %v: admitWait = %v, want %v", c.verdict, ok, c.want)
+		}
+	}
+	probe()
+	start := time.Now()
+	if h.admitWait(testPeer, start.Add(20*time.Millisecond)) {
+		t.Fatal("admitWait admitted a call beside an unanswered probe")
+	}
+	if waited := time.Since(start); waited < 15*time.Millisecond || waited > 10*time.Second {
+		t.Fatalf("admitWait gave up after %v, want its 20ms deadline", waited)
+	}
+}
+
 // TestBreakerVetoesAlivePeer: a peer opens on unreachability —
 // timeouts, where every attempt costs the full RPC timeout — and is
 // then refused by admit. HTTP error statuses feed no rule (the peer

@@ -19,9 +19,10 @@ import (
 // scatterOracle is the exact engine behind each node's agent: a query
 // that needs the exact path is scatter-gathered across the cluster's
 // data partitions and merged with the distributable aggregate kernels
-// in internal/query. The agent serialises oracle calls under its write
-// lock, so the oracle itself needs no extra synchronisation beyond the
-// node's read-only partition map.
+// in internal/query. The agent calls it without holding its own lock,
+// from any number of goroutines at once: a call reads the partition
+// copies under their own locks, and what else it touches (peer health,
+// the hedge histogram) synchronises itself.
 type scatterOracle struct {
 	n *Node
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -153,10 +154,24 @@ func TestRuntimeSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"sea_go_goroutines gauge", "sea_go_heap_alloc_bytes gauge",
-		"sea_go_gc_cycles_total counter", "sea_go_gc_pause_p99_seconds gauge"} {
+		"sea_go_gc_cycles_total counter", "sea_go_gc_pause_p99_seconds gauge",
+		"sea_go_gc_percent gauge", "sea_go_heap_goal_bytes gauge"} {
 		if !strings.Contains(b.String(), "# TYPE "+name+"\n") {
 			t.Fatalf("exposition missing %s", name)
 		}
+	}
+	// The GC gauges read the runtime's own setting and goal.
+	defer debug.SetGCPercent(debug.SetGCPercent(37))
+	s.Sample()
+	b.Reset()
+	if err := rec.WriteRecorder(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nsea_go_gc_percent 37\n") {
+		t.Fatal("sea_go_gc_percent does not read the GC percent")
+	}
+	if s.heapGoal.Load() < s.heapAlloc.Load()/2 {
+		t.Fatalf("heap goal %d below half the heap in use %d", s.heapGoal.Load(), s.heapAlloc.Load())
 	}
 
 	var nilS *RuntimeSampler

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +39,8 @@ type RuntimeSampler struct {
 	heapAlloc  atomic.Uint64
 	heapSys    atomic.Uint64
 	gcCycles   atomic.Uint32
+	gcPercent  atomic.Uint64
+	heapGoal   atomic.Uint64
 
 	pauses metrics.Histogram
 	// Cached pause quantiles, refreshed by Sample: gauge reads (the
@@ -77,6 +80,10 @@ func (s *RuntimeSampler) Sample() {
 	s.heapAlloc.Store(ms.HeapAlloc)
 	s.heapSys.Store(ms.HeapSys)
 	s.gcCycles.Store(ms.NumGC)
+	gc := [...]rtmetrics.Sample{{Name: "/gc/gogc:percent"}, {Name: "/gc/heap/goal:bytes"}}
+	rtmetrics.Read(gc[:])
+	s.gcPercent.Store(gc[0].Value.Uint64())
+	s.heapGoal.Store(gc[1].Value.Uint64())
 
 	// Fold pauses from GC cycles we have not seen yet: PauseNs is a
 	// ring of the last 256 pause durations indexed by cycle number.
@@ -162,6 +169,10 @@ func (s *RuntimeSampler) Register(rec *metrics.ServeRecorder) {
 			Read: func() float64 { return float64(s.heapSys.Load()) }},
 		{Name: "go_gc_cycles", Help: "Completed GC cycles (sampled).", Kind: metrics.KindCounter,
 			Read: func() float64 { return float64(s.gcCycles.Load()) }},
+		{Name: "go_gc_percent", Help: "The garbage collector's GOGC percent (sampled).",
+			Read: func() float64 { return float64(s.gcPercent.Load()) }},
+		{Name: "go_heap_goal_bytes", Help: "Heap size the current GC cycle aims to finish under (sampled).",
+			Read: func() float64 { return float64(s.heapGoal.Load()) }},
 		{Name: "go_gc_pause_p99_seconds", Help: "p99 GC stop-the-world pause (sampled).",
 			Read: func() float64 { return float64(s.pauseP99.Load()) / 1e9 }},
 	} {

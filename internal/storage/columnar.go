@@ -357,6 +357,22 @@ func (c *ColStore) Width() int {
 	return c.width
 }
 
+// Bytes returns the capacity, in bytes, of the store's arrays: keys,
+// value columns, zone map, block summaries and chunk entries. None of
+// them holds a pointer, and none becomes garbage while the store is
+// held, so this is the part of a heap the store keeps resident.
+func (c *ColStore) Bytes() uint64 {
+	if c == nil {
+		return 0
+	}
+	words := cap(c.keys) + cap(c.mins) + cap(c.maxs) + cap(c.blockMins) + cap(c.blockMaxs) +
+		cap(c.blockMoments) + cap(c.chunkMins) + cap(c.chunkMaxs)
+	for _, col := range c.cols {
+		words += cap(col)
+	}
+	return uint64(8*words + cap(c.blockDirty) + cap(c.chunkNaN))
+}
+
 // Ragged reports whether the projection was poisoned by a
 // width-mismatched row.
 func (c *ColStore) Ragged() bool { return c.ragged }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -282,5 +283,32 @@ func TestNonFiniteBlockIsFlagged(t *testing.T) {
 	}
 	if zm := view.ChunkZone(2); zm.Mins[1] != math.Inf(-1) {
 		t.Errorf("chunk 2 holds a -Inf in column 1 but its box starts at %v", zm.Mins[1])
+	}
+}
+
+// TestBytesIsTheStoresHeap: Bytes accounts for the heap a store keeps
+// live — the growth a garbage collection leaves behind after a build —
+// to within a few percent.
+func TestBytesIsTheStoresHeap(t *testing.T) {
+	rows := randRows(200_000, 9)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := BuildColStore(-1, rows)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	got := float64(c.Bytes())
+	if min := float64(32 * len(rows)); got < min {
+		t.Fatalf("Bytes = %.0f, below the %.0f bytes of keys and values", got, min)
+	}
+	t.Logf("Bytes %.0f, heap growth %.0f", got, held)
+	if math.Abs(held-got) > 0.05*got {
+		t.Fatalf("Bytes = %.0f, but the store holds %.0f heap bytes", got, held)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(rows)
+	if (*ColStore)(nil).Bytes() != 0 {
+		t.Fatal("a nil store reports bytes")
 	}
 }
