@@ -58,10 +58,12 @@
 //
 // The joiner boots from the seed's membership view (partition count,
 // replicas and vnodes all come from the cluster, so they cannot
-// disagree), starts serving, and asks the seed to orchestrate the
-// join: moving partitions are staged onto the newcomer, caught up
-// through the WAL tail, and the cluster cuts over atomically to a new
-// membership epoch that every wire body carries. A member retires
+// disagree). It is not in that view, so it owns no partition and
+// generates no table: its "loaded" line reports gen_ms 0. It starts
+// serving and asks the seed to orchestrate the join: moving partitions
+// are staged onto the newcomer, caught up through the WAL tail, and
+// the cluster cuts over atomically to a new membership epoch that
+// every wire body carries. A member retires
 // gracefully via POST /v1/leave on any live member; its partitions
 // migrate to the survivors before it drains. -anti-entropy arms the
 // background replica-repair loop at the given cadence: replica holders
@@ -464,7 +466,7 @@ func run(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	boot, err := loadStandard(o, node.Load)
+	boot, err := loadStandard(o, node)
 	if err != nil {
 		return err
 	}
@@ -536,14 +538,20 @@ type bootTimes struct {
 	gen, load, release time.Duration
 }
 
-// loadStandard generates the standard table and hands it to load. Only
-// this frame holds the table, so once load returns it is garbage unless
-// load kept it.
-func loadStandard(o options, load func([]storage.Row) error) (*bootTimes, error) {
+// loadStandard generates the standard table and loads it into node.
+// A node that owns no partition (a member joining a running cluster:
+// the seed stages its partitions onto it later) generates nothing and
+// reports gen 0. Only this frame holds the table, so once Load returns
+// it is garbage.
+func loadStandard(o options, node *dist.Node) (*bootTimes, error) {
+	b := &bootTimes{}
 	start := time.Now()
-	rows := workload.StandardRows(o.rows, o.seed)
-	b := &bootTimes{gen: time.Since(start)}
-	if err := load(rows); err != nil {
+	var table storage.Batch
+	if len(node.Owned()) > 0 {
+		table = workload.StandardTable(o.rows, o.seed)
+		b.gen = time.Since(start)
+	}
+	if err := node.Load(table); err != nil {
 		return nil, err
 	}
 	b.load = time.Since(start) - b.gen

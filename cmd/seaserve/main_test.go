@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 func clusterOpts() options {
@@ -84,5 +87,38 @@ func TestValidateFailsFast(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestJoinerBootGeneratesNothing: a member joining a running cluster is
+// not in its boot view and owns no partition until the seed stages some
+// onto it, so its boot generates no table (gen 0) and holds no rows. A
+// founding member booted the same way generates the table and keeps its
+// share.
+func TestJoinerBootGeneratesNothing(t *testing.T) {
+	o := clusterOpts()
+	o.rows = 6_000
+	view := dist.View{Epoch: 1, Members: []dist.Member{
+		{ID: "n0", URL: "http://a:1"}, {ID: "n1", URL: "http://b:1"}, {ID: "n2", URL: "http://c:1"},
+	}}
+	boot := func(id string) (*bootTimes, dist.ClusterStatus) {
+		t.Helper()
+		node, err := dist.NewNode(dist.Config{ID: id, Peers: map[string]string{id: "http://d:1"},
+			InitialView: &view, Partitions: 6, Replicas: 2, Agent: core.DefaultConfig(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		b, err := loadStandard(o, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, node.Status()
+	}
+	if b, st := boot("n3"); b.gen != 0 || st.RowsHeld != 0 {
+		t.Fatalf("joiner: generated for %v and holds %d rows, want nothing generated", b.gen, st.RowsHeld)
+	}
+	if b, st := boot("n0"); b.gen <= 0 || st.RowsHeld == 0 || st.RowsHeld >= int64(o.rows) {
+		t.Fatalf("founder: generated for %v and holds %d of %d rows, want its share", b.gen, st.RowsHeld, o.rows)
 	}
 }

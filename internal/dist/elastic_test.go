@@ -344,7 +344,7 @@ func TestElasticCloseDrainUnderIngest(t *testing.T) {
 				n := 0
 				for _, pr := range r.Parts {
 					if !pr.Acked {
-						fail(fmt.Errorf("unacked partition %d mid-churn", pr.Part))
+						fail(fmt.Errorf("unacked partition %d mid-churn at seq %d: %q", pr.Part, pr.Seq, pr.Error))
 						return
 					}
 					n += pr.Rows

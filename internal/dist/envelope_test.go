@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/workload"
 )
 
 // envelopePair starts two members over one partition with replication
@@ -287,7 +288,7 @@ func FuzzEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(n.Close)
-	if err := n.Load(testRows(200, 3)); err != nil {
+	if err := n.Load(workload.StandardTable(200, 3)); err != nil {
 		f.Fatal(err)
 	}
 	h := n.Handler()

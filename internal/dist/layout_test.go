@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // clusteredRef is the test-side statement of the clustered base order
@@ -299,6 +300,42 @@ func TestLoadLayoutGolden(t *testing.T) {
 			if d.Root != goldenRoots[p] || summaryHash(view) != goldenSummaries[p] {
 				t.Errorf("partition %d on %s: root %s summaries %#x, want %s %#x",
 					p, id, d.Root, summaryHash(view), goldenRoots[p], goldenSummaries[p])
+			}
+		}
+	}
+}
+
+// TestLoadPathsAgree: the two ways into Load lay down the same base. A
+// member built the way seaserve builds one (NewNode, then Load of the
+// generated standard table) holds the partitions a StartLocal member of
+// the same id holds over StandardRows, with equal digest roots and
+// summary hashes on every copy.
+func TestLoadPathsAgree(t *testing.T) {
+	lc, _ := layoutCluster(t, "")
+	cfg := core.DefaultConfig(2)
+	cfg.TrainingQueries = 1 << 30
+	for _, id := range lc.IDs() {
+		n, err := NewNode(Config{ID: id, Peers: lc.Members(), Agent: cfg, Replicas: 2, WriteQuorum: 2,
+			Partitions: lc.Node(id).Partitions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		if err := n.Load(workload.StandardTable(60_000, 11)); err != nil {
+			t.Fatal(err)
+		}
+		held := n.Status().PartitionsHeld
+		if want := lc.Node(id).Status().PartitionsHeld; !reflect.DeepEqual(held, want) || len(held) == 0 {
+			t.Fatalf("%s holds %v from the table, %v from StartLocal", id, held, want)
+		}
+		for _, p := range held {
+			got, _ := n.digestPartition(p)
+			want, _ := lc.Node(id).digestPartition(p)
+			gotView, _, _ := n.livePart(p).snapshot()
+			wantView, _, _ := lc.Node(id).livePart(p).snapshot()
+			if got.Root != want.Root || summaryHash(gotView) != summaryHash(wantView) {
+				t.Errorf("partition %d on %s: root %s summaries %#x from the table, %s %#x from StartLocal",
+					p, id, got.Root, summaryHash(gotView), want.Root, summaryHash(wantView))
 			}
 		}
 	}

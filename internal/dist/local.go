@@ -20,7 +20,8 @@ import (
 // milliseconds; Kill and Revive exercise failover and snapshot warm-up.
 type LocalCluster struct {
 	base Config
-	rows []storage.Row
+	// table is the base every member loads, and reloads on Revive.
+	table storage.Batch
 
 	mu      sync.Mutex
 	nodes   map[string]*Node
@@ -32,11 +33,16 @@ type LocalCluster struct {
 
 // StartLocal boots n nodes named "n0".."n<k-1>" on loopback listeners,
 // loads rows into each (every node keeps only the partitions the ring
-// assigns it), and starts their HTTP servers. base supplies the shared
+// assigns it), and starts their HTTP servers. The rows are copied once
+// into a table, so they must share one width. base supplies the shared
 // cluster settings; its ID/Peers are filled per node.
 func StartLocal(n int, base Config, rows []storage.Row) (*LocalCluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dist: local cluster needs >= 1 node, got %d", n)
+	}
+	table, err := tableOf(rows)
+	if err != nil {
+		return nil, fmt.Errorf("dist: local cluster: load: %w", err)
 	}
 	if base.Partitions <= 0 {
 		// Pin the partition count now: the default derives from the peer
@@ -46,7 +52,7 @@ func StartLocal(n int, base Config, rows []storage.Row) (*LocalCluster, error) {
 	}
 	lc := &LocalCluster{
 		base:    base,
-		rows:    rows,
+		table:   table,
 		nodes:   make(map[string]*Node),
 		urls:    make(map[string]string),
 		servers: make(map[string]*http.Server),
@@ -95,7 +101,7 @@ func (lc *LocalCluster) startNode(id string, l net.Listener) error {
 	if err != nil {
 		return err
 	}
-	if err := node.Load(lc.rows); err != nil {
+	if err := node.Load(lc.table); err != nil {
 		node.Close()
 		return err
 	}
@@ -210,7 +216,7 @@ func (lc *LocalCluster) Join(id string) error {
 	// Load with the full base set: the joiner is not in its boot view,
 	// so ownership filtering keeps nothing — its partitions arrive via
 	// the migration path below, exactly as they would on a real host.
-	if err := node.Load(lc.rows); err != nil {
+	if err := node.Load(lc.table); err != nil {
 		node.Close()
 		_ = l.Close()
 		return err

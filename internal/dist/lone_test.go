@@ -25,7 +25,11 @@ func loneMember(t *testing.T, cfg Config, rows []storage.Row) (*Node, *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Load(rows); err != nil {
+	table, err := tableOf(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Load(table); err != nil {
 		n.Close()
 		t.Fatal(err)
 	}

@@ -419,32 +419,26 @@ func (n *Node) ingestGate() bool {
 // closeDone releases the admission taken by a successful ingestGate.
 func (n *Node) closeDone() { n.closeMu.RUnlock() }
 
-// Load partitions rows round-robin into cfg.Partitions data partitions
-// and keeps the ones whose ring owners include this node (each partition
-// lives on Replicas members), each laid down in clustered order
-// (storage.ColStore.AppendClustered) — a function of the dealt rows
-// alone, so every holder of a partition ends up with the same layout.
-// With a configured DataDir it then opens each owned partition's
+// Load deals the table's rows round-robin into cfg.Partitions data
+// partitions and keeps the ones whose ring owners include this node
+// (Owned; each partition lives on Replicas members), each laid down in
+// clustered order (storage.ColStore.AppendClustered) — a function of the
+// dealt rows alone, so every holder of a partition ends up with the same
+// layout. With a configured DataDir it then opens each owned partition's
 // write-ahead log and replays the surviving segments on top of the base
 // rows — the crash-recovery half of the live write path. Call once,
 // before serving traffic; afterwards only the ingest path mutates the
 // partition map.
-func (n *Node) Load(rows []storage.Row) error {
-	if err := checkWidth(rows, -1); err != nil {
-		return fmt.Errorf("dist: node %s: load: %w", n.id, err)
-	}
+func (n *Node) Load(t storage.Batch) error {
 	live := make(map[int]*partition)
 	var owned []*partition
-	ring := n.members().ring
-	for p := 0; p < n.cfg.Partitions; p++ {
-		if containsStr(ring.Owners(partKey(p), n.cfg.Replicas), n.id) {
-			live[p] = newPartition(p)
-			owned = append(owned, live[p])
-		}
+	for _, p := range n.Owned() {
+		live[p] = newPartition(p)
+		owned = append(owned, live[p])
 	}
 	runBounded(runtime.GOMAXPROCS(0), len(owned), func(i int) {
 		pt := owned[i]
-		pt.cols.AppendClustered(rows, pt.id, n.cfg.Partitions)
+		pt.cols.AppendClustered(t, pt.id, n.cfg.Partitions)
 		pt.baseLen = pt.cols.Len()
 	})
 	n.mu.Lock()
@@ -471,6 +465,20 @@ func (n *Node) Load(rows []storage.Row) error {
 		}
 	}
 	return nil
+}
+
+// Owned returns the partitions whose ring owners, under the node's
+// current view, include it: the ones Load keeps. A member joining a
+// running cluster is not in its boot view and owns none.
+func (n *Node) Owned() []int {
+	var out []int
+	ring := n.members().ring
+	for p := 0; p < n.cfg.Partitions; p++ {
+		if containsStr(ring.Owners(partKey(p), n.cfg.Replicas), n.id) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // openLog opens partition p's write-ahead log under the node's DataDir.

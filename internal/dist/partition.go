@@ -87,6 +87,15 @@ func checkWidth(rows []storage.Row, want int) error {
 	return nil
 }
 
+// tableOf copies rows into one table, refusing rows that do not all
+// share one width as checkWidth does.
+func tableOf(rows []storage.Row) (storage.Batch, error) {
+	if err := checkWidth(rows, -1); err != nil {
+		return storage.Batch{}, err
+	}
+	return storage.BatchOf(rows), nil
+}
+
 // snapshot returns columns, base-row count and last applied sequence
 // as of one instant.
 func (pt *partition) snapshot() (storage.ColumnView, int, uint64) {

@@ -22,13 +22,13 @@ var benchSink float64
 // arrival order and clustered.
 func standardPartition() (arrival, clustered *storage.ColStore) {
 	const parts = 6
-	all := workload.StandardRows(1_000_000, 1)
+	all := workload.StandardTable(1_000_000, 1)
 	var dealt []storage.Row
-	for i := 0; i < len(all); i += parts {
-		dealt = append(dealt, all[i])
+	for i := 0; i < all.Len(); i += parts {
+		dealt = append(dealt, storage.Row{Key: all.Keys[i], Vec: all.Vec(i)})
 	}
 	clustered = storage.NewColStore(3)
-	clustered.AppendClustered(dealt, 0, 1)
+	clustered.AppendClustered(all, 0, parts)
 	return storage.BuildColStore(3, dealt), clustered
 }
 

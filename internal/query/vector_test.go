@@ -599,7 +599,7 @@ func pruneRows(seed int64, n, every int) []storage.Row {
 func pruneView(rows []storage.Row, clustered bool) storage.ColumnView {
 	c := storage.NewColStore(3)
 	if clustered {
-		c.AppendClustered(rows, 0, 1)
+		c.AppendClustered(storage.BatchOf(rows), 0, 1)
 	} else {
 		c.Append(rows...)
 	}

@@ -206,12 +206,13 @@ func BuildColStore(width int, rows []Row) *ColStore {
 	return c
 }
 
-// Append adds rows to the projection. It is the one way rows enter a
-// store: it grows the key and value columns once for the whole batch,
-// writes the rows by index, widens the zone map, then summarises every
-// block the batch completed. A row of the wrong width poisons the store
-// (Ragged) rather than corrupting the layout: the rows before it land,
-// it and every row after it do not.
+// Append adds rows to the projection. It is the one way rows from
+// ingest, replay, snapshots and repair enter a store: it grows the key
+// and value columns once for the whole batch, writes the rows by index,
+// then widens the zone map and summarises every block the batch
+// completed (seal). A row of the wrong width poisons the store (Ragged)
+// rather than corrupting the layout: the rows before it land, it and
+// every row after it do not.
 func (c *ColStore) Append(rows ...Row) {
 	if len(rows) == 0 || c.ragged {
 		return
@@ -227,31 +228,62 @@ func (c *ColStore) Append(rows ...Row) {
 		}
 	}
 	ragged := n < len(rows)
-	rows = rows[:n]
-	at := len(c.keys)
-	c.keys = extend(c.keys, n)
-	cols := c.cols
-	for j := range cols {
-		cols[j] = extend(cols[j], n)
-	}
-	if c.mins == nil && n > 0 {
-		c.mins = append([]float64(nil), rows[0].Vec...)
-		c.maxs = append([]float64(nil), rows[0].Vec...)
-	}
-	keys := c.keys[at:]
-	for i, r := range rows {
+	at := c.grow(n)
+	keys, cols := c.keys[at:], c.cols
+	for i, r := range rows[:n] {
 		keys[i] = r.Key
 		for j, v := range r.Vec {
 			cols[j][at+i] = v
 		}
-		if widen(c.mins, c.maxs, r.Vec) {
-			c.unbounded = true
+	}
+	c.seal(at)
+	c.ragged = ragged
+}
+
+// grow lengthens the key and value columns by n rows, reallocating only
+// when their capacity is short, and returns the index of the first new
+// row for the caller to write.
+func (c *ColStore) grow(n int) (at int) {
+	at = len(c.keys)
+	c.keys = extend(c.keys, n)
+	for j := range c.cols {
+		c.cols[j] = extend(c.cols[j], n)
+	}
+	return at
+}
+
+// seal takes the rows written from index at on into the zone map, in
+// row order (the first row ever written seeds the box), then summarises
+// every block they completed.
+func (c *ColStore) seal(at int) {
+	n := len(c.keys)
+	if at == n {
+		return
+	}
+	if c.mins == nil {
+		for _, col := range c.cols {
+			c.mins = append(c.mins, col[at])
+			c.maxs = append(c.maxs, col[at])
 		}
 	}
-	for lo := len(c.blockDirty) * BlockRows; lo+BlockRows <= at+n; lo += BlockRows {
+	for j, col := range c.cols {
+		mn, mx := c.mins[j], c.maxs[j]
+		for _, v := range col[at:] {
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+			if v != v {
+				c.unbounded = true
+			}
+		}
+		c.mins[j], c.maxs[j] = mn, mx
+	}
+	for lo := len(c.blockDirty) * BlockRows; lo+BlockRows <= n; lo += BlockRows {
 		c.summariseBlock(lo)
 	}
-	c.ragged = ragged
 }
 
 // extend lengthens s by n elements, reallocating only when its capacity
@@ -263,9 +295,8 @@ func extend[E any](s []E, n int) []E {
 	return s[:len(s)+n]
 }
 
-// widen grows the box [mins, maxs] to cover vec and reports whether vec
-// holds a NaN, which no box can cover.
-func widen(mins, maxs, vec []float64) (nan bool) {
+// widen grows the box [mins, maxs] to cover vec.
+func widen(mins, maxs, vec []float64) {
 	for j, v := range vec {
 		if v < mins[j] {
 			mins[j] = v
@@ -273,11 +304,7 @@ func widen(mins, maxs, vec []float64) (nan bool) {
 		if v > maxs[j] {
 			maxs[j] = v
 		}
-		if v != v {
-			nan = true
-		}
 	}
-	return nan
 }
 
 // summariseBlock writes the summary of the full block whose first row is

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 )
 
 // loadRows builds n rows of width w whose values stress the loader:
@@ -38,29 +37,22 @@ func loadRows(rng *rand.Rand, n, w int, special float64, odd int) []Row {
 }
 
 // refClustered is the test-side statement of the clustered order
-// (zorder.go): over the rows handed in, each of the first min(width of
-// the first row, 4) columns is quantised on its finite min and max to
+// (zorder.go): over the rows handed in, all of one width, each of the
+// first min(width, 4) columns is quantised on its finite min and max to
 // cell = trunc(min((v-min) * (65535/(max-min)), 65535)) where that
-// product is positive, else 0 (a short row's missing column too); the
-// key takes the cells' bits from the top bit down, column 0 leading; a
-// stable sort on the key keeps arrival order for ties. It shares no code
-// with AppendClustered.
+// product is positive, else 0; the key takes the cells' bits from the
+// top bit down, column 0 leading; a stable sort on the key keeps arrival
+// order for ties. It shares no code with AppendClustered.
 func refClustered(rows []Row) []Row {
 	if len(rows) == 0 {
 		return nil
 	}
 	dims := min(len(rows[0].Vec), 4)
-	val := func(r Row, j int) float64 {
-		if j < len(r.Vec) {
-			return r.Vec[j]
-		}
-		return math.NaN()
-	}
 	keys := make([]uint64, len(rows))
 	for j := 0; j < dims; j++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, r := range rows {
-			if v := val(r, j); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			if v := r.Vec[j]; !math.IsNaN(v) && !math.IsInf(v, 0) {
 				lo, hi = min(lo, v), max(hi, v)
 			}
 		}
@@ -70,7 +62,7 @@ func refClustered(rows []Row) []Row {
 		}
 		for i, r := range rows {
 			var cell uint64
-			if f := (val(r, j) - lo) * scale; f > 0 {
+			if f := (r.Vec[j] - lo) * scale; f > 0 {
 				cell = uint64(min(f, 65535))
 			}
 			for bit := 15; bit >= 0; bit-- {
@@ -174,8 +166,10 @@ func randomSplit(rng *rand.Rand, rows []Row) [][]Row {
 }
 
 // checkLoads builds rows every way a store can be built and compares
-// each with the one-row-per-call store; prefix rows are appended before
-// the clustered load, so it starts mid-block.
+// each with the one-row-per-call store. When the rows share one width
+// they are also loaded as a table through AppendClustered, at strides 1
+// and 6, after the first prefix rows went in through Append in random
+// pieces, so the clustered load starts mid-block.
 func checkLoads(t *testing.T, rng *rand.Rand, width int, rows []Row, prefix int) {
 	t.Helper()
 	want := rowByRow(width, rows)
@@ -193,25 +187,30 @@ func checkLoads(t *testing.T, rng *rand.Rand, width int, rows []Row, prefix int)
 			t.Fatalf("random split %d vs one row per call: %s", trial, d)
 		}
 	}
+	for _, r := range rows {
+		if len(r.Vec) != len(rows[0].Vec) {
+			return // no table holds rows of two widths
+		}
+	}
 	prefix = min(prefix, len(rows))
-	head, tail := rows[:prefix], rows[prefix:]
+	head, tail := rows[:prefix], BatchOf(rows[prefix:])
 	for _, stride := range []int{1, 6} {
 		for first := 0; first < stride; first++ {
 			var dealt []Row
-			for i := first; i < len(tail); i += stride {
-				dealt = append(dealt, tail[i])
+			for i := first; i < tail.Len(); i += stride {
+				dealt = append(dealt, Row{Key: tail.Keys[i], Vec: tail.Vec(i)})
 			}
-			// A store without a width adopts its first row's, and
-			// AppendClustered's first row is the first one it is dealt.
+			// A store without a width adopts its first row's: the head's,
+			// or else the table's.
 			adopted := width
-			if adopted < 0 && len(head) > 0 {
-				adopted = len(head[0].Vec)
-			} else if adopted < 0 && len(dealt) > 0 {
-				adopted = len(dealt[0].Vec)
+			if adopted < 0 && len(rows) > 0 {
+				adopted = len(rows[0].Vec)
 			}
 			want := rowByRow(adopted, append(append([]Row(nil), head...), refClustered(dealt)...))
 			got := NewColStore(width)
-			got.Append(head...)
+			for _, piece := range randomSplit(rng, head) {
+				got.Append(piece...)
+			}
 			got.AppendClustered(tail, first, stride)
 			if d := sameStore(got, want); d != "" {
 				t.Fatalf("clustered stride %d first %d after %d rows vs stable-sort reference: %s",
@@ -251,7 +250,9 @@ func TestAppendSplitInvariant(t *testing.T) {
 }
 
 // TestAppendWrongWidthStopsBatch: the rows before the first wrong-width
-// row land, it and the rest do not, and the store is poisoned.
+// row land, it and the rest do not, and the store is poisoned; a
+// clustered load of a table of another width lands nothing and poisons
+// the store too.
 func TestAppendWrongWidthStopsBatch(t *testing.T) {
 	rows := loadRows(rand.New(rand.NewSource(2)), 300, 3, 0, 200)
 	c := NewColStore(3)
@@ -260,92 +261,50 @@ func TestAppendWrongWidthStopsBatch(t *testing.T) {
 		t.Fatalf("ragged %v len %d, want ragged after 200 rows", c.Ragged(), c.Len())
 	}
 	c.Append(rows[:10]...)
+	c.AppendClustered(BatchOf(rows[:10]), 0, 1)
 	if c.Len() != 200 {
 		t.Fatalf("a poisoned store took %d more rows", c.Len()-200)
+	}
+	narrow := NewColStore(2)
+	narrow.AppendClustered(BatchOf(rows[:10]), 0, 1)
+	if !narrow.Ragged() || narrow.Len() != 0 {
+		t.Fatalf("a 3-column table in a 2-column store: ragged %v len %d, want ragged and empty",
+			narrow.Ragged(), narrow.Len())
 	}
 }
 
 // FuzzClusteredLoad: whatever the values (the fuzzer's bytes index a
-// palette with NaN, ±Inf, ±0 and ties), width, size, stride and prefix,
-// batched and clustered loads equal the row-at-a-time ones.
+// palette with NaN, ±Inf, ±0 and ties; column constCol%(width+1), when
+// there is one, holds a single value), width, size, stride and prefix,
+// batched, randomly split and clustered loads of the table equal the
+// row-at-a-time ones, the clustered load in refClustered's order.
 func FuzzClusteredLoad(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint16(700), uint8(0))
-	f.Add([]byte{0, 9, 0, 9}, uint8(1), uint16(2100), uint8(130))
-	f.Add([]byte{255, 128, 3}, uint8(5), uint16(129), uint8(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint16(700), uint8(0), uint8(3))
+	f.Add([]byte{0, 9, 0, 9}, uint8(1), uint16(2100), uint8(130), uint8(1))
+	f.Add([]byte{255, 128, 3}, uint8(5), uint16(129), uint8(1), uint8(2))
+	f.Add([]byte{7, 8, 9, 1, 14, 200}, uint8(2), uint16(6*BlockRows+5), uint8(0), uint8(0))
 	palette := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300, 100}
-	f.Fuzz(func(t *testing.T, data []byte, w uint8, n uint16, prefix uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, w uint8, n uint16, prefix, constCol uint8) {
 		if len(data) == 0 {
 			return
 		}
 		width := 1 + int(w)%5
-		rows := make([]Row, int(n)%(3*ChunkRows))
+		rows := int(n) % (3 * ChunkRows)
+		tbl := Batch{Keys: make([]uint64, rows), Vals: make([]float64, rows*width), Width: width}
 		for i := range rows {
-			vec := make([]float64, width)
-			for j := range vec {
+			tbl.Keys[i] = uint64(i)
+			for j := range width {
 				b := data[(i*width+j)%len(data)]
-				if int(b)%16 < len(palette) {
-					vec[j] = palette[int(b)%16]
-				} else {
-					vec[j] = float64(int(b)*31+i*7) / 3
+				v := float64(int(b)*31+i*7) / 3
+				switch {
+				case j == int(constCol)%(width+1):
+					v = palette[int(data[0])%len(palette)]
+				case int(b)%16 < len(palette):
+					v = palette[int(b)%16]
 				}
+				tbl.Vals[i*width+j] = v
 			}
-			rows[i] = Row{Key: uint64(i), Vec: vec}
 		}
-		checkLoads(t, rand.New(rand.NewSource(int64(n))), width, rows, int(prefix))
+		checkLoads(t, rand.New(rand.NewSource(int64(n))), width, tbl.Rows(), int(prefix))
 	})
-}
-
-// benchTable is n rows of three columns carved from one backing array,
-// like workload.GaussianMixture's: two uniform coordinates on [0, 100)
-// and a third linear in the first.
-func benchTable(n int) []Row {
-	rng := rand.New(rand.NewSource(1))
-	flat := make([]float64, 3*n)
-	rows := make([]Row, n)
-	for i := range rows {
-		vec := flat[3*i : 3*i+3 : 3*i+3]
-		vec[0], vec[1] = rng.Float64()*100, rng.Float64()*100
-		vec[2] = 2*vec[0] + 5 + rng.NormFloat64()
-		rows[i] = Row{Key: uint64(i), Vec: vec}
-	}
-	return rows
-}
-
-// BenchmarkStoreLoad: building one store from a table of the named size,
-// per loader. The stride-6 variant lays down one partition of six, as a
-// member loading the table does. ns/row counts the rows loaded.
-func BenchmarkStoreLoad(b *testing.B) {
-	loaders := []struct {
-		name   string
-		stride int
-		load   func(c *ColStore, rows []Row)
-	}{
-		{"AppendRowByRow", 1, func(c *ColStore, rows []Row) {
-			for _, r := range rows {
-				c.Append(r)
-			}
-		}},
-		{"AppendBatch", 1, func(c *ColStore, rows []Row) { c.Append(rows...) }},
-		{"ClusteredStride1", 1, func(c *ColStore, rows []Row) { c.AppendClustered(rows, 0, 1) }},
-		{"ClusteredStride6", 6, func(c *ColStore, rows []Row) { c.AppendClustered(rows, 0, 6) }},
-	}
-	for _, n := range []int{16_384, 166_667, 1_000_000} {
-		rows := benchTable(n)
-		for _, l := range loaders {
-			b.Run(fmt.Sprintf("%s/rows=%d", l.name, n), func(b *testing.B) {
-				loaded := (n + l.stride - 1) / l.stride
-				var spent time.Duration
-				for i := 0; i < b.N; i++ {
-					c := NewColStore(3)
-					start := time.Now()
-					l.load(c, rows)
-					spent += time.Since(start)
-					if c.Len() != loaded {
-						b.Fatalf("loaded %d rows, want %d", c.Len(), loaded)
-					}
-				}
-				b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N*loaded), "ns/row")
-			})
-		}
-	}
 }

@@ -28,3 +28,49 @@ func MixKey(key uint64) uint64 {
 	key ^= key >> 27
 	return key
 }
+
+// Batch is a table of rows that holds no pointer per row: row i is
+// Keys[i] and the Width values at Vals[i*Width:]. It is the form a bulk
+// load takes, from the generator to ColStore.AppendClustered.
+type Batch struct {
+	// Keys holds one key per row.
+	Keys []uint64
+	// Vals holds the rows' values, row-major.
+	Vals []float64
+	// Width is the number of values per row.
+	Width int
+}
+
+// Len returns the number of rows.
+func (b Batch) Len() int { return len(b.Keys) }
+
+// Vec returns row i's values; the slice aliases Vals, its capacity
+// pinned to the row.
+func (b Batch) Vec(i int) []float64 {
+	return b.Vals[i*b.Width : (i+1)*b.Width : (i+1)*b.Width]
+}
+
+// Rows returns the table as rows whose vectors alias Vals.
+func (b Batch) Rows() []Row {
+	rows := make([]Row, b.Len())
+	for i := range rows {
+		rows[i] = Row{Key: b.Keys[i], Vec: b.Vec(i)}
+	}
+	return rows
+}
+
+// BatchOf copies rows into a table as wide as the first row. The rows
+// must share that width; a caller holding rows from outside the program
+// checks them first.
+func BatchOf(rows []Row) Batch {
+	if len(rows) == 0 {
+		return Batch{}
+	}
+	w := len(rows[0].Vec)
+	b := Batch{Keys: make([]uint64, len(rows)), Vals: make([]float64, len(rows)*w), Width: w}
+	for i, r := range rows {
+		b.Keys[i] = r.Key
+		copy(b.Vec(i), r.Vec)
+	}
+	return b
+}

@@ -21,116 +21,90 @@ const (
 	zBits = 16
 )
 
-// AppendClustered appends rows[first], rows[first+stride],
-// rows[first+2*stride], ... in Z-order over their (at most zDims
-// leading) value columns; rows itself is neither reordered nor kept.
-// It gathers the subset once into a flat row-major copy, computes the
-// bounds and Morton keys from that copy, orders the copy with a stable
-// radix sort on the keys (ties keep arrival order) and hands the
-// ordered rows to Append.
-func (c *ColStore) AppendClustered(rows []Row, first, stride int) {
-	if first >= len(rows) {
+// AppendClustered appends rows first, first+stride, first+2*stride, ...
+// of t in Z-order over their (at most zDims leading) value columns; t
+// itself is neither reordered nor kept. It copies the subset once into
+// a compact table, taking the bounds in the same pass, computes the
+// Morton keys from that copy, orders them with a stable radix sort (ties
+// keep arrival order), and writes keys and columns in that order
+// straight into the store before sealing it like any Append. A table
+// whose width is not the store's poisons the store (Ragged), as a row of
+// the wrong width does in Append.
+func (c *ColStore) AppendClustered(t Batch, first, stride int) {
+	if c.ragged || first >= t.Len() {
 		return
 	}
 	if c.width < 0 {
-		c.adopt(len(rows[first].Vec))
+		c.adopt(t.Width)
 	}
-	c.Append(gather(rows, first, stride, c.width).sorted()...)
-}
-
-// dealt is the strided subset of a batch, gathered: keys[i] and the
-// width values at vals[i*stride:] are the subset's i-th row. A row of
-// the wrong width keeps its own vector in odd[i] (Append stops there);
-// its slot holds the values the curve reads, NaN where it has none.
-type dealt struct {
-	keys                []uint64
-	vals                []float64
-	width, stride, dims int
-	odd                 map[int][]float64
-}
-
-// gather copies rows[first], rows[first+stride], ... for a store of the
-// given width. The curve reads the leading min(len(rows[first].Vec),
-// zDims) columns, so the slots are wide enough for both.
-func gather(rows []Row, first, stride, width int) *dealt {
-	n := (len(rows) - first + stride - 1) / stride
-	d := &dealt{width: width, dims: min(len(rows[first].Vec), zDims)}
-	d.stride = max(width, d.dims)
-	d.keys = make([]uint64, n)
-	d.vals = make([]float64, n*d.stride)
-	for i := range n {
-		r := rows[first+i*stride]
-		d.keys[i] = r.Key
-		slot := d.vals[i*d.stride : (i+1)*d.stride]
-		if len(r.Vec) == width && width == d.stride {
-			copy(slot, r.Vec)
-			continue
-		}
-		if len(r.Vec) != width {
-			if d.odd == nil {
-				d.odd = make(map[int][]float64)
-			}
-			d.odd[i] = r.Vec
-		}
-		for j := range slot {
-			slot[j] = math.NaN()
-			if j < len(r.Vec) {
-				slot[j] = r.Vec[j]
-			}
-		}
+	if t.Width != c.width {
+		c.ragged = true
+		return
 	}
-	return d
-}
-
-// sorted returns the gathered rows in clustered order, their vectors
-// aliasing the flat copy.
-func (d *dealt) sorted() []Row {
-	order := radixSort(d.mortonKeys())
-	out := make([]Row, len(order))
+	sub, lo, hi := subset(t, first, stride)
+	order := radixSort(mortonKeys(sub, lo, hi))
+	at := c.grow(len(order))
+	keys, cols := c.keys[at:], c.cols
 	for k, e := range order {
 		i := int(e.idx)
-		vec, odd := d.odd[i]
-		if !odd {
-			vec = d.vals[i*d.stride : i*d.stride+d.width : i*d.stride+d.width]
+		keys[k] = sub.Keys[i]
+		for j, v := range sub.Vec(i) {
+			cols[j][at+k] = v
 		}
-		out[k] = Row{Key: d.keys[i], Vec: vec}
 	}
-	return out
+	c.seal(at)
+}
+
+// subset copies rows first, first+stride, ... of t into a compact table,
+// in arrival order, and returns with it the finite min and max of each
+// column the curve reads (+Inf and -Inf for a column with no finite
+// value).
+func subset(t Batch, first, stride int) (sub Batch, lo, hi [zDims]float64) {
+	n, w := (t.Len()-first+stride-1)/stride, t.Width
+	sub = Batch{Keys: make([]uint64, n), Vals: make([]float64, n*w), Width: w}
+	dims := min(w, zDims)
+	for j := range dims {
+		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
+	}
+	for i := range n {
+		src := first + i*stride
+		sub.Keys[i] = t.Keys[src]
+		row := sub.Vec(i)
+		copy(row, t.Vec(src))
+		for j, v := range row[:dims] {
+			// v-v is 0 only for a finite v.
+			if v-v == 0 {
+				lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+			}
+		}
+	}
+	return sub, lo, hi
 }
 
 // zEntry is one row on the curve: its Morton key and its index in the
-// gathered subset (the tie-break, and the way back to the row).
+// subset (the tie-break, and the way back to the row).
 type zEntry struct {
 	key uint64
 	idx int32
 }
 
-// mortonKeys quantises every gathered row onto the curve. A cell is the
-// value's place between the subset's own finite per-column min and max,
+// mortonKeys quantises every row of the subset onto the curve. A cell is
+// the value's place between the column's finite min and max (lo, hi),
 // scaled onto [0, 65535]; a column with no two distinct finite values
 // keeps scale 0.
-func (d *dealt) mortonKeys() []zEntry {
-	n, s, dims := len(d.keys), d.stride, d.dims
-	var lo, scale [zDims]float64
+func mortonKeys(sub Batch, lo, hi [zDims]float64) []zEntry {
+	dims := min(sub.Width, zDims)
+	var scale [zDims]float64
 	for j := range dims {
-		mn, mx := math.Inf(1), math.Inf(-1)
-		for i := j; i < len(d.vals); i += s {
-			// v-v is 0 only for a finite v.
-			if v := d.vals[i]; v-v == 0 {
-				mn, mx = min(mn, v), max(mx, v)
-			}
-		}
-		lo[j] = mn
-		if w := mx - mn; w > 0 && w-w == 0 {
+		if w := hi[j] - lo[j]; w > 0 && w-w == 0 {
 			scale[j] = (1<<zBits - 1) / w
 		}
 	}
 	spread := &spreadBits[dims]
-	es := make([]zEntry, n)
+	es := make([]zEntry, sub.Len())
 	for i := range es {
-		row := d.vals[i*s : i*s+dims]
 		var key uint64
-		for j, v := range row {
+		for j, v := range sub.Vec(i)[:dims] {
 			// +Inf lands in the top cell; -Inf, NaN and every value of a
 			// scale-0 column (the product is 0 or NaN) in cell 0. The
 			// conversion only ever sees (0, 65535].

@@ -60,40 +60,48 @@ type MixtureComponent struct {
 // from one backing array, each with its capacity pinned to its own d
 // values.
 func GaussianMixture(rng *rand.Rand, n, d int, comps []MixtureComponent, firstKey uint64) []storage.Row {
+	return mixture(rng, n, d, comps, firstKey).Rows()
+}
+
+// mixture is GaussianMixture as a table: per row, one draw picks the
+// component, then one normal draw per column.
+func mixture(rng *rand.Rand, n, d int, comps []MixtureComponent, firstKey uint64) storage.Batch {
 	var totalW float64
 	for _, c := range comps {
 		totalW += c.Weight
 	}
-	rows := make([]storage.Row, n)
-	flat := make([]float64, n*d)
-	for i := range rows {
-		c := pickComponent(rng, comps, totalW)
-		vec := flat[i*d : (i+1)*d : (i+1)*d]
-		for j := 0; j < d; j++ {
+	t := storage.Batch{Keys: make([]uint64, n), Vals: make([]float64, n*d), Width: d}
+	unit := MixtureComponent{Std: 1, Weight: 1}
+	for i := range n {
+		c := &unit
+		if len(comps) > 0 {
+			c = &comps[pickComponent(rng, comps, totalW)]
+		}
+		row := t.Vec(i)
+		for j := range row {
 			mu := 0.0
 			if j < len(c.Center) {
 				mu = c.Center[j]
 			}
-			vec[j] = mu + rng.NormFloat64()*c.Std
+			row[j] = mu + rng.NormFloat64()*c.Std
 		}
-		rows[i] = storage.Row{Key: firstKey + uint64(i), Vec: vec}
+		t.Keys[i] = firstKey + uint64(i)
 	}
-	return rows
+	return t
 }
 
-func pickComponent(rng *rand.Rand, comps []MixtureComponent, totalW float64) MixtureComponent {
-	if len(comps) == 0 {
-		return MixtureComponent{Std: 1, Weight: 1}
-	}
+// pickComponent draws the index of one of comps (at least one), each
+// with probability proportional to its weight.
+func pickComponent(rng *rand.Rand, comps []MixtureComponent, totalW float64) int {
 	target := rng.Float64() * totalW
 	var cum float64
-	for _, c := range comps {
+	for i, c := range comps {
 		cum += c.Weight
 		if target <= cum {
-			return c
+			return i
 		}
 	}
-	return comps[len(comps)-1]
+	return len(comps) - 1
 }
 
 // DefaultMixture returns a 4-component mixture spread over [0,100]^d, a
@@ -111,16 +119,26 @@ func DefaultMixture(d int) []MixtureComponent {
 	return comps
 }
 
-// StandardRows builds the repo's standard 3-column clustered dataset —
+// StandardTable builds the repo's standard 3-column clustered dataset —
 // x, y spatial from the default Gaussian mixture, z = 2x + 5 + noise —
-// from a single seed. Cluster members, experiments and examples all
-// call this one constructor so equal seeds produce bit-identical data
+// from a single seed, keys 0..n-1. Cluster members, experiments and
+// examples all build it here so equal seeds produce bit-identical data
 // everywhere (the distributed cluster's partitioning depends on it).
-func StandardRows(n int, seed int64) []storage.Row {
+// The mixture draws every row first; a second pass then draws z's noise
+// row by row.
+func StandardTable(n int, seed int64) storage.Batch {
 	rng := NewRNG(seed)
-	rows := GaussianMixture(rng, n, 3, DefaultMixture(3), 0)
-	CorrelatedColumns(rng, rows, 0, 2, 2, 5, 1)
-	return rows
+	t := mixture(rng, n, 3, DefaultMixture(3), 0)
+	for i := range n {
+		correlate(rng, t.Vec(i), 0, 2, 2, 5, 1)
+	}
+	return t
+}
+
+// StandardRows is StandardTable as rows, their vectors carved from the
+// table's one backing array.
+func StandardRows(n int, seed int64) []storage.Row {
+	return StandardTable(n, seed).Rows()
 }
 
 // CorrelatedColumns rewrites columns colY of rows so that
@@ -129,11 +147,17 @@ func StandardRows(n int, seed int64) []storage.Row {
 // inside any subspace is then known by construction.
 func CorrelatedColumns(rng *rand.Rand, rows []storage.Row, colX, colY int, slope, intercept, noiseStd float64) {
 	for i := range rows {
-		if colX >= len(rows[i].Vec) || colY >= len(rows[i].Vec) {
-			continue
-		}
-		rows[i].Vec[colY] = slope*rows[i].Vec[colX] + intercept + rng.NormFloat64()*noiseStd
+		correlate(rng, rows[i].Vec, colX, colY, slope, intercept, noiseStd)
 	}
+}
+
+// correlate is CorrelatedColumns for one vector; a vector too short for
+// either column is left alone and draws nothing.
+func correlate(rng *rand.Rand, vec []float64, colX, colY int, slope, intercept, noiseStd float64) {
+	if colX >= len(vec) || colY >= len(vec) {
+		return
+	}
+	vec[colY] = slope*vec[colX] + intercept + rng.NormFloat64()*noiseStd
 }
 
 // ZipfKeys generates n rows whose keys follow a Zipf distribution over

@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 func TestUniformBoundsAndKeys(t *testing.T) {
@@ -172,6 +175,53 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i].Vec[0] != b[i].Vec[0] || a[i].Vec[1] != b[i].Vec[1] {
 			t.Fatal("same seed produced different data")
+		}
+	}
+}
+
+// standardPins are FNV-64a hashes of StandardRows(n, seed) — every key
+// and the bits of every value, row by row — recorded from the generator
+// that built []storage.Row directly. E1–E12, every benchmark oracle and
+// the cluster's golden layouts depend on these values.
+var standardPins = []struct {
+	n    int
+	seed int64
+	hash uint64
+}{
+	{5_000, 1, 0xb60e08c1c333b8c4},
+	{200_000, 11, 0x561db48153c29e06},
+}
+
+// hashRows hashes rows the way standardPins were recorded.
+func hashRows(rows []storage.Row) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, r := range rows {
+		put(r.Key)
+		for _, v := range r.Vec {
+			put(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestStandardDatasetPinned: StandardTable and its row view hold the
+// standard dataset's recorded bits.
+func TestStandardDatasetPinned(t *testing.T) {
+	for _, p := range standardPins {
+		tbl := StandardTable(p.n, p.seed)
+		if tbl.Len() != p.n || tbl.Width != 3 || len(tbl.Vals) != 3*p.n {
+			t.Fatalf("StandardTable(%d, %d): %d rows of width %d", p.n, p.seed, tbl.Len(), tbl.Width)
+		}
+		if got := hashRows(tbl.Rows()); got != p.hash {
+			t.Errorf("StandardTable(%d, %d) hashes to %#x, want %#x", p.n, p.seed, got, p.hash)
+		}
+		if got := hashRows(StandardRows(p.n, p.seed)); got != p.hash {
+			t.Errorf("StandardRows(%d, %d) hashes to %#x, want %#x", p.n, p.seed, got, p.hash)
 		}
 	}
 }
